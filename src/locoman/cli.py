@@ -9,15 +9,17 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import multiprocessing
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import click
 import numpy as np
 
 from .config import Config, TrackingConfig
-from .errors import ParseError, ValidationError
+from .errors import LocomanError, ParseError, ValidationError
 from .harness import (MetricsReport, aggregate, build_occupancy_grid,
                       load_scenario, run_episode, write_report, write_trace_csv)
 from .rewards import (ContactTimeline, r_freq, r_gait, r_track_xy,
@@ -42,6 +44,34 @@ def _load_config(path: str | None) -> Config:
 
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _run_one(task) -> MetricsReport:
+    """Run one episode and write its trace and report; return only the
+    metrics, so a worker process never sends a trace back."""
+    scenario, k, ep_dir, dt, tracking, seed, cfg = task
+    result = run_episode(scenario, dt=dt, tracking=tracking, master_seed=seed,
+                         episode_index=k, config=cfg)
+    ep_dir.mkdir(parents=True, exist_ok=True)
+    write_trace_csv(result.trace, ep_dir / "trace.csv")
+    write_report(result.metrics, ep_dir / "report.json",
+                 extra={"scenario": scenario.name, "episode": k,
+                        "outcomes": [{"index": o.index, "kind": o.kind,
+                                      "success": o.success, "detail": o.detail}
+                                     for o in result.outcomes]})
+    return result.metrics
+
+
+def _start_method() -> str:
+    """`fork` where the platform has it and the caller runs one thread:
+    forked workers inherit the imported modules, where spawned ones re-import
+    numpy and locoman (about 0.6 s each), more than a short run saves. A
+    lock held by another thread at fork time would stay locked in the child,
+    so threaded callers get `spawn`."""
+    if "fork" in multiprocessing.get_all_start_methods() \
+            and threading.active_count() == 1:
+        return "fork"
+    return "spawn"
 
 
 @main.command()
@@ -83,6 +113,8 @@ def run(scenarios, episodes, seed, dt, jobs, preset, out, config_path,
             paths.extend(sorted(s.glob("*.yaml")))
         else:
             paths.append(s)
+    if not paths:
+        raise click.UsageError("no scenario files given")
     for p in paths:
         if not p.exists():
             click.echo(f"error: scenario not found: {p}", err=True)
@@ -95,36 +127,21 @@ def run(scenarios, episodes, seed, dt, jobs, preset, out, config_path,
         sys.exit(EXIT_CONFIG)
 
     out.mkdir(parents=True, exist_ok=True)
-
-    def one(args):
-        scenario, episode_index = args
-        return run_episode(scenario, dt=dt, tracking=tracking,
-                           master_seed=seed, episode_index=episode_index)
-
-    tasks = [(scenario, k) for _, scenario in loaded for k in range(episodes)]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(one, tasks))
-    else:
-        results = [one(t) for t in tasks]
-
-    reports: list[MetricsReport] = []
-    i = 0
-    for path, scenario in loaded:
-        scen_dir = out / scenario.name
-        for k in range(episodes):
-            result = results[i]
-            i += 1
-            ep_dir = scen_dir / f"episode_{k}"
-            ep_dir.mkdir(parents=True, exist_ok=True)
-            write_trace_csv(result.trace, ep_dir / "trace.csv")
-            write_report(result.metrics, ep_dir / "report.json",
-                         extra={"scenario": scenario.name, "episode": k,
-                                "outcomes": [{"index": o.index, "kind": o.kind,
-                                              "success": o.success,
-                                              "detail": o.detail}
-                                             for o in result.outcomes]})
-            reports.append(result.metrics)
+    tasks = [(scenario, k, out / scenario.name / f"episode_{k}", dt, tracking,
+              seed, cfg)
+             for _, scenario in loaded for k in range(episodes)]
+    workers = min(jobs, len(tasks))
+    try:
+        if workers > 1:
+            ctx = multiprocessing.get_context(_start_method())
+            with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
+                reports = list(pool.map(_run_one, tasks))
+        else:
+            reports = [_run_one(t) for t in tasks]
+    except LocomanError as exc:
+        # only plan-level faults escape an episode; action faults are outcomes
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(EXIT_CONFIG)
 
     write_report(aggregate(reports), out / "aggregate.json")
     manifest = {

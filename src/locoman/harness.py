@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 import yaml
 
-from .config import TrackingConfig
+from .config import Config, TrackingConfig
 from .errors import (LocomanError, NoFeasibleGoal, NoPath, OracleFailure,
                      ParseError, ValidationError)
 from .fusion import Detection, FusionConfig, InstanceGraph
@@ -27,11 +27,11 @@ from .geometry import (Pose, quat_from_axis_angle, quat_geodesic_distance,
                        quat_to_matrix, unit, vec3, wrap_angle)
 from .grounding import (CameraModel, DepthImage, GroundingResult, ground_action)
 from .navgrid import (GoalSearchConfig, OccupancyGrid, OCCUPIED, find_goal_pose,
-                      footprint_clear, plan_path, project_waypoint)
+                      footprint_clear, plan_path)
 from .planning import (ActionKind, AtomicAction, ConditionKind, GoalCondition,
                        ScriptedPlanner, SubtaskMonitor, TaskPlan, decompose,
                        monitor_step, report, validate_plan)
-from .rewards import (ContactTimeline, RewardWeights, r_freq, r_gait,
+from .rewards import (ContactTimeline, r_freq, r_gait,
                       r_track_xy, r_track_yaw, total_reward)
 from .sampling import LocomotionCommand, episode_rng
 
@@ -45,6 +45,8 @@ NAV_TIMEOUT = 60.0
 MANIP_TIMEOUT = 20.0
 
 OBJECT_TYPES = ("rigid", "container", "articulated", "draggable")
+ACTION_KINDS = tuple(k.value for k in ActionKind)
+CONDITION_KINDS = tuple(k.value for k in ConditionKind)
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +188,8 @@ def scenario_from_dict(data: dict, where: str = "scenario") -> Scenario:
         loc = f"{where}.plan[{i}]"
         if "kind" not in rec:
             raise ValidationError(f"{loc}: missing kind")
+        if rec["kind"] not in ACTION_KINDS:
+            raise ValidationError(f"{loc}.kind: {rec['kind']!r} not one of {ACTION_KINDS}")
         tgt = rec.get("target")
         if tgt is not None and tgt not in seen_ids:
             raise ValidationError(f"{loc}.target: unknown object {tgt!r}")
@@ -200,6 +204,10 @@ def scenario_from_dict(data: dict, where: str = "scenario") -> Scenario:
         for key in ("name", "kind", "action"):
             if key not in rec:
                 raise ValidationError(f"{loc}: missing {key!r}")
+        if rec["kind"] not in CONDITION_KINDS:
+            raise ValidationError(f"{loc}.kind: {rec['kind']!r} not one of {CONDITION_KINDS}")
+        if rec["action"] not in ACTION_KINDS:
+            raise ValidationError(f"{loc}.action: {rec['action']!r} not one of {ACTION_KINDS}")
         for ref_key in ("object", "other"):
             ref = rec.get(ref_key)
             if ref is not None and ref not in seen_ids:
@@ -476,10 +484,12 @@ class EpisodeRunner:
     def __init__(self, scenario: Scenario, dt: float = 0.02,
                  tracking: TrackingConfig | None = None,
                  master_seed: Optional[int] = None, episode_index: int = 0,
-                 goal_cfg: GoalSearchConfig | None = None):
+                 goal_cfg: GoalSearchConfig | None = None,
+                 config: Config | None = None):
         self.scenario = scenario
         self.dt = dt
         self.tracking = tracking or TrackingConfig()
+        self.config = config or Config()
         seed = scenario.seed if master_seed is None else master_seed
         self.rng = episode_rng(seed, episode_index)
         self.goal_cfg = goal_cfg or GoalSearchConfig()
@@ -546,11 +556,12 @@ class EpisodeRunner:
             contacts = {leg: True for leg in ("FL", "FR", "RL", "RR")}
         self.timeline.update(contacts, self.dt, w.t)
 
+        cfg = self.config
         terms = {
-            "track_xy": r_track_xy(cmd[:2], w.base_vel[:2]),
-            "track_yaw": r_track_yaw(cmd[2], w.base_vel[2]),
+            "track_xy": r_track_xy(cmd[:2], w.base_vel[:2], cfg.gamma_xy),
+            "track_yaw": r_track_yaw(cmd[2], w.base_vel[2], cfg.gamma_w),
             "gait": r_gait(self.timeline),
-            "freq": r_freq(self.timeline),
+            "freq": r_freq(self.timeline, cfg.f_target),
         }
         self.trace.append({
             "t": w.t, "action_index": self._action_index,
@@ -562,7 +573,7 @@ class EpisodeRunner:
             "ee_err_pos": ee_pos_err, "ee_err_ori": ee_ori_err,
             "r_track_xy": terms["track_xy"], "r_track_yaw": terms["track_yaw"],
             "r_gait": terms["gait"], "r_freq": terms["freq"],
-            "total_stage1": total_reward(1, terms),
+            "total_stage1": total_reward(1, terms, cfg.reward_weights),
         })
 
     def time_left(self) -> float:
@@ -820,9 +831,11 @@ class EpisodeRunner:
 def run_episode(scenario: Scenario, dt: float = 0.02,
                 tracking: TrackingConfig | None = None,
                 master_seed: Optional[int] = None,
-                episode_index: int = 0) -> EpisodeResult:
+                episode_index: int = 0,
+                config: Config | None = None) -> EpisodeResult:
     runner = EpisodeRunner(scenario, dt=dt, tracking=tracking,
-                           master_seed=master_seed, episode_index=episode_index)
+                           master_seed=master_seed, episode_index=episode_index,
+                           config=config)
     return runner.run()
 
 

@@ -1,17 +1,53 @@
+import csv
+import hashlib
 import json
+import threading
 from pathlib import Path
 
+import pytest
 import yaml
 from click.testing import CliRunner
 
+from locoman import cli
 from locoman.cli import main
 from locoman.config import Config
 
-SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "cart_delivery.yaml"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIO = ROOT / "scenarios" / "cart_delivery.yaml"
+NOISY = ("--tau-base", 0.1, "--noise-pos", 0.002, "--noise-ori", 0.01)
 
 
 def invoke(*args):
     return CliRunner().invoke(main, [str(a) for a in args])
+
+
+def files_of(run_dir):
+    return sorted(p.relative_to(run_dir) for p in run_dir.rglob("*") if p.is_file())
+
+
+def assert_matches_serial(tmp_path, target, jobs=2):
+    a, b = tmp_path / "serial", tmp_path / "parallel"
+    res = invoke("run", target, "--seed", 4, "--episodes", 2, "--out", a)
+    assert res.exit_code == 0, res.output
+    res = invoke("run", target, "--seed", 4, "--episodes", 2, "--jobs", jobs,
+                 "--out", b)
+    assert res.exit_code == 0, res.output
+    assert files_of(a) == files_of(b)
+    for rel in files_of(a):
+        assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
+
+
+def trace_column(path, name):
+    with open(path, newline="") as fh:
+        return [row[name] for row in csv.DictReader(fh)]
+
+
+def scenario_with(tmp_path, edit):
+    data = yaml.safe_load(SCENARIO.read_text())
+    edit(data)
+    path = tmp_path / "edited.yaml"
+    path.write_text(yaml.safe_dump(data))
+    return path
 
 
 class TestRun:
@@ -44,12 +80,68 @@ class TestRun:
             assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
 
     def test_jobs_matches_serial(self, tmp_path):
-        a, b = tmp_path / "serial", tmp_path / "parallel"
-        invoke("run", SCENARIO, "--seed", 4, "--episodes", 2, "--out", a)
-        invoke("run", SCENARIO, "--seed", 4, "--episodes", 2, "--jobs", 2,
-               "--out", b)
-        for rel in sorted(p.relative_to(a) for p in a.rglob("*") if p.is_file()):
-            assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
+        assert_matches_serial(tmp_path, SCENARIO)
+
+    def test_more_jobs_than_episodes_matches_serial(self, tmp_path):
+        assert_matches_serial(tmp_path, SCENARIO, jobs=3)
+
+    def test_threaded_caller_jobs_matches_serial(self, tmp_path):
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait, args=(60,))
+        waiter.start()
+        try:
+            assert cli._start_method() == "spawn"
+            assert_matches_serial(tmp_path, SCENARIO)
+        finally:
+            release.set()
+            waiter.join(timeout=60)
+        assert not waiter.is_alive()
+
+    def test_scenario_directory_jobs_matches_serial(self, tmp_path):
+        suite = tmp_path / "suite"
+        suite.mkdir()
+        data = yaml.safe_load(SCENARIO.read_text())
+        for name in ("alpha", "beta"):
+            data["name"] = name
+            (suite / f"{name}.yaml").write_text(yaml.safe_dump(data))
+        assert_matches_serial(tmp_path, suite)
+        assert {p.name for p in (tmp_path / "parallel").iterdir()} == {
+            "alpha", "beta", "aggregate.json", "manifest.json"}
+
+    def test_empty_scenario_directory_usage_exit(self, tmp_path):
+        res = invoke("run", tmp_path, "--out", tmp_path / "o")
+        assert res.exit_code == 2
+
+    def test_plan_fault_config_exit(self, tmp_path):
+        # an empty plan loads but no episode can start; the workers' error
+        # comes back as a config exit, not a traceback
+        bad = scenario_with(tmp_path, lambda d: d.update(plan=[]))
+        res = invoke("run", bad, "--episodes", 2, "--jobs", 2,
+                     "--out", tmp_path / "o")
+        assert res.exit_code == 3, res.output
+        assert "plan is empty" in res.output
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_config_reaches_episodes(self, tmp_path, jobs):
+        def run_with(name, **changes):
+            cfg = Config().to_dict()
+            cfg.update(changes)
+            path = tmp_path / f"{name}.yaml"
+            path.write_text(yaml.safe_dump(cfg))
+            out = tmp_path / name
+            res = invoke("run", SCENARIO, "--episodes", 2, "--jobs", jobs,
+                         "--tau-base", 0.1, "--config", path, "--out", out)
+            assert res.exit_code == 0, res.output
+            return out / "cart_delivery" / "episode_1" / "trace.csv"
+
+        default = run_with("default")
+        weights = Config().to_dict()["reward_weights"]
+        weights["track_xy"] = [100, 100]
+        heavy = run_with("heavy", reward_weights=weights)
+        wide = run_with("wide", gamma_xy=9)
+        assert trace_column(heavy, "r_track_xy") == trace_column(default, "r_track_xy")
+        assert trace_column(heavy, "total_stage1") != trace_column(default, "total_stage1")
+        assert trace_column(wide, "r_track_xy") != trace_column(default, "r_track_xy")
 
     def test_aggregate_episode_count(self, tmp_path):
         out = tmp_path / "run"
@@ -110,6 +202,83 @@ class TestValidate:
     def test_missing_file(self, tmp_path):
         res = invoke("validate", tmp_path / "nope.yaml")
         assert res.exit_code == 4
+
+    def _rejected_by_both(self, tmp_path, edit, where):
+        bad = scenario_with(tmp_path, edit)
+        res = invoke("validate", bad)
+        assert res.exit_code == 3
+        assert where in res.output
+        out = tmp_path / "o"
+        res = invoke("run", bad, "--episodes", 2, "--jobs", 2, "--out", out)
+        assert res.exit_code == 3
+        assert where in res.output
+        assert not out.exists()
+
+    def test_unknown_monitor_kind(self, tmp_path):
+        def edit(d):
+            d["monitors"][0]["kind"] = "robot_close"
+        self._rejected_by_both(tmp_path, edit, "monitors[0].kind")
+
+    def test_unknown_monitor_action(self, tmp_path):
+        def edit(d):
+            d["monitors"][1]["action"] = "grab"
+        self._rejected_by_both(tmp_path, edit, "monitors[1].action")
+
+    def test_unknown_plan_kind(self, tmp_path):
+        def edit(d):
+            d["plan"][2]["kind"] = "teleport"
+        self._rejected_by_both(tmp_path, edit, "plan[2].kind")
+
+
+# sha256 of every file `run scenarios/cart_delivery.yaml --seed 0 --episodes 3`
+# writes, run from the repository root (the manifest records the path as given).
+# A change that moves one of these must say which bytes moved and why.
+NOISE_FREE_TRACE = "e6ebb0e7524d07ad4165f31e0ce285368d1a514747298b06cb3b060bb022ba37"
+GOLDEN = {
+    (): {
+        "aggregate.json": "09cdfeb45dcd37fcd5a4776cee03d9bc072fb144584ae22bbb69cef95fb8b580",
+        "cart_delivery/episode_0/trace.csv": NOISE_FREE_TRACE,
+        "cart_delivery/episode_1/trace.csv": NOISE_FREE_TRACE,
+        "cart_delivery/episode_2/trace.csv": NOISE_FREE_TRACE,
+        "cart_delivery/episode_0/report.json":
+            "e958d18235e6ec0c6cefaad94d114e07cae7e8ba82d2f5d8baa28fba5bd575a8",
+        "cart_delivery/episode_1/report.json":
+            "282be9d4987b8ab73b9a73daff09d57eb3cab4af02f1cfc072440998995e73f9",
+        "cart_delivery/episode_2/report.json":
+            "ab163122b6d6d8a6c1eb3f1a4e8d2ffda2a12752ccb8a8fbbcbe4eab7b464d24",
+        "manifest.json": "31ad2dbe8dac6fa9e884047194a05756aca10b776ac052411afbbd67dc3d6d13",
+    },
+    NOISY: {
+        "aggregate.json": "e032bcbc956149d9b47e48e0a52a8afb6cf4d77377519ef39025a00f90381fdf",
+        "cart_delivery/episode_0/trace.csv":
+            "849fa237e078be65db94c36557f912e90351f054088b6502e4841d2983460398",
+        "cart_delivery/episode_1/trace.csv":
+            "26bd84ac66e964007ed84326671f912af80223fa40a0e8b969f4227677d55a9a",
+        "cart_delivery/episode_2/trace.csv":
+            "7282de417e2dcf7e53d71fb6fa5034769380c99d86ee812aa72c9e0057de4308",
+        "cart_delivery/episode_0/report.json":
+            "214fb6ed4c7499ef461b11cb1159ada937211d5fb90f9f9329dac041e543ca26",
+        "cart_delivery/episode_1/report.json":
+            "a81872d64e23ca42b8fa700e87bf194016764f948c61f7953c57c55ed486a81a",
+        "cart_delivery/episode_2/report.json":
+            "3bcea986153e47187d4b73a603aa6802e49ed75af26d1939ea22982f17e6e1f3",
+        "manifest.json": "2a12d16a4fea42e34a4993bacb9d1f236f1ce36d2f5d44a2b7416a12e831a320",
+    },
+}
+
+
+class TestGoldenDigest:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("flags", list(GOLDEN), ids=["noise_free", "noisy"])
+    def test_run_artefacts_pinned(self, tmp_path, monkeypatch, flags, jobs):
+        monkeypatch.chdir(ROOT)
+        out = tmp_path / "run"
+        res = invoke("run", "scenarios/cart_delivery.yaml", "--seed", 0,
+                     "--episodes", 3, "--jobs", jobs, *flags, "--out", out)
+        assert res.exit_code == 0, res.output
+        digests = {str(rel): hashlib.sha256((out / rel).read_bytes()).hexdigest()
+                   for rel in files_of(out)}
+        assert digests == GOLDEN[flags]
 
 
 class TestExportGrid:
