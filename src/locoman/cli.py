@@ -7,6 +7,7 @@ Exit codes: 0 ok, 2 usage, 3 config/validation, 4 I/O.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import json
 import multiprocessing
@@ -18,10 +19,11 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .config import Config, TrackingConfig
+from .config import Config, to_dict
 from .errors import LocomanError, ParseError, ValidationError
 from .harness import (MetricsReport, aggregate, build_occupancy_grid,
-                      load_scenario, run_episode, write_report, write_trace_csv)
+                      load_runnable, load_scenario, run_episode, write_report,
+                      write_trace_csv)
 from .rewards import (ContactTimeline, r_freq, r_gait, r_track_xy,
                       r_track_yaw, total_reward)
 
@@ -39,7 +41,14 @@ def main():
 def _load_config(path: str | None) -> Config:
     if path is None:
         return Config()
-    return Config.load(path)
+    try:
+        return Config.load(path)
+    except (ParseError, ValidationError) as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(EXIT_CONFIG)
+    except OSError as exc:
+        click.echo(f"error: cannot read config: {exc}", err=True)
+        sys.exit(EXIT_IO)
 
 
 def _sha256(path: Path) -> str:
@@ -49,8 +58,8 @@ def _sha256(path: Path) -> str:
 def _run_one(task) -> MetricsReport:
     """Run one episode and write its trace and report; return only the
     metrics, so a worker process never sends a trace back."""
-    scenario, k, ep_dir, dt, tracking, seed, cfg = task
-    result = run_episode(scenario, dt=dt, tracking=tracking, master_seed=seed,
+    scenario, k, ep_dir, dt, seed, cfg = task
+    result = run_episode(scenario, dt=dt, tracking=cfg.tracking, master_seed=seed,
                          episode_index=k, config=cfg)
     ep_dir.mkdir(parents=True, exist_ok=True)
     write_trace_csv(result.trace, ep_dir / "trace.csv")
@@ -83,8 +92,6 @@ def _start_method() -> str:
               help="Master seed; episode i uses stream i.")
 @click.option("--dt", default=0.02, show_default=True, type=float)
 @click.option("--jobs", default=1, show_default=True, type=click.IntRange(min=1))
-@click.option("--preset", default="eval", show_default=True,
-              type=click.Choice(["train", "eval", "roboduet"]))
 @click.option("--out", required=True, type=click.Path(path_type=Path),
               help="Run directory for traces, reports, and the manifest.")
 @click.option("--config", "config_path", default=None,
@@ -94,18 +101,16 @@ def _start_method() -> str:
 @click.option("--ee-rate", default=None, type=float)
 @click.option("--noise-pos", default=None, type=float)
 @click.option("--noise-ori", default=None, type=float)
-def run(scenarios, episodes, seed, dt, jobs, preset, out, config_path,
+def run(scenarios, episodes, seed, dt, jobs, out, config_path,
         tau_base, ee_rate, noise_pos, noise_ori):
     """Run scenario episodes and write traces plus an aggregate report."""
     if dt <= 0:
         raise click.UsageError("--dt must be positive")
     cfg = _load_config(config_path)
-    tracking = cfg.tracking
     overrides = {"tau_base": tau_base, "ee_rate": ee_rate,
                  "noise_pos": noise_pos, "noise_ori": noise_ori}
-    merged = tracking.to_dict()
-    merged.update({k: v for k, v in overrides.items() if v is not None})
-    tracking = TrackingConfig.from_dict(merged)
+    cfg = dataclasses.replace(cfg, tracking=dataclasses.replace(
+        cfg.tracking, **{k: v for k, v in overrides.items() if v is not None}))
 
     paths: list[Path] = []
     for s in scenarios:
@@ -121,14 +126,13 @@ def run(scenarios, episodes, seed, dt, jobs, preset, out, config_path,
             sys.exit(EXIT_IO)
 
     try:
-        loaded = [(p, load_scenario(p)) for p in paths]
+        loaded = [(p, load_runnable(p)) for p in paths]
     except (ParseError, ValidationError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
 
     out.mkdir(parents=True, exist_ok=True)
-    tasks = [(scenario, k, out / scenario.name / f"episode_{k}", dt, tracking,
-              seed, cfg)
+    tasks = [(scenario, k, out / scenario.name / f"episode_{k}", dt, seed, cfg)
              for _, scenario in loaded for k in range(episodes)]
     workers = min(jobs, len(tasks))
     try:
@@ -146,8 +150,8 @@ def run(scenarios, episodes, seed, dt, jobs, preset, out, config_path,
     write_report(aggregate(reports), out / "aggregate.json")
     manifest = {
         "scenarios": [{"path": str(p), "sha256": _sha256(p)} for p, _ in loaded],
-        "episodes": episodes, "seed": seed, "dt": dt, "preset": preset,
-        "tracking": tracking.to_dict(),
+        "episodes": episodes, "seed": seed, "dt": dt,
+        "tracking": to_dict(cfg.tracking),
         "config_hash": cfg.digest(),
     }
     with open(out / "manifest.json", "w") as fh:
@@ -234,7 +238,7 @@ def validate(scenario):
         click.echo(f"error: scenario not found: {scenario}", err=True)
         sys.exit(EXIT_IO)
     try:
-        load_scenario(scenario)
+        load_runnable(scenario)
     except (ParseError, ValidationError) as exc:
         click.echo(f"invalid: {exc}", err=True)
         sys.exit(EXIT_CONFIG)

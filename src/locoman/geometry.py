@@ -44,10 +44,6 @@ def quat_normalize(q: np.ndarray) -> np.ndarray:
     return q / np.linalg.norm(q)
 
 
-def quat_is_unit(q: np.ndarray, tol: float = _UNIT_TOL) -> bool:
-    return abs(np.linalg.norm(q) - 1.0) <= tol
-
-
 def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     aw, ax, ay, az = a
     bw, bx, by, bz = b

@@ -28,9 +28,9 @@ from .geometry import (Pose, quat_from_axis_angle, quat_geodesic_distance,
 from .grounding import (CameraModel, DepthImage, GroundingResult, ground_action)
 from .navgrid import (GoalSearchConfig, OccupancyGrid, OCCUPIED, find_goal_pose,
                       footprint_clear, plan_path)
-from .planning import (ActionKind, AtomicAction, ConditionKind, GoalCondition,
-                       ScriptedPlanner, SubtaskMonitor, TaskPlan, decompose,
-                       monitor_step, report, validate_plan)
+from .planning import (NEEDS_TARGET, NEEDS_WAYPOINT, ActionKind, AtomicAction,
+                       ConditionKind, GoalCondition, ScriptedPlanner,
+                       SubtaskMonitor, TaskPlan, decompose, monitor_step, report)
 from .rewards import (ContactTimeline, r_freq, r_gait,
                       r_track_xy, r_track_yaw, total_reward)
 from .sampling import LocomotionCommand, episode_rng
@@ -135,6 +135,8 @@ def scenario_from_dict(data: dict, where: str = "scenario") -> Scenario:
         start = data["robot_start"]
     except KeyError as exc:
         raise ValidationError(f"{where}: missing required field {exc}") from None
+    if not isinstance(instruction, str) or not instruction.strip():
+        raise ValidationError(f"{where}.instruction: must be a non-empty string")
     if horizon <= 0:
         raise ValidationError(f"{where}.horizon: must be > 0")
     robot_start = Pose.from_xy_yaw(*_vec(start.get("position", [0, 0, 0]),
@@ -183,16 +185,25 @@ def scenario_from_dict(data: dict, where: str = "scenario") -> Scenario:
                               if "container_offset" in rec else None),
             joint=dict(joint) if joint else None))
 
-    plan_fixture = list(data.get("plan", []))
+    # the per-action checks of decompose(); load_runnable adds the last one
+    plan_fixture = list(data.get("plan") or [])
     for i, rec in enumerate(plan_fixture):
         loc = f"{where}.plan[{i}]"
         if "kind" not in rec:
             raise ValidationError(f"{loc}: missing kind")
         if rec["kind"] not in ACTION_KINDS:
             raise ValidationError(f"{loc}.kind: {rec['kind']!r} not one of {ACTION_KINDS}")
+        kind = ActionKind(rec["kind"])
         tgt = rec.get("target")
+        if tgt is None and kind in NEEDS_TARGET:
+            raise ValidationError(f"{loc}.target: {kind.value} needs a target")
         if tgt is not None and tgt not in seen_ids:
             raise ValidationError(f"{loc}.target: unknown object {tgt!r}")
+        if "waypoint" not in rec and kind in NEEDS_WAYPOINT:
+            raise ValidationError(f"{loc}.waypoint: {kind.value} needs a waypoint")
+        desc = rec.get("description", "")
+        if not isinstance(desc, str) or not desc.strip():
+            raise ValidationError(f"{loc}.description: must be a non-empty string")
 
     grounding = {}
     for key, rec in (data.get("grounding", {}) or {}).items():
@@ -278,6 +289,15 @@ def load_scenario(path) -> Scenario:
     if not isinstance(data, dict):
         raise ParseError(f"{path}: scenario must be a mapping")
     return scenario_from_dict(data, where=str(path))
+
+
+def load_runnable(path) -> Scenario:
+    """load_scenario, also rejecting an empty plan: such a scenario is a
+    scene (enough for a grid) that no episode can start."""
+    scenario = load_scenario(path)
+    if not scenario.plan_fixture:
+        raise ValidationError(f"{path}.plan: plan is empty")
+    return scenario
 
 
 def save_scenario(scenario: Scenario, path) -> None:
@@ -804,9 +824,6 @@ class EpisodeRunner:
 
     def run(self) -> EpisodeResult:
         plan = self.build_plan()
-        problem = validate_plan(plan, self.graph)
-        if problem is not None:
-            raise ValidationError(f"plan fixture invalid: {problem}")
         for i, action in enumerate(plan.actions):
             if self.time_left() <= 0.0:
                 self.outcomes.append(ActionOutcome(i, action.kind.value, False,

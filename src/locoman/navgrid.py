@@ -204,12 +204,6 @@ def footprint_clear(grid: OccupancyGrid, x: float, y: float, radius: float) -> b
     return True
 
 
-def point_in_inflated_bbox(x: float, y: float, bbox_min, bbox_max,
-                           inflation: float) -> bool:
-    return (bbox_min[0] - inflation <= x <= bbox_max[0] + inflation
-            and bbox_min[1] - inflation <= y <= bbox_max[1] + inflation)
-
-
 def disk_overlaps_bbox(x: float, y: float, radius: float, bbox_min, bbox_max) -> bool:
     """2D disk vs axis-aligned box overlap."""
     nx = min(max(x, bbox_min[0]), bbox_max[0])

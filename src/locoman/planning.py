@@ -93,8 +93,8 @@ def action_to_record(action: AtomicAction) -> dict:
 
 
 # spatial-displacement actions must carry a waypoint; object-centric ones a target
-_NEEDS_WAYPOINT = {ActionKind.NAVIGATE, ActionKind.DRAG}
-_NEEDS_TARGET = {ActionKind.PICK, ActionKind.PLACE, ActionKind.PUSH_PULL}
+NEEDS_WAYPOINT = {ActionKind.NAVIGATE, ActionKind.DRAG}
+NEEDS_TARGET = {ActionKind.PICK, ActionKind.PLACE, ActionKind.PUSH_PULL}
 
 
 def validate_plan(plan: TaskPlan, graph: InstanceGraph) -> Optional[InvalidPlan]:
@@ -102,9 +102,9 @@ def validate_plan(plan: TaskPlan, graph: InstanceGraph) -> Optional[InvalidPlan]
     if not plan.actions:
         return InvalidPlan(0, "plan is empty")
     for i, action in enumerate(plan.actions):
-        if action.kind in _NEEDS_WAYPOINT and action.waypoint is None:
+        if action.kind in NEEDS_WAYPOINT and action.waypoint is None:
             return InvalidPlan(i, f"{action.kind.value} missing waypoint")
-        if action.kind in _NEEDS_TARGET and action.target_instance is None:
+        if action.kind in NEEDS_TARGET and action.target_instance is None:
             return InvalidPlan(i, f"{action.kind.value} missing target instance")
         if action.target_instance is not None and action.target_instance not in graph.nodes:
             return InvalidPlan(i, f"unknown instance {action.target_instance}")

@@ -207,13 +207,6 @@ class RewardWeights:
     def term_names(self) -> list[str]:
         return [f.name for f in fields(self)]
 
-    def to_dict(self) -> dict:
-        return {f.name: list(getattr(self, f.name)) for f in fields(self)}
-
-    @staticmethod
-    def from_dict(d: dict) -> "RewardWeights":
-        return RewardWeights(**{k: tuple(v) for k, v in d.items()})
-
 
 def total_reward(stage: int, terms: dict[str, float],
                  weights: RewardWeights | None = None) -> float:
@@ -243,14 +236,6 @@ class PdGains:
     def kd(self) -> np.ndarray:
         return np.concatenate([np.full(NUM_LEG_JOINTS, self.kd_leg),
                                np.full(NUM_ARM_JOINTS, self.kd_arm)])
-
-    def to_dict(self) -> dict:
-        return {"kp_leg": self.kp_leg, "kd_leg": self.kd_leg,
-                "kp_arm": self.kp_arm, "kd_arm": self.kd_arm}
-
-    @staticmethod
-    def from_dict(d: dict) -> "PdGains":
-        return PdGains(**d)
 
 
 def pd_torque(q_target: np.ndarray, q: np.ndarray, qdot: np.ndarray,

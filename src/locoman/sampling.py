@@ -101,13 +101,6 @@ class CommandRanges:
         except KeyError:
             raise ValueError(f"unknown preset {name!r}") from None
 
-    def to_dict(self) -> dict:
-        return {f.name: list(getattr(self, f.name)) for f in fields(self)}
-
-    @staticmethod
-    def from_dict(d: dict) -> "CommandRanges":
-        return CommandRanges(**{k: tuple(v) for k, v in d.items()})
-
 
 def _uniform(rng: np.random.Generator, bounds: tuple[float, float]) -> float:
     lo, hi = bounds
@@ -162,35 +155,34 @@ def sample_ee_target(rng: np.random.Generator, ranges: CommandRanges,
 @dataclass(frozen=True)
 class RandomizationEntry:
     parameter: str
-    low: float
-    high: float
+    range: tuple[float, float]
     method: str  # "abs" | "add" | "scale" | "interval"
 
     def __post_init__(self):
-        if self.low > self.high:
-            raise ValueError(f"{self.parameter}: bad range [{self.low}, {self.high}]")
+        if self.range[0] > self.range[1]:
+            raise ValueError(f"{self.parameter}: bad range {list(self.range)}")
         if self.method not in ("abs", "add", "scale", "interval"):
             raise ValueError(f"{self.parameter}: unknown method {self.method!r}")
 
 
 def default_randomization() -> list[RandomizationEntry]:
     return [
-        RandomizationEntry("friction", 0.4, 2.0, "abs"),
-        RandomizationEntry("base_mass", -5.0, 5.0, "add"),
-        RandomizationEntry("base_push_x", -0.5, 0.5, "interval"),
-        RandomizationEntry("base_push_y", -0.5, 0.5, "interval"),
-        RandomizationEntry("actuator_gains", 0.8, 1.2, "scale"),
-        RandomizationEntry("ee_link_mass", 0.0, 0.2, "add"),
-        RandomizationEntry("joint_reset", 0.5, 1.5, "scale"),
-        RandomizationEntry("base_reset_x", -0.5, 0.5, "add"),
-        RandomizationEntry("base_reset_y", -0.5, 0.5, "add"),
-        RandomizationEntry("base_reset_heading", -PI, PI, "add"),
-        RandomizationEntry("base_reset_vx", -0.5, 0.5, "add"),
-        RandomizationEntry("base_reset_vy", -0.5, 0.5, "add"),
-        RandomizationEntry("base_reset_vz", -0.5, 0.5, "add"),
-        RandomizationEntry("base_reset_roll", -0.5, 0.5, "add"),
-        RandomizationEntry("base_reset_pitch", -0.5, 0.5, "add"),
-        RandomizationEntry("base_reset_yaw", -0.5, 0.5, "add"),
+        RandomizationEntry("friction", (0.4, 2.0), "abs"),
+        RandomizationEntry("base_mass", (-5.0, 5.0), "add"),
+        RandomizationEntry("base_push_x", (-0.5, 0.5), "interval"),
+        RandomizationEntry("base_push_y", (-0.5, 0.5), "interval"),
+        RandomizationEntry("actuator_gains", (0.8, 1.2), "scale"),
+        RandomizationEntry("ee_link_mass", (0.0, 0.2), "add"),
+        RandomizationEntry("joint_reset", (0.5, 1.5), "scale"),
+        RandomizationEntry("base_reset_x", (-0.5, 0.5), "add"),
+        RandomizationEntry("base_reset_y", (-0.5, 0.5), "add"),
+        RandomizationEntry("base_reset_heading", (-PI, PI), "add"),
+        RandomizationEntry("base_reset_vx", (-0.5, 0.5), "add"),
+        RandomizationEntry("base_reset_vy", (-0.5, 0.5), "add"),
+        RandomizationEntry("base_reset_vz", (-0.5, 0.5), "add"),
+        RandomizationEntry("base_reset_roll", (-0.5, 0.5), "add"),
+        RandomizationEntry("base_reset_pitch", (-0.5, 0.5), "add"),
+        RandomizationEntry("base_reset_yaw", (-0.5, 0.5), "add"),
     ]
 
 
@@ -201,23 +193,6 @@ class RandomizationConfig:
     push_spacing: float = 5.0   # seconds between push events
     push_jitter: float = 1.0    # +/- jitter on spacing
     push_duration: float = 0.5  # seconds each push lasts
-
-    def to_dict(self) -> dict:
-        return {
-            "entries": [{"parameter": e.parameter, "range": [e.low, e.high],
-                         "method": e.method} for e in self.entries],
-            "push_spacing": self.push_spacing,
-            "push_jitter": self.push_jitter,
-            "push_duration": self.push_duration,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "RandomizationConfig":
-        entries = tuple(RandomizationEntry(e["parameter"], e["range"][0],
-                                           e["range"][1], e["method"])
-                        for e in d["entries"])
-        return RandomizationConfig(entries, d["push_spacing"], d["push_jitter"],
-                                   d["push_duration"])
 
 
 @dataclass(frozen=True)
@@ -243,7 +218,7 @@ def sample_episode_randomization(rng: np.random.Generator,
         if entry.method == "interval":
             interval_entries.append(entry)
             continue
-        sample = _uniform(rng, (entry.low, entry.high))
+        sample = _uniform(rng, entry.range)
         if entry.method == "add":
             realized[entry.parameter] = base_values.get(entry.parameter, 0.0) + sample
         elif entry.method == "scale":
@@ -255,7 +230,7 @@ def sample_episode_randomization(rng: np.random.Generator,
     if interval_entries:
         t = cfg.push_spacing + float(rng.uniform(-cfg.push_jitter, cfg.push_jitter))
         while t < horizon:
-            velocity = tuple(_uniform(rng, (e.low, e.high)) for e in interval_entries)
+            velocity = tuple(_uniform(rng, e.range) for e in interval_entries)
             if len(velocity) == 1:
                 velocity = (velocity[0], 0.0)
             events.append(PushEvent(t, cfg.push_duration, velocity[:2]))

@@ -329,7 +329,7 @@ def test_criterion_9_config_fidelity(tmp_path):
     assert rd.w == (-0.6, 0.6)
     assert rd.gamma_ee == pytest.approx((-0.42 * PI, 0.42 * PI))
 
-    table = {e.parameter: (e.low, e.high, e.method)
+    table = {e.parameter: (*e.range, e.method)
              for e in cfg.randomization.entries}
     assert table["friction"] == (0.4, 2.0, "abs")
     assert table["base_mass"] == (-5.0, 5.0, "add")

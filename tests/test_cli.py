@@ -10,7 +10,7 @@ from click.testing import CliRunner
 
 from locoman import cli
 from locoman.cli import main
-from locoman.config import Config
+from locoman.config import Config, TrackingConfig, to_dict
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIO = ROOT / "scenarios" / "cart_delivery.yaml"
@@ -48,6 +48,21 @@ def scenario_with(tmp_path, edit):
     path = tmp_path / "edited.yaml"
     path.write_text(yaml.safe_dump(data))
     return path
+
+
+EVAL_RANGES = to_dict(Config())["command_ranges"]["eval"]
+# malformed config files, each with the location its message must name
+MALFORMED_CONFIGS = [
+    pytest.param("command_ranges:\n  eval: {x: [0.0, 1.0]}\n",
+                 "config.command_ranges.eval.y", id="missing_field"),
+    pytest.param("tracking: {tau: 0.1}\n", "config.tracking.tau", id="unknown_key"),
+    pytest.param("- gamma_xy\n- 0.5\n", "config: expected a mapping", id="list"),
+    pytest.param("gamma_xy: [0.5\n", "bad.yaml", id="yaml_syntax"),
+    pytest.param(yaml.safe_dump({"command_ranges": {"eval": dict(EVAL_RANGES, x=[1.0, 0.0])}}),
+                 "config.command_ranges.eval: x: lo 1.0 > hi 0.0", id="lo_above_hi"),
+    pytest.param("reward_weights: {track_xy: big}\n", "config.reward_weights.track_xy",
+                 id="not_numbers"),
+]
 
 
 class TestRun:
@@ -113,8 +128,8 @@ class TestRun:
         assert res.exit_code == 2
 
     def test_plan_fault_config_exit(self, tmp_path):
-        # an empty plan loads but no episode can start; the workers' error
-        # comes back as a config exit, not a traceback
+        # no episode can start an empty plan, so run rejects it with a
+        # config exit, not a traceback
         bad = scenario_with(tmp_path, lambda d: d.update(plan=[]))
         res = invoke("run", bad, "--episodes", 2, "--jobs", 2,
                      "--out", tmp_path / "o")
@@ -124,7 +139,7 @@ class TestRun:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_config_reaches_episodes(self, tmp_path, jobs):
         def run_with(name, **changes):
-            cfg = Config().to_dict()
+            cfg = to_dict(Config())
             cfg.update(changes)
             path = tmp_path / f"{name}.yaml"
             path.write_text(yaml.safe_dump(cfg))
@@ -135,13 +150,58 @@ class TestRun:
             return out / "cart_delivery" / "episode_1" / "trace.csv"
 
         default = run_with("default")
-        weights = Config().to_dict()["reward_weights"]
+        weights = to_dict(Config())["reward_weights"]
         weights["track_xy"] = [100, 100]
         heavy = run_with("heavy", reward_weights=weights)
         wide = run_with("wide", gamma_xy=9)
         assert trace_column(heavy, "r_track_xy") == trace_column(default, "r_track_xy")
         assert trace_column(heavy, "total_stage1") != trace_column(default, "total_stage1")
         assert trace_column(wide, "r_track_xy") != trace_column(default, "r_track_xy")
+
+    def test_config_hash_covers_flag_overrides(self, tmp_path):
+        def config_hash(name, *flags):
+            out = tmp_path / name
+            res = invoke("run", SCENARIO, *flags, "--out", out)
+            assert res.exit_code == 0, res.output
+            return json.loads((out / "manifest.json").read_text())["config_hash"]
+
+        lagged = config_hash("lagged", "--tau-base", 0.1)
+        assert lagged != config_hash("default")
+        assert lagged == Config(tracking=TrackingConfig(tau_base=0.1)).digest()
+
+    @pytest.mark.parametrize("command", ["run-1", "run-2", "rewards"])
+    @pytest.mark.parametrize("text, where", MALFORMED_CONFIGS)
+    def test_malformed_config_exit(self, tmp_path, command, text, where):
+        path = tmp_path / "bad.yaml"
+        path.write_text(text)
+        if command == "rewards":
+            timeline = tmp_path / "timeline.csv"
+            timeline.write_text("t,contact_FL,contact_FR,contact_RL,contact_RR\n")
+            res = invoke("rewards", timeline, "--config", path,
+                         "--out", tmp_path / "terms.csv")
+        else:
+            res = invoke("run", SCENARIO, "--episodes", 2, "--jobs", command[-1],
+                         "--config", path, "--out", tmp_path / "o")
+        assert res.exit_code == 3, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert where in res.output
+        assert "Traceback" not in res.output
+
+    def test_unreadable_config_io_exit(self, tmp_path):
+        res = invoke("run", SCENARIO, "--config", tmp_path, "--out", tmp_path / "o")
+        assert res.exit_code == 4, res.output
+        assert isinstance(res.exception, SystemExit)
+
+    def test_partial_config_runs(self, tmp_path):
+        path = tmp_path / "partial.yaml"
+        path.write_text("tracking: {tau_base: 0.1}\n")
+        a, b = tmp_path / "a", tmp_path / "b"
+        res = invoke("run", SCENARIO, "--config", path, "--out", a)
+        assert res.exit_code == 0, res.output
+        res = invoke("run", SCENARIO, "--tau-base", 0.1, "--out", b)
+        assert res.exit_code == 0, res.output
+        for rel in files_of(a):
+            assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
 
     def test_aggregate_episode_count(self, tmp_path):
         out = tmp_path / "run"
@@ -152,7 +212,7 @@ class TestRun:
     def test_flag_overrides_config_file(self, tmp_path):
         # config requests heavy base lag; the flag restores instant tracking
         cfg = tmp_path / "config.yaml"
-        base = Config().to_dict()
+        base = to_dict(Config())
         base["tracking"]["tau_base"] = 0.5
         cfg.write_text(yaml.safe_dump(base))
         out_cfg = tmp_path / "lagged"
@@ -229,6 +289,23 @@ class TestValidate:
             d["plan"][2]["kind"] = "teleport"
         self._rejected_by_both(tmp_path, edit, "plan[2].kind")
 
+    # each plan here would fail decompose() at the start of every episode
+    @pytest.mark.parametrize("edit, where", [
+        pytest.param(lambda d: d.update(plan=[]), "plan: plan is empty", id="empty"),
+        pytest.param(lambda d: d["plan"][1].pop("target"), "plan[1].target",
+                     id="pick_no_target"),
+        pytest.param(lambda d: d["plan"][0].pop("waypoint"), "plan[0].waypoint",
+                     id="navigate_no_waypoint"),
+        pytest.param(lambda d: d["plan"][4].pop("waypoint"), "plan[4].waypoint",
+                     id="drag_no_waypoint"),
+        pytest.param(lambda d: d["plan"][2].update(description=" "),
+                     "plan[2].description", id="blank_description"),
+        pytest.param(lambda d: d.update(instruction=" "), "instruction",
+                     id="blank_instruction"),
+    ])
+    def test_plan_that_cannot_start(self, tmp_path, edit, where):
+        self._rejected_by_both(tmp_path, edit, where)
+
 
 # sha256 of every file `run scenarios/cart_delivery.yaml --seed 0 --episodes 3`
 # writes, run from the repository root (the manifest records the path as given).
@@ -246,7 +323,7 @@ GOLDEN = {
             "282be9d4987b8ab73b9a73daff09d57eb3cab4af02f1cfc072440998995e73f9",
         "cart_delivery/episode_2/report.json":
             "ab163122b6d6d8a6c1eb3f1a4e8d2ffda2a12752ccb8a8fbbcbe4eab7b464d24",
-        "manifest.json": "31ad2dbe8dac6fa9e884047194a05756aca10b776ac052411afbbd67dc3d6d13",
+        "manifest.json": "ff83a3864669e50b87f0502f5c99d69879d45da9440e924b9ce6df5044a66469",
     },
     NOISY: {
         "aggregate.json": "e032bcbc956149d9b47e48e0a52a8afb6cf4d77377519ef39025a00f90381fdf",
@@ -262,7 +339,7 @@ GOLDEN = {
             "a81872d64e23ca42b8fa700e87bf194016764f948c61f7953c57c55ed486a81a",
         "cart_delivery/episode_2/report.json":
             "3bcea986153e47187d4b73a603aa6802e49ed75af26d1939ea22982f17e6e1f3",
-        "manifest.json": "2a12d16a4fea42e34a4993bacb9d1f236f1ce36d2f5d44a2b7416a12e831a320",
+        "manifest.json": "5919fc50bb817f6cbbca4b59e514d33dc20c7edf986f8a900400ebb17047ac47",
     },
 }
 

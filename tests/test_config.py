@@ -1,15 +1,28 @@
 import numpy as np
 import pytest
+import yaml
 
-from locoman.config import Config, TrackingConfig
+from locoman.config import Config, TrackingConfig, from_dict, to_dict
+from locoman.errors import ParseError, ValidationError
+from locoman.rewards import PdGains, RewardWeights
+from locoman.sampling import CommandRanges, RandomizationConfig
 
 PI = np.pi
+DEFAULT_DIGEST = "0d9ae50e54968e68078765bfdafa3bf66afa74996a3291548a0917d0f412cdac"
 
 
 class TestRoundTrip:
-    def test_dict_round_trip(self):
-        cfg = Config()
-        assert Config.from_dict(cfg.to_dict()) == cfg
+    @pytest.mark.parametrize("obj", [
+        Config(),
+        TrackingConfig(tau_base=0.2, ee_rate=4.0, noise_pos=0.01, noise_ori=0.02),
+        RewardWeights(track_xy=(1.0, 2.0)),
+        PdGains(kp_leg=30.0, kd_arm=0.25),
+        CommandRanges.train(),
+        RandomizationConfig(push_spacing=3.0),
+    ], ids=lambda obj: type(obj).__name__)
+    def test_dict_round_trip(self, obj):
+        text = yaml.safe_dump(to_dict(obj), sort_keys=True)
+        assert from_dict(type(obj), yaml.safe_load(text)) == obj
 
     def test_yaml_round_trip(self, tmp_path):
         cfg = Config()
@@ -23,9 +36,56 @@ class TestRoundTrip:
         other = Config(gamma_xy=0.5)
         assert other.digest() != cfg.digest()
 
-    def test_tracking_round_trip(self):
-        t = TrackingConfig(tau_base=0.2, ee_rate=4.0, noise_pos=0.01, noise_ori=0.02)
-        assert TrackingConfig.from_dict(t.to_dict()) == t
+    def test_default_digest_pinned(self):
+        assert Config().digest() == DEFAULT_DIGEST
+
+
+class TestLoad:
+    def test_partial_file_takes_defaults(self, tmp_path):
+        path = tmp_path / "partial.yaml"
+        path.write_text("gamma_xy: 0.5\ntracking: {tau_base: 0.1}\n")
+        cfg = Config.load(path)
+        assert cfg.gamma_xy == 0.5
+        assert cfg.tracking == TrackingConfig(tau_base=0.1)
+        assert cfg.reward_weights == RewardWeights()
+        assert cfg.command_ranges == Config().command_ranges
+
+    def test_ints_stored_as_float(self):
+        cfg = from_dict(Config, {"f_target": 2, "reward_weights": {"gait": [1, 1]}})
+        assert type(cfg.f_target) is float
+        assert cfg.reward_weights.gait == (1.0, 1.0)
+        assert type(cfg.reward_weights.gait[0]) is float
+        assert from_dict(Config, {"f_target": 2}).digest() == Config().digest()
+
+    @pytest.mark.parametrize("data, where", [
+        ([1, 2], "config: expected a mapping"),
+        ({"tracking": 3}, "config.tracking: expected a mapping"),
+        ({"tracking": {"tau": 0.1}}, "config.tracking.tau: unknown key"),
+        ({"gamma_xy": True}, "config.gamma_xy: expected a number"),
+        ({"gamma_xy": "0.5"}, "config.gamma_xy: expected a number"),
+        ({"reward_weights": {"track_xy": "big"}}, "config.reward_weights.track_xy:"),
+        ({"reward_weights": {"track_xy": [1.0]}}, "config.reward_weights.track_xy:"),
+        ({"reward_weights": {"gait": [1.0, None]}}, r"config.reward_weights.gait\[1\]:"),
+        ({"command_ranges": {"eval": {"x": [0.0, 1.0]}}},
+         "config.command_ranges.eval.y: missing"),
+        ({"command_ranges": {"eval": dict(to_dict(CommandRanges.eval()), x=[1.0, 0.0])}},
+         "config.command_ranges.eval: x: lo 1.0 > hi 0.0"),
+        ({"randomization": {"entries": [{"parameter": "mu", "range": [0.4, 2.0],
+                                         "method": "multiply"}]}},
+         r"config.randomization.entries\[0\]: mu: unknown method"),
+        ({"randomization": {"entries": [{"parameter": 7, "range": [0.4, 2.0],
+                                         "method": "abs"}]}},
+         r"config.randomization.entries\[0\].parameter: expected str"),
+    ])
+    def test_malformed_rejected_with_location(self, data, where):
+        with pytest.raises(ValidationError, match=where):
+            from_dict(Config, data)
+
+    def test_yaml_syntax_error_is_parse_error(self, tmp_path):
+        path = tmp_path / "broken.yaml"
+        path.write_text("gamma_xy: [0.5\n")
+        with pytest.raises(ParseError, match="broken.yaml"):
+            Config.load(path)
 
 
 class TestDefaultsSnapshot:
@@ -91,7 +151,7 @@ class TestDefaultsSnapshot:
 
     def test_randomization_table(self):
         rnd = Config().randomization
-        table = {e.parameter: (e.low, e.high, e.method) for e in rnd.entries}
+        table = {e.parameter: (*e.range, e.method) for e in rnd.entries}
         assert table["friction"] == (0.4, 2.0, "abs")
         assert table["base_mass"] == (-5.0, 5.0, "add")
         assert table["base_push_x"] == (-0.5, 0.5, "interval")

@@ -9,8 +9,8 @@ from locoman.errors import ParseError, ValidationError
 from locoman.geometry import Pose, quat_geodesic_distance, vec3
 from locoman.harness import (BASE_STAND_HEIGHT, aggregate,
                              build_instance_graph, build_occupancy_grid,
-                             load_scenario, make_world, run_episode,
-                             save_scenario, scenario_from_dict,
+                             load_runnable, load_scenario, make_world,
+                             run_episode, save_scenario, scenario_from_dict,
                              scenario_to_dict, step, write_report,
                              write_trace_csv)
 from locoman.navgrid import OCCUPIED
@@ -81,6 +81,13 @@ class TestScenarioSchema:
                              "target": "ghost"})
         with pytest.raises(ValidationError, match="ghost"):
             scenario_from_dict(data)
+
+    def test_planless_scene_loads_but_cannot_run(self, tmp_path):
+        path = tmp_path / "scene.yaml"
+        path.write_text(yaml.safe_dump(minimal_scenario_dict(plan=[], monitors=[])))
+        assert load_scenario(path).plan_fixture == []
+        with pytest.raises(ValidationError, match="plan is empty"):
+            load_runnable(path)
 
     def test_monitor_object_must_exist(self):
         data = minimal_scenario_dict()

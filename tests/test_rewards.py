@@ -166,10 +166,6 @@ class TestWeights:
         with pytest.raises(UsageError):
             RewardWeights().weight("gait", 3)
 
-    def test_round_trip(self):
-        w = RewardWeights()
-        assert RewardWeights.from_dict(w.to_dict()) == w
-
 
 class TestPolicyIO:
     def test_pd_torque_closed_form(self):

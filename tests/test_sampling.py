@@ -37,10 +37,6 @@ class TestCommandRanges:
                           p_ee=(0, 0), y_ee=(0, 0), alpha_ee=(0, 0),
                           beta_ee=(0, 0), gamma_ee=(0, 0))
 
-    def test_round_trip(self):
-        r = CommandRanges.train()
-        assert CommandRanges.from_dict(r.to_dict()) == r
-
 
 class TestCommandSampling:
     def test_in_range_all_presets(self):
@@ -128,30 +124,29 @@ class TestEETargetSampling:
 class TestRandomizationTable:
     def test_default_entries(self):
         entries = {e.parameter: e for e in default_randomization()}
-        assert (entries["friction"].low, entries["friction"].high) == (0.4, 2.0)
+        assert entries["friction"].range == (0.4, 2.0)
         assert entries["base_mass"].method == "add"
-        assert (entries["base_mass"].low, entries["base_mass"].high) == (-5.0, 5.0)
+        assert entries["base_mass"].range == (-5.0, 5.0)
         assert entries["base_push_x"].method == "interval"
         assert entries["actuator_gains"].method == "scale"
-        assert (entries["actuator_gains"].low, entries["actuator_gains"].high) == (0.8, 1.2)
-        assert (entries["ee_link_mass"].low, entries["ee_link_mass"].high) == (0.0, 0.2)
+        assert entries["actuator_gains"].range == (0.8, 1.2)
+        assert entries["ee_link_mass"].range == (0.0, 0.2)
         assert entries["joint_reset"].method == "scale"
-        assert (entries["base_reset_heading"].low,
-                entries["base_reset_heading"].high) == (-PI, PI)
+        assert entries["base_reset_heading"].range == (-PI, PI)
 
     def test_bad_entry_rejected(self):
         with pytest.raises(ValueError):
-            RandomizationEntry("x", 1.0, 0.0, "add")
+            RandomizationEntry("x", (1.0, 0.0), "add")
         with pytest.raises(ValueError):
-            RandomizationEntry("x", 0.0, 1.0, "multiply")
+            RandomizationEntry("x", (0.0, 1.0), "multiply")
 
 
 class TestEpisodeRandomization:
     def test_methods_apply_correctly(self):
         cfg = RandomizationConfig(entries=(
-            RandomizationEntry("mass", -1.0, 1.0, "add"),
-            RandomizationEntry("gain", 0.5, 2.0, "scale"),
-            RandomizationEntry("mu", 0.4, 2.0, "abs"),
+            RandomizationEntry("mass", (-1.0, 1.0), "add"),
+            RandomizationEntry("gain", (0.5, 2.0), "scale"),
+            RandomizationEntry("mu", (0.4, 2.0), "abs"),
         ))
         out = sample_episode_randomization(make_rng(1), cfg, horizon=10.0,
                                            base_values={"mass": 10.0, "gain": 3.0})
@@ -181,7 +176,3 @@ class TestEpisodeRandomization:
         b = sample_episode_randomization(make_rng(3), cfg, horizon=30.0)
         assert a["parameters"] == b["parameters"]
         assert a["push_events"] == b["push_events"]
-
-    def test_round_trip(self):
-        cfg = RandomizationConfig()
-        assert RandomizationConfig.from_dict(cfg.to_dict()) == cfg
