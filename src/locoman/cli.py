@@ -10,6 +10,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import multiprocessing
 import sys
 import threading
@@ -22,10 +23,10 @@ import numpy as np
 from .config import Config, to_dict
 from .errors import LocomanError, ParseError, ValidationError
 from .harness import (MetricsReport, aggregate, build_occupancy_grid,
-                      load_runnable, load_scenario, run_episode, write_report,
-                      write_trace_csv)
+                      run_episode, write_report, write_trace_csv)
 from .rewards import (ContactTimeline, r_freq, r_gait, r_track_xy,
                       r_track_yaw, total_reward)
+from .scenario import load_runnable, load_scenario
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -162,6 +163,35 @@ def run(scenarios, episodes, seed, dt, jobs, out, config_path,
 
 _TIMELINE_TERMS = ("ee_pos", "ee_ori", "torque_base", "acc_base", "power_base",
                    "torque_arm", "acc_arm", "power_arm", "smooth")
+_VELOCITY_COLUMNS = ("cmd_vx", "cmd_vy", "cmd_w", "act_vx", "act_vy", "act_w")
+
+
+def _timeline_row(row: dict) -> tuple[dict[str, float], dict[str, bool]]:
+    """Numbers and contact flags of one timeline row. `t` and the contact
+    columns are required; an empty or absent optional column reads 0."""
+    values = {}
+    for name in ("t",) + _VELOCITY_COLUMNS + _TIMELINE_TERMS:
+        text = row.get(name)
+        if name == "t" and not text:
+            raise ValueError("column t: missing")
+        try:
+            value = float(text or 0)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise ValueError(f"column {name}: expected a number, got {text!r}")
+        values[name] = value
+    contacts = {}
+    for leg in ("FL", "FR", "RL", "RR"):
+        text = row.get(f"contact_{leg}")
+        if text is None:
+            raise ValueError(f"column contact_{leg}: missing")
+        flag = text.strip()
+        if flag not in ("0", "1", "false", "true", "False", "True"):
+            raise ValueError(f"column contact_{leg}: expected 0, 1, false or true, "
+                             f"got {text!r}")
+        contacts[leg] = flag in ("1", "true", "True")
+    return values, contacts
 
 
 @main.command()
@@ -190,23 +220,20 @@ def rewards(timeline, out, config_path):
     tl = ContactTimeline()
     out_rows = []
     prev_t = None
-    for row in rows:
+    for i, row in enumerate(rows, start=1):
         try:
-            t = float(row["t"])
-            contacts = {leg: row[f"contact_{leg}"].strip() in ("1", "true", "True")
-                        for leg in ("FL", "FR", "RL", "RR")}
-        except (KeyError, ValueError) as exc:
-            click.echo(f"error: bad timeline row: {exc}", err=True)
+            values, contacts = _timeline_row(row)
+            t = values["t"]
+            if prev_t is not None and t <= prev_t:
+                raise ValueError(f"column t: {t!r} does not increase on {prev_t!r}")
+        except ValueError as exc:
+            click.echo(f"error: {timeline} row {i}: {exc}", err=True)
             sys.exit(EXIT_CONFIG)
         dt = (t - prev_t) if prev_t is not None else 0.02
         prev_t = t
         tl.update(contacts, dt, t)
-        cmd = np.array([float(row.get("cmd_vx", 0) or 0),
-                        float(row.get("cmd_vy", 0) or 0),
-                        float(row.get("cmd_w", 0) or 0)])
-        act = np.array([float(row.get("act_vx", 0) or 0),
-                        float(row.get("act_vy", 0) or 0),
-                        float(row.get("act_w", 0) or 0)])
+        cmd = np.array([values["cmd_vx"], values["cmd_vy"], values["cmd_w"]])
+        act = np.array([values["act_vx"], values["act_vy"], values["act_w"]])
         terms = {
             "track_xy": r_track_xy(cmd[:2], act[:2], cfg.gamma_xy),
             "track_yaw": r_track_yaw(cmd[2], act[2], cfg.gamma_w),
@@ -214,7 +241,7 @@ def rewards(timeline, out, config_path):
             "freq": r_freq(tl, cfg.f_target),
         }
         for name in _TIMELINE_TERMS:
-            terms[name] = float(row.get(name, 0) or 0)
+            terms[name] = values[name]
         rec = {"t": repr(t)}
         rec.update({name: repr(terms[name]) for name in sorted(terms)})
         rec["total_stage1"] = repr(total_reward(1, terms, weights))

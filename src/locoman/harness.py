@@ -1,10 +1,10 @@
 """Deterministic kinematic 2.5D simulator.
 
-Loads scenario bundles, replaces the trained policy with a configurable
-tracking model (first-order base lag, exponential end-effector convergence,
-optional noise), executes atomic actions through primitive controllers, and
-emits per-episode traces and metric reports. Everything downstream of
-(scenario, seed, dt, fixtures) is bit-reproducible.
+Runs scenario bundles (`locoman.scenario`), replaces the trained policy with
+a configurable tracking model (first-order base lag, exponential
+end-effector convergence, optional noise), executes atomic actions through
+primitive controllers, and emits per-episode traces and metric reports.
+Everything downstream of (scenario, seed, dt, fixtures) is bit-reproducible.
 """
 
 from __future__ import annotations
@@ -16,11 +16,9 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import yaml
 
 from .config import Config, TrackingConfig
-from .errors import (LocomanError, NoFeasibleGoal, NoPath, OracleFailure,
-                     ParseError, ValidationError)
+from .errors import LocomanError, NoFeasibleGoal, NoPath, OracleFailure
 from .fusion import Detection, FusionConfig, InstanceGraph
 from .geometry import (Pose, quat_from_axis_angle, quat_geodesic_distance,
                        quat_mul, quat_normalize, quat_slerp, matrix_to_quat,
@@ -28,12 +26,13 @@ from .geometry import (Pose, quat_from_axis_angle, quat_geodesic_distance,
 from .grounding import (CameraModel, DepthImage, GroundingResult, ground_action)
 from .navgrid import (GoalSearchConfig, OccupancyGrid, OCCUPIED, find_goal_pose,
                       footprint_clear, plan_path)
-from .planning import (NEEDS_TARGET, NEEDS_WAYPOINT, ActionKind, AtomicAction,
-                       ConditionKind, GoalCondition, ScriptedPlanner,
-                       SubtaskMonitor, TaskPlan, decompose, monitor_step, report)
+from .planning import (ActionKind, AtomicAction, ScriptedPlanner, SubtaskMonitor,
+                       TaskPlan, decompose, monitor_step, report)
 from .rewards import (ContactTimeline, r_freq, r_gait,
                       r_track_xy, r_track_yaw, total_reward)
 from .sampling import LocomotionCommand, episode_rng
+from .scenario import GroundingFixture, Scenario, SceneObject
+from .scenario import load_scenario  # noqa: F401  callers use harness.load_scenario
 
 BASE_STAND_HEIGHT = 0.35
 BASE_FOOTPRINT_RADIUS = 0.30
@@ -43,267 +42,6 @@ ORI_TOLERANCE = 0.35
 PRE_CONTACT_OFFSET = 0.10  # meters backed off along the approach axis
 NAV_TIMEOUT = 60.0
 MANIP_TIMEOUT = 20.0
-
-OBJECT_TYPES = ("rigid", "container", "articulated", "draggable")
-ACTION_KINDS = tuple(k.value for k in ActionKind)
-CONDITION_KINDS = tuple(k.value for k in ConditionKind)
-
-
-# ---------------------------------------------------------------------------
-# scenario schema
-# ---------------------------------------------------------------------------
-
-@dataclass
-class SceneObject:
-    id: str
-    label: str
-    type: str
-    position: np.ndarray
-    yaw: float = 0.0
-    size: np.ndarray = field(default_factory=lambda: np.array([0.1, 0.1, 0.1]))
-    attach_offset: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    dominant_axis: Optional[np.ndarray] = None
-    surface_normal: Optional[np.ndarray] = None
-    container_offset: Optional[np.ndarray] = None
-    joint: Optional[dict] = None  # {value, min, max, goal} for articulated
-
-    def pose(self) -> Pose:
-        return Pose.from_xy_yaw(self.position[0], self.position[1], self.yaw,
-                                z=self.position[2])
-
-    def bbox(self, position: Optional[np.ndarray] = None):
-        p = self.position if position is None else position
-        half = self.size / 2.0
-        return p - half, p + half
-
-    def attach_point(self, position: Optional[np.ndarray] = None) -> np.ndarray:
-        p = self.position if position is None else position
-        return p + self.attach_offset
-
-
-@dataclass
-class MonitorSpec:
-    name: str
-    kind: str
-    action: str
-    object_id: Optional[str] = None
-    other_id: Optional[str] = None
-    point: Optional[list] = None
-    threshold: float = 0.0
-
-
-@dataclass
-class Scenario:
-    name: str
-    instruction: str
-    horizon: float
-    seed: int
-    robot_start: Pose
-    terrain_height: float = 0.0
-    static_obstacles: list = field(default_factory=list)  # (min, max) pairs
-    objects: list[SceneObject] = field(default_factory=list)
-    plan_fixture: list[dict] = field(default_factory=list)
-    grounding_fixture: dict[int, dict] = field(default_factory=dict)
-    monitors: list[MonitorSpec] = field(default_factory=list)
-
-    def object_by_id(self, oid: str) -> SceneObject:
-        for obj in self.objects:
-            if obj.id == oid:
-                return obj
-        raise ValidationError(f"unknown object id {oid!r}")
-
-    def height_at(self, x: float, y: float) -> float:
-        return self.terrain_height
-
-
-def _vec(raw, where: str, n: int = 3) -> np.ndarray:
-    try:
-        v = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{where}: expected {n} numbers, got {raw!r}") from None
-    if v.shape != (n,):
-        raise ValidationError(f"{where}: expected {n} numbers, got {raw!r}")
-    return v
-
-
-def scenario_from_dict(data: dict, where: str = "scenario") -> Scenario:
-    try:
-        name = data["name"]
-        instruction = data["instruction"]
-        horizon = float(data["horizon"])
-        seed = int(data.get("seed", 0))
-        start = data["robot_start"]
-    except KeyError as exc:
-        raise ValidationError(f"{where}: missing required field {exc}") from None
-    if not isinstance(instruction, str) or not instruction.strip():
-        raise ValidationError(f"{where}.instruction: must be a non-empty string")
-    if horizon <= 0:
-        raise ValidationError(f"{where}.horizon: must be > 0")
-    robot_start = Pose.from_xy_yaw(*_vec(start.get("position", [0, 0, 0]),
-                                         f"{where}.robot_start.position")[:2],
-                                   float(start.get("yaw", 0.0)),
-                                   z=float(start.get("position", [0, 0, 0])[2]))
-
-    obstacles = []
-    for i, box in enumerate(data.get("static_obstacles", [])):
-        obstacles.append((_vec(box["min"], f"{where}.static_obstacles[{i}].min"),
-                          _vec(box["max"], f"{where}.static_obstacles[{i}].max")))
-
-    objects = []
-    seen_ids = set()
-    for i, rec in enumerate(data.get("objects", [])):
-        loc = f"{where}.objects[{i}]"
-        oid = rec.get("id")
-        if not oid:
-            raise ValidationError(f"{loc}: missing id")
-        if oid in seen_ids:
-            raise ValidationError(f"{loc}: duplicate id {oid!r}")
-        seen_ids.add(oid)
-        otype = rec.get("type", "rigid")
-        if otype not in OBJECT_TYPES:
-            raise ValidationError(f"{loc}.type: {otype!r} not one of {OBJECT_TYPES}")
-        joint = rec.get("joint")
-        if otype == "articulated":
-            if not joint:
-                raise ValidationError(f"{loc}: articulated object needs a joint block")
-            for key in ("value", "min", "max", "goal"):
-                if key not in joint:
-                    raise ValidationError(f"{loc}.joint: missing {key!r}")
-        objects.append(SceneObject(
-            id=oid,
-            label=rec.get("label", oid),
-            type=otype,
-            position=_vec(rec["position"], f"{loc}.position"),
-            yaw=float(rec.get("yaw", 0.0)),
-            size=_vec(rec.get("size", [0.1, 0.1, 0.1]), f"{loc}.size"),
-            attach_offset=_vec(rec.get("attach_offset", [0, 0, 0]), f"{loc}.attach_offset"),
-            dominant_axis=(_vec(rec["dominant_axis"], f"{loc}.dominant_axis")
-                           if "dominant_axis" in rec else None),
-            surface_normal=(_vec(rec["surface_normal"], f"{loc}.surface_normal")
-                            if "surface_normal" in rec else None),
-            container_offset=(_vec(rec["container_offset"], f"{loc}.container_offset")
-                              if "container_offset" in rec else None),
-            joint=dict(joint) if joint else None))
-
-    # the per-action checks of decompose(); load_runnable adds the last one
-    plan_fixture = list(data.get("plan") or [])
-    for i, rec in enumerate(plan_fixture):
-        loc = f"{where}.plan[{i}]"
-        if "kind" not in rec:
-            raise ValidationError(f"{loc}: missing kind")
-        if rec["kind"] not in ACTION_KINDS:
-            raise ValidationError(f"{loc}.kind: {rec['kind']!r} not one of {ACTION_KINDS}")
-        kind = ActionKind(rec["kind"])
-        tgt = rec.get("target")
-        if tgt is None and kind in NEEDS_TARGET:
-            raise ValidationError(f"{loc}.target: {kind.value} needs a target")
-        if tgt is not None and tgt not in seen_ids:
-            raise ValidationError(f"{loc}.target: unknown object {tgt!r}")
-        if "waypoint" not in rec and kind in NEEDS_WAYPOINT:
-            raise ValidationError(f"{loc}.waypoint: {kind.value} needs a waypoint")
-        desc = rec.get("description", "")
-        if not isinstance(desc, str) or not desc.strip():
-            raise ValidationError(f"{loc}.description: must be a non-empty string")
-
-    grounding = {}
-    for key, rec in (data.get("grounding", {}) or {}).items():
-        grounding[int(key)] = dict(rec)
-
-    monitors = []
-    for i, rec in enumerate(data.get("monitors", [])):
-        loc = f"{where}.monitors[{i}]"
-        for key in ("name", "kind", "action"):
-            if key not in rec:
-                raise ValidationError(f"{loc}: missing {key!r}")
-        if rec["kind"] not in CONDITION_KINDS:
-            raise ValidationError(f"{loc}.kind: {rec['kind']!r} not one of {CONDITION_KINDS}")
-        if rec["action"] not in ACTION_KINDS:
-            raise ValidationError(f"{loc}.action: {rec['action']!r} not one of {ACTION_KINDS}")
-        for ref_key in ("object", "other"):
-            ref = rec.get(ref_key)
-            if ref is not None and ref not in seen_ids:
-                raise ValidationError(f"{loc}.{ref_key}: unknown object {ref!r}")
-        monitors.append(MonitorSpec(
-            name=rec["name"], kind=rec["kind"], action=rec["action"],
-            object_id=rec.get("object"), other_id=rec.get("other"),
-            point=rec.get("point"), threshold=float(rec.get("threshold", 0.0))))
-
-    return Scenario(name=name, instruction=instruction, horizon=horizon, seed=seed,
-                    robot_start=robot_start,
-                    terrain_height=float(data.get("terrain_height", 0.0)),
-                    static_obstacles=obstacles, objects=objects,
-                    plan_fixture=plan_fixture, grounding_fixture=grounding,
-                    monitors=monitors)
-
-
-def scenario_to_dict(s: Scenario) -> dict:
-    data = {
-        "name": s.name,
-        "instruction": s.instruction,
-        "horizon": s.horizon,
-        "seed": s.seed,
-        "terrain_height": s.terrain_height,
-        "robot_start": {"position": [float(c) for c in s.robot_start.position],
-                        "yaw": float(s.robot_start.yaw())},
-        "static_obstacles": [{"min": [float(c) for c in lo],
-                              "max": [float(c) for c in hi]}
-                             for lo, hi in s.static_obstacles],
-        "objects": [],
-        "plan": s.plan_fixture,
-        "grounding": {str(k): v for k, v in s.grounding_fixture.items()},
-        "monitors": [],
-    }
-    for obj in s.objects:
-        rec = {"id": obj.id, "label": obj.label, "type": obj.type,
-               "position": [float(c) for c in obj.position], "yaw": obj.yaw,
-               "size": [float(c) for c in obj.size],
-               "attach_offset": [float(c) for c in obj.attach_offset]}
-        if obj.dominant_axis is not None:
-            rec["dominant_axis"] = [float(c) for c in obj.dominant_axis]
-        if obj.surface_normal is not None:
-            rec["surface_normal"] = [float(c) for c in obj.surface_normal]
-        if obj.container_offset is not None:
-            rec["container_offset"] = [float(c) for c in obj.container_offset]
-        if obj.joint is not None:
-            rec["joint"] = obj.joint
-        data["objects"].append(rec)
-    for m in s.monitors:
-        rec = {"name": m.name, "kind": m.kind, "action": m.action,
-               "threshold": m.threshold}
-        if m.object_id is not None:
-            rec["object"] = m.object_id
-        if m.other_id is not None:
-            rec["other"] = m.other_id
-        if m.point is not None:
-            rec["point"] = m.point
-        data["monitors"].append(rec)
-    return data
-
-
-def load_scenario(path) -> Scenario:
-    try:
-        with open(path) as fh:
-            data = yaml.safe_load(fh)
-    except yaml.YAMLError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ParseError(f"{path}: scenario must be a mapping")
-    return scenario_from_dict(data, where=str(path))
-
-
-def load_runnable(path) -> Scenario:
-    """load_scenario, also rejecting an empty plan: such a scenario is a
-    scene (enough for a grid) that no episode can start."""
-    scenario = load_scenario(path)
-    if not scenario.plan_fixture:
-        raise ValidationError(f"{path}.plan: plan is empty")
-    return scenario
-
-
-def save_scenario(scenario: Scenario, path) -> None:
-    with open(path, "w") as fh:
-        yaml.safe_dump(scenario_to_dict(scenario), fh, sort_keys=True)
-
 
 # ---------------------------------------------------------------------------
 # world state
@@ -322,13 +60,13 @@ class WorldState:
 
 
 def make_world(scenario: Scenario) -> WorldState:
-    base = scenario.robot_start
+    base = scenario.robot_start.pose()
     base = Pose(vec3(base.position[0], base.position[1],
                      scenario.height_at(*base.position[:2]) + BASE_STAND_HEIGHT),
                 base.orientation)
     ee = Pose(base.transform(vec3(0.3, 0.0, 0.2)), base.orientation)
     object_poses = {obj.id: obj.pose() for obj in scenario.objects}
-    joint_values = {obj.id: float(obj.joint["value"])
+    joint_values = {obj.id: obj.joint.value
                     for obj in scenario.objects if obj.joint is not None}
     return WorldState(t=0.0, base_pose=base, base_vel=np.zeros(3), ee_pose=ee,
                       object_poses=object_poses, joint_values=joint_values)
@@ -393,17 +131,6 @@ class ScriptedGrounding:
         return self.result
 
 
-def _monitor_from_spec(spec: MonitorSpec) -> SubtaskMonitor:
-    cond = GoalCondition(
-        kind=ConditionKind(spec.kind),
-        object_id=spec.object_id,
-        other_id=spec.other_id,
-        point=tuple(spec.point) if spec.point is not None else None,
-        threshold=spec.threshold)
-    return SubtaskMonitor(name=spec.name, condition=cond,
-                          action_kind=ActionKind(spec.action))
-
-
 def _label_descriptor(label: str, dim: int = 16) -> np.ndarray:
     """Deterministic unit descriptor derived from the label text."""
     seed = int.from_bytes(hashlib.sha256(label.encode()).digest()[:8], "big")
@@ -432,17 +159,17 @@ def build_occupancy_grid(scenario: Scenario, resolution: float = 0.1) -> Occupan
     grid = OccupancyGrid(resolution=resolution, width=64, height=64,
                          origin_xy=(-3.2, -3.2))
     pts = [scenario.robot_start.position[:2]]
-    for lo, hi in scenario.static_obstacles:
-        pts += [lo[:2], hi[:2]]
+    for box in scenario.static_obstacles:
+        pts += [box.min[:2], box.max[:2]]
     for obj in scenario.objects:
         pts.append(obj.position[:2])
     for p in pts:
         grid.ensure_contains(float(p[0]) - 2.0, float(p[1]) - 2.0)
         grid.ensure_contains(float(p[0]) + 2.0, float(p[1]) + 2.0)
     grid.cells[:] = 1  # FREE
-    for lo, hi in scenario.static_obstacles:
-        c0 = grid.world_to_cell(lo[0], lo[1])
-        c1 = grid.world_to_cell(hi[0], hi[1])
+    for box in scenario.static_obstacles:
+        c0 = grid.world_to_cell(box.min[0], box.min[1])
+        c1 = grid.world_to_cell(box.max[0], box.max[1])
         grid.cells[c0[1]:c1[1] + 1, c0[0]:c1[0] + 1] = OCCUPIED
     return grid
 
@@ -517,7 +244,8 @@ class EpisodeRunner:
         self.grid = build_occupancy_grid(scenario)
         self.graph, self.node_of = build_instance_graph(scenario)
         self.object_of = {nid: oid for oid, nid in self.node_of.items()}
-        self.monitors = [_monitor_from_spec(m) for m in scenario.monitors]
+        self.monitors = [SubtaskMonitor(m.name, m.condition, action_kind=m.action)
+                         for m in scenario.monitors]
         self.trace: list[dict] = []
         self.outcomes: list[ActionOutcome] = []
         self.timeline = ContactTimeline()
@@ -531,14 +259,13 @@ class EpisodeRunner:
     # -- plan ------------------------------------------------------------
 
     def build_plan(self) -> TaskPlan:
-        records = []
-        for rec in self.scenario.plan_fixture:
-            out = dict(rec)
-            if "target" in out:
-                out["target"] = self.node_of[out["target"]]
-            records.append(out)
-        planner = ScriptedPlanner.from_records({self.scenario.instruction: records})
-        return decompose(planner, self.scenario.instruction, self.graph)
+        instruction = self.scenario.instruction
+        actions = [AtomicAction(step.kind, step.description,
+                                None if step.target is None else self.node_of[step.target],
+                                step.waypoint)
+                   for step in self.scenario.plan]
+        planner = ScriptedPlanner({instruction: TaskPlan(instruction, actions)})
+        return decompose(planner, instruction, self.graph)
 
     # -- stepping --------------------------------------------------------
 
@@ -625,7 +352,7 @@ class EpisodeRunner:
     def _navigate_to(self, waypoint: np.ndarray, face_toward: np.ndarray,
                      timeout: float) -> tuple[bool, str]:
         deadline = min(self.world.t + timeout, self.scenario.horizon)
-        obstacles = [ (lo, hi) for lo, hi in self.scenario.static_obstacles ]
+        obstacles = [(box.min, box.max) for box in self.scenario.static_obstacles]
         for obj in self.scenario.objects:
             if obj.id in self.world.attachments:
                 continue
@@ -661,10 +388,9 @@ class EpisodeRunner:
 
     def _ground_target(self, action_index: int, obj: SceneObject) -> Pose:
         """Run the grounding pipeline against a synthetic wrist camera view."""
-        fixture = self.scenario.grounding_fixture.get(action_index, {})
-        offset = np.asarray(fixture.get("offset", [0.0, 0.0, 0.0]), dtype=float)
+        fixture = self.scenario.grounding.get(action_index) or GroundingFixture()
         true_attach = obj.attach_point(self.world.object_poses[obj.id].position)
-        detected = true_attach + offset
+        detected = true_attach + fixture.offset
 
         # camera looks at the true attach point from 0.6 m toward the robot
         toward_robot = self.world.base_pose.position - true_attach
@@ -688,16 +414,14 @@ class EpisodeRunner:
         depth = DepthImage.constant(96, 96, float(p_cam[2]))
 
         base_rot_t = self.world.base_pose.rotation().T
-        axis = fixture.get("dominant_axis",
-                           obj.dominant_axis.tolist() if obj.dominant_axis is not None else None)
-        normal = fixture.get("surface_normal",
-                             obj.surface_normal.tolist() if obj.surface_normal is not None else None)
+        axis = (fixture.dominant_axis if fixture.dominant_axis is not None
+                else obj.dominant_axis)
+        normal = (fixture.surface_normal if fixture.surface_normal is not None
+                  else obj.surface_normal)
         result = GroundingResult(
             contact_pixel=pixel,
-            dominant_axis=(base_rot_t @ np.asarray(axis, dtype=float)
-                           if axis is not None else None),
-            surface_normal=(base_rot_t @ np.asarray(normal, dtype=float)
-                            if normal is not None else None))
+            dominant_axis=base_rot_t @ axis if axis is not None else None,
+            surface_normal=base_rot_t @ normal if normal is not None else None)
         default_approach = base_rot_t @ np.array([0.0, 0.0, -1.0])
         return ground_action(ScriptedGrounding(result), cam, depth, None,
                              "grounding", default_approach=default_approach)
@@ -765,8 +489,7 @@ class EpisodeRunner:
         grasp = Pose(handle, self.world.ee_pose.orientation)
         if not self._move_ee_to(grasp, deadline, pos_tol=0.02):
             return False, "handle approach timeout"
-        goal = float(obj.joint["goal"])
-        lo, hi = float(obj.joint["min"]), float(obj.joint["max"])
+        goal, lo, hi = obj.joint.goal, obj.joint.min, obj.joint.max
         rate = 0.4  # joint units per second
         while self.world.t < deadline:
             value = self.world.joint_values[obj.id]

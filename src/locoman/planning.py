@@ -67,30 +67,6 @@ class ScriptedPlanner:
     def plan(self, instruction: str, graph_summary: list[dict]) -> Optional[TaskPlan]:
         return self.fixtures.get(instruction)
 
-    @staticmethod
-    def from_records(records: dict[str, list[dict]]) -> "ScriptedPlanner":
-        fixtures = {}
-        for instruction, actions in records.items():
-            fixtures[instruction] = TaskPlan(instruction, [action_from_record(a) for a in actions])
-        return ScriptedPlanner(fixtures)
-
-
-def action_from_record(rec: dict) -> AtomicAction:
-    return AtomicAction(
-        kind=ActionKind(rec["kind"]),
-        description=rec.get("description", ""),
-        target_instance=rec.get("target"),
-        waypoint=np.asarray(rec["waypoint"], dtype=float) if "waypoint" in rec else None)
-
-
-def action_to_record(action: AtomicAction) -> dict:
-    rec = {"kind": action.kind.value, "description": action.description}
-    if action.target_instance is not None:
-        rec["target"] = action.target_instance
-    if action.waypoint is not None:
-        rec["waypoint"] = [float(c) for c in action.waypoint]
-    return rec
-
 
 # spatial-displacement actions must carry a waypoint; object-centric ones a target
 NEEDS_WAYPOINT = {ActionKind.NAVIGATE, ActionKind.DRAG}
@@ -152,6 +128,13 @@ class GoalCondition:
         if self.kind in (ConditionKind.ROBOT_NEAR, ConditionKind.OBJECT_NEAR,
                          ConditionKind.RELATIVE_POSE) and self.threshold <= 0.0:
             raise ValueError(f"{self.kind.value} needs a positive threshold")
+        if self.kind in (ConditionKind.ROBOT_NEAR, ConditionKind.OBJECT_NEAR) \
+                and self.point is None:
+            raise ValueError(f"{self.kind.value} needs a point")
+        if self.kind is not ConditionKind.ROBOT_NEAR and self.object_id is None:
+            raise ValueError(f"{self.kind.value} needs an object")
+        if self.kind is ConditionKind.RELATIVE_POSE and self.other_id is None:
+            raise ValueError(f"{self.kind.value} needs an other object")
 
 
 @dataclass

@@ -1,0 +1,211 @@
+"""Scenario bundles: a scene, a scripted plan, grounding fixtures and subtask
+monitors.
+
+Every on-disk record is a dataclass whose fields are its YAML keys, decoded
+and encoded by the config codec (`config.from_dict`, `config.to_dict`). A
+record checks itself in `__post_init__`; `scenario_from_dict` adds the checks
+that span records (unique object ids, references to them, joint monitors on
+objects with a joint).
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from typing import Optional
+
+import numpy as np
+import yaml
+
+from .config import from_dict, to_dict
+from .errors import ParseError, ValidationError
+from .geometry import Pose
+from .planning import (NEEDS_TARGET, NEEDS_WAYPOINT, ActionKind, ConditionKind,
+                       GoalCondition)
+
+
+@dataclass
+class RobotStart:
+    position: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    yaw: float = 0.0
+
+    def pose(self) -> Pose:
+        return Pose.from_xy_yaw(self.position[0], self.position[1], self.yaw,
+                                z=self.position[2])
+
+
+@dataclass
+class Box:
+    min: np.ndarray
+    max: np.ndarray
+
+
+@dataclass
+class Joint:
+    value: float
+    min: float
+    max: float
+    goal: float
+
+
+@dataclass
+class SceneObject:
+    id: str
+    position: np.ndarray
+    type: str = "rigid"
+    label: Optional[str] = None  # defaults to the id
+    yaw: float = 0.0
+    size: np.ndarray = field(default_factory=lambda: np.array([0.1, 0.1, 0.1]))
+    attach_offset: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    dominant_axis: Optional[np.ndarray] = None
+    surface_normal: Optional[np.ndarray] = None
+    container_offset: Optional[np.ndarray] = None
+    joint: Optional[Joint] = None  # required for articulated objects
+
+    def __post_init__(self):
+        if not self.id:
+            raise ValueError("id", "must be a non-empty string")
+        types = ["rigid", "container", "articulated", "draggable"]
+        if self.type not in types:
+            raise ValueError("type", f"{self.type!r} not one of {types}")
+        if self.type == "articulated" and self.joint is None:
+            raise ValueError("joint", "articulated object needs a joint block")
+        if self.label is None:
+            self.label = self.id
+
+    def pose(self) -> Pose:
+        return Pose.from_xy_yaw(self.position[0], self.position[1], self.yaw,
+                                z=self.position[2])
+
+    def bbox(self, position: Optional[np.ndarray] = None):
+        p = self.position if position is None else position
+        half = self.size / 2.0
+        return p - half, p + half
+
+    def attach_point(self, position: Optional[np.ndarray] = None) -> np.ndarray:
+        p = self.position if position is None else position
+        return p + self.attach_offset
+
+
+@dataclass
+class PlanStep:
+    """One scripted atomic action; `target` names a scene object."""
+
+    kind: ActionKind
+    description: str
+    target: Optional[str] = None
+    waypoint: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        if not self.description.strip():
+            raise ValueError("description", "must be a non-empty string")
+        if self.target is None and self.kind in NEEDS_TARGET:
+            raise ValueError("target", f"{self.kind.value} needs a target")
+        if self.waypoint is None and self.kind in NEEDS_WAYPOINT:
+            raise ValueError("waypoint", f"{self.kind.value} needs a waypoint")
+
+
+@dataclass
+class GroundingFixture:
+    """What the grounding oracle reports for one plan step: the detected
+    contact point's offset from the true one, and optional axis overrides."""
+
+    offset: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    dominant_axis: Optional[np.ndarray] = None
+    surface_normal: Optional[np.ndarray] = None
+
+
+@dataclass
+class MonitorSpec:
+    name: str
+    kind: ConditionKind
+    action: ActionKind
+    object: Optional[str] = None
+    other: Optional[str] = None
+    point: Optional[np.ndarray] = None
+    threshold: float = 0.0
+    condition: GoalCondition = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.condition = GoalCondition(
+            kind=self.kind, object_id=self.object, other_id=self.other,
+            point=None if self.point is None else tuple(self.point),
+            threshold=self.threshold)
+
+
+@dataclass
+class Scenario:
+    name: str
+    instruction: str
+    horizon: float
+    robot_start: RobotStart
+    seed: int = 0
+    terrain_height: float = 0.0
+    static_obstacles: list[Box] = field(default_factory=list)
+    objects: list[SceneObject] = field(default_factory=list)
+    plan: list[PlanStep] = field(default_factory=list)
+    grounding: dict[int, GroundingFixture] = field(default_factory=dict)  # by plan index
+    monitors: list[MonitorSpec] = field(default_factory=list)
+
+    def __post_init__(self):
+        if not self.instruction.strip():
+            raise ValueError("instruction", "must be a non-empty string")
+        if self.horizon <= 0:
+            raise ValueError("horizon", "must be > 0")
+        if self.seed < 0:
+            raise ValueError("seed", "must be >= 0")
+
+    def object_by_id(self, oid: str) -> SceneObject:
+        for obj in self.objects:
+            if obj.id == oid:
+                return obj
+        raise ValidationError(f"unknown object id {oid!r}")
+
+    def height_at(self, x: float, y: float) -> float:
+        return self.terrain_height
+
+
+def scenario_from_dict(data, where: str = "scenario") -> Scenario:
+    scenario = from_dict(Scenario, data, where)
+    ids = set()
+    for i, obj in enumerate(scenario.objects):
+        if obj.id in ids:
+            raise ValidationError(f"{where}.objects[{i}].id: duplicate id {obj.id!r}")
+        ids.add(obj.id)
+    refs = [(f"plan[{i}].target", step.target) for i, step in enumerate(scenario.plan)]
+    refs += [(f"monitors[{i}].{key}", getattr(m, key))
+             for i, m in enumerate(scenario.monitors) for key in ("object", "other")]
+    for loc, ref in refs:
+        if ref is not None and ref not in ids:
+            raise ValidationError(f"{where}.{loc}: unknown object {ref!r}")
+    jointed = {obj.id for obj in scenario.objects if obj.joint is not None}
+    for i, m in enumerate(scenario.monitors):
+        if m.kind in (ConditionKind.JOINT_OPEN, ConditionKind.JOINT_CLOSED) \
+                and m.object not in jointed:
+            raise ValidationError(f"{where}.monitors[{i}].object: "
+                                  f"{m.kind.value} needs an object with a joint")
+    return scenario
+
+
+def load_scenario(path) -> Scenario:
+    try:
+        with open(path) as fh:
+            data = yaml.safe_load(fh)
+    except yaml.YAMLError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ParseError(f"{path}: scenario must be a mapping")
+    return scenario_from_dict(data, where=str(path))
+
+
+def load_runnable(path) -> Scenario:
+    """load_scenario, also rejecting an empty plan: such a scenario is a
+    scene (enough for a grid) that no episode can start."""
+    scenario = load_scenario(path)
+    if not scenario.plan:
+        raise ValidationError(f"{path}.plan: plan is empty")
+    return scenario
+
+
+def save_scenario(scenario: Scenario, path) -> None:
+    with open(path, "w") as fh:
+        yaml.safe_dump(to_dict(scenario), fh, sort_keys=True)

@@ -19,7 +19,8 @@ from locoman.geometry import (Pose, is_rotation_matrix, quat_from_axis_angle,
                               quat_mul, quat_normalize, unit, vec3)
 from locoman.grounding import solve_orientation
 from locoman.errors import DegenerateConstraints, NoPath
-from locoman.harness import run_episode, scenario_from_dict
+from locoman.harness import run_episode
+from locoman.scenario import scenario_from_dict
 from locoman.navgrid import (FREE, OCCUPIED, SQRT2, GoalSearchConfig,
                              OccupancyGrid, blocked_mask, find_goal_pose,
                              path_cost, plan_path)

@@ -15,6 +15,7 @@ from locoman.config import Config, TrackingConfig, to_dict
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIO = ROOT / "scenarios" / "cart_delivery.yaml"
 NOISY = ("--tau-base", 0.1, "--noise-pos", 0.002, "--noise-ori", 0.01)
+CONTACTS = "t,contact_FL,contact_FR,contact_RL,contact_RR"
 
 
 def invoke(*args):
@@ -244,6 +245,45 @@ class TestRun:
         assert res.exit_code == 2
 
 
+# malformed copies of the bundled scenario, each with the location its
+# message must name (after the file name)
+MALFORMED_SCENARIOS = [
+    pytest.param(lambda d: d["objects"][0].pop("position"), "objects[0].position",
+                 id="object_without_position"),
+    pytest.param(lambda d: d.update(robot_start=[0, 0, 0]), "robot_start",
+                 id="robot_start_list"),
+    pytest.param(lambda d: d.update(plan=5), "plan", id="plan_not_list"),
+    pytest.param(lambda d: d.update(grounding={"x": {"offset": [0, 0, 0]}}), "grounding.x",
+                 id="grounding_key_not_index"),
+    pytest.param(lambda d: d.update(horizon="abc"), "horizon", id="horizon_not_number"),
+    pytest.param(lambda d: d["objects"].__setitem__(0, "apple"), "objects[0]",
+                 id="object_as_string"),
+    pytest.param(lambda d: d["objects"][0].update(
+        joint={"value": "a", "min": 0, "max": 1, "goal": 1}),
+                 "objects[0].joint.value", id="joint_value_not_number"),
+    pytest.param(lambda d: d["monitors"][0].update(point="ab"), "monitors[0].point",
+                 id="monitor_point_string"),
+    pytest.param(lambda d: d["grounding"]["1"].update(offset=[0, 0]), "grounding.1.offset",
+                 id="grounding_offset_short"),
+    pytest.param(lambda d: d["monitors"][0].pop("threshold"), "monitors[0]",
+                 id="robot_near_without_threshold"),
+    pytest.param(lambda d: d["monitors"][0].pop("point"), "monitors[0]",
+                 id="robot_near_without_point"),
+    pytest.param(lambda d: d["monitors"][3].pop("other"), "monitors[3]",
+                 id="relative_pose_without_other"),
+    pytest.param(lambda d: d["monitors"][1].update(kind="joint_open"), "monitors[1].object",
+                 id="joint_monitor_on_rigid_object"),
+    pytest.param(lambda d: d["plan"][0].update(waypoint=[2.0, 0.0]), "plan[0].waypoint",
+                 id="waypoint_short"),
+    pytest.param(lambda d: d["monitors"][0].update(point=[2.0]), "monitors[0].point",
+                 id="monitor_point_short"),
+    pytest.param(lambda d: d.update(seed=7.9), "seed", id="seed_not_int"),
+    pytest.param(lambda d: d.update(speed=3), "speed", id="unknown_top_level_key"),
+    pytest.param(lambda d: d["objects"][0].update(colour="red"), "objects[0].colour",
+                 id="unknown_object_key"),
+]
+
+
 class TestValidate:
     def test_ok(self):
         res = invoke("validate", SCENARIO)
@@ -262,6 +302,17 @@ class TestValidate:
     def test_missing_file(self, tmp_path):
         res = invoke("validate", tmp_path / "nope.yaml")
         assert res.exit_code == 4
+
+    @pytest.mark.parametrize("edit, where", MALFORMED_SCENARIOS)
+    def test_malformed_scenario(self, tmp_path, edit, where):
+        bad = scenario_with(tmp_path, edit)
+        for res in (invoke("validate", bad),
+                    invoke("run", bad, "--out", tmp_path / "o")):
+            assert res.exit_code == 3, res.output
+            assert isinstance(res.exception, SystemExit)
+            assert f"edited.yaml.{where}:" in res.output
+            assert "Traceback" not in res.output
+        assert not (tmp_path / "o").exists()
 
     def _rejected_by_both(self, tmp_path, edit, where):
         bad = scenario_with(tmp_path, edit)
@@ -419,3 +470,22 @@ class TestRewardsCommand:
         src.write_text("t,contact_FL\n0.02,1\n")
         res = invoke("rewards", src, "--out", tmp_path / "o.csv")
         assert res.exit_code == 3
+
+    @pytest.mark.parametrize("text, message", [
+        (CONTACTS + ",cmd_vx\n0.02,1,1,1,1,0.5\n0.04,1,1,1,1,abc\n",
+         "row 2: column cmd_vx: expected a number, got 'abc'"),
+        (CONTACTS + "\n0.02,1,1,1,1\n0.04,1,1,1,1\n0.04,1,1,1,1\n",
+         "row 3: column t: 0.04 does not increase on 0.04"),
+        (CONTACTS + "\n0.04,1,1,1,1\n0.02,1,1,1,1\n",
+         "row 2: column t: 0.02 does not increase on 0.04"),
+        (CONTACTS + "\n0.02,1,1,yes,1\n",
+         "row 1: column contact_RL: expected 0, 1, false or true, got 'yes'"),
+    ], ids=["not_a_number", "repeated_t", "decreasing_t", "contact_not_a_flag"])
+    def test_malformed_timeline_config_exit(self, tmp_path, text, message):
+        src = tmp_path / "bad.csv"
+        src.write_text(text)
+        res = invoke("rewards", src, "--out", tmp_path / "o.csv")
+        assert res.exit_code == 3, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert f"bad.csv {message}" in res.output
+        assert not (tmp_path / "o.csv").exists()

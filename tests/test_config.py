@@ -1,9 +1,12 @@
+from typing import Optional
+
 import numpy as np
 import pytest
 import yaml
 
 from locoman.config import Config, TrackingConfig, from_dict, to_dict
 from locoman.errors import ParseError, ValidationError
+from locoman.planning import ActionKind
 from locoman.rewards import PdGains, RewardWeights
 from locoman.sampling import CommandRanges, RandomizationConfig
 
@@ -80,6 +83,36 @@ class TestLoad:
     def test_malformed_rejected_with_location(self, data, where):
         with pytest.raises(ValidationError, match=where):
             from_dict(Config, data)
+
+    @pytest.mark.parametrize("cls, data, expected", [
+        (Optional[float], None, None),
+        (Optional[float], 2, 2.0),
+        (dict[int, float], {"1": 0.5, 2: 1}, {1: 0.5, 2: 1.0}),
+        (ActionKind, "pick", ActionKind.PICK),
+        (list[int], [1, 2], [1, 2]),
+    ])
+    def test_decodes(self, cls, data, expected):
+        assert from_dict(cls, data) == expected
+
+    def test_array_is_three_floats(self):
+        v = from_dict(np.ndarray, [1, 2.5, 3])
+        assert v.dtype == np.float64 and v.tolist() == [1.0, 2.5, 3.0]
+        assert to_dict(v) == [1.0, 2.5, 3.0]
+
+    @pytest.mark.parametrize("cls, data, where", [
+        (int, True, "config: expected int"),
+        (int, 7.0, "config: expected int"),
+        (float, float("nan"), "config: expected a number"),
+        (float, 10 ** 400, "config: expected a number"),
+        (np.ndarray, [1.0, 2.0], "config: expected 3 numbers"),
+        (np.ndarray, [1.0, float("inf"), 2.0], r"config\[1\]: expected a number"),
+        (dict[int, float], {"x": 1.0}, "config.x: expected int"),
+        (ActionKind, "fly", r"config: 'fly' not one of \['navigate', 'pick'"),
+        (list[float], {"a": 1}, "config: expected a list"),
+    ])
+    def test_rejects(self, cls, data, where):
+        with pytest.raises(ValidationError, match=where):
+            from_dict(cls, data)
 
     def test_yaml_syntax_error_is_parse_error(self, tmp_path):
         path = tmp_path / "broken.yaml"

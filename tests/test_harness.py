@@ -1,20 +1,24 @@
+import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from locoman.config import TrackingConfig
-from locoman.errors import ParseError, ValidationError
+from locoman.config import TrackingConfig, to_dict
+from locoman.errors import LocomanError, ParseError, ValidationError
 from locoman.geometry import Pose, quat_geodesic_distance, vec3
 from locoman.harness import (BASE_STAND_HEIGHT, aggregate,
                              build_instance_graph, build_occupancy_grid,
-                             load_runnable, load_scenario, make_world,
-                             run_episode, save_scenario, scenario_from_dict,
-                             scenario_to_dict, step, write_report,
+                             make_world, run_episode, step, write_report,
                              write_trace_csv)
 from locoman.navgrid import OCCUPIED
 from locoman.sampling import LocomotionCommand, make_rng
+from locoman.scenario import (load_runnable, load_scenario, save_scenario,
+                              scenario_from_dict)
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -47,15 +51,16 @@ class TestScenarioSchema:
     def test_load_bundled_scenario(self):
         s = load_scenario(SCENARIO_DIR / "cart_delivery.yaml")
         assert s.name == "cart_delivery"
-        assert len(s.plan_fixture) == 6
+        assert len(s.plan) == 6
         assert len(s.monitors) == 6
 
     def test_round_trip(self, tmp_path):
-        s = scenario_from_dict(minimal_scenario_dict())
-        path = tmp_path / "mini.yaml"
-        save_scenario(s, path)
-        back = load_scenario(path)
-        assert scenario_to_dict(back) == scenario_to_dict(s)
+        path = tmp_path / "saved.yaml"
+        for s in (scenario_from_dict(minimal_scenario_dict()),
+                  load_scenario(SCENARIO_DIR / "cart_delivery.yaml")):
+            save_scenario(s, path)
+            back = load_scenario(path)
+            assert to_dict(back) == to_dict(s)
 
     def test_missing_field_located(self):
         data = minimal_scenario_dict()
@@ -85,9 +90,20 @@ class TestScenarioSchema:
     def test_planless_scene_loads_but_cannot_run(self, tmp_path):
         path = tmp_path / "scene.yaml"
         path.write_text(yaml.safe_dump(minimal_scenario_dict(plan=[], monitors=[])))
-        assert load_scenario(path).plan_fixture == []
+        assert load_scenario(path).plan == []
         with pytest.raises(ValidationError, match="plan is empty"):
             load_runnable(path)
+
+    def test_scene_only_needs_header_and_start(self):
+        data = {k: v for k, v in minimal_scenario_dict().items()
+                if k in ("name", "instruction", "horizon", "robot_start")}
+        s = scenario_from_dict(data)
+        assert (s.seed, s.objects, s.plan, s.monitors) == (0, [], [], [])
+
+    def test_label_defaults_to_id(self):
+        data = minimal_scenario_dict()
+        del data["objects"][0]["label"]
+        assert scenario_from_dict(data).objects[0].label == "marker"
 
     def test_monitor_object_must_exist(self):
         data = minimal_scenario_dict()
@@ -107,6 +123,75 @@ class TestScenarioSchema:
         path.write_text("- just\n- a list\n")
         with pytest.raises(ParseError):
             load_scenario(path)
+
+
+def _paths(data, prefix=()):
+    """Every key path into nested YAML data, with the value it leads to."""
+    items = data.items() if isinstance(data, dict) else enumerate(data)
+    for key, value in items:
+        yield prefix + (key,), value
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, prefix + (key,))
+
+
+# values of every YAML type, swapped in for whatever a path held
+OTHER_VALUES = ["x", True, None, 7, 0.5, [], [1.0, 2.0], {}, {"a": 1}]
+BUNDLED = yaml.safe_load((SCENARIO_DIR / "cart_delivery.yaml").read_text())
+ALL_PATHS = list(_paths(BUNDLED))
+# the paths each mutation applies to
+TARGETS = {
+    "drop": [p for p, _ in ALL_PATHS],
+    "retype": [p for p, _ in ALL_PATHS],
+    "shorten": [p for p, v in ALL_PATHS if isinstance(v, list) and v],
+    "unknown_key": [()] + [p for p, v in ALL_PATHS if isinstance(v, dict)],
+}
+LOCATED = re.compile(r"^s((\.[\w-]+)|(\[\d+\]))*: ")
+
+
+@st.composite
+def mutated_scenarios(draw):
+    data = yaml.safe_load(yaml.safe_dump(BUNDLED))
+    for how in draw(st.lists(st.sampled_from(sorted(TARGETS)), min_size=1, max_size=2)):
+        path = draw(st.sampled_from(TARGETS[how]))
+        try:
+            parent = data
+            for key in path[:-1]:
+                parent = parent[key]
+            value = parent[path[-1]] if path else data
+        except (KeyError, IndexError, TypeError):
+            continue  # an earlier mutation removed or retyped the path
+        if how == "drop":
+            del parent[path[-1]]
+        elif how == "retype":
+            parent[path[-1]] = draw(st.sampled_from(
+                [v for v in OTHER_VALUES if type(v) is not type(value)]))
+        elif how == "shorten" and isinstance(value, list) and value:
+            value.pop()
+        elif how == "unknown_key" and isinstance(value, dict):
+            value["colour"] = "red"
+    return data
+
+
+class TestScenarioProperty:
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(mutated_scenarios())
+    def test_mutated_scenario_rejected_located_or_runs(self, data):
+        try:
+            scenario_from_dict(data, where="s")
+        except ValidationError as exc:
+            assert LOCATED.match(str(exc)), str(exc)
+            return
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "s.yaml"
+            path.write_text(yaml.safe_dump(data))
+            try:
+                scenario = load_runnable(path)
+            except ValidationError:
+                return
+        try:
+            run_episode(scenario, master_seed=0)
+        except LocomanError:
+            pass
 
 
 class TestWorldStep:

@@ -8,8 +8,7 @@ from locoman.fusion import Detection, InstanceGraph
 from locoman.geometry import Pose, vec3
 from locoman.planning import (ActionKind, AtomicAction, ConditionKind,
                               GoalCondition, ScriptedPlanner, SubtaskMonitor,
-                              TaskPlan, action_from_record, action_to_record,
-                              condition_holds, decompose, export_report,
+                              TaskPlan, condition_holds, decompose, export_report,
                               monitor_step, report, validate_plan)
 
 
@@ -29,22 +28,6 @@ class FakeWorld:
         self.object_poses = {}
         self.attachments = {}
         self.joint_values = {}
-
-
-class TestPlanRecords:
-    def test_round_trip(self):
-        a = AtomicAction(ActionKind.PICK, "grab the cup", target_instance=2)
-        b = AtomicAction(ActionKind.NAVIGATE, "go to the table",
-                         waypoint=[1.0, 2.0, 0.0])
-        for action in (a, b):
-            back = action_from_record(action_to_record(action))
-            assert back.kind == action.kind
-            assert back.description == action.description
-            assert back.target_instance == action.target_instance
-            if action.waypoint is None:
-                assert back.waypoint is None
-            else:
-                assert np.allclose(back.waypoint, action.waypoint)
 
 
 class TestValidatePlan:
@@ -94,11 +77,10 @@ class TestValidatePlan:
 class TestDecompose:
     def test_fixture_lookup(self):
         g = _graph_with_nodes(1)
-        planner = ScriptedPlanner.from_records({
-            "fetch the cup": [
-                {"kind": "navigate", "description": "approach", "waypoint": [1, 0, 0]},
-                {"kind": "pick", "description": "grasp", "target": 0},
-            ]})
+        planner = ScriptedPlanner({"fetch the cup": TaskPlan("fetch the cup", [
+            AtomicAction(ActionKind.NAVIGATE, "approach", waypoint=[1, 0, 0]),
+            AtomicAction(ActionKind.PICK, "grasp", target_instance=0),
+        ])})
         plan = decompose(planner, "fetch the cup", g)
         assert [a.kind for a in plan.actions] == [ActionKind.NAVIGATE, ActionKind.PICK]
 
@@ -111,14 +93,14 @@ class TestDecompose:
             decompose(ScriptedPlanner({}), "   ", _graph_with_nodes(1))
 
     def test_invalid_fixture_plan_raises(self):
-        planner = ScriptedPlanner.from_records({
-            "x": [{"kind": "pick", "description": "grasp"}]})
+        planner = ScriptedPlanner({"x": TaskPlan("x", [
+            AtomicAction(ActionKind.PICK, "grasp")])})
         with pytest.raises(OracleFailure):
             decompose(planner, "x", _graph_with_nodes(1))
 
     def test_missing_description_raises(self):
-        planner = ScriptedPlanner.from_records({
-            "x": [{"kind": "navigate", "waypoint": [0, 0, 0]}]})
+        planner = ScriptedPlanner({"x": TaskPlan("x", [
+            AtomicAction(ActionKind.NAVIGATE, "", waypoint=[0, 0, 0])])})
         with pytest.raises(OracleFailure):
             decompose(planner, "x", _graph_with_nodes(1))
 
@@ -175,6 +157,18 @@ class TestConditions:
     def test_positive_threshold_required(self):
         with pytest.raises(ValueError):
             GoalCondition(ConditionKind.ROBOT_NEAR, point=(0, 0, 0), threshold=0.0)
+
+    @pytest.mark.parametrize("kind, kwargs, needs", [
+        (ConditionKind.ROBOT_NEAR, {"threshold": 1.0}, "a point"),
+        (ConditionKind.OBJECT_NEAR, {"object_id": "cup", "threshold": 1.0}, "a point"),
+        (ConditionKind.ATTACHED, {}, "an object"),
+        (ConditionKind.JOINT_OPEN, {"threshold": 0.2}, "an object"),
+        (ConditionKind.RELATIVE_POSE, {"object_id": "a", "threshold": 1.0},
+         "an other object"),
+    ])
+    def test_required_fields(self, kind, kwargs, needs):
+        with pytest.raises(ValueError, match=f"{kind.value} needs {needs}"):
+            GoalCondition(kind, **kwargs)
 
 
 class TestMonitors:
