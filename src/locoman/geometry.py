@@ -9,6 +9,7 @@ Conventions (fixed project-wide):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +24,12 @@ def wrap_angle(a):
 
 def vec3(x, y, z) -> np.ndarray:
     return np.array([x, y, z], dtype=float)
+
+
+def norm(v: np.ndarray) -> float:
+    """np.linalg.norm of a 1-D float array, bit for bit (numpy computes the
+    same sqrt of v.dot(v)), without its per-call overhead."""
+    return math.sqrt(float(v.dot(v)))
 
 
 def unit(v: np.ndarray) -> np.ndarray:
@@ -242,7 +249,13 @@ class Pose:
         return Pose(quat_rotate(qi, -self.position), qi)
 
     def yaw(self) -> float:
-        return euler_from_quat(self.orientation)[2]
+        """euler_from_quat(orientation)[2], bit for bit, from only the three
+        matrix entries it reads (same expressions as quat_to_matrix)."""
+        w, x, y, z = self.orientation.tolist()
+        sp = min(max(-(2 * (x * z - w * y)), -1.0), 1.0)
+        if abs(sp) < 1.0 - 1e-9:
+            return float(np.arctan2(2 * (x * y + w * z), 1 - 2 * (y * y + z * z)))
+        return float(np.arctan2(-(2 * (x * y - w * z)), 1 - 2 * (x * x + z * z)))
 
 
 def transform_point(p: np.ndarray, from_frame: Pose, to_frame: Pose) -> np.ndarray:

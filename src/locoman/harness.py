@@ -20,7 +20,7 @@ import numpy as np
 from .config import Config, TrackingConfig
 from .errors import LocomanError, NoFeasibleGoal, NoPath, OracleFailure
 from .fusion import Detection, FusionConfig, InstanceGraph
-from .geometry import (Pose, quat_from_axis_angle, quat_geodesic_distance,
+from .geometry import (Pose, norm, quat_from_axis_angle, quat_geodesic_distance,
                        quat_mul, quat_normalize, quat_slerp, matrix_to_quat,
                        quat_to_matrix, unit, vec3, wrap_angle)
 from .grounding import (CameraModel, DepthImage, GroundingResult, ground_action)
@@ -285,7 +285,7 @@ class EpisodeRunner:
             self._err_sums += err
             self._err_ticks += 1
         if ee_cmd is not None:
-            ee_pos_err = float(np.linalg.norm(w.ee_pose.position - ee_cmd.position))
+            ee_pos_err = norm(w.ee_pose.position - ee_cmd.position)
             ee_ori_err = quat_geodesic_distance(w.ee_pose.orientation,
                                                 ee_cmd.orientation)
             self._ee_err_sums += (ee_pos_err, ee_ori_err)
@@ -334,11 +334,11 @@ class EpisodeRunner:
         idx = 0
         while self.world.t < deadline:
             pos = self.world.base_pose.position[:2]
-            if float(np.linalg.norm(pos - goal_xy)) <= NAV_GOAL_TOL:
+            if norm(pos - goal_xy) <= NAV_GOAL_TOL:
                 self.tick(LocomotionCommand(0, 0, 0), None)
                 return True
             while (idx < len(path_points) - 1
-                   and float(np.linalg.norm(path_points[idx] - pos)) < 0.3):
+                   and norm(path_points[idx] - pos) < 0.3):
                 idx += 1
             target = path_points[idx]
             yaw = self.world.base_pose.yaw()
@@ -378,8 +378,7 @@ class EpisodeRunner:
                     pos_tol: float = 0.01) -> bool:
         while self.world.t < deadline:
             self.tick(LocomotionCommand(0, 0, 0), target)
-            close = (float(np.linalg.norm(self.world.ee_pose.position
-                                          - target.position)) <= pos_tol
+            close = (norm(self.world.ee_pose.position - target.position) <= pos_tol
                      and quat_geodesic_distance(self.world.ee_pose.orientation,
                                                 target.orientation) <= 0.02)
             if close:

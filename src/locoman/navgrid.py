@@ -1,4 +1,4 @@
-"""2D occupancy grid: scan integration, waypoint projection, goal search, A*.
+"""2D occupancy grid: scan integration, goal search, A*.
 
 Cells are Unknown until observed. Occupied wins every conflict and never
 reverts to Free. The grid grows by doubling when points land outside.
@@ -79,11 +79,6 @@ class OccupancyGrid:
 
     def in_bounds(self, cx: int, cy: int) -> bool:
         return 0 <= cx < self.width and 0 <= cy < self.height
-
-    def get(self, cx: int, cy: int) -> int:
-        if not self.in_bounds(cx, cy):
-            return UNKNOWN
-        return int(self.cells[cy, cx])
 
     # -- growth ------------------------------------------------------------
 
@@ -170,11 +165,6 @@ def bresenham(x0: int, y0: int, x1: int, y1: int) -> list[tuple[int, int]]:
     return cells
 
 
-def project_waypoint(grid: OccupancyGrid, target: np.ndarray) -> tuple[int, int]:
-    """Cell containing the target's (x, y), growing the grid if needed."""
-    return grid.ensure_contains(float(target[0]), float(target[1]))
-
-
 # ---------------------------------------------------------------------------
 # footprint / inflation helpers
 # ---------------------------------------------------------------------------
@@ -191,17 +181,23 @@ def _disk_offsets(radius: float, resolution: float) -> np.ndarray:
 
 
 def footprint_clear(grid: OccupancyGrid, x: float, y: float, radius: float) -> bool:
-    """True when no Occupied cell center lies within radius of (x, y)."""
+    """True when no Occupied cell center lies within radius of (x, y).
+
+    Cells outside the grid count as Unknown, never Occupied.
+    """
     cx, cy = grid.world_to_cell(x, y)
     r_cells = int(np.ceil(radius / grid.resolution)) + 1
-    for dy in range(-r_cells, r_cells + 1):
-        for dx in range(-r_cells, r_cells + 1):
-            gx, gy = cx + dx, cy + dy
-            if grid.get(gx, gy) == OCCUPIED:
-                center = grid.cell_center(gx, gy)
-                if np.hypot(center[0] - x, center[1] - y) <= radius:
-                    return False
-    return True
+    # clip to the grid; a negative stop would wrap around in a slice
+    x0, y0 = max(cx - r_cells, 0), max(cy - r_cells, 0)
+    x1, y1 = max(cx + r_cells + 1, 0), max(cy + r_cells + 1, 0)
+    iy, ix = np.nonzero(grid.cells[y0:y1, x0:x1] == OCCUPIED)
+    if not ix.size:
+        return True
+    # same operation order as cell_center, so boundary cells compare alike
+    res = grid.resolution
+    centers_x = grid.origin[0] + (ix + x0 + 0.5) * res
+    centers_y = grid.origin[1] + (iy + y0 + 0.5) * res
+    return not (np.hypot(centers_x - x, centers_y - y) <= radius).any()
 
 
 def disk_overlaps_bbox(x: float, y: float, radius: float, bbox_min, bbox_max) -> bool:

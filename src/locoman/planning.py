@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import OracleFailure, UnknownObject
 from .fusion import InstanceGraph
+from .geometry import norm
 
 
 class ActionKind(Enum):
@@ -156,15 +157,15 @@ def _object_position(world, object_id: str) -> np.ndarray:
 def condition_holds(cond: GoalCondition, world) -> bool:
     k = cond.kind
     if k is ConditionKind.ROBOT_NEAR:
-        d = np.linalg.norm(world.base_pose.position[:2] - np.asarray(cond.point[:2]))
+        d = norm(world.base_pose.position[:2] - np.asarray(cond.point[:2]))
         return d <= cond.threshold
     if k is ConditionKind.OBJECT_NEAR:
         p = _object_position(world, cond.object_id)
-        return float(np.linalg.norm(p[:2] - np.asarray(cond.point[:2]))) <= cond.threshold
+        return norm(p[:2] - np.asarray(cond.point[:2])) <= cond.threshold
     if k is ConditionKind.RELATIVE_POSE:
         pa = _object_position(world, cond.object_id)
         pb = _object_position(world, cond.other_id)
-        return float(np.linalg.norm(pa - pb)) <= cond.threshold
+        return norm(pa - pb) <= cond.threshold
     if k is ConditionKind.ATTACHED:
         return cond.object_id in world.attachments
     if k is ConditionKind.DETACHED:

@@ -105,7 +105,7 @@ def r_ee_ori(target_euler: np.ndarray, actual_euler: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 def _clip_sq(x: float) -> float:
-    return float(np.clip(x * x, 0.0, GAIT_CLIP))
+    return min(max(x * x, 0.0), GAIT_CLIP)
 
 
 def sync_term(a: LegTimeline, b: LegTimeline) -> float:

@@ -3,7 +3,7 @@ import pytest
 
 from locoman.geometry import (EulerAngles, Pose, SphericalTarget,
                               cartesian_to_spherical, euler_from_quat,
-                              is_rotation_matrix, matrix_to_quat,
+                              is_rotation_matrix, matrix_to_quat, norm,
                               quat_from_axis_angle, quat_from_euler,
                               quat_geodesic_distance, quat_mul, quat_normalize,
                               quat_rotate, quat_slerp, quat_to_matrix,
@@ -172,6 +172,22 @@ class TestPose:
         pose = Pose.from_xy_yaw(1.0, 2.0, 0.8)
         assert pose.yaw() == pytest.approx(0.8, abs=1e-12)
 
+    def test_yaw_bitwise_equals_euler_yaw(self):
+        rng = np.random.Generator(np.random.PCG64(12))
+        quats = [random_quat(rng) for _ in range(20_000)]
+        # gimbal lock, where yaw comes from the R[0,1] / R[1,1] branch
+        for _ in range(5_000):
+            r, y = rng.uniform(-np.pi, np.pi, 2)
+            quats.append(quat_from_euler(r, rng.choice([-1.0, 1.0]) * np.pi / 2, y))
+        quats += [np.array([1.0, 0, 0, 0]), np.array([-1.0, 0, 0, 0]),
+                  np.array([0.0, 0, 0, 1.0]), np.array([0.0, 0, 0, -1.0]),
+                  np.array([0.0, 1.0, 0, 0]), np.array([0.0, -0.0, 0, -1.0])]
+        for q in quats:
+            got = Pose(np.zeros(3), q).yaw()
+            assert type(got) is float
+            assert np.float64(got).tobytes() == \
+                np.float64(euler_from_quat(q)[2]).tobytes(), q
+
     def test_transform_point_between_frames(self):
         a = Pose.from_xy_yaw(1.0, 0.0, 0.0)
         b = Pose.from_xy_yaw(0.0, 1.0, 0.0)
@@ -189,6 +205,15 @@ class TestMisc:
         assert not is_rotation_matrix(2 * np.eye(3))
         refl = np.diag([1.0, 1.0, -1.0])
         assert not is_rotation_matrix(refl)
+
+    def test_norm_bitwise_equals_linalg_norm(self):
+        rng = np.random.Generator(np.random.PCG64(13))
+        for n in (2, 3):
+            for v in rng.normal(0.0, 3.0, (5_000, n)):
+                got = norm(v)
+                assert type(got) is float
+                assert got == float(np.linalg.norm(v)), v
+                assert norm(v[:2]) == float(np.linalg.norm(v[:2]))
 
     def test_euler_angles_as_array(self):
         e = EulerAngles(0.1, 0.2, 0.3)

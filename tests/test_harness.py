@@ -15,7 +15,7 @@ from locoman.harness import (BASE_STAND_HEIGHT, aggregate,
                              build_instance_graph, build_occupancy_grid,
                              make_world, run_episode, step, write_report,
                              write_trace_csv)
-from locoman.navgrid import OCCUPIED
+from locoman.navgrid import FREE, OCCUPIED, OccupancyGrid
 from locoman.sampling import LocomotionCommand, make_rng
 from locoman.scenario import (load_runnable, load_scenario, save_scenario,
                               scenario_from_dict)
@@ -260,17 +260,43 @@ class TestWorldStep:
         expected = w.ee_pose.compose(rel)
         assert np.allclose(carried.position, expected.position, atol=1e-9)
 
+    @staticmethod
+    def _drive_forward(s, grid, ticks=500):
+        """Command 1 m/s forward; returns the world and the first tick the
+        base did not move."""
+        w = make_world(s)
+        halted_at = None
+        for k in range(ticks):
+            before = w.base_pose.position.copy()
+            step(w, LocomotionCommand(1.0, 0, 0), None, 0.02,
+                 TrackingConfig(), make_rng(0), s, grid=grid)
+            if halted_at is None and np.array_equal(before, w.base_pose.position):
+                halted_at = k
+        return w, halted_at
+
     def test_collision_halts_base(self):
         data = minimal_scenario_dict(
             static_obstacles=[{"min": [0.4, -0.5, 0.0], "max": [1.0, 0.5, 0.5]}])
         s = scenario_from_dict(data)
-        w = make_world(s)
-        grid = build_occupancy_grid(s)
-        for _ in range(500):
-            step(w, LocomotionCommand(1.0, 0, 0), None, 0.02,
-                 TrackingConfig(), make_rng(0), s, grid=grid)
+        w, halted_at = self._drive_forward(s, build_occupancy_grid(s))
         # stops at the inflated obstacle face instead of passing through
-        assert w.base_pose.position[0] < 0.4
+        assert halted_at == 7
+        assert w.base_pose.position.tolist() == [0.14, 0.0, 0.35]
+        assert np.array_equal(w.base_vel, np.zeros(3))
+        assert w.t == 9.999999999999876
+
+    def test_collision_halts_base_at_grid_edge(self):
+        # the footprint window hangs off the grid's left edge
+        s = scenario_from_dict(minimal_scenario_dict(
+            robot_start={"position": [1.0, 1.0, 0.0], "yaw": float(np.pi)}))
+        grid = OccupancyGrid(resolution=0.1, width=20, height=20)
+        grid.cells[:] = FREE
+        grid.cells[:, 0] = OCCUPIED
+        w, halted_at = self._drive_forward(s, grid)
+        assert halted_at == 32
+        assert w.base_pose.position.tolist() == [0.35999999999999943, 1.0, 0.35]
+        assert np.array_equal(w.base_vel, np.zeros(3))
+        assert w.t == 9.999999999999876
 
     def test_noise_is_seeded(self):
         s = self._scenario()

@@ -8,8 +8,7 @@ from locoman.geometry import Pose, vec3
 from locoman.navgrid import (FREE, OCCUPIED, SQRT2, UNKNOWN, GoalSearchConfig,
                              OccupancyGrid, Scan, blocked_mask, bresenham,
                              disk_overlaps_bbox, find_goal_pose,
-                             footprint_clear, path_cost, plan_path,
-                             project_waypoint)
+                             footprint_clear, path_cost, plan_path)
 
 
 def dijkstra_cost(blocked, start, goal):
@@ -38,6 +37,108 @@ def dijkstra_cost(blocked, start, goal):
                 dist[(nx, ny)] = nd
                 heapq.heappush(heap, (nd, (nx, ny)))
     return None
+
+
+def footprint_clear_loop(grid, x, y, radius):
+    """Independent oracle: the per-cell loop footprint_clear replaced.
+
+    Out-of-grid cells read as Unknown; each Occupied cell's center comes
+    from cell_center and is tested with a scalar hypot.
+    """
+    cx, cy = grid.world_to_cell(x, y)
+    r_cells = int(np.ceil(radius / grid.resolution)) + 1
+    for dy in range(-r_cells, r_cells + 1):
+        for dx in range(-r_cells, r_cells + 1):
+            gx, gy = cx + dx, cy + dy
+            if grid.in_bounds(gx, gy) and grid.cells[gy, gx] == OCCUPIED:
+                center = grid.cell_center(gx, gy)
+                if np.hypot(center[0] - x, center[1] - y) <= radius:
+                    return False
+    return True
+
+
+RADII = (0.05, 0.1, 0.3, 0.45)
+
+
+def random_grid(rng, occupied_share, width=40, height=30):
+    g = OccupancyGrid(resolution=0.1, width=width, height=height,
+                      origin_xy=(-1.3, 0.7))
+    g.cells[:] = np.where(rng.random((height, width)) < occupied_share,
+                          OCCUPIED, FREE)
+    return g
+
+
+class TestFootprintOracle:
+    """footprint_clear must answer exactly as the per-cell loop does."""
+
+    def test_random_queries(self):
+        rng = np.random.Generator(np.random.PCG64(21))
+        g = random_grid(rng, 0.15)
+        lo = g.origin - 0.8
+        hi = g.origin + np.array([g.width, g.height]) * g.resolution + 0.8
+        n = 20_000
+        xs = rng.uniform(lo[0], hi[0], n)
+        ys = rng.uniform(lo[1], hi[1], n)
+        outcomes = set()
+        for k in range(n):
+            x, y, r = float(xs[k]), float(ys[k]), RADII[k % len(RADII)]
+            expected = footprint_clear_loop(g, x, y, r)
+            assert footprint_clear(g, x, y, r) is expected, (x, y, r)
+            outcomes.add(expected)
+        assert outcomes == {True, False}
+
+    def test_queries_exactly_at_radius(self):
+        rng = np.random.Generator(np.random.PCG64(22))
+        g = random_grid(rng, 0.01)
+        occupied = np.argwhere(g.cells == OCCUPIED)
+        exact = 0
+        while exact < 2_000:
+            iy, ix = occupied[rng.integers(len(occupied))]
+            r = RADII[exact % len(RADII)]
+            c = g.cell_center(ix, iy)
+            theta = rng.integers(8) * np.pi / 4 if rng.random() < 0.5 \
+                else rng.uniform(0.0, 2 * np.pi)
+            x = float(c[0] + r * np.cos(theta))
+            y = float(c[1] + r * np.sin(theta))
+            if np.hypot(c[0] - x, c[1] - y) != r:
+                continue
+            exact += 1
+            # a center exactly at radius is inside the footprint
+            assert footprint_clear_loop(g, x, y, r) is False
+            assert footprint_clear(g, x, y, r) is False, (x, y, r)
+
+    @pytest.mark.parametrize("edge", ["left", "right", "bottom", "top"])
+    def test_windows_off_each_edge(self, edge):
+        rng = np.random.Generator(np.random.PCG64(23))
+        g = random_grid(rng, 0.3, width=12, height=10)
+        x_lo, y_lo = g.origin
+        x_hi = x_lo + g.width * g.resolution
+        y_hi = y_lo + g.height * g.resolution
+        # from 0.6 m outside the edge to 0.6 m inside it
+        depth = rng.uniform(-0.6, 0.6, 2_000)
+        along = rng.uniform(0.0, 1.0, 2_000)
+        for d, a in zip(depth, along):
+            if edge in ("left", "right"):
+                x = x_lo - d if edge == "left" else x_hi + d
+                y = y_lo + a * (y_hi - y_lo)
+            else:
+                x = x_lo + a * (x_hi - x_lo)
+                y = y_lo - d if edge == "bottom" else y_hi + d
+            for r in RADII:
+                assert footprint_clear(g, x, y, r) is \
+                    footprint_clear_loop(g, x, y, r), (x, y, r)
+
+    def test_points_outside_grid_are_clear(self):
+        g = OccupancyGrid(resolution=0.1, width=10, height=10, origin_xy=(0, 0))
+        g.cells[:] = OCCUPIED
+        # windows wholly outside the grid read only Unknown cells
+        for x, y in [(-0.8, 0.5), (1.8, 0.5), (0.5, -0.8), (0.5, 1.8),
+                     (-5.0, -5.0), (6.0, 6.0), (-0.8, 1.8), (1e6, -1e6)]:
+            for r in RADII:
+                assert footprint_clear(g, x, y, r) is True
+                assert footprint_clear_loop(g, x, y, r) is True
+        # just outside an edge the window still reaches Occupied cells
+        assert footprint_clear(g, -0.2, 0.5, 0.3) is False
 
 
 class TestGridBasics:
@@ -251,12 +352,6 @@ class TestGoalSearch:
 
 
 class TestHelpers:
-    def test_project_waypoint_grows_grid(self):
-        g = OccupancyGrid(resolution=0.1, width=8, height=8, origin_xy=(0, 0))
-        cx, cy = project_waypoint(g, np.array([-1.0, -1.0, 0.0]))
-        assert g.in_bounds(cx, cy)
-        assert np.allclose(g.cell_center(cx, cy), [-0.95, -0.95])
-
     def test_blocked_mask_inflation_radius(self):
         g = OccupancyGrid(resolution=0.1, width=20, height=20, origin_xy=(0, 0))
         g.cells[:] = FREE

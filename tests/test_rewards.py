@@ -3,7 +3,7 @@ import pytest
 
 from locoman.errors import UsageError
 from locoman.rewards import (ASYNC_PAIRS, GAIT_CLIP, LEGS, SYNC_PAIRS,
-                             ContactTimeline, HeightmapSpec, LegTimeline,
+                             ContactTimeline, _clip_sq, HeightmapSpec, LegTimeline,
                              PdGains, RewardWeights, apply_action,
                              assemble_observation, async_term, leg_frequency,
                              pd_torque, r_acc, r_ee_ori, r_ee_pos, r_freq,
@@ -65,6 +65,18 @@ class TestGait:
         b = LegTimeline(air_time=0.0, contact_time=10.0)
         # both squared differences exceed the cap; factor bottoms out
         assert sync_term(a, b) == pytest.approx(np.exp(-2 * GAIT_CLIP), abs=1e-15)
+
+    def test_clip_sq_bitwise_equals_np_clip(self):
+        rng = np.random.Generator(np.random.PCG64(3))
+        xs = list(rng.normal(0.0, 0.3, 10_000)) + list(rng.uniform(-1.0, 1.0, 10_000))
+        xs += [0.0, -0.0, 0.2, -0.2, 1e-170, -1e-170, 1e154, -1e160, 1e308,
+               -1e308, np.inf, -np.inf, np.nan, -np.nan]
+        with np.errstate(over="ignore"):
+            for x in xs:
+                for v in (float(x), np.float64(x)):
+                    expected = float(np.clip(v * v, 0.0, GAIT_CLIP))
+                    assert np.float64(_clip_sq(v)).tobytes() == \
+                        np.float64(expected).tobytes(), v
 
     def test_pair_structure(self):
         assert set(SYNC_PAIRS) == {("FL", "RR"), ("FR", "RL")}
