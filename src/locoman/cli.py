@@ -66,9 +66,7 @@ def _run_one(task) -> MetricsReport:
     write_trace_csv(result.trace, ep_dir / "trace.csv")
     write_report(result.metrics, ep_dir / "report.json",
                  extra={"scenario": scenario.name, "episode": k,
-                        "outcomes": [{"index": o.index, "kind": o.kind,
-                                      "success": o.success, "detail": o.detail}
-                                     for o in result.outcomes]})
+                        "outcomes": to_dict(result.outcomes)})
     return result.metrics
 
 
@@ -89,7 +87,7 @@ def _start_method() -> str:
                 type=click.Path(path_type=Path))
 @click.option("--episodes", default=1, show_default=True, type=click.IntRange(min=1),
               help="Episodes per scenario.")
-@click.option("--seed", default=0, show_default=True, type=int,
+@click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0),
               help="Master seed; episode i uses stream i.")
 @click.option("--dt", default=0.02, show_default=True, type=float)
 @click.option("--jobs", default=1, show_default=True, type=click.IntRange(min=1))
@@ -105,13 +103,17 @@ def _start_method() -> str:
 def run(scenarios, episodes, seed, dt, jobs, out, config_path,
         tau_base, ee_rate, noise_pos, noise_ori):
     """Run scenario episodes and write traces plus an aggregate report."""
-    if dt <= 0:
-        raise click.UsageError("--dt must be positive")
+    if not (math.isfinite(dt) and dt > 0):
+        raise click.BadParameter(f"must be finite and > 0, got {dt!r}", param_hint="'--dt'")
     cfg = _load_config(config_path)
     overrides = {"tau_base": tau_base, "ee_rate": ee_rate,
                  "noise_pos": noise_pos, "noise_ori": noise_ori}
-    cfg = dataclasses.replace(cfg, tracking=dataclasses.replace(
-        cfg.tracking, **{k: v for k, v in overrides.items() if v is not None}))
+    try:
+        cfg = dataclasses.replace(cfg, tracking=dataclasses.replace(
+            cfg.tracking, **{k: v for k, v in overrides.items() if v is not None}))
+    except ValueError as exc:  # TrackingConfig names the field a flag set
+        name, message = exc.args
+        raise click.BadParameter(message, param_hint=f"'--{name.replace('_', '-')}'") from None
 
     paths: list[Path] = []
     for s in scenarios:

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import math
 import sys
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from enum import Enum
@@ -28,6 +29,13 @@ class TrackingConfig:
     ee_rate: float = 8.0         # EE exponential convergence rate, 1/s
     noise_pos: float = 0.0       # EE position noise sigma, meters
     noise_ori: float = 0.0       # EE orientation noise sigma, radians
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            bound = "> 0" if f.name == "ee_rate" else ">= 0"
+            if not math.isfinite(value) or value < 0 or (bound == "> 0" and value == 0):
+                raise ValueError(f.name, f"must be finite and {bound}, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,7 @@ tau_geo (both strict inequalities, thresholds default 0.8).
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -180,40 +179,3 @@ class InstanceGraph:
                 "extents": [float(e) for e in extents],
             })
         return out
-
-    def export_snapshot(self) -> str:
-        """Summary plus point counts, as stable JSON text."""
-        records = self.graph_summary()
-        for rec, node in zip(records, self._ordered_nodes()):
-            rec["point_count"] = len(node.points)
-            rec["observation_count"] = node.observation_count
-        return json.dumps(records, indent=2, sort_keys=True)
-
-
-def read_detection_stream(path) -> list[Detection]:
-    """Detection stream file: one JSON record per line with label,
-    descriptor array, point list, optional timestamp."""
-    detections = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            detections.append(Detection(
-                label=rec["label"],
-                descriptor=np.asarray(rec["descriptor"], dtype=float),
-                points=np.asarray(rec["points"], dtype=float),
-                timestamp=float(rec.get("timestamp", 0.0))))
-    return detections
-
-
-def write_detection_stream(path, detections) -> None:
-    with open(path, "w") as fh:
-        for det in detections:
-            fh.write(json.dumps({
-                "label": det.label,
-                "descriptor": [float(x) for x in det.descriptor],
-                "points": [[float(c) for c in p] for p in det.points],
-                "timestamp": det.timestamp,
-            }) + "\n")

@@ -78,6 +78,14 @@ def quat_from_axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:
     return np.concatenate(([np.cos(half)], np.sin(half) * axis))
 
 
+def quat_from_yaw(yaw: float) -> np.ndarray:
+    """quat_from_axis_angle about +z, bit for bit (`0.0 * s` keeps its signed
+    zeros), without normalising the constant axis."""
+    half = 0.5 * yaw
+    s = np.sin(half)
+    return np.array([np.cos(half), 0.0 * s, 0.0 * s, s])
+
+
 def quat_geodesic_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Geodesic angle between two unit quaternions: 2*arccos(|a . b|).
 
@@ -91,7 +99,7 @@ def quat_from_euler(roll: float, pitch: float, yaw: float) -> np.ndarray:
     """Extrinsic X-Y-Z Euler angles to quaternion (q = qz * qy * qx)."""
     qx = quat_from_axis_angle(np.array([1.0, 0, 0]), roll)
     qy = quat_from_axis_angle(np.array([0, 1.0, 0]), pitch)
-    qz = quat_from_axis_angle(np.array([0, 0, 1.0]), yaw)
+    qz = quat_from_yaw(yaw)
     return quat_mul(qz, quat_mul(qy, qx))
 
 
@@ -225,7 +233,7 @@ class Pose:
 
     @staticmethod
     def from_xy_yaw(x: float, y: float, yaw: float, z: float = 0.0) -> "Pose":
-        return Pose(vec3(x, y, z), quat_from_axis_angle(np.array([0, 0, 1.0]), yaw))
+        return Pose(vec3(x, y, z), quat_from_yaw(yaw))
 
     def rotation(self) -> np.ndarray:
         return quat_to_matrix(self.orientation)
@@ -256,8 +264,3 @@ class Pose:
         if abs(sp) < 1.0 - 1e-9:
             return float(np.arctan2(2 * (x * y + w * z), 1 - 2 * (y * y + z * z)))
         return float(np.arctan2(-(2 * (x * y - w * z)), 1 - 2 * (x * x + z * z)))
-
-
-def transform_point(p: np.ndarray, from_frame: Pose, to_frame: Pose) -> np.ndarray:
-    """Re-express a point given in from_frame coordinates in to_frame coordinates."""
-    return to_frame.inverse_transform(from_frame.transform(p))

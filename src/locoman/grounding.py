@@ -13,7 +13,7 @@ projected into the feasible plane.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Protocol
+from typing import Optional, Protocol
 
 import numpy as np
 
@@ -64,25 +64,6 @@ class DepthImage:
     @staticmethod
     def constant(width: int, height: int, value: float) -> "DepthImage":
         return DepthImage(width, height, np.full((height, width), value, dtype=np.float32))
-
-    def save(self, path) -> None:
-        """Flat binary of 32-bit reals with a one-line text header."""
-        with open(path, "wb") as fh:
-            fh.write(f"depth {self.width} {self.height}\n".encode())
-            fh.write(self.depth.astype("<f4").tobytes())
-
-    @staticmethod
-    def load(path) -> "DepthImage":
-        with open(path, "rb") as fh:
-            header = fh.readline().decode().split()
-            if len(header) != 3 or header[0] != "depth":
-                raise UsageError(f"bad depth header in {path}")
-            w, h = int(header[1]), int(header[2])
-            raw = fh.read()
-        if len(raw) != 4 * w * h:
-            raise UsageError(f"depth payload size mismatch in {path}")
-        data = np.frombuffer(raw, dtype="<f4")
-        return DepthImage(w, h, data.copy())
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .config import Config, TrackingConfig
+from .config import Config, TrackingConfig, to_dict
 from .errors import LocomanError, NoFeasibleGoal, NoPath, OracleFailure
 from .fusion import Detection, FusionConfig, InstanceGraph
 from .geometry import (Pose, norm, quat_from_axis_angle, quat_geodesic_distance,
@@ -26,8 +26,8 @@ from .geometry import (Pose, norm, quat_from_axis_angle, quat_geodesic_distance,
 from .grounding import (CameraModel, DepthImage, GroundingResult, ground_action)
 from .navgrid import (GoalSearchConfig, OccupancyGrid, OCCUPIED, find_goal_pose,
                       footprint_clear, plan_path)
-from .planning import (ActionKind, AtomicAction, ScriptedPlanner, SubtaskMonitor,
-                       TaskPlan, decompose, monitor_step, report)
+from .planning import (ActionKind, ActionReport, AtomicAction, ScriptedPlanner,
+                       SubtaskMonitor, TaskPlan, decompose, monitor_step, report)
 from .rewards import (ContactTimeline, r_freq, r_gait,
                       r_track_xy, r_track_yaw, total_reward)
 from .sampling import LocomotionCommand, episode_rng
@@ -193,20 +193,9 @@ class MetricsReport:
     e_w: float = 0.0
     d_pos: float = 0.0
     d_ori: float = 0.0
-    per_action: dict = field(default_factory=dict)
+    per_action: dict[str, ActionReport] = field(default_factory=dict)
     overall: bool | float = False
     episodes: int = 1
-
-    def to_dict(self) -> dict:
-        return {
-            "e_x": self.e_x, "e_y": self.e_y, "e_w": self.e_w,
-            "e_x_x100": self.e_x * 100.0, "e_y_x100": self.e_y * 100.0,
-            "e_w_x100": self.e_w * 100.0,
-            "d_pos": self.d_pos, "d_ori": self.d_ori,
-            "per_action": self.per_action,
-            "overall": self.overall,
-            "episodes": self.episodes,
-        }
 
 
 @dataclass
@@ -562,9 +551,7 @@ class EpisodeRunner:
         return MetricsReport(
             e_x=float(err[0]), e_y=float(err[1]), e_w=float(err[2]),
             d_pos=float(ee[0]), d_ori=float(ee[1]),
-            per_action={k: {"completed": v.completed, "total": v.total,
-                            "rate": v.rate} for k, v in sorted(per_action.items())},
-            overall=overall, episodes=1)
+            per_action=dict(sorted(per_action.items())), overall=overall, episodes=1)
 
 
 def run_episode(scenario: Scenario, dt: float = 0.02,
@@ -582,14 +569,10 @@ def aggregate(reports: list[MetricsReport]) -> MetricsReport:
     """Fold per-episode reports: mean errors, pooled per-action rates."""
     if not reports:
         raise ValueError("need at least one report")
-    per_action: dict[str, dict] = {}
+    per_action: dict[str, ActionReport] = {}
     for rep in reports:
         for kind, entry in rep.per_action.items():
-            agg = per_action.setdefault(kind, {"completed": 0, "total": 0})
-            agg["completed"] += entry["completed"]
-            agg["total"] += entry["total"]
-    for entry in per_action.values():
-        entry["rate"] = entry["completed"] / entry["total"] if entry["total"] else 0.0
+            per_action.setdefault(kind, ActionReport()).add(entry.completed, entry.total)
     n = len(reports)
     return MetricsReport(
         e_x=sum(r.e_x for r in reports) / n,
@@ -619,7 +602,8 @@ def write_trace_csv(trace: list[dict], path) -> None:
 
 def write_report(result_metrics: MetricsReport, path,
                  extra: Optional[dict] = None) -> None:
-    payload = result_metrics.to_dict()
+    payload = to_dict(result_metrics)
+    payload.update({f"{k}_x100": payload[k] * 100.0 for k in ("e_x", "e_y", "e_w")})
     if extra:
         payload.update(extra)
     with open(path, "w") as fh:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoFeasibleGoal, NoPath
-from .geometry import Pose, vec3, quat_from_axis_angle
+from .geometry import Pose, quat_from_yaw, vec3
 
 UNKNOWN = 0
 FREE = 1
@@ -239,7 +239,7 @@ def find_goal_pose(grid: OccupancyGrid, waypoint: np.ndarray, obstacles,
                 continue
             yaw = float(np.arctan2(face_toward[1] - y, face_toward[0] - x))
             return Pose(vec3(x, y, float(waypoint[2]) if len(waypoint) > 2 else 0.0),
-                        quat_from_axis_angle(np.array([0, 0, 1.0]), yaw))
+                        quat_from_yaw(yaw))
         radius += cfg.ring_step
     raise NoFeasibleGoal(
         f"no collision-free goal within {cfg.search_radius} m of ({wx:.2f}, {wy:.2f})")

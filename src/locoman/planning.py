@@ -8,8 +8,7 @@ holds and never revert within an episode.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Protocol
 
@@ -195,12 +194,16 @@ def monitor_step(monitors: list[SubtaskMonitor], world, t: float) -> None:
 
 @dataclass
 class ActionReport:
-    completed: int
-    total: int
+    """Completed and total monitors of one action kind; `rate` follows them."""
 
-    @property
-    def rate(self) -> float:
-        return self.completed / self.total if self.total else 0.0
+    completed: int = 0
+    total: int = 0
+    rate: float = 0.0
+
+    def add(self, completed: int, total: int) -> None:
+        self.completed += completed
+        self.total += total
+        self.rate = self.completed / self.total if self.total else 0.0
 
 
 def report(monitors: list[SubtaskMonitor]) -> tuple[dict[str, ActionReport], bool]:
@@ -208,21 +211,6 @@ def report(monitors: list[SubtaskMonitor]) -> tuple[dict[str, ActionReport], boo
     buckets: dict[str, ActionReport] = {}
     for m in monitors:
         key = m.action_kind.value if m.action_kind else m.name
-        entry = buckets.setdefault(key, ActionReport(0, 0))
-        entry.total += 1
-        if m.completed:
-            entry.completed += 1
+        buckets.setdefault(key, ActionReport()).add(int(m.completed), 1)
     overall = all(m.completed for m in monitors)
     return buckets, overall
-
-
-def export_report(monitors: list[SubtaskMonitor]) -> str:
-    buckets, overall = report(monitors)
-    payload = {
-        "overall": overall,
-        "per_action": {k: {"completed": v.completed, "total": v.total,
-                           "rate": v.rate} for k, v in sorted(buckets.items())},
-        "monitors": [{"name": m.name, "completed": m.completed,
-                      "completion_time": m.completion_time} for m in monitors],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)

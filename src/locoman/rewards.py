@@ -8,7 +8,7 @@ followed by 6 arm joints. Leg order: FL, FR, RL, RR.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -203,9 +203,6 @@ class RewardWeights:
         if stage not in (1, 2):
             raise UsageError(f"stage must be 1 or 2, got {stage}")
         return getattr(self, term)[stage - 1]
-
-    def term_names(self) -> list[str]:
-        return [f.name for f in fields(self)]
 
 
 def total_reward(stage: int, terms: dict[str, float],

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .geometry import (EulerAngles, Pose, SphericalTarget, quat_from_axis_angle,
+from .geometry import (EulerAngles, Pose, SphericalTarget, quat_from_yaw,
                        spherical_to_cartesian)
 
 PI = float(np.pi)
@@ -135,9 +135,7 @@ def sample_ee_target(rng: np.random.Generator, ranges: CommandRanges,
                         _uniform(rng, ranges.beta_ee),
                         _uniform(rng, ranges.gamma_ee))
 
-    yaw = base_pose.yaw()
-    yaw_pose = Pose(base_pose.position.copy(),
-                    quat_from_axis_angle(np.array([0.0, 0.0, 1.0]), yaw))
+    yaw_pose = Pose(base_pose.position.copy(), quat_from_yaw(base_pose.yaw()))
     offset = np.asarray(arm_base_offset, dtype=float)
     center = yaw_pose.transform(offset)
     center[2] = nominal_arm_base_height + offset[2]

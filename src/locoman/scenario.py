@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 import yaml
 
-from .config import from_dict, to_dict
+from .config import from_dict
 from .errors import ParseError, ValidationError
 from .geometry import Pose
 from .planning import (NEEDS_TARGET, NEEDS_WAYPOINT, ActionKind, ConditionKind,
@@ -204,8 +204,3 @@ def load_runnable(path) -> Scenario:
     if not scenario.plan:
         raise ValidationError(f"{path}.plan: plan is empty")
     return scenario
-
-
-def save_scenario(scenario: Scenario, path) -> None:
-    with open(path, "w") as fh:
-        yaml.safe_dump(to_dict(scenario), fh, sort_keys=True)

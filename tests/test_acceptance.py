@@ -269,13 +269,13 @@ def test_criterion_7_end_to_end_protocol():
     assert result.metrics.overall is True
     assert all(o.success for o in result.outcomes)
     for kind, entry in result.metrics.per_action.items():
-        assert entry["rate"] == 1.0, kind
+        assert entry.rate == 1.0, kind
 
     offset_data = yaml.safe_load(SCENARIO_PATH.read_text())
     offset_data["grounding"]["1"] = {"offset": [0.15, 0.0, 0.0]}
     degraded = run_episode(scenario_from_dict(offset_data), master_seed=0)
-    assert degraded.metrics.per_action["pick"]["rate"] == 0.0
-    assert degraded.metrics.per_action["navigate"]["rate"] == 1.0
+    assert degraded.metrics.per_action["pick"].rate == 0.0
+    assert degraded.metrics.per_action["navigate"].rate == 1.0
     assert degraded.metrics.overall is False
     _report(7, f"clean run all rates 1.0 in {elapsed:.1f} s; "
                "0.15 m offset: pick 0.0, navigate 1.0")

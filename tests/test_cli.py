@@ -65,6 +65,19 @@ MALFORMED_CONFIGS = [
                  id="not_numbers"),
 ]
 
+# out-of-range numbers for `run`: (arguments, exit code, text the message names)
+BAD_NUMBERS = [
+    pytest.param(("--dt", "nan"), 2, "'--dt'", id="dt_nan"),
+    pytest.param(("--dt", "inf"), 2, "'--dt'", id="dt_inf"),
+    pytest.param(("--tau-base", "nan"), 2, "'--tau-base'", id="tau_base_nan"),
+    pytest.param(("--seed", -1), 2, "'--seed'", id="seed_negative"),
+    pytest.param(("--seed", -1, "--jobs", 2), 2, "'--seed'", id="seed_negative_jobs_2"),
+    pytest.param(("--noise-pos", -0.1), 2, "'--noise-pos'", id="noise_pos_negative"),
+    pytest.param(("--ee-rate", -5), 2, "'--ee-rate'", id="ee_rate_negative"),
+    pytest.param(("--config", "tracking: {noise_pos: -0.5}\n"), 3,
+                 "config.tracking.noise_pos", id="config_noise_pos_negative"),
+]
+
 
 class TestRun:
     def test_writes_run_directory(self, tmp_path):
@@ -243,6 +256,19 @@ class TestRun:
         assert res.exit_code == 2
         res = invoke("run", SCENARIO, "--dt", -0.1, "--out", tmp_path / "o")
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize("args, code, names", BAD_NUMBERS)
+    def test_bad_number_rejected(self, tmp_path, args, code, names):
+        if args[0] == "--config":
+            path = tmp_path / "bad.yaml"
+            path.write_text(args[1])
+            args = ("--config", path)
+        res = invoke("run", SCENARIO, "--episodes", 2, *args, "--out", tmp_path / "o")
+        assert res.exit_code == code, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert names in res.output
+        assert "Traceback" not in res.output
+        assert not (tmp_path / "o").exists()
 
 
 # malformed copies of the bundled scenario, each with the location its

@@ -79,6 +79,9 @@ class TestLoad:
         ({"randomization": {"entries": [{"parameter": 7, "range": [0.4, 2.0],
                                          "method": "abs"}]}},
          r"config.randomization.entries\[0\].parameter: expected str"),
+        ({"tracking": {"noise_ori": -0.01}},
+         "config.tracking.noise_ori: must be finite and >= 0"),
+        ({"tracking": {"ee_rate": 0.0}}, "config.tracking.ee_rate: must be finite and > 0"),
     ])
     def test_malformed_rejected_with_location(self, data, where):
         with pytest.raises(ValidationError, match=where):

@@ -3,9 +3,8 @@ import pytest
 
 from locoman.errors import UsageError
 from locoman.fusion import (Detection, FusionConfig, InstanceGraph,
-                            geometric_similarity, read_detection_stream,
-                            semantic_similarity, should_merge,
-                            voxel_downsample, write_detection_stream)
+                            geometric_similarity, semantic_similarity,
+                            should_merge, voxel_downsample)
 
 
 def brute_force_geometric(points_i, points_j, epsilon):
@@ -195,20 +194,3 @@ class TestInstanceGraph:
         g = InstanceGraph(descriptor_dim=4)
         with pytest.raises(UsageError):
             g.ingest_detection(_det([1, 0], [[0, 0, 0]]))
-
-
-class TestDetectionStream:
-    def test_round_trip(self, tmp_path):
-        dets = [
-            Detection("apple", np.array([1.0, 0.0]), np.array([[0, 0, 0.0]]), 1.5),
-            Detection("cart", np.array([0.0, 1.0]), np.array([[1, 2, 3.0], [4, 5, 6.0]])),
-        ]
-        path = tmp_path / "stream.jsonl"
-        write_detection_stream(path, dets)
-        back = read_detection_stream(path)
-        assert len(back) == 2
-        for a, b in zip(dets, back):
-            assert a.label == b.label
-            assert np.allclose(a.descriptor, b.descriptor)
-            assert np.allclose(a.points, b.points)
-            assert a.timestamp == b.timestamp

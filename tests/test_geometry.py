@@ -5,10 +5,10 @@ from locoman.geometry import (EulerAngles, Pose, SphericalTarget,
                               cartesian_to_spherical, euler_from_quat,
                               is_rotation_matrix, matrix_to_quat, norm,
                               quat_from_axis_angle, quat_from_euler,
-                              quat_geodesic_distance, quat_mul, quat_normalize,
-                              quat_rotate, quat_slerp, quat_to_matrix,
-                              spherical_to_cartesian, transform_point, unit,
-                              vec3, wrap_angle)
+                              quat_from_yaw, quat_geodesic_distance, quat_mul,
+                              quat_normalize, quat_rotate, quat_slerp,
+                              quat_to_matrix, spherical_to_cartesian, unit,
+                              wrap_angle)
 
 
 def random_quat(rng):
@@ -93,6 +93,17 @@ class TestQuaternions:
         assert np.allclose(quat_slerp(a, b, 0.0), a, atol=1e-12)
         end = quat_slerp(a, b, 1.0)
         assert min(np.linalg.norm(end - b), np.linalg.norm(end + b)) < 1e-12
+
+    def test_from_yaw_bitwise_equals_axis_angle(self):
+        rng = np.random.Generator(np.random.PCG64(13))
+        z_axis = np.array([0, 0, 1.0])
+        yaws = list(rng.uniform(-4 * np.pi, 4 * np.pi, 20_000))  # np.float64
+        yaws += [float(y) for y in rng.uniform(-4 * np.pi, 4 * np.pi, 20_000)]
+        yaws += [0.0, -0.0, np.pi, -np.pi, 2 * np.pi, -2 * np.pi, 5e-324, 0, 1]
+        for yaw in yaws:
+            # tobytes compares sign bits too, so -0.0 != 0.0 here
+            assert quat_from_yaw(yaw).tobytes() == \
+                quat_from_axis_angle(z_axis, yaw).tobytes(), yaw
 
 
 class TestGeodesicDistance:
@@ -187,12 +198,6 @@ class TestPose:
             assert type(got) is float
             assert np.float64(got).tobytes() == \
                 np.float64(euler_from_quat(q)[2]).tobytes(), q
-
-    def test_transform_point_between_frames(self):
-        a = Pose.from_xy_yaw(1.0, 0.0, 0.0)
-        b = Pose.from_xy_yaw(0.0, 1.0, 0.0)
-        p = transform_point(vec3(0, 0, 0), a, b)
-        assert np.allclose(p, [1.0, -1.0, 0.0], atol=1e-12)
 
 
 class TestMisc:

@@ -33,29 +33,6 @@ class TestCameraModel:
                         extrinsic=Pose.identity())
 
 
-class TestDepthImage:
-    def test_save_load_round_trip(self, tmp_path):
-        rng = np.random.Generator(np.random.PCG64(1))
-        img = DepthImage(8, 6, rng.uniform(0.1, 2.0, size=(6, 8)).astype(np.float32))
-        path = tmp_path / "d.bin"
-        img.save(path)
-        back = DepthImage.load(path)
-        assert back.width == 8 and back.height == 6
-        assert np.array_equal(back.depth, img.depth)
-
-    def test_load_rejects_bad_header(self, tmp_path):
-        path = tmp_path / "bad.bin"
-        path.write_bytes(b"nope 8 6\n" + b"\x00" * 192)
-        with pytest.raises(UsageError):
-            DepthImage.load(path)
-
-    def test_load_rejects_size_mismatch(self, tmp_path):
-        path = tmp_path / "short.bin"
-        path.write_bytes(b"depth 8 6\n" + b"\x00" * 10)
-        with pytest.raises(UsageError):
-            DepthImage.load(path)
-
-
 class TestPixelToPoint:
     def test_transforms_into_base_frame(self):
         extrinsic = Pose(np.array([0.2, 0.0, 0.5]), quat_from_euler(0, 0, np.pi / 2))

@@ -17,8 +17,7 @@ from locoman.harness import (BASE_STAND_HEIGHT, aggregate,
                              write_trace_csv)
 from locoman.navgrid import FREE, OCCUPIED, OccupancyGrid
 from locoman.sampling import LocomotionCommand, make_rng
-from locoman.scenario import (load_runnable, load_scenario, save_scenario,
-                              scenario_from_dict)
+from locoman.scenario import load_runnable, load_scenario, scenario_from_dict
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -54,12 +53,10 @@ class TestScenarioSchema:
         assert len(s.plan) == 6
         assert len(s.monitors) == 6
 
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "saved.yaml"
+    def test_round_trip(self):
         for s in (scenario_from_dict(minimal_scenario_dict()),
                   load_scenario(SCENARIO_DIR / "cart_delivery.yaml")):
-            save_scenario(s, path)
-            back = load_scenario(path)
+            back = scenario_from_dict(yaml.safe_load(yaml.safe_dump(to_dict(s))))
             assert to_dict(back) == to_dict(s)
 
     def test_missing_field_located(self):
@@ -342,7 +339,7 @@ class TestEpisode:
         result = run_episode(s, master_seed=0)
         assert [o.success for o in result.outcomes] == [True]
         assert result.metrics.overall is True
-        assert result.metrics.per_action["navigate"]["rate"] == 1.0
+        assert result.metrics.per_action["navigate"].rate == 1.0
         assert result.trace, "expected per-tick trace rows"
 
     def test_trace_is_deterministic(self):
@@ -379,7 +376,7 @@ class TestEpisode:
         reports = [run_episode(s, master_seed=k).metrics for k in range(2)]
         agg = aggregate(reports)
         assert agg.episodes == 2
-        assert agg.per_action["navigate"]["total"] == 2
+        assert agg.per_action["navigate"].total == 2
         assert agg.overall == 1.0
 
 

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -8,7 +6,7 @@ from locoman.fusion import Detection, InstanceGraph
 from locoman.geometry import Pose, vec3
 from locoman.planning import (ActionKind, AtomicAction, ConditionKind,
                               GoalCondition, ScriptedPlanner, SubtaskMonitor,
-                              TaskPlan, condition_holds, decompose, export_report,
+                              TaskPlan, condition_holds, decompose,
                               monitor_step, report, validate_plan)
 
 
@@ -214,12 +212,3 @@ class TestMonitors:
         a.completed = True
         _, overall = report([a])
         assert overall is True
-
-    def test_export_report_json(self):
-        m = self._monitor()
-        m.completed = True
-        m.completion_time = 3.5
-        payload = json.loads(export_report([m]))
-        assert payload["overall"] is True
-        assert payload["monitors"][0]["completion_time"] == 3.5
-        assert payload["per_action"]["navigate"]["rate"] == 1.0

@@ -1,0 +1,74 @@
+"""Dead-surface guard: every module-level function and class in
+`src/locoman/` is reached from `src/` or `benchmarks/`, or is library-only
+with a paper role named in LIBRARY_ONLY."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = sorted((ROOT / "src" / "locoman").glob("*.py"))
+BENCHMARKS = sorted((ROOT / "benchmarks").glob("*.py"))
+
+# names `run` never reaches, kept for the paper table or criterion they transcribe
+LIBRARY_ONLY = {
+    "r_ee_pos": "reward weight table: end-effector position tracking (stage 2)",
+    "r_ee_ori": "reward weight table: end-effector orientation tracking (stage 2)",
+    "r_torque": "reward weight table: torque regularization, base and arm",
+    "r_acc": "reward weight table: joint acceleration regularization, base and arm",
+    "r_power": "reward weight table: mechanical power regularization, base and arm",
+    "r_smooth": "reward weight table: action smoothness",
+    "pd_torque": "PD joint control with the paper's gains (Config.pd_gains)",
+    "apply_action": "policy action as an offset from the default joint configuration",
+    "assemble_observation": "the whole-body policy's observation layout",
+    "HeightmapSpec": "the terrain heightmap block of the observation",
+    "sample_episode_randomization": "domain randomization table (Config.randomization)",
+    "quat_from_euler": "end-effector orientation commands (alpha, beta, gamma); "
+                       "criterion 5 tilts the base with it",
+    "euler_from_quat": "the extrinsic X-Y-Z Euler convention; the oracle of Pose.yaw",
+    "cartesian_to_spherical": "criterion 5 oracle: targets back in (l, p, y)",
+    "is_rotation_matrix": "criterion 2 oracle: the orientation solver returns a rotation",
+}
+
+
+def _names(node) -> set[str]:
+    """Identifiers a node mentions: names, attributes and imported names."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.alias):
+            out.add(n.name.rsplit(".", 1)[-1])
+    return out
+
+
+def _is_command(node) -> bool:
+    return any(".command" in ast.unparse(d) for d in node.decorator_list)
+
+
+def definitions_and_unreached():
+    """All module-level functions and classes of `src/locoman/`, and those of
+    them that no other top-level statement in `src/` or `benchmarks/` names
+    (a definition naming itself does not count)."""
+    statements, defined = [], []
+    for path in SRC + BENCHMARKS:
+        for node in ast.parse(path.read_text()).body:
+            statements.append((node, _names(node)))
+            is_def = isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            if path in SRC and is_def:
+                defined.append(node)
+    unreached = {d.name for d in defined if not _is_command(d)
+                 and not any(d.name in names for node, names in statements if node is not d)}
+    return {d.name for d in defined}, unreached
+
+
+def test_every_definition_is_reached_or_library_only():
+    _, unreached = definitions_and_unreached()
+    assert sorted(unreached - LIBRARY_ONLY.keys()) == []
+
+
+def test_library_only_names_exist_and_are_unreached():
+    defined, unreached = definitions_and_unreached()
+    assert sorted(LIBRARY_ONLY.keys() - defined) == []
+    assert sorted(LIBRARY_ONLY.keys() - unreached) == []
