@@ -23,9 +23,8 @@ import numpy as np
 from .config import Config, to_dict
 from .errors import LocomanError, ParseError, ValidationError
 from .harness import (MetricsReport, aggregate, build_occupancy_grid,
-                      run_episode, write_report, write_trace_csv)
-from .rewards import (ContactTimeline, r_freq, r_gait, r_track_xy,
-                      r_track_yaw, total_reward)
+                      run_episode, stage1_terms, write_report, write_trace_csv)
+from .rewards import ContactTimeline, total_reward
 from .scenario import load_runnable, load_scenario
 
 EXIT_OK = 0
@@ -52,6 +51,11 @@ def _load_config(path: str | None) -> Config:
         sys.exit(EXIT_IO)
 
 
+def _cannot_write(out: Path, exc: OSError):
+    click.echo(f"error: cannot write {out}: {exc}", err=True)
+    sys.exit(EXIT_IO)
+
+
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -60,8 +64,8 @@ def _run_one(task) -> MetricsReport:
     """Run one episode and write its trace and report; return only the
     metrics, so a worker process never sends a trace back."""
     scenario, k, ep_dir, dt, seed, cfg = task
-    result = run_episode(scenario, dt=dt, tracking=cfg.tracking, master_seed=seed,
-                         episode_index=k, config=cfg)
+    result = run_episode(scenario, dt=dt, master_seed=seed, episode_index=k,
+                         config=cfg)
     ep_dir.mkdir(parents=True, exist_ok=True)
     write_trace_csv(result.trace, ep_dir / "trace.csv")
     write_report(result.metrics, ep_dir / "report.json",
@@ -87,8 +91,9 @@ def _start_method() -> str:
                 type=click.Path(path_type=Path))
 @click.option("--episodes", default=1, show_default=True, type=click.IntRange(min=1),
               help="Episodes per scenario.")
-@click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0),
-              help="Master seed; episode i uses stream i.")
+@click.option("--seed", default=None, type=click.IntRange(min=0),
+              help="Master seed; episode i uses stream i. Default: each "
+                   "scenario's own seed.")
 @click.option("--dt", default=0.02, show_default=True, type=float)
 @click.option("--jobs", default=1, show_default=True, type=click.IntRange(min=1))
 @click.option("--out", required=True, type=click.Path(path_type=Path),
@@ -134,11 +139,11 @@ def run(scenarios, episodes, seed, dt, jobs, out, config_path,
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
 
-    out.mkdir(parents=True, exist_ok=True)
     tasks = [(scenario, k, out / scenario.name / f"episode_{k}", dt, seed, cfg)
              for _, scenario in loaded for k in range(episodes)]
     workers = min(jobs, len(tasks))
     try:
+        out.mkdir(parents=True, exist_ok=True)
         if workers > 1:
             ctx = multiprocessing.get_context(_start_method())
             with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
@@ -149,6 +154,8 @@ def run(scenarios, episodes, seed, dt, jobs, out, config_path,
         # only plan-level faults escape an episode; action faults are outcomes
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
+    except OSError as exc:  # `out`, or an episode directory under it, cannot be made
+        _cannot_write(out, exc)
 
     write_report(aggregate(reports), out / "aggregate.json")
     manifest = {
@@ -236,12 +243,7 @@ def rewards(timeline, out, config_path):
         tl.update(contacts, dt, t)
         cmd = np.array([values["cmd_vx"], values["cmd_vy"], values["cmd_w"]])
         act = np.array([values["act_vx"], values["act_vy"], values["act_w"]])
-        terms = {
-            "track_xy": r_track_xy(cmd[:2], act[:2], cfg.gamma_xy),
-            "track_yaw": r_track_yaw(cmd[2], act[2], cfg.gamma_w),
-            "gait": r_gait(tl),
-            "freq": r_freq(tl, cfg.f_target),
-        }
+        terms = stage1_terms(cfg, cmd, act, tl)
         for name in _TIMELINE_TERMS:
             terms[name] = values[name]
         rec = {"t": repr(t)}
@@ -252,10 +254,13 @@ def rewards(timeline, out, config_path):
 
     fieldnames = (["t"] + sorted(set().union(*[set(r) for r in out_rows]) - {"t"})
                   if out_rows else ["t"])
-    with open(out, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
-        writer.writeheader()
-        writer.writerows(out_rows)
+    try:
+        with open(out, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=fieldnames)
+            writer.writeheader()
+            writer.writerows(out_rows)
+    except OSError as exc:
+        _cannot_write(out, exc)
     sys.exit(EXIT_OK)
 
 
@@ -290,8 +295,11 @@ def export_grid(scenario, out):
         click.echo(f"invalid: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
     grid = build_occupancy_grid(scen)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    grid.export_raster(str(out) + ".pgm", str(out) + ".hdr")
+    try:
+        out.parent.mkdir(parents=True, exist_ok=True)
+        grid.export_raster(str(out) + ".pgm", str(out) + ".hdr")
+    except OSError as exc:
+        _cannot_write(out, exc)
     sys.exit(EXIT_OK)
 
 

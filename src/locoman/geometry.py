@@ -228,10 +228,6 @@ class Pose:
         object.__setattr__(self, "orientation", np.asarray(self.orientation, dtype=float))
 
     @staticmethod
-    def identity() -> "Pose":
-        return Pose()
-
-    @staticmethod
     def from_xy_yaw(x: float, y: float, yaw: float, z: float = 0.0) -> "Pose":
         return Pose(vec3(x, y, z), quat_from_yaw(yaw))
 

@@ -42,6 +42,7 @@ ORI_TOLERANCE = 0.35
 PRE_CONTACT_OFFSET = 0.10  # meters backed off along the approach axis
 NAV_TIMEOUT = 60.0
 MANIP_TIMEOUT = 20.0
+GOAL_SEARCH = GoalSearchConfig()
 
 # ---------------------------------------------------------------------------
 # world state
@@ -206,6 +207,18 @@ class EpisodeResult:
     metrics: MetricsReport
 
 
+def stage1_terms(cfg: Config, cmd: np.ndarray, act: np.ndarray,
+                 timeline: ContactTimeline) -> dict[str, float]:
+    """The stage-1 reward terms of one tick: base velocity tracking of the
+    command `(vx, vy, w)` by `act`, and the gait and frequency of the timeline."""
+    return {
+        "track_xy": r_track_xy(cmd[:2], act[:2], cfg.gamma_xy),
+        "track_yaw": r_track_yaw(cmd[2], act[2], cfg.gamma_w),
+        "gait": r_gait(timeline),
+        "freq": r_freq(timeline, cfg.f_target),
+    }
+
+
 TRACE_COLUMNS = [
     "t", "action_index", "base_x", "base_y", "base_yaw",
     "cmd_vx", "act_vx", "cmd_vy", "act_vy", "cmd_w", "act_w",
@@ -218,17 +231,13 @@ class EpisodeRunner:
     """Owns one episode: world, grid, graph, monitors, trace, metrics."""
 
     def __init__(self, scenario: Scenario, dt: float = 0.02,
-                 tracking: TrackingConfig | None = None,
                  master_seed: Optional[int] = None, episode_index: int = 0,
-                 goal_cfg: GoalSearchConfig | None = None,
                  config: Config | None = None):
         self.scenario = scenario
         self.dt = dt
-        self.tracking = tracking or TrackingConfig()
         self.config = config or Config()
         seed = scenario.seed if master_seed is None else master_seed
         self.rng = episode_rng(seed, episode_index)
-        self.goal_cfg = goal_cfg or GoalSearchConfig()
         self.world = make_world(scenario)
         self.grid = build_occupancy_grid(scenario)
         self.graph, self.node_of = build_instance_graph(scenario)
@@ -243,7 +252,6 @@ class EpisodeRunner:
         self._ee_err_sums = np.zeros(2)
         self._ee_ticks = 0
         self._action_index = -1
-        self._current_ee_cmd: Optional[Pose] = None
 
     # -- plan ------------------------------------------------------------
 
@@ -259,8 +267,7 @@ class EpisodeRunner:
     # -- stepping --------------------------------------------------------
 
     def tick(self, base_cmd: LocomotionCommand, ee_cmd: Optional[Pose]) -> None:
-        self._current_ee_cmd = ee_cmd
-        step(self.world, base_cmd, ee_cmd, self.dt, self.tracking, self.rng,
+        step(self.world, base_cmd, ee_cmd, self.dt, self.config.tracking, self.rng,
              self.scenario, self.grid)
         monitor_step(self.monitors, self.world, self.world.t)
         self._record(base_cmd, ee_cmd)
@@ -292,14 +299,8 @@ class EpisodeRunner:
             contacts = {leg: True for leg in ("FL", "FR", "RL", "RR")}
         self.timeline.update(contacts, self.dt, w.t)
 
-        cfg = self.config
-        terms = {
-            "track_xy": r_track_xy(cmd[:2], w.base_vel[:2], cfg.gamma_xy),
-            "track_yaw": r_track_yaw(cmd[2], w.base_vel[2], cfg.gamma_w),
-            "gait": r_gait(self.timeline),
-            "freq": r_freq(self.timeline, cfg.f_target),
-        }
-        self.trace.append({
+        terms = stage1_terms(self.config, cmd, w.base_vel, self.timeline)
+        row = {
             "t": w.t, "action_index": self._action_index,
             "base_x": w.base_pose.position[0], "base_y": w.base_pose.position[1],
             "base_yaw": w.base_pose.yaw(),
@@ -307,13 +308,10 @@ class EpisodeRunner:
             "cmd_vy": cmd[1], "act_vy": w.base_vel[1],
             "cmd_w": cmd[2], "act_w": w.base_vel[2],
             "ee_err_pos": ee_pos_err, "ee_err_ori": ee_ori_err,
-            "r_track_xy": terms["track_xy"], "r_track_yaw": terms["track_yaw"],
-            "r_gait": terms["gait"], "r_freq": terms["freq"],
-            "total_stage1": total_reward(1, terms, cfg.reward_weights),
-        })
-
-    def time_left(self) -> float:
-        return self.scenario.horizon - self.world.t
+            "total_stage1": total_reward(1, terms, self.config.reward_weights),
+        }
+        row.update({f"r_{name}": value for name, value in terms.items()})
+        self.trace.append(row)
 
     # -- primitive controllers -------------------------------------------
 
@@ -347,7 +345,7 @@ class EpisodeRunner:
                 continue
             obstacles.append(obj.bbox(self.world.object_poses[obj.id].position))
         try:
-            goal = find_goal_pose(self.grid, waypoint, obstacles, self.goal_cfg,
+            goal = find_goal_pose(self.grid, waypoint, obstacles, GOAL_SEARCH,
                                   face_toward)
         except NoFeasibleGoal as exc:
             return False, str(exc)
@@ -355,7 +353,7 @@ class EpisodeRunner:
         goal_cell = self.grid.ensure_contains(*goal.position[:2])
         try:
             cells = plan_path(self.grid, start_cell, goal_cell,
-                              inflation=self.goal_cfg.robot_inflation)
+                              inflation=GOAL_SEARCH.robot_inflation)
         except NoPath as exc:
             return False, str(exc)
         points = [self.grid.cell_center(cx, cy) for cx, cy in cells]
@@ -415,10 +413,6 @@ class EpisodeRunner:
                              "grounding", default_approach=default_approach)
 
     # -- atomic actions --------------------------------------------------
-
-    def _do_navigate(self, action: AtomicAction) -> tuple[bool, str]:
-        return self._navigate_to(action.waypoint, action.waypoint,
-                                 timeout=NAV_TIMEOUT)
 
     def _do_pick(self, index: int, action: AtomicAction) -> tuple[bool, str]:
         deadline = min(self.world.t + MANIP_TIMEOUT, self.scenario.horizon)
@@ -514,7 +508,8 @@ class EpisodeRunner:
         self._action_index = index
         try:
             if action.kind is ActionKind.NAVIGATE:
-                ok, detail = self._do_navigate(action)
+                ok, detail = self._navigate_to(action.waypoint, action.waypoint,
+                                               timeout=NAV_TIMEOUT)
             elif action.kind is ActionKind.PICK:
                 ok, detail = self._do_pick(index, action)
             elif action.kind is ActionKind.PLACE:
@@ -536,7 +531,7 @@ class EpisodeRunner:
     def run(self) -> EpisodeResult:
         plan = self.build_plan()
         for i, action in enumerate(plan.actions):
-            if self.time_left() <= 0.0:
+            if self.world.t >= self.scenario.horizon:
                 self.outcomes.append(ActionOutcome(i, action.kind.value, False,
                                                    "horizon exhausted"))
                 continue
@@ -555,14 +550,11 @@ class EpisodeRunner:
 
 
 def run_episode(scenario: Scenario, dt: float = 0.02,
-                tracking: TrackingConfig | None = None,
                 master_seed: Optional[int] = None,
                 episode_index: int = 0,
                 config: Config | None = None) -> EpisodeResult:
-    runner = EpisodeRunner(scenario, dt=dt, tracking=tracking,
-                           master_seed=master_seed, episode_index=episode_index,
-                           config=config)
-    return runner.run()
+    return EpisodeRunner(scenario, dt=dt, master_seed=master_seed,
+                         episode_index=episode_index, config=config).run()
 
 
 def aggregate(reports: list[MetricsReport]) -> MetricsReport:

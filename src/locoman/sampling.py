@@ -93,14 +93,6 @@ class CommandRanges:
             alpha_ee=(-0.45 * PI, 0.45 * PI), beta_ee=(-0.33 * PI, 0.33 * PI),
             gamma_ee=(-0.42 * PI, 0.42 * PI))
 
-    @staticmethod
-    def preset(name: str) -> "CommandRanges":
-        try:
-            return {"train": CommandRanges.train, "eval": CommandRanges.eval,
-                    "roboduet": CommandRanges.roboduet}[name]()
-        except KeyError:
-            raise ValueError(f"unknown preset {name!r}") from None
-
 
 def _uniform(rng: np.random.Generator, bounds: tuple[float, float]) -> float:
     lo, hi = bounds

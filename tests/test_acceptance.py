@@ -27,8 +27,7 @@ from locoman.navgrid import (FREE, OCCUPIED, SQRT2, GoalSearchConfig,
 from locoman.rewards import (ContactTimeline, LegTimeline, r_freq, r_gait,
                              sync_term, total_reward)
 from locoman.geometry import cartesian_to_spherical
-from locoman.sampling import (CommandRanges, make_rng, sample_ee_target,
-                              sample_locomotion_command)
+from locoman.sampling import make_rng, sample_ee_target, sample_locomotion_command
 
 SCENARIO_PATH = Path(__file__).resolve().parent.parent / "scenarios" / "cart_delivery.yaml"
 PI = np.pi
@@ -149,7 +148,7 @@ def test_criterion_5_sampling_ranges_and_invariance():
     # the drawn spherical parameters exactly
     base = Pose(vec3(0.0, 0.0, 0.55), quat_from_euler(0, 0, 0))
     for name in ("train", "eval", "roboduet"):
-        ranges = CommandRanges.preset(name)
+        ranges = Config().command_ranges[name]
         rng = make_rng(505)
         draws = {k: np.empty(n) for k in
                  ("x", "y", "w", "l_ee", "p_ee", "y_ee",
@@ -172,7 +171,7 @@ def test_criterion_5_sampling_ranges_and_invariance():
                 assert vals.min() <= lo_b + 0.01 * span
                 assert vals.max() >= hi_b - 0.01 * span
 
-    ranges = CommandRanges.preset("train")
+    ranges = Config().command_ranges["train"]
     z_by_pitch = []
     for pitch in (-0.5, 0.0, 0.5):
         rng = make_rng(42)

@@ -101,6 +101,18 @@ class TestRun:
         assert manifest["config_hash"] == Config().digest()
         assert len(manifest["scenarios"][0]["sha256"]) == 64
 
+    def test_scenario_seed_is_the_default(self, tmp_path):
+        # cart_delivery.yaml says `seed: 7`; noise makes the trace seed-dependent
+        def trace_of(name, *seed):
+            res = invoke("run", SCENARIO, *seed, *NOISY, "--out", tmp_path / name)
+            assert res.exit_code == 0, res.output
+            return (tmp_path / name / "cart_delivery" / "episode_0" / "trace.csv").read_bytes()
+
+        unset = trace_of("unset")
+        assert unset == trace_of("seven", "--seed", 7)
+        assert unset != trace_of("zero", "--seed", 0)
+        assert json.loads((tmp_path / "unset" / "manifest.json").read_text())["seed"] is None
+
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         invoke("run", SCENARIO, "--seed", 4, "--episodes", 2, "--out", a)
@@ -433,6 +445,24 @@ class TestGoldenDigest:
         digests = {str(rel): hashlib.sha256((out / rel).read_bytes()).hexdigest()
                    for rel in files_of(out)}
         assert digests == GOLDEN[flags]
+
+
+@pytest.mark.parametrize("command, out", [
+    ("run", "afile"), ("run", "afile/run"), ("run", "taken"),
+    ("export-grid", "afile/map"), ("rewards", "afile/terms.csv"),
+])
+def test_unwritable_out_io_exit(tmp_path, command, out):
+    (tmp_path / "afile").write_text("")
+    (tmp_path / "taken").mkdir()
+    (tmp_path / "taken" / "cart_delivery").write_text("")  # where run's episodes go
+    timeline = tmp_path / "timeline.csv"
+    timeline.write_text(CONTACTS + "\n0.02,1,1,1,1\n")
+    source = timeline if command == "rewards" else SCENARIO
+    res = invoke(command, source, "--out", tmp_path / out)
+    assert res.exit_code == 4, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert "error: cannot write" in res.output
+    assert "Traceback" not in res.output
 
 
 class TestExportGrid:

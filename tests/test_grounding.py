@@ -10,7 +10,7 @@ from locoman.grounding import (CameraModel, DepthImage, GroundingResult,
 
 def _cam(extrinsic=None):
     return CameraModel(fx=100.0, fy=100.0, cx=32.0, cy=32.0, width=64, height=64,
-                       extrinsic=extrinsic or Pose.identity())
+                       extrinsic=extrinsic or Pose())
 
 
 class TestCameraModel:
@@ -30,7 +30,7 @@ class TestCameraModel:
     def test_bad_intrinsics_rejected(self):
         with pytest.raises(ValueError):
             CameraModel(fx=0.0, fy=100.0, cx=32, cy=32, width=64, height=64,
-                        extrinsic=Pose.identity())
+                        extrinsic=Pose())
 
 
 class TestPixelToPoint:

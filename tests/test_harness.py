@@ -8,7 +8,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from locoman.config import TrackingConfig, to_dict
+from locoman.config import Config, TrackingConfig, to_dict
 from locoman.errors import LocomanError, ParseError, ValidationError
 from locoman.geometry import Pose, quat_geodesic_distance, vec3
 from locoman.harness import (BASE_STAND_HEIGHT, aggregate,
@@ -367,7 +367,7 @@ class TestEpisode:
 
     def test_lagged_tracking_reports_errors(self):
         s = scenario_from_dict(minimal_scenario_dict())
-        m = run_episode(s, tracking=TrackingConfig(tau_base=0.3),
+        m = run_episode(s, config=Config(tracking=TrackingConfig(tau_base=0.3)),
                         master_seed=0).metrics
         assert m.e_x > 0.0
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from locoman.config import Config
 from locoman.geometry import Pose, quat_from_euler, vec3
 from locoman.sampling import (CommandRanges, PushEvent, RandomizationConfig,
                               RandomizationEntry, default_randomization,
@@ -26,10 +27,7 @@ class TestRng:
 
 class TestCommandRanges:
     def test_presets_exist(self):
-        for name in ("train", "eval", "roboduet"):
-            CommandRanges.preset(name)
-        with pytest.raises(ValueError):
-            CommandRanges.preset("test")
+        assert sorted(Config().command_ranges) == ["eval", "roboduet", "train"]
 
     def test_bad_range_rejected(self):
         with pytest.raises(ValueError):
@@ -41,7 +39,7 @@ class TestCommandRanges:
 class TestCommandSampling:
     def test_in_range_all_presets(self):
         for name in ("train", "eval", "roboduet"):
-            ranges = CommandRanges.preset(name)
+            ranges = Config().command_ranges[name]
             rng = make_rng(1)
             for _ in range(2000):
                 cmd = sample_locomotion_command(rng, ranges)

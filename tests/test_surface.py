@@ -1,8 +1,11 @@
 """Dead-surface guard: every module-level function and class in
 `src/locoman/` is reached from `src/` or `benchmarks/`, or is library-only
-with a paper role named in LIBRARY_ONLY."""
+with a paper role named in LIBRARY_ONLY; every method of a `src/locoman/`
+class is reached; and every function the benchmark tracer wraps exists."""
 
 import ast
+import importlib.util
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -30,16 +33,17 @@ LIBRARY_ONLY = {
 }
 
 
-def _names(node) -> set[str]:
-    """Identifiers a node mentions: names, attributes and imported names."""
-    out = set()
+def _names(node) -> Counter:
+    """Identifiers a node mentions, with their counts: names, attributes and
+    imported names."""
+    out = Counter()
     for n in ast.walk(node):
         if isinstance(n, ast.Name):
-            out.add(n.id)
+            out[n.id] += 1
         elif isinstance(n, ast.Attribute):
-            out.add(n.attr)
+            out[n.attr] += 1
         elif isinstance(n, ast.alias):
-            out.add(n.name.rsplit(".", 1)[-1])
+            out[n.name.rsplit(".", 1)[-1]] += 1
     return out
 
 
@@ -72,3 +76,30 @@ def test_library_only_names_exist_and_are_unreached():
     defined, unreached = definitions_and_unreached()
     assert sorted(LIBRARY_ONLY.keys() - defined) == []
     assert sorted(LIBRARY_ONLY.keys() - unreached) == []
+
+
+def unreached_methods():
+    """`Class.method` for every method of a `src/locoman/` class, dunders
+    aside, that nothing in `src/` or `benchmarks/` names outside its own body."""
+    trees = [(path, ast.parse(path.read_text())) for path in SRC + BENCHMARKS]
+    mentioned = sum((_names(tree) for _, tree in trees), Counter())
+    return sorted(f"{cls.name}.{m.name}" for path, tree in trees if path in SRC
+                  for cls in tree.body if isinstance(cls, ast.ClassDef)
+                  for m in cls.body if isinstance(m, ast.FunctionDef)
+                  and not m.name.startswith("__")
+                  and mentioned[m.name] == _names(m)[m.name])
+
+
+def test_every_method_is_reached():
+    assert unreached_methods() == []
+
+
+def test_tracer_targets_resolve():
+    """A function the benchmark tracer cannot find leaves its per-layer span
+    at 0 with only a warning, so a move or rename must fail here instead."""
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "benchmarks" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [f"{path}.{attr}" for path, attr, _, _ in tracer.TARGETS
+               if vars(tracer._resolve(path)).get(attr) is None]
+    assert missing == []
