@@ -6,8 +6,10 @@ Exit codes: 0 ok, 2 usage, 3 config/validation, 4 I/O.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -20,17 +22,29 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .config import Config, to_dict
-from .errors import LocomanError, ParseError, ValidationError
+from .config import Config, read_file, to_dict
+from .errors import LocomanError, ValidationError
 from .harness import (MetricsReport, aggregate, build_occupancy_grid,
                       run_episode, stage1_terms, write_report, write_trace_csv)
 from .rewards import ContactTimeline, total_reward
-from .scenario import load_runnable, load_scenario
+from .scenario import Scenario, load_scenario
 
-EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_CONFIG = 3
 EXIT_IO = 4
+
+
+def _exit_codes(command):
+    """The one error boundary, shared by every command: a command raises, and
+    its failure becomes one `error:` line and an exit code, 4 for I/O and 3
+    for a config, scenario or plan fault. click's usage errors keep exit 2."""
+    @functools.wraps(command)
+    def boundary(*args, **kwargs):
+        try:
+            return command(*args, **kwargs)
+        except (OSError, LocomanError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(EXIT_IO if isinstance(exc, OSError) else EXIT_CONFIG)
+    return boundary
 
 
 @click.group()
@@ -38,22 +52,22 @@ def main():
     """Deterministic mobile-manipulation planning & evaluation toolkit."""
 
 
-def _load_config(path: str | None) -> Config:
-    if path is None:
-        return Config()
+@contextlib.contextmanager
+def _writing(out: Path):
+    """Name `out` in an I/O failure of the block."""
     try:
-        return Config.load(path)
-    except (ParseError, ValidationError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
+        yield
     except OSError as exc:
-        click.echo(f"error: cannot read config: {exc}", err=True)
-        sys.exit(EXIT_IO)
+        raise OSError(f"cannot write {out}: {exc}") from exc
 
 
-def _cannot_write(out: Path, exc: OSError):
-    click.echo(f"error: cannot write {out}: {exc}", err=True)
-    sys.exit(EXIT_IO)
+def _load_runnable(path: Path) -> Scenario:
+    """load_scenario, also rejecting an empty plan: such a scenario is a
+    scene (enough for a grid) that no episode can start."""
+    scenario = load_scenario(path)
+    if not scenario.plan:
+        raise ValidationError(f"{path}.plan: plan is empty")
+    return scenario
 
 
 def _sha256(path: Path) -> str:
@@ -98,19 +112,19 @@ def _start_method() -> str:
 @click.option("--jobs", default=1, show_default=True, type=click.IntRange(min=1))
 @click.option("--out", required=True, type=click.Path(path_type=Path),
               help="Run directory for traces, reports, and the manifest.")
-@click.option("--config", "config_path", default=None,
-              type=click.Path(exists=True, path_type=Path))
+@click.option("--config", "config_path", default=None, type=click.Path(path_type=Path))
 @click.option("--tau-base", default=None, type=float,
               help="Override base velocity lag (seconds).")
 @click.option("--ee-rate", default=None, type=float)
 @click.option("--noise-pos", default=None, type=float)
 @click.option("--noise-ori", default=None, type=float)
+@_exit_codes
 def run(scenarios, episodes, seed, dt, jobs, out, config_path,
         tau_base, ee_rate, noise_pos, noise_ori):
     """Run scenario episodes and write traces plus an aggregate report."""
     if not (math.isfinite(dt) and dt > 0):
         raise click.BadParameter(f"must be finite and > 0, got {dt!r}", param_hint="'--dt'")
-    cfg = _load_config(config_path)
+    cfg = Config.load(config_path) if config_path else Config()
     overrides = {"tau_base": tau_base, "ee_rate": ee_rate,
                  "noise_pos": noise_pos, "noise_ori": noise_ori}
     try:
@@ -128,21 +142,24 @@ def run(scenarios, episodes, seed, dt, jobs, out, config_path,
             paths.append(s)
     if not paths:
         raise click.UsageError("no scenario files given")
-    for p in paths:
-        if not p.exists():
-            click.echo(f"error: scenario not found: {p}", err=True)
-            sys.exit(EXIT_IO)
-
-    try:
-        loaded = [(p, load_runnable(p)) for p in paths]
-    except (ParseError, ValidationError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
+    loaded = [(p, _load_runnable(p)) for p in paths]
+    first = {}
+    for p, scenario in loaded:  # each scenario's episodes write under its name
+        if scenario.name in first:
+            raise ValidationError(f"{p}.name: {scenario.name!r} is also the name "
+                                  f"of {first[scenario.name]}")
+        first[scenario.name] = p
 
     tasks = [(scenario, k, out / scenario.name / f"episode_{k}", dt, seed, cfg)
              for _, scenario in loaded for k in range(episodes)]
     workers = min(jobs, len(tasks))
-    try:
+    manifest = {
+        "scenarios": [{"path": str(p), "sha256": _sha256(p)} for p, _ in loaded],
+        "episodes": episodes, "seed": seed, "dt": dt,
+        "tracking": to_dict(cfg.tracking),
+        "config_hash": cfg.digest(),
+    }
+    with _writing(out):
         out.mkdir(parents=True, exist_ok=True)
         if workers > 1:
             ctx = multiprocessing.get_context(_start_method())
@@ -150,24 +167,10 @@ def run(scenarios, episodes, seed, dt, jobs, out, config_path,
                 reports = list(pool.map(_run_one, tasks))
         else:
             reports = [_run_one(t) for t in tasks]
-    except LocomanError as exc:
-        # only plan-level faults escape an episode; action faults are outcomes
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
-    except OSError as exc:  # `out`, or an episode directory under it, cannot be made
-        _cannot_write(out, exc)
-
-    write_report(aggregate(reports), out / "aggregate.json")
-    manifest = {
-        "scenarios": [{"path": str(p), "sha256": _sha256(p)} for p, _ in loaded],
-        "episodes": episodes, "seed": seed, "dt": dt,
-        "tracking": to_dict(cfg.tracking),
-        "config_hash": cfg.digest(),
-    }
-    with open(out / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    sys.exit(EXIT_OK)
+        write_report(aggregate(reports), out / "aggregate.json")
+        with open(out / "manifest.json", "w") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
 
 
 _TIMELINE_TERMS = ("ee_pos", "ee_ori", "torque_base", "acc_base", "power_base",
@@ -206,25 +209,17 @@ def _timeline_row(row: dict) -> tuple[dict[str, float], dict[str, bool]]:
 @main.command()
 @click.argument("timeline", type=click.Path(path_type=Path))
 @click.option("--out", required=True, type=click.Path(path_type=Path))
-@click.option("--config", "config_path", default=None,
-              type=click.Path(exists=True, path_type=Path))
+@click.option("--config", "config_path", default=None, type=click.Path(path_type=Path))
+@_exit_codes
 def rewards(timeline, out, config_path):
     """Evaluate every reward term per tick of a recorded contact timeline.
 
     Input CSV needs t and contact_FL/FR/RL/RR columns; base velocity columns
     (cmd_vx, act_vx, ...) and precomputed term-value columns are optional and
     default to perfect tracking / zero."""
-    if not timeline.exists():
-        click.echo(f"error: timeline not found: {timeline}", err=True)
-        sys.exit(EXIT_IO)
-    cfg = _load_config(config_path)
+    cfg = Config.load(config_path) if config_path else Config()
     weights = cfg.reward_weights
-    try:
-        with open(timeline, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-    except (OSError, csv.Error) as exc:
-        click.echo(f"error: cannot read timeline: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
+    rows = read_file(timeline, lambda fh: list(csv.DictReader(fh)))
 
     tl = ContactTimeline()
     out_rows = []
@@ -236,8 +231,7 @@ def rewards(timeline, out, config_path):
             if prev_t is not None and t <= prev_t:
                 raise ValueError(f"column t: {t!r} does not increase on {prev_t!r}")
         except ValueError as exc:
-            click.echo(f"error: {timeline} row {i}: {exc}", err=True)
-            sys.exit(EXIT_CONFIG)
+            raise ValidationError(f"{timeline} row {i}: {exc}") from None
         dt = (t - prev_t) if prev_t is not None else 0.02
         prev_t = t
         tl.update(contacts, dt, t)
@@ -254,53 +248,32 @@ def rewards(timeline, out, config_path):
 
     fieldnames = (["t"] + sorted(set().union(*[set(r) for r in out_rows]) - {"t"})
                   if out_rows else ["t"])
-    try:
-        with open(out, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=fieldnames)
-            writer.writeheader()
-            writer.writerows(out_rows)
-    except OSError as exc:
-        _cannot_write(out, exc)
-    sys.exit(EXIT_OK)
+    with _writing(out), open(out, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=fieldnames)
+        writer.writeheader()
+        writer.writerows(out_rows)
 
 
 @main.command()
 @click.argument("scenario", type=click.Path(path_type=Path))
+@_exit_codes
 def validate(scenario):
     """Validate a scenario file; nonzero exit with a located message on error."""
-    if not scenario.exists():
-        click.echo(f"error: scenario not found: {scenario}", err=True)
-        sys.exit(EXIT_IO)
-    try:
-        load_runnable(scenario)
-    except (ParseError, ValidationError) as exc:
-        click.echo(f"invalid: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
+    _load_runnable(scenario)
     click.echo("ok")
-    sys.exit(EXIT_OK)
 
 
 @main.command("export-grid")
 @click.argument("scenario", type=click.Path(path_type=Path))
 @click.option("--out", required=True, type=click.Path(path_type=Path),
               help="Output prefix; writes <prefix>.pgm and <prefix>.hdr.")
+@_exit_codes
 def export_grid(scenario, out):
     """Rasterize a scenario's occupancy grid to a portable graymap."""
-    if not scenario.exists():
-        click.echo(f"error: scenario not found: {scenario}", err=True)
-        sys.exit(EXIT_IO)
-    try:
-        scen = load_scenario(scenario)
-    except (ParseError, ValidationError) as exc:
-        click.echo(f"invalid: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
-    grid = build_occupancy_grid(scen)
-    try:
+    grid = build_occupancy_grid(load_scenario(scenario))
+    with _writing(out):
         out.parent.mkdir(parents=True, exist_ok=True)
         grid.export_raster(str(out) + ".pgm", str(out) + ".hdr")
-    except OSError as exc:
-        _cannot_write(out, exc)
-    sys.exit(EXIT_OK)
 
 
 if __name__ == "__main__":

@@ -4,6 +4,7 @@ one fields-driven codec (`to_dict`, `from_dict`) that scenarios share."""
 
 from __future__ import annotations
 
+import csv
 import functools
 import hashlib
 import math
@@ -59,16 +60,23 @@ class Config:
 
     @staticmethod
     def load(path) -> "Config":
-        try:
-            with open(path) as fh:
-                data = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
-            raise ParseError(f"{path}: {exc}") from exc
-        return from_dict(Config, data)
+        return from_dict(Config, read_file(path))
 
     def digest(self) -> str:
         text = yaml.safe_dump(to_dict(self), sort_keys=True)
         return hashlib.sha256(text.encode()).hexdigest()
+
+
+def read_file(path, parse=yaml.safe_load):
+    """`parse` applied to the UTF-8 text of `path` (a YAML document by
+    default). Text that is not UTF-8, or that `parse` rejects as YAML or CSV,
+    raises ParseError naming the path, its message on one line; a path that
+    cannot be read raises OSError."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            return parse(fh)
+    except (UnicodeDecodeError, yaml.YAMLError, csv.Error) as exc:
+        raise ParseError(f"{path}: {' '.join(str(exc).split())}") from exc
 
 
 def to_dict(obj):

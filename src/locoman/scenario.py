@@ -14,9 +14,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import yaml
 
-from .config import from_dict
+from .config import from_dict, read_file
 from .errors import ParseError, ValidationError
 from .geometry import Pose
 from .planning import (NEEDS_TARGET, NEEDS_WAYPOINT, ActionKind, ConditionKind,
@@ -187,20 +186,7 @@ def scenario_from_dict(data, where: str = "scenario") -> Scenario:
 
 
 def load_scenario(path) -> Scenario:
-    try:
-        with open(path) as fh:
-            data = yaml.safe_load(fh)
-    except yaml.YAMLError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+    data = read_file(path)
     if not isinstance(data, dict):
         raise ParseError(f"{path}: scenario must be a mapping")
     return scenario_from_dict(data, where=str(path))
-
-
-def load_runnable(path) -> Scenario:
-    """load_scenario, also rejecting an empty plan: such a scenario is a
-    scene (enough for a grid) that no episode can start."""
-    scenario = load_scenario(path)
-    if not scenario.plan:
-        raise ValidationError(f"{path}.plan: plan is empty")
-    return scenario

@@ -253,10 +253,6 @@ class TestRun:
         manifest = json.loads((out_flag / "manifest.json").read_text())
         assert manifest["tracking"]["tau_base"] == 0.0
 
-    def test_missing_scenario_io_exit(self, tmp_path):
-        res = invoke("run", tmp_path / "nope.yaml", "--out", tmp_path / "o")
-        assert res.exit_code == 4
-
     def test_invalid_scenario_config_exit(self, tmp_path):
         bad = tmp_path / "bad.yaml"
         bad.write_text(yaml.safe_dump({"name": "x"}))
@@ -336,10 +332,6 @@ class TestValidate:
         res = invoke("validate", bad)
         assert res.exit_code == 3
         assert "objects[0]" in res.output
-
-    def test_missing_file(self, tmp_path):
-        res = invoke("validate", tmp_path / "nope.yaml")
-        assert res.exit_code == 4
 
     @pytest.mark.parametrize("edit, where", MALFORMED_SCENARIOS)
     def test_malformed_scenario(self, tmp_path, edit, where):
@@ -465,6 +457,80 @@ def test_unwritable_out_io_exit(tmp_path, command, out):
     assert "Traceback" not in res.output
 
 
+# every command, with `{}` for the input file it reads and `{out}` for its --out
+READERS = {
+    "validate": ("validate", "{}"),
+    "run": ("run", "{}", "--out", "{out}"),
+    "run_config": ("run", SCENARIO, "--config", "{}", "--out", "{out}"),
+    "export_grid": ("export-grid", "{}", "--out", "{out}/map"),
+    "rewards": ("rewards", "{}", "--out", "{out}/terms.csv"),
+    "rewards_config": ("rewards", "{timeline}", "--config", "{}", "--out", "{out}/terms.csv"),
+}
+# input file cases: (exit code, bytes of the file, or None for no file)
+BAD_INPUTS = {
+    "missing": (4, None),
+    "directory": (4, None),
+    "not_utf8": (3, b"\xff\xfe"),
+    "malformed": (3, b"name: [x\n"),  # a timeline gets a row without contacts
+}
+
+
+@pytest.mark.parametrize("command", list(READERS))
+@pytest.mark.parametrize("case", list(BAD_INPUTS))
+def test_bad_input_exit(tmp_path, command, case):
+    code, content = BAD_INPUTS[case]
+    timeline = tmp_path / "timeline.csv"
+    timeline.write_text(CONTACTS + "\n0.02,1,1,1,1\n")
+    path = tmp_path / "input"
+    if case == "malformed" and command == "rewards":
+        content = b"t,contact_FL\n0.02,1\n"
+    if content is not None:
+        path.write_bytes(content)
+    elif case == "directory":
+        (path / "sub.yaml").mkdir(parents=True)  # `run` reads a directory's *.yaml
+        path = path if command == "run" else path / "sub.yaml"
+    out = tmp_path / "o"
+    res = invoke(*(str(a).format(path, out=out, timeline=timeline) for a in READERS[command]))
+    assert res.exit_code == code, res.output
+    assert isinstance(res.exception, SystemExit)
+    (line,) = res.output.splitlines()
+    assert line.startswith("error: ") and str(path) in line
+    assert "Traceback" not in res.output
+    assert not out.exists()
+
+
+def test_duplicate_scenario_name_config_exit(tmp_path):
+    twin = tmp_path / "twin.yaml"
+    twin.write_bytes(SCENARIO.read_bytes())
+    out = tmp_path / "o"
+    res = invoke("run", SCENARIO, twin, *NOISY, "--jobs", 2, "--out", out)
+    assert res.exit_code == 3, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert f"{twin}.name: 'cart_delivery' is also the name of {SCENARIO}" in res.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_scenarios_load_through_cli_load_scenario(tmp_path, monkeypatch, command):
+    # the benchmark tracer times `locoman.cli.load_scenario`
+    calls = []
+    load = cli.load_scenario
+    monkeypatch.setattr(cli, "load_scenario", lambda p: calls.append(p) or load(p))
+    if command == "run":
+        data = yaml.safe_load(SCENARIO.read_text())
+        paths = []
+        for name in ("alpha", "beta"):
+            data["name"] = name
+            paths.append(tmp_path / f"{name}.yaml")
+            paths[-1].write_text(yaml.safe_dump(data))
+        res = invoke("run", *paths, "--episodes", 2, "--out", tmp_path / "o")
+    else:
+        paths = [SCENARIO]
+        res = invoke("validate", SCENARIO)
+    assert res.exit_code == 0, res.output
+    assert calls == paths
+
+
 class TestExportGrid:
     def test_writes_raster_pair(self, tmp_path):
         res = invoke("export-grid", SCENARIO, "--out", tmp_path / "map")
@@ -516,10 +582,6 @@ class TestRewardsCommand:
         res = invoke("rewards", src, "--out", out)
         assert res.exit_code == 0
         assert out.read_text().splitlines() == ["t"]
-
-    def test_missing_timeline(self, tmp_path):
-        res = invoke("rewards", tmp_path / "nope.csv", "--out", tmp_path / "o.csv")
-        assert res.exit_code == 4
 
     def test_bad_rows_config_exit(self, tmp_path):
         src = tmp_path / "bad.csv"

@@ -8,6 +8,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from locoman.cli import _load_runnable
 from locoman.config import Config, TrackingConfig, to_dict
 from locoman.errors import LocomanError, ParseError, ValidationError
 from locoman.geometry import Pose, quat_geodesic_distance, vec3
@@ -17,7 +18,7 @@ from locoman.harness import (BASE_STAND_HEIGHT, aggregate,
                              write_trace_csv)
 from locoman.navgrid import FREE, OCCUPIED, OccupancyGrid
 from locoman.sampling import LocomotionCommand, make_rng
-from locoman.scenario import load_runnable, load_scenario, scenario_from_dict
+from locoman.scenario import load_scenario, scenario_from_dict
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -89,7 +90,7 @@ class TestScenarioSchema:
         path.write_text(yaml.safe_dump(minimal_scenario_dict(plan=[], monitors=[])))
         assert load_scenario(path).plan == []
         with pytest.raises(ValidationError, match="plan is empty"):
-            load_runnable(path)
+            _load_runnable(path)
 
     def test_scene_only_needs_header_and_start(self):
         data = {k: v for k, v in minimal_scenario_dict().items()
@@ -182,7 +183,7 @@ class TestScenarioProperty:
             path = Path(tmp) / "s.yaml"
             path.write_text(yaml.safe_dump(data))
             try:
-                scenario = load_runnable(path)
+                scenario = _load_runnable(path)
             except ValidationError:
                 return
         try:
