@@ -67,7 +67,11 @@ class Config:
         return hashlib.sha256(text.encode()).hexdigest()
 
 
-def read_file(path, parse=yaml.safe_load):
+# libyaml's parser where PyYAML has it; it resolves scalars as SafeLoader does
+YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+def read_file(path, parse=functools.partial(yaml.load, Loader=YAML_LOADER)):
     """`parse` applied to the UTF-8 text of `path` (a YAML document by
     default). Text that is not UTF-8, or that `parse` rejects as YAML or CSV,
     raises ParseError naming the path, its message on one line; a path that

@@ -37,7 +37,6 @@ class Detection:
     label: str
     descriptor: np.ndarray
     points: np.ndarray  # (N, 3) world frame
-    timestamp: float = 0.0
 
     def __post_init__(self):
         self.descriptor = np.asarray(self.descriptor, dtype=float)

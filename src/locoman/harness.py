@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -27,7 +27,7 @@ from .grounding import (CameraModel, DepthImage, GroundingResult, ground_action)
 from .navgrid import (GoalSearchConfig, OccupancyGrid, OCCUPIED, find_goal_pose,
                       footprint_clear, plan_path)
 from .planning import (ActionKind, ActionReport, AtomicAction, ScriptedPlanner,
-                       SubtaskMonitor, TaskPlan, decompose, monitor_step, report)
+                       TaskPlan, decompose, monitor_step, report)
 from .rewards import (ContactTimeline, r_freq, r_gait,
                       r_track_xy, r_track_yaw, total_reward)
 from .sampling import LocomotionCommand, episode_rng
@@ -43,6 +43,7 @@ PRE_CONTACT_OFFSET = 0.10  # meters backed off along the approach axis
 NAV_TIMEOUT = 60.0
 MANIP_TIMEOUT = 20.0
 GOAL_SEARCH = GoalSearchConfig()
+GRID_RESOLUTION = 0.1
 
 # ---------------------------------------------------------------------------
 # world state
@@ -54,7 +55,6 @@ class WorldState:
     base_pose: Pose
     base_vel: np.ndarray              # (vx, vy) base frame + (omega,)
     ee_pose: Pose
-    gripper_closed: bool = False
     attachments: dict = field(default_factory=dict)  # obj id -> (carrier, rel Pose)
     object_poses: dict = field(default_factory=dict)
     joint_values: dict = field(default_factory=dict)
@@ -155,9 +155,9 @@ def build_instance_graph(scenario: Scenario) -> tuple[InstanceGraph, dict[str, i
     return graph, node_of
 
 
-def build_occupancy_grid(scenario: Scenario, resolution: float = 0.1) -> OccupancyGrid:
+def build_occupancy_grid(scenario: Scenario) -> OccupancyGrid:
     """Rasterize static obstacles; everything else starts Free (known poses)."""
-    grid = OccupancyGrid(resolution=resolution, width=64, height=64,
+    grid = OccupancyGrid(resolution=GRID_RESOLUTION, width=64, height=64,
                          origin_xy=(-3.2, -3.2))
     pts = [scenario.robot_start.position[:2]]
     for box in scenario.static_obstacles:
@@ -202,7 +202,6 @@ class MetricsReport:
 @dataclass
 class EpisodeResult:
     trace: list[dict]
-    monitors: list[SubtaskMonitor]
     outcomes: list[ActionOutcome]
     metrics: MetricsReport
 
@@ -242,8 +241,8 @@ class EpisodeRunner:
         self.grid = build_occupancy_grid(scenario)
         self.graph, self.node_of = build_instance_graph(scenario)
         self.object_of = {nid: oid for oid, nid in self.node_of.items()}
-        self.monitors = [SubtaskMonitor(m.name, m.condition, action_kind=m.action)
-                         for m in scenario.monitors]
+        # fresh latches: the scenario is shared by every episode of a run
+        self.monitors = [replace(m) for m in scenario.monitors]
         self.trace: list[dict] = []
         self.outcomes: list[ActionOutcome] = []
         self.timeline = ContactTimeline()
@@ -336,9 +335,8 @@ class EpisodeRunner:
             self.tick(LocomotionCommand(vx, 0.0, w_cmd), None)
         return False
 
-    def _navigate_to(self, waypoint: np.ndarray, face_toward: np.ndarray,
-                     timeout: float) -> tuple[bool, str]:
-        deadline = min(self.world.t + timeout, self.scenario.horizon)
+    def _navigate_to(self, waypoint: np.ndarray) -> tuple[bool, str]:
+        deadline = min(self.world.t + NAV_TIMEOUT, self.scenario.horizon)
         obstacles = [(box.min, box.max) for box in self.scenario.static_obstacles]
         for obj in self.scenario.objects:
             if obj.id in self.world.attachments:
@@ -346,7 +344,7 @@ class EpisodeRunner:
             obstacles.append(obj.bbox(self.world.object_poses[obj.id].position))
         try:
             goal = find_goal_pose(self.grid, waypoint, obstacles, GOAL_SEARCH,
-                                  face_toward)
+                                  waypoint)
         except NoFeasibleGoal as exc:
             return False, str(exc)
         start_cell = self.grid.ensure_contains(*self.world.base_pose.position[:2])
@@ -372,9 +370,9 @@ class EpisodeRunner:
                 return True
         return False
 
-    def _ground_target(self, action_index: int, obj: SceneObject) -> Pose:
+    def _ground_target(self, obj: SceneObject) -> Pose:
         """Run the grounding pipeline against a synthetic wrist camera view."""
-        fixture = self.scenario.grounding.get(action_index) or GroundingFixture()
+        fixture = self.scenario.grounding.get(self._action_index) or GroundingFixture()
         true_attach = obj.attach_point(self.world.object_poses[obj.id].position)
         detected = true_attach + fixture.offset
 
@@ -414,11 +412,11 @@ class EpisodeRunner:
 
     # -- atomic actions --------------------------------------------------
 
-    def _do_pick(self, index: int, action: AtomicAction) -> tuple[bool, str]:
+    def _do_pick(self, action: AtomicAction) -> tuple[bool, str]:
         deadline = min(self.world.t + MANIP_TIMEOUT, self.scenario.horizon)
         obj = self.scenario.object_by_id(self.object_of[action.target_instance])
         try:
-            target_base = self._ground_target(index, obj)
+            target_base = self._ground_target(obj)
         except LocomanError as exc:
             return False, f"grounding failed: {exc}"
         target_world = self.world.base_pose.compose(target_base)
@@ -429,7 +427,6 @@ class EpisodeRunner:
             return False, "pre-contact alignment timeout"
         if not self._move_ee_to(target_world, deadline):
             return False, "approach timeout"
-        self.world.gripper_closed = True
         true_attach = obj.attach_point(self.world.object_poses[obj.id].position)
         pos_err = float(np.linalg.norm(self.world.ee_pose.position - true_attach))
         ori_err = quat_geodesic_distance(self.world.ee_pose.orientation,
@@ -454,7 +451,6 @@ class EpisodeRunner:
         hover = Pose(drop_point + vec3(0, 0, 0.15), self.world.ee_pose.orientation)
         if not self._move_ee_to(hover, deadline, pos_tol=0.02):
             return False, "hover timeout"
-        self.world.gripper_closed = False
         for oid in carried:
             del self.world.attachments[oid]
             pose = self.world.object_poses[oid]
@@ -492,13 +488,12 @@ class EpisodeRunner:
             target_id = draggables[0].id
         obj = self.scenario.object_by_id(target_id)
         obj_pos = self.world.object_poses[obj.id].position
-        ok, why = self._navigate_to(obj_pos, obj_pos, timeout=NAV_TIMEOUT)
+        ok, why = self._navigate_to(obj_pos)
         if not ok:
             return False, f"approach failed: {why}"
         rel = self.world.base_pose.inverse().compose(self.world.object_poses[obj.id])
         self.world.attachments[obj.id] = ("base", rel)
-        ok, why = self._navigate_to(action.waypoint, action.waypoint,
-                                    timeout=NAV_TIMEOUT)
+        ok, why = self._navigate_to(action.waypoint)
         del self.world.attachments[obj.id]
         if not ok:
             return False, f"drag transit failed: {why}"
@@ -508,18 +503,15 @@ class EpisodeRunner:
         self._action_index = index
         try:
             if action.kind is ActionKind.NAVIGATE:
-                ok, detail = self._navigate_to(action.waypoint, action.waypoint,
-                                               timeout=NAV_TIMEOUT)
+                ok, detail = self._navigate_to(action.waypoint)
             elif action.kind is ActionKind.PICK:
-                ok, detail = self._do_pick(index, action)
+                ok, detail = self._do_pick(action)
             elif action.kind is ActionKind.PLACE:
                 ok, detail = self._do_place(action)
             elif action.kind is ActionKind.PUSH_PULL:
                 ok, detail = self._do_push_pull(action)
-            elif action.kind is ActionKind.DRAG:
-                ok, detail = self._do_drag(action)
             else:
-                ok, detail = False, f"unknown action kind {action.kind}"
+                ok, detail = self._do_drag(action)
         except LocomanError as exc:
             # oracle/geometry failures are recorded, never abort the episode
             ok, detail = False, f"{type(exc).__name__}: {exc}"
@@ -536,8 +528,8 @@ class EpisodeRunner:
                                                    "horizon exhausted"))
                 continue
             self.outcomes.append(self.execute_action(i, action))
-        return EpisodeResult(trace=self.trace, monitors=self.monitors,
-                             outcomes=self.outcomes, metrics=self._metrics())
+        return EpisodeResult(trace=self.trace, outcomes=self.outcomes,
+                             metrics=self._metrics())
 
     def _metrics(self) -> MetricsReport:
         per_action, overall = report(self.monitors)

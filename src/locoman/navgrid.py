@@ -28,7 +28,6 @@ SQRT2 = float(np.sqrt(2.0))
 class Scan:
     sensor_pose: Pose
     points: np.ndarray  # (N, 3) sensor frame
-    timestamp: float = 0.0
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float).reshape(-1, 3)

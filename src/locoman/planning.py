@@ -8,7 +8,7 @@ holds and never revert within an episode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Protocol
 
@@ -116,13 +116,21 @@ class ConditionKind(Enum):
     JOINT_CLOSED = "joint_closed"
 
 
-@dataclass(frozen=True)
-class GoalCondition:
+@dataclass
+class SubtaskMonitor:
+    """One scenario `monitors` entry: a goal condition that counts toward the
+    `action` bucket, and its latch (`completed`, `completion_time`), which
+    the scenario file never sets."""
+
+    name: str
     kind: ConditionKind
-    object_id: Optional[str] = None
-    other_id: Optional[str] = None
-    point: Optional[tuple[float, float, float]] = None
+    action: ActionKind
+    object: Optional[str] = None
+    other: Optional[str] = None
+    point: Optional[np.ndarray] = None
     threshold: float = 0.0  # radius / max distance / joint threshold
+    completed: bool = field(default=False, init=False)
+    completion_time: Optional[float] = field(default=None, init=False)
 
     def __post_init__(self):
         if self.kind in (ConditionKind.ROBOT_NEAR, ConditionKind.OBJECT_NEAR,
@@ -131,54 +139,45 @@ class GoalCondition:
         if self.kind in (ConditionKind.ROBOT_NEAR, ConditionKind.OBJECT_NEAR) \
                 and self.point is None:
             raise ValueError(f"{self.kind.value} needs a point")
-        if self.kind is not ConditionKind.ROBOT_NEAR and self.object_id is None:
+        if self.kind is not ConditionKind.ROBOT_NEAR and self.object is None:
             raise ValueError(f"{self.kind.value} needs an object")
-        if self.kind is ConditionKind.RELATIVE_POSE and self.other_id is None:
+        if self.kind is ConditionKind.RELATIVE_POSE and self.other is None:
             raise ValueError(f"{self.kind.value} needs an other object")
 
 
-@dataclass
-class SubtaskMonitor:
-    name: str
-    condition: GoalCondition
-    completed: bool = False
-    completion_time: Optional[float] = None
-    action_kind: Optional[ActionKind] = None  # which per-action bucket this counts in
-
-
-def _object_position(world, object_id: str) -> np.ndarray:
-    pose = world.object_poses.get(object_id)
+def _object_position(world, oid: str) -> np.ndarray:
+    pose = world.object_poses.get(oid)
     if pose is None:
-        raise UnknownObject(f"no object {object_id!r} in world state")
+        raise UnknownObject(f"no object {oid!r} in world state")
     return pose.position
 
 
-def condition_holds(cond: GoalCondition, world) -> bool:
-    k = cond.kind
+def condition_holds(m: SubtaskMonitor, world) -> bool:
+    k = m.kind
     if k is ConditionKind.ROBOT_NEAR:
-        d = norm(world.base_pose.position[:2] - np.asarray(cond.point[:2]))
-        return d <= cond.threshold
+        d = norm(world.base_pose.position[:2] - np.asarray(m.point[:2]))
+        return d <= m.threshold
     if k is ConditionKind.OBJECT_NEAR:
-        p = _object_position(world, cond.object_id)
-        return norm(p[:2] - np.asarray(cond.point[:2])) <= cond.threshold
+        p = _object_position(world, m.object)
+        return norm(p[:2] - np.asarray(m.point[:2])) <= m.threshold
     if k is ConditionKind.RELATIVE_POSE:
-        pa = _object_position(world, cond.object_id)
-        pb = _object_position(world, cond.other_id)
-        return norm(pa - pb) <= cond.threshold
+        pa = _object_position(world, m.object)
+        pb = _object_position(world, m.other)
+        return norm(pa - pb) <= m.threshold
     if k is ConditionKind.ATTACHED:
-        return cond.object_id in world.attachments
+        return m.object in world.attachments
     if k is ConditionKind.DETACHED:
-        return cond.object_id not in world.attachments
+        return m.object not in world.attachments
     if k is ConditionKind.JOINT_OPEN:
-        value = world.joint_values.get(cond.object_id)
+        value = world.joint_values.get(m.object)
         if value is None:
-            raise UnknownObject(f"no articulation {cond.object_id!r} in world state")
-        return value >= cond.threshold
+            raise UnknownObject(f"no articulation {m.object!r} in world state")
+        return value >= m.threshold
     if k is ConditionKind.JOINT_CLOSED:
-        value = world.joint_values.get(cond.object_id)
+        value = world.joint_values.get(m.object)
         if value is None:
-            raise UnknownObject(f"no articulation {cond.object_id!r} in world state")
-        return value <= cond.threshold
+            raise UnknownObject(f"no articulation {m.object!r} in world state")
+        return value <= m.threshold
     raise ValueError(f"unhandled condition kind {k}")
 
 
@@ -187,7 +186,7 @@ def monitor_step(monitors: list[SubtaskMonitor], world, t: float) -> None:
     for m in monitors:
         if m.completed:
             continue
-        if condition_holds(m.condition, world):
+        if condition_holds(m, world):
             m.completed = True
             m.completion_time = t
 
@@ -210,7 +209,6 @@ def report(monitors: list[SubtaskMonitor]) -> tuple[dict[str, ActionReport], boo
     """Per-action-kind success map plus the overall conjunction."""
     buckets: dict[str, ActionReport] = {}
     for m in monitors:
-        key = m.action_kind.value if m.action_kind else m.name
-        buckets.setdefault(key, ActionReport()).add(int(m.completed), 1)
+        buckets.setdefault(m.action.value, ActionReport()).add(int(m.completed), 1)
     overall = all(m.completed for m in monitors)
     return buckets, overall

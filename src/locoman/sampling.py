@@ -110,15 +110,12 @@ def sample_locomotion_command(rng: np.random.Generator,
 def sample_ee_target(rng: np.random.Generator, ranges: CommandRanges,
                      base_pose: Pose,
                      arm_base_offset: np.ndarray = np.zeros(3),
-                     nominal_arm_base_height: float = 0.55,
-                     terrain_height_at=None) -> EETarget:
+                     nominal_arm_base_height: float = 0.55) -> EETarget:
     """Draw a 6-D end-effector target expressed in the base frame.
 
     The spherical position sample is placed in a yaw-only frame centered at
     the arm base's horizontal position at nominal_arm_base_height, fixing the
-    target's world z independently of base pitch/roll and terrain height
-    (terrain_height_at is accepted for interface parity but never feeds the
-    z computation).
+    target's world z independently of base pitch/roll and terrain height.
     """
     spherical = SphericalTarget(_uniform(rng, ranges.l_ee),
                                 _uniform(rng, ranges.p_ee),

@@ -1,8 +1,9 @@
 """Scenario bundles: a scene, a scripted plan, grounding fixtures and subtask
 monitors.
 
-Every on-disk record is a dataclass whose fields are its YAML keys, decoded
-and encoded by the config codec (`config.from_dict`, `config.to_dict`). A
+Every on-disk record is a dataclass whose fields are its YAML keys (a
+monitor entry is a `planning.SubtaskMonitor`), decoded and encoded by the
+config codec (`config.from_dict`, `config.to_dict`). A
 record checks itself in `__post_init__`; `scenario_from_dict` adds the checks
 that span records (unique object ids, references to them, joint monitors on
 objects with a joint).
@@ -19,7 +20,7 @@ from .config import from_dict, read_file
 from .errors import ParseError, ValidationError
 from .geometry import Pose
 from .planning import (NEEDS_TARGET, NEEDS_WAYPOINT, ActionKind, ConditionKind,
-                       GoalCondition)
+                       SubtaskMonitor)
 
 
 @dataclass
@@ -114,24 +115,6 @@ class GroundingFixture:
 
 
 @dataclass
-class MonitorSpec:
-    name: str
-    kind: ConditionKind
-    action: ActionKind
-    object: Optional[str] = None
-    other: Optional[str] = None
-    point: Optional[np.ndarray] = None
-    threshold: float = 0.0
-    condition: GoalCondition = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.condition = GoalCondition(
-            kind=self.kind, object_id=self.object, other_id=self.other,
-            point=None if self.point is None else tuple(self.point),
-            threshold=self.threshold)
-
-
-@dataclass
 class Scenario:
     name: str
     instruction: str
@@ -143,7 +126,7 @@ class Scenario:
     objects: list[SceneObject] = field(default_factory=list)
     plan: list[PlanStep] = field(default_factory=list)
     grounding: dict[int, GroundingFixture] = field(default_factory=dict)  # by plan index
-    monitors: list[MonitorSpec] = field(default_factory=list)
+    monitors: list[SubtaskMonitor] = field(default_factory=list)
 
     def __post_init__(self):
         if not self.instruction.strip():

@@ -311,6 +311,8 @@ MALFORMED_SCENARIOS = [
                  id="waypoint_short"),
     pytest.param(lambda d: d["monitors"][0].update(point=[2.0]), "monitors[0].point",
                  id="monitor_point_short"),
+    pytest.param(lambda d: d["monitors"][0].update(completed=True), "monitors[0].completed",
+                 id="monitor_sets_latch"),
     pytest.param(lambda d: d.update(seed=7.9), "seed", id="seed_not_int"),
     pytest.param(lambda d: d.update(speed=3), "speed", id="unknown_top_level_key"),
     pytest.param(lambda d: d["objects"][0].update(colour="red"), "objects[0].colour",

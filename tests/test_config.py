@@ -1,16 +1,19 @@
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
 import pytest
 import yaml
 
-from locoman.config import Config, TrackingConfig, from_dict, to_dict
+from locoman.config import (YAML_LOADER, Config, TrackingConfig, from_dict, read_file,
+                            to_dict)
 from locoman.errors import ParseError, ValidationError
 from locoman.planning import ActionKind
 from locoman.rewards import PdGains, RewardWeights
 from locoman.sampling import CommandRanges, RandomizationConfig
 
 PI = np.pi
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 DEFAULT_DIGEST = "0d9ae50e54968e68078765bfdafa3bf66afa74996a3291548a0917d0f412cdac"
 
 
@@ -41,6 +44,22 @@ class TestRoundTrip:
 
     def test_default_digest_pinned(self):
         assert Config().digest() == DEFAULT_DIGEST
+
+
+class TestYamlLoader:
+    def test_libyaml_used_when_built_in(self):
+        assert YAML_LOADER is (yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader)
+
+    @pytest.mark.parametrize("name", [p.name for p in sorted(SCENARIO_DIR.glob("*.yaml"))]
+                             + ["Config().dump"])
+    def test_same_data_as_pure_python_loader(self, tmp_path, name):
+        path = SCENARIO_DIR / name
+        if name == "Config().dump":
+            path = tmp_path / "config.yaml"
+            Config().dump(path)
+        slow = yaml.load(path.read_text(encoding="utf-8"), Loader=yaml.SafeLoader)
+        # repr tells 1 from 1.0 and -0.0 from 0.0, and keeps key order
+        assert repr(read_file(path)) == repr(slow)
 
 
 class TestLoad:

@@ -372,6 +372,18 @@ class TestEpisode:
                         master_seed=0).metrics
         assert m.e_x > 0.0
 
+    def test_episodes_of_one_scenario_share_no_latch(self):
+        # every golden episode succeeds, so only a failing episode run after
+        # a succeeding one on the same Scenario shows a latch carried over
+        s = load_scenario(SCENARIO_DIR / "cart_delivery.yaml")
+        shaky = Config(tracking=TrackingConfig(noise_pos=0.05))  # the grasp misses
+        clean = run_episode(s, master_seed=0)
+        first, second = (run_episode(s, master_seed=0, config=shaky) for _ in range(2))
+        assert all(not m.completed and m.completion_time is None for m in s.monitors)
+        assert clean.metrics.overall is True
+        assert first.metrics.per_action == second.metrics.per_action
+        assert first.metrics.per_action["pick"].completed == 0
+
     def test_aggregate_pools_counts(self):
         s = scenario_from_dict(minimal_scenario_dict())
         reports = [run_episode(s, master_seed=k).metrics for k in range(2)]

@@ -5,9 +5,9 @@ from locoman.errors import OracleFailure, UnknownObject
 from locoman.fusion import Detection, InstanceGraph
 from locoman.geometry import Pose, vec3
 from locoman.planning import (ActionKind, AtomicAction, ConditionKind,
-                              GoalCondition, ScriptedPlanner, SubtaskMonitor,
-                              TaskPlan, condition_holds, decompose,
-                              monitor_step, report, validate_plan)
+                              ScriptedPlanner, SubtaskMonitor, TaskPlan,
+                              condition_holds, decompose, monitor_step, report,
+                              validate_plan)
 
 
 def _graph_with_nodes(n):
@@ -103,11 +103,15 @@ class TestDecompose:
             decompose(planner, "x", _graph_with_nodes(1))
 
 
+def _cond(kind, **kwargs):
+    return SubtaskMonitor("m", kind, ActionKind.NAVIGATE, **kwargs)
+
+
 class TestConditions:
     def test_robot_near_uses_xy(self):
         w = FakeWorld()
-        cond = GoalCondition(ConditionKind.ROBOT_NEAR, point=(0.1, 0.0, 99.0),
-                             threshold=0.2)
+        cond = _cond(ConditionKind.ROBOT_NEAR, point=(0.1, 0.0, 99.0),
+                     threshold=0.2)
         assert condition_holds(cond, w)  # z ignored
         w.base_pose = Pose(vec3(1.0, 0, 0.35))
         assert not condition_holds(cond, w)
@@ -115,22 +119,22 @@ class TestConditions:
     def test_object_near(self):
         w = FakeWorld()
         w.object_poses["cup"] = Pose(vec3(2.0, 0, 0))
-        cond = GoalCondition(ConditionKind.OBJECT_NEAR, object_id="cup",
-                             point=(2.1, 0.0, 0.0), threshold=0.2)
+        cond = _cond(ConditionKind.OBJECT_NEAR, object="cup",
+                     point=(2.1, 0.0, 0.0), threshold=0.2)
         assert condition_holds(cond, w)
 
     def test_relative_pose_is_3d(self):
         w = FakeWorld()
         w.object_poses["a"] = Pose(vec3(0, 0, 0))
         w.object_poses["b"] = Pose(vec3(0, 0, 0.5))
-        cond = GoalCondition(ConditionKind.RELATIVE_POSE, object_id="a",
-                             other_id="b", threshold=0.4)
+        cond = _cond(ConditionKind.RELATIVE_POSE, object="a", other="b",
+                     threshold=0.4)
         assert not condition_holds(cond, w)  # xy coincide but z separates them
 
     def test_attached_detached(self):
         w = FakeWorld()
-        att = GoalCondition(ConditionKind.ATTACHED, object_id="cup")
-        det = GoalCondition(ConditionKind.DETACHED, object_id="cup")
+        att = _cond(ConditionKind.ATTACHED, object="cup")
+        det = _cond(ConditionKind.DETACHED, object="cup")
         assert not condition_holds(att, w)
         assert condition_holds(det, w)
         w.attachments["cup"] = ("ee", Pose())
@@ -140,41 +144,39 @@ class TestConditions:
     def test_joint_thresholds(self):
         w = FakeWorld()
         w.joint_values["drawer"] = 0.3
-        assert condition_holds(GoalCondition(ConditionKind.JOINT_OPEN,
-                                             object_id="drawer", threshold=0.25), w)
-        assert not condition_holds(GoalCondition(ConditionKind.JOINT_CLOSED,
-                                                 object_id="drawer", threshold=0.1), w)
+        assert condition_holds(_cond(ConditionKind.JOINT_OPEN,
+                                     object="drawer", threshold=0.25), w)
+        assert not condition_holds(_cond(ConditionKind.JOINT_CLOSED,
+                                         object="drawer", threshold=0.1), w)
 
     def test_unknown_object_raises(self):
         w = FakeWorld()
         with pytest.raises(UnknownObject):
-            condition_holds(GoalCondition(ConditionKind.OBJECT_NEAR,
-                                          object_id="ghost", point=(0, 0, 0),
-                                          threshold=1.0), w)
+            condition_holds(_cond(ConditionKind.OBJECT_NEAR, object="ghost",
+                                  point=(0, 0, 0), threshold=1.0), w)
 
     def test_positive_threshold_required(self):
         with pytest.raises(ValueError):
-            GoalCondition(ConditionKind.ROBOT_NEAR, point=(0, 0, 0), threshold=0.0)
+            _cond(ConditionKind.ROBOT_NEAR, point=(0, 0, 0), threshold=0.0)
 
     @pytest.mark.parametrize("kind, kwargs, needs", [
         (ConditionKind.ROBOT_NEAR, {"threshold": 1.0}, "a point"),
-        (ConditionKind.OBJECT_NEAR, {"object_id": "cup", "threshold": 1.0}, "a point"),
+        (ConditionKind.OBJECT_NEAR, {"object": "cup", "threshold": 1.0}, "a point"),
         (ConditionKind.ATTACHED, {}, "an object"),
         (ConditionKind.JOINT_OPEN, {"threshold": 0.2}, "an object"),
-        (ConditionKind.RELATIVE_POSE, {"object_id": "a", "threshold": 1.0},
+        (ConditionKind.RELATIVE_POSE, {"object": "a", "threshold": 1.0},
          "an other object"),
     ])
     def test_required_fields(self, kind, kwargs, needs):
         with pytest.raises(ValueError, match=f"{kind.value} needs {needs}"):
-            GoalCondition(kind, **kwargs)
+            _cond(kind, **kwargs)
 
 
 class TestMonitors:
     def _monitor(self, threshold=0.5):
-        cond = GoalCondition(ConditionKind.ROBOT_NEAR, point=(0, 0, 0),
-                             threshold=threshold)
-        return SubtaskMonitor(name="near_origin", condition=cond,
-                              action_kind=ActionKind.NAVIGATE)
+        return SubtaskMonitor(name="near_origin", kind=ConditionKind.ROBOT_NEAR,
+                              action=ActionKind.NAVIGATE, point=(0, 0, 0),
+                              threshold=threshold)
 
     def test_latches_and_never_reverts(self):
         w = FakeWorld()
@@ -196,10 +198,9 @@ class TestMonitors:
         done = self._monitor()
         done.completed = True
         pend = self._monitor()
-        pick = SubtaskMonitor(
-            name="grabbed",
-            condition=GoalCondition(ConditionKind.ATTACHED, object_id="cup"),
-            action_kind=ActionKind.PICK, completed=True)
+        pick = SubtaskMonitor(name="grabbed", kind=ConditionKind.ATTACHED,
+                              action=ActionKind.PICK, object="cup")
+        pick.completed = True
         buckets, overall = report([done, pend, pick])
         assert buckets["navigate"].completed == 1
         assert buckets["navigate"].total == 2
