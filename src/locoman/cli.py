@@ -11,7 +11,6 @@ import csv
 import dataclasses
 import functools
 import hashlib
-import json
 import math
 import multiprocessing
 import sys
@@ -24,8 +23,9 @@ import numpy as np
 
 from .config import Config, read_file, to_dict
 from .errors import LocomanError, ValidationError
-from .harness import (MetricsReport, aggregate, build_occupancy_grid,
-                      run_episode, stage1_terms, write_report, write_trace_csv)
+from .harness import (MetricsReport, aggregate, build_occupancy_grid, run_episode,
+                      stage1_terms, write_csv, write_json, write_report,
+                      write_trace_csv)
 from .rewards import ContactTimeline, total_reward
 from .scenario import Scenario, load_scenario
 
@@ -168,9 +168,7 @@ def run(scenarios, episodes, seed, dt, jobs, out, config_path,
         else:
             reports = [_run_one(t) for t in tasks]
         write_report(aggregate(reports), out / "aggregate.json")
-        with open(out / "manifest.json", "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(manifest, out / "manifest.json")
 
 
 _TIMELINE_TERMS = ("ee_pos", "ee_ori", "torque_base", "acc_base", "power_base",
@@ -222,7 +220,7 @@ def rewards(timeline, out, config_path):
     rows = read_file(timeline, lambda fh: list(csv.DictReader(fh)))
 
     tl = ContactTimeline()
-    out_rows = []
+    columns, out_rows = ["t"], []
     prev_t = None
     for i, row in enumerate(rows, start=1):
         try:
@@ -238,20 +236,14 @@ def rewards(timeline, out, config_path):
         cmd = np.array([values["cmd_vx"], values["cmd_vy"], values["cmd_w"]])
         act = np.array([values["act_vx"], values["act_vy"], values["act_w"]])
         terms = stage1_terms(cfg, cmd, act, tl)
-        for name in _TIMELINE_TERMS:
-            terms[name] = values[name]
-        rec = {"t": repr(t)}
-        rec.update({name: repr(terms[name]) for name in sorted(terms)})
-        rec["total_stage1"] = repr(total_reward(1, terms, weights))
-        rec["total_stage2"] = repr(total_reward(2, terms, weights))
-        out_rows.append(rec)
+        terms.update((name, values[name]) for name in _TIMELINE_TERMS)
+        terms.update(total_stage1=total_reward(1, terms, weights),
+                     total_stage2=total_reward(2, terms, weights))
+        columns = ["t", *sorted(terms)]
+        out_rows.append((t, *(terms[name] for name in columns[1:])))
 
-    fieldnames = (["t"] + sorted(set().union(*[set(r) for r in out_rows]) - {"t"})
-                  if out_rows else ["t"])
-    with _writing(out), open(out, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
-        writer.writeheader()
-        writer.writerows(out_rows)
+    with _writing(out):
+        write_csv(out, columns, out_rows)
 
 
 @main.command()

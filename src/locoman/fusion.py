@@ -117,6 +117,7 @@ class InstanceGraph:
     def __init__(self, descriptor_dim: int, cfg: FusionConfig | None = None):
         self.d = int(descriptor_dim)
         self.cfg = cfg or FusionConfig()
+        # ids only increase and no node is removed: insertion order is id order
         self.nodes: dict[int, InstanceNode] = {}
         self._next_id = 0
 
@@ -131,7 +132,7 @@ class InstanceGraph:
         if det.descriptor.shape != (self.d,):
             raise UsageError(
                 f"descriptor dimension {det.descriptor.shape[0]} != graph dimension {self.d}")
-        candidates = [n for n in self._ordered_nodes() if should_merge(det, n, self.cfg)]
+        candidates = [n for n in self.nodes.values() if should_merge(det, n, self.cfg)]
         if not candidates:
             return self._add_node(det)
         # several matches: highest semantic similarity wins, ties to lowest id
@@ -139,9 +140,6 @@ class InstanceGraph:
                    key=lambda n: (semantic_similarity(det.descriptor, n.descriptor), -n.id))
         self._fuse(best, det)
         return best.id
-
-    def _ordered_nodes(self):
-        return [self.nodes[i] for i in sorted(self.nodes)]
 
     def _add_node(self, det: Detection) -> int:
         nid = self._next_id
@@ -168,7 +166,7 @@ class InstanceGraph:
     def graph_summary(self) -> list[dict]:
         """Deterministic (id-ordered) symbolic view for task decomposition."""
         out = []
-        for node in self._ordered_nodes():
+        for node in self.nodes.values():
             center = 0.5 * (node.bbox_min + node.bbox_max)
             extents = node.bbox_max - node.bbox_min
             out.append({

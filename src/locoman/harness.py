@@ -9,7 +9,6 @@ Everything downstream of (scenario, seed, dt, fixtures) is bit-reproducible.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
@@ -201,7 +200,7 @@ class MetricsReport:
 
 @dataclass
 class EpisodeResult:
-    trace: list[dict]
+    trace: list[tuple]  # one row per tick, in TRACE_COLUMNS order
     outcomes: list[ActionOutcome]
     metrics: MetricsReport
 
@@ -243,7 +242,7 @@ class EpisodeRunner:
         self.object_of = {nid: oid for oid, nid in self.node_of.items()}
         # fresh latches: the scenario is shared by every episode of a run
         self.monitors = [replace(m) for m in scenario.monitors]
-        self.trace: list[dict] = []
+        self.trace: list[tuple] = []
         self.outcomes: list[ActionOutcome] = []
         self.timeline = ContactTimeline()
         self._err_sums = np.zeros(3)
@@ -299,18 +298,11 @@ class EpisodeRunner:
         self.timeline.update(contacts, self.dt, w.t)
 
         terms = stage1_terms(self.config, cmd, w.base_vel, self.timeline)
-        row = {
-            "t": w.t, "action_index": self._action_index,
-            "base_x": w.base_pose.position[0], "base_y": w.base_pose.position[1],
-            "base_yaw": w.base_pose.yaw(),
-            "cmd_vx": cmd[0], "act_vx": w.base_vel[0],
-            "cmd_vy": cmd[1], "act_vy": w.base_vel[1],
-            "cmd_w": cmd[2], "act_w": w.base_vel[2],
-            "ee_err_pos": ee_pos_err, "ee_err_ori": ee_ori_err,
-            "total_stage1": total_reward(1, terms, self.config.reward_weights),
-        }
-        row.update({f"r_{name}": value for name, value in terms.items()})
-        self.trace.append(row)
+        pos, vel = w.base_pose.position, w.base_vel
+        self.trace.append((
+            w.t, self._action_index, pos[0], pos[1], w.base_pose.yaw(),
+            cmd[0], vel[0], cmd[1], vel[1], cmd[2], vel[2], ee_pos_err, ee_ori_err,
+            *terms.values(), total_reward(1, terms, self.config.reward_weights)))
 
     # -- primitive controllers -------------------------------------------
 
@@ -573,15 +565,27 @@ def aggregate(reports: list[MetricsReport]) -> MetricsReport:
 # artifact export
 # ---------------------------------------------------------------------------
 
-def write_trace_csv(trace: list[dict], path) -> None:
+def write_csv(path, columns, rows) -> None:
+    """The one table format: a header line, then one line per row of numbers,
+    an int as an integer and any other number as the repr of its float (under
+    numpy 2 an np.float64's own repr reads `np.float64(...)`). Lines end in
+    CRLF, as `csv` writes them; no number needs quoting."""
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=TRACE_COLUMNS)
-        writer.writeheader()
-        for row in trace:
-            out = {}
-            for k in TRACE_COLUMNS:
-                out[k] = row[k] if k == "action_index" else repr(float(row[k]))
-            writer.writerow(out)
+        fh.write(",".join(columns) + "\r\n")
+        for row in rows:
+            fh.write(",".join([str(v) if isinstance(v, int) else repr(float(v))
+                               for v in row]) + "\r\n")
+
+
+def write_json(payload: dict, path) -> None:
+    """The one JSON format: 2-space indent, sorted keys, a final newline."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def write_trace_csv(trace: list[tuple], path) -> None:
+    write_csv(path, TRACE_COLUMNS, trace)
 
 
 def write_report(result_metrics: MetricsReport, path,
@@ -590,6 +594,4 @@ def write_report(result_metrics: MetricsReport, path,
     payload.update({f"{k}_x100": payload[k] * 100.0 for k in ("e_x", "e_y", "e_w")})
     if extra:
         payload.update(extra)
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(payload, path)

@@ -214,15 +214,11 @@ def find_goal_pose(grid: OccupancyGrid, waypoint: np.ndarray, obstacles,
     scanned from angle 0 by angular_step. The pose yaw faces face_toward.
     """
     wx, wy = float(waypoint[0]), float(waypoint[1])
+    n = max(1, int(np.ceil(2.0 * np.pi / cfg.angular_step)))
+    ring = [k * cfg.angular_step for k in range(n) if k * cfg.angular_step < 2.0 * np.pi]
     radius = 0.0
     while radius <= cfg.search_radius + 1e-12:
-        if radius == 0.0:
-            angles = [0.0]
-        else:
-            n = max(1, int(np.ceil(2.0 * np.pi / cfg.angular_step)))
-            angles = [k * cfg.angular_step for k in range(n)
-                      if k * cfg.angular_step < 2.0 * np.pi]
-        for theta in angles:
+        for theta in [0.0] if radius == 0.0 else ring:
             x = wx + radius * np.cos(theta)
             y = wy + radius * np.sin(theta)
             if not footprint_clear(grid, x, y, cfg.robot_inflation):

@@ -542,6 +542,23 @@ class TestExportGrid:
         assert "resolution" in (tmp_path / "map.hdr").read_text()
 
 
+def full_timeline(path):
+    """200 rows with every optional velocity column, some optional term
+    columns, and empty cells that read 0."""
+    rows = [CONTACTS + ",cmd_vx,act_vx,cmd_vy,act_vy,cmd_w,act_w,"
+            "ee_pos,torque_arm,smooth"]
+    for k in range(200):
+        t = 0.02 * (k + 1)
+        diag_a = int((t * 1.5) % 1.0 < 0.5)
+        stance = int(k % 37 < 5)
+        act_vx = 0.6 * (1.0 - 0.9 ** k)
+        ee_pos = "" if k % 7 == 0 else f"{0.01 * (k % 13)}"
+        rows.append(f"{t},{diag_a | stance},{1 - diag_a | stance},"
+                    f"{1 - diag_a},{diag_a},0.6,{act_vx},0.1,{0.1 * (k % 3)},"
+                    f"-0.25,{-0.25 + 0.001 * k},{ee_pos},{1e-3 * k},")
+    path.write_text("\n".join(rows) + "\n")
+
+
 class TestRewardsCommand:
     def _timeline(self, path):
         rows = ["t,contact_FL,contact_FR,contact_RL,contact_RR,cmd_vx,act_vx"]
@@ -584,6 +601,21 @@ class TestRewardsCommand:
         res = invoke("rewards", src, "--out", out)
         assert res.exit_code == 0
         assert out.read_text().splitlines() == ["t"]
+
+    # sha256 of the `rewards` output for the two timelines: the column order,
+    # the `repr` cells and the CRLF line ends are all pinned.
+    @pytest.mark.parametrize("make, digest", [
+        (full_timeline,
+         "fb440590b1357b29f0bec4bbb4d9a0d760fc9ec820f286d28f400f7fc0988d95"),
+        (lambda p: p.write_text(CONTACTS + "\n"),
+         "9e8b03ea3b48312f8e3a15bec7aa85c96a362e2776ac6bc3dfd74a40022bcc8a"),
+    ], ids=["full", "header_only"])
+    def test_output_bytes_pinned(self, tmp_path, make, digest):
+        src, out = tmp_path / "timeline.csv", tmp_path / "terms.csv"
+        make(src)
+        res = invoke("rewards", src, "--out", out)
+        assert res.exit_code == 0, res.output
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_bad_rows_config_exit(self, tmp_path):
         src = tmp_path / "bad.csv"

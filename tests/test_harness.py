@@ -1,3 +1,4 @@
+import csv
 import re
 import tempfile
 from pathlib import Path
@@ -12,11 +13,12 @@ from locoman.cli import _load_runnable
 from locoman.config import Config, TrackingConfig, to_dict
 from locoman.errors import LocomanError, ParseError, ValidationError
 from locoman.geometry import Pose, quat_geodesic_distance, vec3
-from locoman.harness import (BASE_STAND_HEIGHT, aggregate,
+from locoman.harness import (BASE_STAND_HEIGHT, TRACE_COLUMNS, aggregate,
                              build_instance_graph, build_occupancy_grid,
-                             make_world, run_episode, step, write_report,
-                             write_trace_csv)
+                             make_world, run_episode, stage1_terms, step,
+                             write_report, write_trace_csv)
 from locoman.navgrid import FREE, OCCUPIED, OccupancyGrid
+from locoman.rewards import ContactTimeline
 from locoman.sampling import LocomotionCommand, make_rng
 from locoman.scenario import load_scenario, scenario_from_dict
 
@@ -411,6 +413,64 @@ class TestArtifacts:
         text = path.read_text()
         assert '"scenario": "mini"' in text
         assert '"e_x_x100"' in text
+
+
+def write_trace_csv_dictwriter(trace, path):
+    """The trace writer as it was, csv.DictWriter over one dict per row: the
+    reference the one-join writer must match byte for byte."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=TRACE_COLUMNS)
+        writer.writeheader()
+        for cells in trace:
+            row = dict(zip(TRACE_COLUMNS, cells))
+            out = {}
+            for k in TRACE_COLUMNS:
+                out[k] = row[k] if k == "action_index" else repr(float(row[k]))
+            writer.writerow(out)
+
+
+class TestTraceWriterOracle:
+    """write_trace_csv must write exactly what csv.DictWriter wrote."""
+
+    def _assert_same_bytes(self, trace, tmp_path):
+        ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
+        write_trace_csv(trace, ours)
+        write_trace_csv_dictwriter(trace, ref)
+        assert ours.read_bytes() == ref.read_bytes()
+
+    def test_noisy_bundled_episode(self, tmp_path):
+        s = load_scenario(SCENARIO_DIR / "cart_delivery.yaml")
+        noisy = Config(tracking=TrackingConfig(tau_base=0.1, noise_pos=0.002,
+                                               noise_ori=0.01))
+        trace = run_episode(s, master_seed=0, config=noisy).trace
+        assert len(trace) > 500
+        self._assert_same_bytes(trace, tmp_path)
+
+    def test_edge_floats(self, tmp_path):
+        values = [-0.0, 5e-324, 1e300, 0.1 + 0.2, np.float64(0.1) + np.float64(0.2),
+                  np.float64(-0.0), np.float64(5e-324), -1e300, 1.0, 1 / 3,
+                  np.float64(2.0) ** 0.5, -123456789.125]
+        n = len(TRACE_COLUMNS) - 2
+        trace = [(values[k % len(values)], index,
+                  *(values[(k + j) % len(values)] for j in range(n)))
+                 for k, index in enumerate([-1, 0, 0, 3, -1, 0, 1, 2, 0, -1, 5, 0])]
+        self._assert_same_bytes(trace, tmp_path)
+
+
+class TestTraceColumns:
+    def test_reward_columns_follow_stage1_terms(self):
+        # rows are positional: the terms land right before total_stage1, in
+        # stage1_terms' order
+        terms = stage1_terms(Config(), np.zeros(3), np.zeros(3), ContactTimeline())
+        names = [f"r_{name}" for name in terms]
+        assert TRACE_COLUMNS[-len(names) - 1:] == names + ["total_stage1"]
+        assert [c for c in TRACE_COLUMNS if c.startswith("r_")] == names
+
+    def test_every_row_has_every_column(self):
+        trace = run_episode(scenario_from_dict(minimal_scenario_dict()),
+                            master_seed=0).trace
+        assert trace
+        assert {len(row) for row in trace} == {len(TRACE_COLUMNS)}
 
 
 class TestGroundingFixtureOffset:
