@@ -216,6 +216,9 @@ def find_goal_pose(grid: OccupancyGrid, waypoint: np.ndarray, obstacles,
     wx, wy = float(waypoint[0]), float(waypoint[1])
     n = max(1, int(np.ceil(2.0 * np.pi / cfg.angular_step)))
     ring = [k * cfg.angular_step for k in range(n) if k * cfg.angular_step < 2.0 * np.pi]
+    inflated = [((bmin[0] - cfg.bbox_inflation, bmin[1] - cfg.bbox_inflation),
+                 (bmax[0] + cfg.bbox_inflation, bmax[1] + cfg.bbox_inflation))
+                for bmin, bmax in obstacles]
     radius = 0.0
     while radius <= cfg.search_radius + 1e-12:
         for theta in [0.0] if radius == 0.0 else ring:
@@ -223,14 +226,8 @@ def find_goal_pose(grid: OccupancyGrid, waypoint: np.ndarray, obstacles,
             y = wy + radius * np.sin(theta)
             if not footprint_clear(grid, x, y, cfg.robot_inflation):
                 continue
-            blocked = False
-            for bmin, bmax in obstacles:
-                inflated_min = (bmin[0] - cfg.bbox_inflation, bmin[1] - cfg.bbox_inflation)
-                inflated_max = (bmax[0] + cfg.bbox_inflation, bmax[1] + cfg.bbox_inflation)
-                if disk_overlaps_bbox(x, y, cfg.robot_inflation, inflated_min, inflated_max):
-                    blocked = True
-                    break
-            if blocked:
+            if any(disk_overlaps_bbox(x, y, cfg.robot_inflation, lo, hi)
+                   for lo, hi in inflated):
                 continue
             yaw = float(np.arctan2(face_toward[1] - y, face_toward[0] - x))
             return Pose(vec3(x, y, float(waypoint[2]) if len(waypoint) > 2 else 0.0),
@@ -246,14 +243,14 @@ def blocked_mask(grid: OccupancyGrid, inflation: float) -> np.ndarray:
     if inflation <= 0.0:
         return occ
     mask = np.zeros_like(occ)
-    offs = _disk_offsets(inflation, grid.resolution)
-    ys, xs = np.nonzero(occ)
     h, w = occ.shape
-    for dx, dy in offs:
-        nx = xs + dx
-        ny = ys + dy
-        keep = (nx >= 0) & (nx < w) & (ny >= 0) & (ny < h)
-        mask[ny[keep], nx[keep]] = True
+    for dx, dy in _disk_offsets(inflation, grid.resolution).tolist():
+        # an offset as long as the grid reaches no cell; past that a
+        # negative slice stop would wrap around
+        if abs(dx) >= w or abs(dy) >= h:
+            continue
+        mask[max(dy, 0):h + min(dy, 0), max(dx, 0):w + min(dx, 0)] |= \
+            occ[max(-dy, 0):h - max(dy, 0), max(-dx, 0):w - max(dx, 0)]
     return mask
 
 
@@ -262,6 +259,12 @@ def plan_path(grid: OccupancyGrid, start: tuple[int, int], goal: tuple[int, int]
     """Cost-optimal 8-connected A* over Free|Unknown cells, diagonal cost sqrt(2).
 
     Tie-breaking is deterministic: (f, h, flat cell index).
+
+    The search runs on the blocked mask padded with a one-cell blocked
+    border, so each neighbour is its cell's flat index plus a fixed offset
+    and needs no bounds check. A cell's padded index (y+1)*(w+2)+x+1 sorts
+    exactly as its unpadded y*w+x does, so the heap pops cells in the same
+    order and every path is the one the unpadded search finds.
     """
     h, w = grid.cells.shape
     sx, sy = start
@@ -272,39 +275,49 @@ def plan_path(grid: OccupancyGrid, start: tuple[int, int], goal: tuple[int, int]
     if blocked[sy, sx] or blocked[gy, gx]:
         raise NoPath("start or goal cell blocked")
 
-    def heuristic(x, y):
-        dx, dy = abs(x - gx), abs(y - gy)
-        return (dx + dy) + (SQRT2 - 2.0) * min(dx, dy)
+    pw = w + 2
+    padded = np.ones((h + 2, pw), dtype=bool)
+    padded[1:-1, 1:-1] = blocked
+    wall = padded.tobytes()
+    # Python ints throughout: a numpy scalar index would slow every step
+    src = (int(sy) + 1) * pw + int(sx) + 1
+    dst = (int(gy) + 1) * pw + int(gx) + 1
+    ty, tx = divmod(dst, pw)
+    diag = SQRT2 - 2.0
+    moves = ((1, 1.0), (-1, 1.0), (pw, 1.0), (-pw, 1.0),
+             (pw + 1, SQRT2), (1 - pw, SQRT2), (pw - 1, SQRT2), (-pw - 1, SQRT2))
+    inf = float("inf")
+    pop, push = heapq.heappop, heapq.heappush
 
-    g_score = {start: 0.0}
+    dx, dy = abs(sx - gx), abs(sy - gy)
+    h0 = (dx + dy) + diag * min(dx, dy)
+    g_score = {src: 0.0}
     came = {}
-    h0 = heuristic(sx, sy)
-    open_heap = [(h0, h0, sy * w + sx, start)]
+    open_heap = [(h0, h0, src)]
     closed = set()
-    moves = [(1, 0, 1.0), (-1, 0, 1.0), (0, 1, 1.0), (0, -1, 1.0),
-             (1, 1, SQRT2), (1, -1, SQRT2), (-1, 1, SQRT2), (-1, -1, SQRT2)]
     while open_heap:
-        _, _, _, cur = heapq.heappop(open_heap)
+        cur = pop(open_heap)[2]
         if cur in closed:
             continue
-        if cur == goal:
+        if cur == dst:
             path = [cur]
             while path[-1] in came:
                 path.append(came[path[-1]])
-            return path[::-1]
+            return [(p % pw - 1, p // pw - 1) for p in reversed(path)]
         closed.add(cur)
-        cx, cy = cur
-        for dx, dy, cost in moves:
-            nx, ny = cx + dx, cy + dy
-            if not (0 <= nx < w and 0 <= ny < h) or blocked[ny, nx]:
+        g_cur = g_score[cur]
+        for d, cost in moves:
+            nb = cur + d
+            if wall[nb]:
                 continue
-            tentative = g_score[cur] + cost
-            nxt = (nx, ny)
-            if tentative < g_score.get(nxt, np.inf):
-                g_score[nxt] = tentative
-                came[nxt] = cur
-                hn = heuristic(nx, ny)
-                heapq.heappush(open_heap, (tentative + hn, hn, ny * w + nx, nxt))
+            tentative = g_cur + cost
+            if tentative < g_score.get(nb, inf):
+                g_score[nb] = tentative
+                came[nb] = cur
+                y, x = divmod(nb, pw)
+                dx, dy = abs(x - tx), abs(y - ty)
+                hn = (dx + dy) + diag * (dx if dx < dy else dy)
+                push(open_heap, (tentative + hn, hn, nb))
     raise NoPath(f"goal {goal} unreachable from {start}")
 
 

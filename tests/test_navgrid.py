@@ -1,4 +1,5 @@
 import heapq
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from locoman.errors import NoFeasibleGoal, NoPath
 from locoman.geometry import Pose, vec3
 from locoman.navgrid import (FREE, OCCUPIED, SQRT2, UNKNOWN, GoalSearchConfig,
-                             OccupancyGrid, Scan, blocked_mask, bresenham,
+                             OccupancyGrid, Scan, _disk_offsets, blocked_mask, bresenham,
                              disk_overlaps_bbox, find_goal_pose,
                              footprint_clear, path_cost, plan_path)
 
@@ -300,6 +301,202 @@ class TestAStar:
         g = OccupancyGrid(resolution=0.1, width=10, height=10, origin_xy=(0, 0))
         path = plan_path(g, (0, 0), (9, 9))
         assert path_cost(path) == pytest.approx(9 * SQRT2)
+
+
+def _blocked_mask_scatter(grid, inflation):
+    """The blocked mask as it was, a scatter over every occupied cell: the
+    reference the shifted-slice mask must match bit for bit."""
+    occ = grid.cells == OCCUPIED
+    if inflation <= 0.0:
+        return occ
+    mask = np.zeros_like(occ)
+    offs = _disk_offsets(inflation, grid.resolution)
+    ys, xs = np.nonzero(occ)
+    h, w = occ.shape
+    for dx, dy in offs:
+        nx = xs + dx
+        ny = ys + dy
+        keep = (nx >= 0) & (nx < w) & (ny >= 0) & (ny < h)
+        mask[ny[keep], nx[keep]] = True
+    return mask
+
+
+def _plan_path_dict(grid, start, goal, inflation=0.0):
+    """A* as it was, tuple-keyed with a bounds check per neighbour: the
+    reference the flat-index search must match cell for cell."""
+    h, w = grid.cells.shape
+    sx, sy = start
+    gx, gy = goal
+    if not (grid.in_bounds(sx, sy) and grid.in_bounds(gx, gy)):
+        raise NoPath("start or goal out of bounds")
+    blocked = _blocked_mask_scatter(grid, inflation)
+    if blocked[sy, sx] or blocked[gy, gx]:
+        raise NoPath("start or goal cell blocked")
+
+    def heuristic(x, y):
+        dx, dy = abs(x - gx), abs(y - gy)
+        return (dx + dy) + (SQRT2 - 2.0) * min(dx, dy)
+
+    g_score = {start: 0.0}
+    came = {}
+    h0 = heuristic(sx, sy)
+    open_heap = [(h0, h0, sy * w + sx, start)]
+    closed = set()
+    moves = [(1, 0, 1.0), (-1, 0, 1.0), (0, 1, 1.0), (0, -1, 1.0),
+             (1, 1, SQRT2), (1, -1, SQRT2), (-1, 1, SQRT2), (-1, -1, SQRT2)]
+    while open_heap:
+        _, _, _, cur = heapq.heappop(open_heap)
+        if cur in closed:
+            continue
+        if cur == goal:
+            path = [cur]
+            while path[-1] in came:
+                path.append(came[path[-1]])
+            return path[::-1]
+        closed.add(cur)
+        cx, cy = cur
+        for dx, dy, cost in moves:
+            nx, ny = cx + dx, cy + dy
+            if not (0 <= nx < w and 0 <= ny < h) or blocked[ny, nx]:
+                continue
+            tentative = g_score[cur] + cost
+            nxt = (nx, ny)
+            if tentative < g_score.get(nxt, np.inf):
+                g_score[nxt] = tentative
+                came[nxt] = cur
+                hn = heuristic(nx, ny)
+                heapq.heappush(open_heap, (tentative + hn, hn, ny * w + nx, nxt))
+    raise NoPath(f"goal {goal} unreachable from {start}")
+
+
+def _assert_same_plan(grid, start, goal, inflation):
+    """plan_path returns the reference's path, or raises its NoPath text."""
+    try:
+        expected = _plan_path_dict(grid, start, goal, inflation)
+    except NoPath as exc:
+        with pytest.raises(NoPath) as got:
+            plan_path(grid, start, goal, inflation=inflation)
+        assert str(got.value) == str(exc)
+        return None
+    assert plan_path(grid, start, goal, inflation=inflation) == expected
+    return expected
+
+
+class TestPlanPathOracle:
+    """plan_path and blocked_mask must answer exactly as the old code did."""
+
+    @pytest.mark.parametrize("inflation", [0.0, 0.12, 0.3])
+    def test_random_grids(self, inflation):
+        rng = np.random.Generator(np.random.PCG64(1207))
+        # sparse obstacles keep inflated grids passable; denser ones at 0
+        share = {0.0: 0.2, 0.12: 0.04, 0.3: 0.01}[inflation]
+        solved = 0
+        for _ in range(40):
+            g = random_grid(rng, share, width=int(rng.integers(8, 33)),
+                            height=int(rng.integers(8, 25)))
+            # Unknown cells are traversable and sort no differently
+            g.cells[rng.random(g.cells.shape) < 0.2] = UNKNOWN
+            free = np.argwhere(~blocked_mask(g, inflation))
+            for _ in range(3):
+                start, goal = (tuple(int(v) for v in free[rng.integers(len(free))][::-1])
+                               for _ in range(2))
+                solved += _assert_same_plan(g, start, goal, inflation) is not None
+        assert solved > 60
+
+    def test_open_grid_ties(self):
+        # every cell free: many paths share the optimal cost, so only the
+        # (f, h, flat index) tie-break picks one
+        g = OccupancyGrid(resolution=0.1, width=24, height=16, origin_xy=(0, 0))
+        for start, goal in [((0, 0), (23, 15)), ((23, 0), (0, 15)), ((3, 7), (20, 9)),
+                            ((12, 0), (12, 15)), ((0, 8), (23, 8)), ((5, 5), (5, 5))]:
+            for a, b in [(start, goal), (goal, start)]:
+                assert _assert_same_plan(g, a, b, 0.0) is not None
+
+    def test_border_rows_and_columns(self):
+        rng = np.random.Generator(np.random.PCG64(1208))
+        g = random_grid(rng, 0.1, width=20, height=14)
+        h, w = g.cells.shape
+        border = ([(x, 0) for x in range(w)] + [(x, h - 1) for x in range(w)]
+                  + [(0, y) for y in range(h)] + [(w - 1, y) for y in range(h)])
+        for k in range(60):
+            start = border[rng.integers(len(border))]
+            goal = border[rng.integers(len(border))]
+            _assert_same_plan(g, start, goal, 0.0 if k % 2 else 0.12)
+
+    @pytest.mark.parametrize("shape", [(1, 12), (12, 1), (2, 6)])
+    def test_thin_grids(self, shape):
+        h, w = shape
+        g = OccupancyGrid(resolution=0.1, width=w, height=h, origin_xy=(0, 0))
+        g.cells[:] = FREE
+        if w * h > 2:
+            g.cells.reshape(-1)[(w * h) // 2] = OCCUPIED
+        cells = [(x, y) for y in range(h) for x in range(w)]
+        for inflation in (0.0, 0.12, 0.3):
+            for start in cells:
+                for goal in cells:
+                    _assert_same_plan(g, start, goal, inflation)
+
+    def test_inflation_disk_larger_than_grid(self):
+        g = OccupancyGrid(resolution=0.1, width=1, height=1, origin_xy=(0, 0))
+        g.cells[:] = FREE
+        assert _assert_same_plan(g, (0, 0), (0, 0), 0.3) == [(0, 0)]
+        g.cells[:] = OCCUPIED
+        assert _assert_same_plan(g, (0, 0), (0, 0), 0.3) is None
+
+    def test_no_path_texts(self):
+        g = OccupancyGrid(resolution=0.1, width=16, height=10, origin_xy=(0, 0))
+        g.cells[:] = FREE
+        g.cells[:, 8] = OCCUPIED
+        g.cells[4, 3] = OCCUPIED
+        unreachable = "goal (12, 5) unreachable from (1, 1)"
+        blocked, outside = "start or goal cell blocked", "start or goal out of bounds"
+        cases = [((1, 1), (12, 5), 0.0, unreachable),  # the wall splits the grid
+                 ((1, 1), (12, 5), 0.12, unreachable),
+                 ((3, 4), (1, 1), 0.0, blocked),       # start on an occupied cell
+                 ((1, 1), (3, 5), 0.12, blocked),      # goal inside its inflation
+                 ((-1, 0), (1, 1), 0.0, outside),
+                 ((1, 1), (16, 0), 0.0, outside),
+                 ((1, 10), (1, 1), 0.0, outside),
+                 ((1, 1), (1, -1), 0.0, outside)]
+        for start, goal, inflation, text in cases:
+            assert _assert_same_plan(g, start, goal, inflation) is None
+            with pytest.raises(NoPath, match=re.escape(text)):
+                plan_path(g, start, goal, inflation=inflation)
+
+    def test_walled_mid_size_grid(self):
+        # two rows of four rooms off a corridor, one doorway per room: long
+        # searches through most of the grid, and one goal sealed off
+        g = OccupancyGrid(resolution=0.1, width=128, height=64, origin_xy=(0, 0))
+        g.cells[:] = FREE
+        g.cells[[0, -1], :] = OCCUPIED
+        g.cells[:, [0, -1]] = OCCUPIED
+        for wall_y in (26, 38):
+            g.cells[wall_y, :] = OCCUPIED
+            for x in range(0, 128, 32):
+                g.cells[wall_y, x + 11:x + 21] = FREE
+        for x in range(32, 128, 32):
+            g.cells[:26, x] = OCCUPIED
+            g.cells[39:, x] = OCCUPIED
+        g.cells[45:55, 100:110] = OCCUPIED
+        g.cells[48:52, 103:107] = FREE  # a free pocket inside a solid block
+        for start, goal, inflation in [((4, 4), (122, 58), 0.3),
+                                       ((122, 4), (4, 58), 0.12),
+                                       ((60, 32), (20, 10), 0.0)]:
+            path = _assert_same_plan(g, start, goal, inflation)
+            assert path is not None and len(path) > 50
+        assert _assert_same_plan(g, (4, 58), (105, 50), 0.0) is None
+
+    def test_blocked_mask_matches_scatter(self):
+        rng = np.random.Generator(np.random.PCG64(1209))
+        for k in range(200):
+            res = float(rng.choice([0.05, 0.1, 0.25]))
+            g = random_grid(rng, float(rng.uniform(0.0, 0.3)),
+                            width=int(rng.integers(1, 24)), height=int(rng.integers(1, 24)))
+            g.resolution = res
+            inflation = float(rng.choice([0.0, 0.05, 0.12, 0.3, 0.6]))
+            mask = blocked_mask(g, inflation)
+            assert mask.dtype == bool
+            assert np.array_equal(mask, _blocked_mask_scatter(g, inflation)), (k, inflation)
 
 
 class TestGoalSearch:
