@@ -23,9 +23,9 @@ import numpy as np
 
 from .config import Config, read_file, to_dict
 from .errors import LocomanError, ValidationError
-from .harness import (MetricsReport, aggregate, build_occupancy_grid, run_episode,
-                      stage1_terms, write_csv, write_json, write_report,
-                      write_trace_csv)
+from .harness import (MetricsReport, aggregate, build_instance_graph,
+                      build_occupancy_grid, run_episode, stage1_terms, write_csv,
+                      write_json, write_report, write_trace_csv)
 from .rewards import ContactTimeline, total_reward
 from .scenario import Scenario, load_scenario
 
@@ -62,11 +62,12 @@ def _writing(out: Path):
 
 
 def _load_runnable(path: Path) -> Scenario:
-    """load_scenario, also rejecting an empty plan: such a scenario is a
-    scene (enough for a grid) that no episode can start."""
+    """load_scenario, also rejecting what no episode can start: an empty plan
+    (a scene, enough for a grid) or two objects fused into one node."""
     scenario = load_scenario(path)
     if not scenario.plan:
         raise ValidationError(f"{path}.plan: plan is empty")
+    build_instance_graph(scenario, where=str(path))
     return scenario
 
 
@@ -91,9 +92,9 @@ def _run_one(task) -> MetricsReport:
 def _start_method() -> str:
     """`fork` where the platform has it and the caller runs one thread:
     forked workers inherit the imported modules, where spawned ones re-import
-    numpy and locoman (about 0.6 s each), more than a short run saves. A
-    lock held by another thread at fork time would stay locked in the child,
-    so threaded callers get `spawn`."""
+    numpy and locoman (0.34-0.46 s each on a 2-core box), more than a short
+    run saves. A lock held by another thread at fork time would stay locked
+    in the child, so threaded callers get `spawn`."""
     if "fork" in multiprocessing.get_all_start_methods() \
             and threading.active_count() == 1:
         return "fork"

@@ -1,6 +1,6 @@
-"""Config file family: reward weights, PD gains, command ranges, domain
-randomization, and harness defaults, with bit-exact YAML round-trip through
-one fields-driven codec (`to_dict`, `from_dict`) that scenarios share."""
+"""The run config: reward weights, the stage-1 tracking scales and the
+kinematic tracking model, with bit-exact YAML round-trip through one
+fields-driven codec (`to_dict`, `from_dict`) that scenarios share."""
 
 from __future__ import annotations
 
@@ -18,8 +18,7 @@ import numpy as np
 import yaml
 
 from .errors import ParseError, ValidationError
-from .rewards import PdGains, RewardWeights
-from .sampling import CommandRanges, RandomizationConfig
+from .rewards import RewardWeights
 
 
 @dataclass(frozen=True)
@@ -42,16 +41,9 @@ class TrackingConfig:
 @dataclass(frozen=True)
 class Config:
     reward_weights: RewardWeights = field(default_factory=RewardWeights)
-    pd_gains: PdGains = field(default_factory=PdGains)
     gamma_xy: float = 0.25
     gamma_w: float = 0.25
     f_target: float = 2.0
-    command_ranges: dict[str, CommandRanges] = field(default_factory=lambda: {
-        "train": CommandRanges.train(),
-        "eval": CommandRanges.eval(),
-        "roboduet": CommandRanges.roboduet(),
-    })
-    randomization: RandomizationConfig = field(default_factory=RandomizationConfig)
     tracking: TrackingConfig = field(default_factory=TrackingConfig)
 
     def dump(self, path) -> None:
@@ -157,7 +149,7 @@ def from_dict(cls, data, where: str = "config"):
             at = f"{where}.{exc.args[0]}" if len(exc.args) == 2 else where
             raise ValidationError(f"{at}: {exc.args[-1]}") from None
     if origin in (tuple, list):
-        variadic = origin is list or (len(args) == 2 and args[1] is Ellipsis)
+        variadic = origin is list
         if not isinstance(data, (list, tuple)) or (not variadic and len(data) != len(args)):
             size = "" if variadic else f"{len(args)} "
             raise ValidationError(f"{where}: expected a list of {size}items, got {data!r}")

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import UsageError
 
@@ -76,6 +75,8 @@ def geometric_similarity(points_i: np.ndarray, points_j: np.ndarray,
 
     Asymmetric by construction: points_i is the query side.
     """
+    from scipy.spatial import cKDTree  # here: over half of a cold `import locoman`
+
     points_i = np.asarray(points_i, dtype=float).reshape(-1, 3)
     points_j = np.asarray(points_j, dtype=float).reshape(-1, 3)
     if len(points_i) == 0 or len(points_j) == 0:

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .config import Config, TrackingConfig, to_dict
-from .errors import LocomanError, NoFeasibleGoal, NoPath, OracleFailure
+from .errors import LocomanError, NoFeasibleGoal, NoPath, OracleFailure, ValidationError
 from .fusion import Detection, FusionConfig, InstanceGraph
 from .geometry import (Pose, norm, quat_from_axis_angle, quat_geodesic_distance,
                        quat_mul, quat_normalize, quat_slerp, matrix_to_quat,
@@ -139,18 +139,25 @@ def _label_descriptor(label: str, dim: int = 16) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def build_instance_graph(scenario: Scenario) -> tuple[InstanceGraph, dict[str, int]]:
-    """Synthesize detections from scenario ground truth and fuse them."""
+def build_instance_graph(scenario: Scenario,
+                         where: str = "scenario") -> tuple[InstanceGraph, dict[str, int]]:
+    """Synthesize detections from scenario ground truth and fuse them, one node
+    per object: an object fused into another's node raises ValidationError."""
     graph = InstanceGraph(descriptor_dim=16, cfg=FusionConfig())
     node_of: dict[str, int] = {}
-    for obj in scenario.objects:
+    object_of: dict[int, str] = {}
+    for i, obj in enumerate(scenario.objects):
         lo, hi = obj.bbox()
         corners = np.array([[x, y, z] for x in (lo[0], hi[0])
                             for y in (lo[1], hi[1]) for z in (lo[2], hi[2])])
         points = np.vstack([corners, obj.position])
         det = Detection(label=obj.label, descriptor=_label_descriptor(obj.label),
                         points=points)
-        node_of[obj.id] = graph.ingest_detection(det)
+        node = graph.ingest_detection(det)
+        if node in object_of:
+            raise ValidationError(f"{where}.objects[{i}]: object {obj.id!r} fuses with "
+                                  f"{object_of[node]!r} into one instance node")
+        node_of[obj.id], object_of[node] = node, obj.id
     return graph, node_of
 
 

@@ -69,29 +69,26 @@ class CommandRanges:
             if lo > hi:
                 raise ValueError(f"{f.name}: lo {lo} > hi {hi}")
 
-    @staticmethod
-    def train() -> "CommandRanges":
-        return CommandRanges(
-            x=(-1.00, 1.00), y=(-1.00, 1.00), w=(-1.00, 1.00),
-            l_ee=(0.30, 0.65), p_ee=(-0.17 * PI, 0.33 * PI), y_ee=(-0.33 * PI, 0.33 * PI),
-            alpha_ee=(-0.50 * PI, 0.50 * PI), beta_ee=(-0.17 * PI, 0.50 * PI),
-            gamma_ee=(-0.50 * PI, 0.50 * PI))
 
-    @staticmethod
-    def eval() -> "CommandRanges":
-        return CommandRanges(
-            x=(-1.50, 1.50), y=(0.00, 0.00), w=(-1.50, 1.50),
-            l_ee=(0.20, 0.80), p_ee=(-0.50 * PI, 0.50 * PI), y_ee=(-0.50 * PI, 0.50 * PI),
-            alpha_ee=(-0.50 * PI, 0.50 * PI), beta_ee=(-0.50 * PI, 0.50 * PI),
-            gamma_ee=(-0.50 * PI, 0.50 * PI))
-
-    @staticmethod
-    def roboduet() -> "CommandRanges":
-        return CommandRanges(
-            x=(-1.00, 1.00), y=(0.00, 0.00), w=(-0.60, 0.60),
-            l_ee=(0.30, 0.70), p_ee=(-0.45 * PI, 0.45 * PI), y_ee=(-0.50 * PI, 0.50 * PI),
-            alpha_ee=(-0.45 * PI, 0.45 * PI), beta_ee=(-0.33 * PI, 0.33 * PI),
-            gamma_ee=(-0.42 * PI, 0.42 * PI))
+# the paper's command-range table: training, evaluation, and the RoboDuet
+# baseline's ranges
+COMMAND_RANGES: dict[str, CommandRanges] = {
+    "train": CommandRanges(
+        x=(-1.00, 1.00), y=(-1.00, 1.00), w=(-1.00, 1.00),
+        l_ee=(0.30, 0.65), p_ee=(-0.17 * PI, 0.33 * PI), y_ee=(-0.33 * PI, 0.33 * PI),
+        alpha_ee=(-0.50 * PI, 0.50 * PI), beta_ee=(-0.17 * PI, 0.50 * PI),
+        gamma_ee=(-0.50 * PI, 0.50 * PI)),
+    "eval": CommandRanges(
+        x=(-1.50, 1.50), y=(0.00, 0.00), w=(-1.50, 1.50),
+        l_ee=(0.20, 0.80), p_ee=(-0.50 * PI, 0.50 * PI), y_ee=(-0.50 * PI, 0.50 * PI),
+        alpha_ee=(-0.50 * PI, 0.50 * PI), beta_ee=(-0.50 * PI, 0.50 * PI),
+        gamma_ee=(-0.50 * PI, 0.50 * PI)),
+    "roboduet": CommandRanges(
+        x=(-1.00, 1.00), y=(0.00, 0.00), w=(-0.60, 0.60),
+        l_ee=(0.30, 0.70), p_ee=(-0.45 * PI, 0.45 * PI), y_ee=(-0.50 * PI, 0.50 * PI),
+        alpha_ee=(-0.45 * PI, 0.45 * PI), beta_ee=(-0.33 * PI, 0.33 * PI),
+        gamma_ee=(-0.42 * PI, 0.42 * PI)),
+}
 
 
 def _uniform(rng: np.random.Generator, bounds: tuple[float, float]) -> float:

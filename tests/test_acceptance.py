@@ -27,7 +27,8 @@ from locoman.navgrid import (FREE, OCCUPIED, SQRT2, GoalSearchConfig,
 from locoman.rewards import (ContactTimeline, LegTimeline, r_freq, r_gait,
                              sync_term, total_reward)
 from locoman.geometry import cartesian_to_spherical
-from locoman.sampling import make_rng, sample_ee_target, sample_locomotion_command
+from locoman.sampling import (COMMAND_RANGES, RandomizationConfig, make_rng,
+                              sample_ee_target, sample_locomotion_command)
 
 SCENARIO_PATH = Path(__file__).resolve().parent.parent / "scenarios" / "cart_delivery.yaml"
 PI = np.pi
@@ -148,7 +149,7 @@ def test_criterion_5_sampling_ranges_and_invariance():
     # the drawn spherical parameters exactly
     base = Pose(vec3(0.0, 0.0, 0.55), quat_from_euler(0, 0, 0))
     for name in ("train", "eval", "roboduet"):
-        ranges = Config().command_ranges[name]
+        ranges = COMMAND_RANGES[name]
         rng = make_rng(505)
         draws = {k: np.empty(n) for k in
                  ("x", "y", "w", "l_ee", "p_ee", "y_ee",
@@ -171,7 +172,7 @@ def test_criterion_5_sampling_ranges_and_invariance():
                 assert vals.min() <= lo_b + 0.01 * span
                 assert vals.max() >= hi_b - 0.01 * span
 
-    ranges = Config().command_ranges["train"]
+    ranges = COMMAND_RANGES["train"]
     z_by_pitch = []
     for pitch in (-0.5, 0.0, 0.5):
         rng = make_rng(42)
@@ -320,17 +321,17 @@ def test_criterion_9_config_fidelity(tmp_path):
     for name, values in expected_weights.items():
         assert getattr(w, name) == values, name
 
-    train = cfg.command_ranges["train"]
+    train = COMMAND_RANGES["train"]
     assert train.l_ee == (0.30, 0.65)
     assert train.p_ee == pytest.approx((-0.17 * PI, 0.33 * PI))
-    ev = cfg.command_ranges["eval"]
+    ev = COMMAND_RANGES["eval"]
     assert ev.x == (-1.5, 1.5) and ev.y == (0.0, 0.0) and ev.l_ee == (0.2, 0.8)
-    rd = cfg.command_ranges["roboduet"]
+    rd = COMMAND_RANGES["roboduet"]
     assert rd.w == (-0.6, 0.6)
     assert rd.gamma_ee == pytest.approx((-0.42 * PI, 0.42 * PI))
 
-    table = {e.parameter: (*e.range, e.method)
-             for e in cfg.randomization.entries}
+    rnd = RandomizationConfig()
+    table = {e.parameter: (*e.range, e.method) for e in rnd.entries}
     assert table["friction"] == (0.4, 2.0, "abs")
     assert table["base_mass"] == (-5.0, 5.0, "add")
     assert table["actuator_gains"] == (0.8, 1.2, "scale")
@@ -338,7 +339,6 @@ def test_criterion_9_config_fidelity(tmp_path):
     assert table["joint_reset"] == (0.5, 1.5, "scale")
     assert table["base_push_x"] == (-0.5, 0.5, "interval")
     assert table["base_reset_heading"] == (-PI, PI, "add")
-    assert (cfg.randomization.push_spacing, cfg.randomization.push_jitter,
-            cfg.randomization.push_duration) == (5.0, 1.0, 0.5)
+    assert (rnd.push_spacing, rnd.push_jitter, rnd.push_duration) == (5.0, 1.0, 0.5)
     assert (cfg.gamma_xy, cfg.gamma_w, cfg.f_target) == (0.25, 0.25, 2.0)
     _report(9, "defaults round-trip and match the transcribed tables field-for-field")

@@ -1,6 +1,9 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -11,6 +14,7 @@ from click.testing import CliRunner
 from locoman import cli
 from locoman.cli import main
 from locoman.config import Config, TrackingConfig, to_dict
+from locoman.sampling import COMMAND_RANGES
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIO = ROOT / "scenarios" / "cart_delivery.yaml"
@@ -51,18 +55,18 @@ def scenario_with(tmp_path, edit):
     return path
 
 
-EVAL_RANGES = to_dict(Config())["command_ranges"]["eval"]
 # malformed config files, each with the location its message must name
 MALFORMED_CONFIGS = [
-    pytest.param("command_ranges:\n  eval: {x: [0.0, 1.0]}\n",
-                 "config.command_ranges.eval.y", id="missing_field"),
     pytest.param("tracking: {tau: 0.1}\n", "config.tracking.tau", id="unknown_key"),
     pytest.param("- gamma_xy\n- 0.5\n", "config: expected a mapping", id="list"),
     pytest.param("gamma_xy: [0.5\n", "bad.yaml", id="yaml_syntax"),
-    pytest.param(yaml.safe_dump({"command_ranges": {"eval": dict(EVAL_RANGES, x=[1.0, 0.0])}}),
-                 "config.command_ranges.eval: x: lo 1.0 > hi 0.0", id="lo_above_hi"),
+    pytest.param("tracking: {ee_rate: 0}\n", "config.tracking.ee_rate: must be finite and > 0",
+                 id="out_of_range"),
     pytest.param("reward_weights: {track_xy: big}\n", "config.reward_weights.track_xy",
                  id="not_numbers"),
+    # a table that config files held before it became a module constant
+    pytest.param(yaml.safe_dump({"command_ranges": to_dict(COMMAND_RANGES)}),
+                 "config.command_ranges: unknown key", id="removed_key"),
 ]
 
 # out-of-range numbers for `run`: (arguments, exit code, text the message names)
@@ -357,6 +361,15 @@ class TestValidate:
         assert where in res.output
         assert not out.exists()
 
+    def test_objects_fused_into_one_node(self, tmp_path):
+        # a second "red apple" 2 cm from the first fuses into its instance
+        # node, and `pick apple` would grasp whichever object the node kept
+        def edit(d):
+            d["objects"].append({"id": "apple2", "label": "red apple",
+                                 "position": [2.02, 0.0, 0.1]})
+        self._rejected_by_both(tmp_path, edit, "edited.yaml.objects[2]: object 'apple2' "
+                                               "fuses with 'apple' into one instance node")
+
     def test_unknown_monitor_kind(self, tmp_path):
         def edit(d):
             d["monitors"][0]["kind"] = "robot_close"
@@ -406,7 +419,7 @@ GOLDEN = {
             "282be9d4987b8ab73b9a73daff09d57eb3cab4af02f1cfc072440998995e73f9",
         "cart_delivery/episode_2/report.json":
             "ab163122b6d6d8a6c1eb3f1a4e8d2ffda2a12752ccb8a8fbbcbe4eab7b464d24",
-        "manifest.json": "ff83a3864669e50b87f0502f5c99d69879d45da9440e924b9ce6df5044a66469",
+        "manifest.json": "754cf0c8ceb5c1298f9f136d859e905ab1707774ddb4866c356d94b8bdcf4d4e",
     },
     NOISY: {
         "aggregate.json": "e032bcbc956149d9b47e48e0a52a8afb6cf4d77377519ef39025a00f90381fdf",
@@ -422,9 +435,49 @@ GOLDEN = {
             "a81872d64e23ca42b8fa700e87bf194016764f948c61f7953c57c55ed486a81a",
         "cart_delivery/episode_2/report.json":
             "3bcea986153e47187d4b73a603aa6802e49ed75af26d1939ea22982f17e6e1f3",
-        "manifest.json": "5919fc50bb817f6cbbca4b59e514d33dc20c7edf986f8a900400ebb17047ac47",
+        "manifest.json": "1dba6c5895516e3e45cc8118934ef6a3444d9c81ea487b89ba0cea5e2bfd7973",
     },
 }
+
+
+# The same for `run scenarios/drawer_and_crate.yaml --seed 0 --episodes 2`, a
+# scenario that reaches what cart_delivery does not: a push_pull of an
+# articulated object under a joint_open monitor, a drag with no target, a
+# navigate that times out at the horizon and a step left "horizon exhausted".
+EDGE_TRACE = "67fada878922b64f6ff8603a024459c5842acac06dd74221bf42241728397959"
+GOLDEN_EDGE = {
+    (): {
+        "aggregate.json": "575aa62f6d93ee4183e9ce368dfb8f26a22842bf5b3842887bbc41a5c262c49a",
+        "drawer_and_crate/episode_0/trace.csv": EDGE_TRACE,
+        "drawer_and_crate/episode_1/trace.csv": EDGE_TRACE,
+        "drawer_and_crate/episode_0/report.json":
+            "04ae7cac4067d523a67f9334f2c5b7c14ce42a88cfa03483017942e5c6176151",
+        "drawer_and_crate/episode_1/report.json":
+            "e5082bd018003594ef6b37e952d1ac18296bfab9d2a1041194ad5e16c792a72f",
+        "manifest.json": "da76b1707fae93a508e9f3a9ce8fa9aa4856c4302fd86c610ab5951a9f4c0bda",
+    },
+    NOISY: {
+        "aggregate.json": "a5f6fda5e7ef1892bf9d36aef6572c2d7d6c93935ad549f2bf9c960c4229ce2b",
+        "drawer_and_crate/episode_0/trace.csv":
+            "42a077897babede5d8d2e30915964ca6897b95f2830cadb42adc3dc5598c05cc",
+        "drawer_and_crate/episode_1/trace.csv":
+            "28ce560c436611d8ba1f115b5fa9c22c4386c4aec62d8872f48452ab523702a0",
+        "drawer_and_crate/episode_0/report.json":
+            "52b75a201454981edef2ec3fd8b94e1c0a55118eb0907ae3cb7e60aa944ed86b",
+        "drawer_and_crate/episode_1/report.json":
+            "964c8160f2593157059f04121f8bf4964313858185e142ce18e02c0ba16990a2",
+        "manifest.json": "107249870fee5d878a90547570e3a44a6db55156c6ff16f3ac10ef268c566cad",
+    },
+}
+
+
+def run_digests(tmp_path, scenario, episodes, jobs, flags):
+    out = tmp_path / "run"
+    res = invoke("run", scenario, "--seed", 0, "--episodes", episodes,
+                 "--jobs", jobs, *flags, "--out", out)
+    assert res.exit_code == 0, res.output
+    return {str(rel): hashlib.sha256((out / rel).read_bytes()).hexdigest()
+            for rel in files_of(out)}
 
 
 class TestGoldenDigest:
@@ -432,13 +485,19 @@ class TestGoldenDigest:
     @pytest.mark.parametrize("flags", list(GOLDEN), ids=["noise_free", "noisy"])
     def test_run_artefacts_pinned(self, tmp_path, monkeypatch, flags, jobs):
         monkeypatch.chdir(ROOT)
-        out = tmp_path / "run"
-        res = invoke("run", "scenarios/cart_delivery.yaml", "--seed", 0,
-                     "--episodes", 3, "--jobs", jobs, *flags, "--out", out)
-        assert res.exit_code == 0, res.output
-        digests = {str(rel): hashlib.sha256((out / rel).read_bytes()).hexdigest()
-                   for rel in files_of(out)}
+        digests = run_digests(tmp_path, "scenarios/cart_delivery.yaml", 3, jobs, flags)
         assert digests == GOLDEN[flags]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("flags", list(GOLDEN_EDGE), ids=["noise_free", "noisy"])
+    def test_edge_artefacts_pinned(self, tmp_path, monkeypatch, flags, jobs):
+        monkeypatch.chdir(ROOT)
+        digests = run_digests(tmp_path, "scenarios/drawer_and_crate.yaml", 2, jobs, flags)
+        assert digests == GOLDEN_EDGE[flags]
+        report = json.loads((tmp_path / "run" / "drawer_and_crate" / "episode_0"
+                             / "report.json").read_text())
+        assert [o["detail"] for o in report["outcomes"]] == [
+            "", "", "navigation timeout", "horizon exhausted"]
 
 
 @pytest.mark.parametrize("command, out", [
@@ -499,6 +558,17 @@ def test_bad_input_exit(tmp_path, command, case):
     assert line.startswith("error: ") and str(path) in line
     assert "Traceback" not in res.output
     assert not out.exists()
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy.spatial is most of a cold start, and only a detection that passes
+    # fusion's semantic test needs it
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, locoman.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert res.stdout == "[]\n"
 
 
 def test_duplicate_scenario_name_config_exit(tmp_path):

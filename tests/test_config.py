@@ -10,11 +10,16 @@ from locoman.config import (YAML_LOADER, Config, TrackingConfig, from_dict, read
 from locoman.errors import ParseError, ValidationError
 from locoman.planning import ActionKind
 from locoman.rewards import PdGains, RewardWeights
-from locoman.sampling import CommandRanges, RandomizationConfig
+from locoman.sampling import COMMAND_RANGES, RandomizationConfig
 
 PI = np.pi
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
-DEFAULT_DIGEST = "0d9ae50e54968e68078765bfdafa3bf66afa74996a3291548a0917d0f412cdac"
+DEFAULT_DIGEST = "472cb33bc265de215a72f7152b443989803603d24ff703123dbbbd2d48fc3c04"
+
+
+# what `Config().dump` wrote while the config held the three tables
+OLD_DUMP = dict(to_dict(Config()), command_ranges=to_dict(COMMAND_RANGES),
+                pd_gains=to_dict(PdGains()), randomization=to_dict(RandomizationConfig()))
 
 
 class TestRoundTrip:
@@ -23,8 +28,7 @@ class TestRoundTrip:
         TrackingConfig(tau_base=0.2, ee_rate=4.0, noise_pos=0.01, noise_ori=0.02),
         RewardWeights(track_xy=(1.0, 2.0)),
         PdGains(kp_leg=30.0, kd_arm=0.25),
-        CommandRanges.train(),
-        RandomizationConfig(push_spacing=3.0),
+        COMMAND_RANGES["train"],
     ], ids=lambda obj: type(obj).__name__)
     def test_dict_round_trip(self, obj):
         text = yaml.safe_dump(to_dict(obj), sort_keys=True)
@@ -70,7 +74,7 @@ class TestLoad:
         assert cfg.gamma_xy == 0.5
         assert cfg.tracking == TrackingConfig(tau_base=0.1)
         assert cfg.reward_weights == RewardWeights()
-        assert cfg.command_ranges == Config().command_ranges
+        assert cfg == Config(gamma_xy=0.5, tracking=TrackingConfig(tau_base=0.1))
 
     def test_ints_stored_as_float(self):
         cfg = from_dict(Config, {"f_target": 2, "reward_weights": {"gait": [1, 1]}})
@@ -88,16 +92,12 @@ class TestLoad:
         ({"reward_weights": {"track_xy": "big"}}, "config.reward_weights.track_xy:"),
         ({"reward_weights": {"track_xy": [1.0]}}, "config.reward_weights.track_xy:"),
         ({"reward_weights": {"gait": [1.0, None]}}, r"config.reward_weights.gait\[1\]:"),
-        ({"command_ranges": {"eval": {"x": [0.0, 1.0]}}},
-         "config.command_ranges.eval.y: missing"),
-        ({"command_ranges": {"eval": dict(to_dict(CommandRanges.eval()), x=[1.0, 0.0])}},
-         "config.command_ranges.eval: x: lo 1.0 > hi 0.0"),
-        ({"randomization": {"entries": [{"parameter": "mu", "range": [0.4, 2.0],
-                                         "method": "multiply"}]}},
-         r"config.randomization.entries\[0\]: mu: unknown method"),
-        ({"randomization": {"entries": [{"parameter": 7, "range": [0.4, 2.0],
-                                         "method": "abs"}]}},
-         r"config.randomization.entries\[0\].parameter: expected str"),
+        # tables that config files held before they became library defaults
+        ({"pd_gains": to_dict(PdGains())}, "config.pd_gains: unknown key"),
+        ({"command_ranges": to_dict(COMMAND_RANGES)}, "config.command_ranges: unknown key"),
+        ({"randomization": to_dict(RandomizationConfig())},
+         "config.randomization: unknown key"),
+        (OLD_DUMP, "config.command_ranges: unknown key"),
         ({"tracking": {"noise_ori": -0.01}},
          "config.tracking.noise_ori: must be finite and >= 0"),
         ({"tracking": {"ee_rate": 0.0}}, "config.tracking.ee_rate: must be finite and > 0"),
@@ -144,7 +144,12 @@ class TestLoad:
 
 
 class TestDefaultsSnapshot:
-    """Default config values pinned field-for-field."""
+    """Default config values and the library's paper tables pinned
+    field-for-field."""
+
+    def test_config_keys(self):
+        assert sorted(to_dict(Config())) == ["f_target", "gamma_w", "gamma_xy",
+                                             "reward_weights", "tracking"]
 
     def test_reward_weight_table(self):
         w = Config().reward_weights
@@ -169,11 +174,11 @@ class TestDefaultsSnapshot:
         assert cfg.f_target == 2.0
 
     def test_pd_gains(self):
-        g = Config().pd_gains
+        g = PdGains()
         assert (g.kp_leg, g.kd_leg, g.kp_arm, g.kd_arm) == (20.0, 0.5, 25.0, 0.5)
 
     def test_command_range_presets(self):
-        ranges = Config().command_ranges
+        ranges = COMMAND_RANGES
         train = ranges["train"]
         assert train.x == (-1.0, 1.0)
         assert train.y == (-1.0, 1.0)
@@ -205,7 +210,7 @@ class TestDefaultsSnapshot:
         assert rd.gamma_ee == pytest.approx((-0.42 * PI, 0.42 * PI))
 
     def test_randomization_table(self):
-        rnd = Config().randomization
+        rnd = RandomizationConfig()
         table = {e.parameter: (*e.range, e.method) for e in rnd.entries}
         assert table["friction"] == (0.4, 2.0, "abs")
         assert table["base_mass"] == (-5.0, 5.0, "add")

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from locoman.config import Config
 from locoman.geometry import Pose, quat_from_euler, vec3
-from locoman.sampling import (CommandRanges, PushEvent, RandomizationConfig,
-                              RandomizationEntry, default_randomization,
-                              episode_rng, make_rng,
+from locoman.sampling import (COMMAND_RANGES, CommandRanges, PushEvent,
+                              RandomizationConfig, RandomizationEntry,
+                              default_randomization, episode_rng, make_rng,
                               sample_episode_randomization, sample_ee_target,
                               sample_locomotion_command)
 
@@ -27,7 +26,7 @@ class TestRng:
 
 class TestCommandRanges:
     def test_presets_exist(self):
-        assert sorted(Config().command_ranges) == ["eval", "roboduet", "train"]
+        assert sorted(COMMAND_RANGES) == ["eval", "roboduet", "train"]
 
     def test_bad_range_rejected(self):
         with pytest.raises(ValueError):
@@ -39,7 +38,7 @@ class TestCommandRanges:
 class TestCommandSampling:
     def test_in_range_all_presets(self):
         for name in ("train", "eval", "roboduet"):
-            ranges = Config().command_ranges[name]
+            ranges = COMMAND_RANGES[name]
             rng = make_rng(1)
             for _ in range(2000):
                 cmd = sample_locomotion_command(rng, ranges)
@@ -48,13 +47,13 @@ class TestCommandSampling:
                 assert ranges.w[0] <= cmd.w <= ranges.w[1]
 
     def test_degenerate_range_pins_value(self):
-        ranges = CommandRanges.eval()  # y fixed at 0
+        ranges = COMMAND_RANGES["eval"]  # y fixed at 0
         rng = make_rng(2)
         for _ in range(100):
             assert sample_locomotion_command(rng, ranges).y == 0.0
 
     def test_deterministic(self):
-        r = CommandRanges.train()
+        r = COMMAND_RANGES["train"]
         a = sample_locomotion_command(make_rng(3), r)
         b = sample_locomotion_command(make_rng(3), r)
         assert (a.x, a.y, a.w) == (b.x, b.y, b.w)
@@ -62,7 +61,7 @@ class TestCommandSampling:
 
 class TestEETargetSampling:
     def test_orientation_in_range(self):
-        ranges = CommandRanges.train()
+        ranges = COMMAND_RANGES["train"]
         rng = make_rng(4)
         base = Pose.from_xy_yaw(0, 0, 0.3, z=0.35)
         for _ in range(500):
@@ -72,7 +71,7 @@ class TestEETargetSampling:
             assert ranges.gamma_ee[0] <= tgt.orientation.yaw <= ranges.gamma_ee[1]
 
     def test_radius_in_range_for_level_base(self):
-        ranges = CommandRanges.train()
+        ranges = COMMAND_RANGES["train"]
         rng = make_rng(5)
         base = Pose(vec3(1.0, -2.0, 0.55), quat_from_euler(0, 0, 0.7))
         for _ in range(500):
@@ -83,7 +82,7 @@ class TestEETargetSampling:
             assert ranges.l_ee[0] - 1e-9 <= r <= ranges.l_ee[1] + 1e-9
 
     def test_world_z_invariant_to_base_pitch(self):
-        ranges = CommandRanges.train()
+        ranges = COMMAND_RANGES["train"]
         zs = {}
         for pitch in (-0.5, 0.0, 0.5):
             rng = make_rng(6)  # fixed seed across pitches
@@ -95,7 +94,7 @@ class TestEETargetSampling:
         assert max(vals) - min(vals) <= 1e-9
 
     def test_world_z_invariant_to_terrain_offset(self):
-        ranges = CommandRanges.train()
+        ranges = COMMAND_RANGES["train"]
         rng_a = make_rng(7)
         rng_b = make_rng(7)
         lo = Pose(vec3(0, 0, 0.35), quat_from_euler(0, 0, 0))
@@ -105,7 +104,7 @@ class TestEETargetSampling:
         assert za == pytest.approx(zb, abs=1e-9)
 
     def test_arm_base_offset_follows_yaw(self):
-        ranges = CommandRanges.eval()
+        ranges = COMMAND_RANGES["eval"]
         offset = np.array([0.2, 0.0, 0.05])
         rng_a, rng_b = make_rng(8), make_rng(8)
         base0 = Pose.from_xy_yaw(0, 0, 0.0, z=0.55)

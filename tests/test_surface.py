@@ -20,11 +20,12 @@ LIBRARY_ONLY = {
     "r_acc": "reward weight table: joint acceleration regularization, base and arm",
     "r_power": "reward weight table: mechanical power regularization, base and arm",
     "r_smooth": "reward weight table: action smoothness",
-    "pd_torque": "PD joint control with the paper's gains (Config.pd_gains)",
+    "pd_torque": "PD joint control with the paper's gains (rewards.PdGains)",
     "apply_action": "policy action as an offset from the default joint configuration",
     "assemble_observation": "the whole-body policy's observation layout",
     "HeightmapSpec": "the terrain heightmap block of the observation",
-    "sample_episode_randomization": "domain randomization table (Config.randomization)",
+    "sample_episode_randomization": "domain randomization table "
+                                    "(sampling.RandomizationConfig)",
     "quat_from_euler": "end-effector orientation commands (alpha, beta, gamma); "
                        "criterion 5 tilts the base with it",
     "euler_from_quat": "the extrinsic X-Y-Z Euler convention; the oracle of Pose.yaw",
