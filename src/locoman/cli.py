@@ -12,10 +12,8 @@ import dataclasses
 import functools
 import hashlib
 import math
-import multiprocessing
 import sys
 import threading
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import click
@@ -95,6 +93,7 @@ def _start_method() -> str:
     numpy and locoman (0.34-0.46 s each on a 2-core box), more than a short
     run saves. A lock held by another thread at fork time would stay locked
     in the child, so threaded callers get `spawn`."""
+    import multiprocessing
     if "fork" in multiprocessing.get_all_start_methods() \
             and threading.active_count() == 1:
         return "fork"
@@ -163,6 +162,10 @@ def run(scenarios, episodes, seed, dt, jobs, out, config_path,
     with _writing(out):
         out.mkdir(parents=True, exist_ok=True)
         if workers > 1:
+            # imported here, as only a pool needs them: at module level they
+            # cost every `import locoman.cli` some 20 ms
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
             ctx = multiprocessing.get_context(_start_method())
             with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
                 reports = list(pool.map(_run_one, tasks))

@@ -30,7 +30,12 @@ class Scan:
     points: np.ndarray  # (N, 3) sensor frame
 
     def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=float).reshape(-1, 3)
+        points = np.asarray(self.points, dtype=float)
+        if points.shape in ((0,), (3,)):  # no points, or one 3-vector
+            points = points.reshape(-1, 3)
+        if points.ndim != 2 or points.shape[1] != 3:
+            raise ValueError(f"scan points must be N x 3, got shape {points.shape}")
+        self.points = points
 
 
 @dataclass(frozen=True)
@@ -109,21 +114,60 @@ class OccupancyGrid:
         """Mark endpoint cells Occupied and ray cells Free (occupied wins).
 
         Points outside the z band are dropped entirely (no free-space carving).
+        Each kept point casts a `bresenham` ray from the sensor cell to its
+        endpoint cell, the endpoint excluded.
+
+        The whole scan is done at once, and it writes the bytes that
+        integrating the points one at a time writes, for two reasons:
+        - Occupied wins and never reverts. So a cell ends Occupied if it was
+          Occupied or an endpoint lands in it, else Free if a ray crosses it,
+          in any order of writes. Rays are therefore written first and
+          endpoints last.
+        - Growth is replayed in point order. Each point is binned under the
+          origin in force when the one-at-a-time loop reaches it, and the
+          sensor cell is binned again after every growth. The first point
+          outside the grid grows it, and the cells binned before it move by
+          the offset the growth returns, as the grid copy moves what was
+          already written. Bresenham rays are translation invariant.
+
+        A kept point whose cell index is not finite raises as
+        `world_to_cell` does, before any ray or endpoint is written.
         """
         z_min, z_max = z_band
-        sensor_xy = scan.sensor_pose.position[:2]
-        s_cx, s_cy = self.ensure_contains(sensor_xy[0], sensor_xy[1])
-        for p in scan.points:
-            world = scan.sensor_pose.transform(p)
-            if not (z_min <= world[2] <= z_max):
-                continue
-            e_cx, e_cy = self.ensure_contains(world[0], world[1])
-            # grid may have grown: refresh sensor cell
-            s_cx, s_cy = self.world_to_cell(sensor_xy[0], sensor_xy[1])
-            for cx, cy in bresenham(s_cx, s_cy, e_cx, e_cy)[:-1]:
-                if self.cells[cy, cx] != OCCUPIED:
-                    self.cells[cy, cx] = FREE
-            self.cells[e_cy, e_cx] = OCCUPIED
+        pose = scan.sensor_pose
+        sx, sy = pose.position[0], pose.position[1]
+        self.ensure_contains(sx, sy)
+        wx, wy, wz = _scan_to_world(pose, scan.points)
+        keep = (z_min <= wz) & (wz <= z_max)
+        wx, wy = wx[keep], wy[keep]
+        n = wx.size
+        ends = np.empty((2, n), dtype=np.int64)
+        starts = np.empty((2, n), dtype=np.int64)
+        starts.T[:] = self.world_to_cell(sx, sy)
+        i = 0  # first point not yet binned
+        while i < n:
+            # world_to_cell's expression, under the current origin
+            fx = np.floor((wx[i:] - self.origin[0]) / self.resolution)
+            fy = np.floor((wy[i:] - self.origin[1]) / self.resolution)
+            bad = np.flatnonzero(~(np.isfinite(fx) & np.isfinite(fy)))
+            if bad.size:  # raises, as world_to_cell does in the loop
+                self.world_to_cell(wx[i + bad[0]], wy[i + bad[0]])
+            cx, cy = fx.astype(np.int64), fy.astype(np.int64)
+            h, w = self.cells.shape
+            out = np.flatnonzero((cx < 0) | (cx >= w) | (cy < 0) | (cy >= h))
+            m = out[0] if out.size else cx.size
+            ends[0, i:i + m], ends[1, i:i + m] = cx[:m], cy[:m]
+            if m == cx.size:
+                break
+            j = i + m
+            old = int(cx[m]), int(cy[m])
+            ends.T[j] = self._grow_to_include(*old)
+            shift = (ends[:, j] - old)[:, None]
+            ends[:, :j] += shift
+            starts[:, :j] += shift
+            starts.T[j:] = self.world_to_cell(sx, sy)
+            i = j + 1
+        _carve_rays(self.cells, starts, ends)
 
     # -- export ------------------------------------------------------------
 
@@ -162,6 +206,51 @@ def bresenham(x0: int, y0: int, x1: int, y1: int) -> list[tuple[int, int]]:
             err += dx
             y += sy
     return cells
+
+
+def _scan_to_world(pose: Pose, points: np.ndarray):
+    """`pose.transform` of every row, as x, y, z columns: the expressions of
+    `quat_rotate`'s two `quat_mul`s in the same operand order, `* 0.0` terms
+    included, so every column is bit for bit the scalar path's."""
+    qw, qx, qy, qz = pose.orientation
+    px, py, pz = points.T
+    # quat_mul(q, (0, p))
+    tw = qw * 0.0 - qx * px - qy * py - qz * pz
+    tx = qw * px + qx * 0.0 + qy * pz - qz * py
+    ty = qw * py - qx * pz + qy * 0.0 + qz * px
+    tz = qw * pz + qx * py - qy * px + qz * 0.0
+    # quat_mul(t, conj(q)), vector part
+    cx, cy, cz = -qx, -qy, -qz
+    ox, oy, oz = pose.position
+    return (ox + (tw * cx + tx * qw + ty * cz - tz * cy),
+            oy + (tw * cy - tx * cz + ty * qw + tz * cx),
+            oz + (tw * cz + tx * cy - ty * cx + tz * qw))
+
+
+def _carve_rays(cells: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> None:
+    """`bresenham(start, end)[:-1]` of every ray turns Free unless Occupied,
+    then every end turns Occupied. The rays step in lockstep through
+    bresenham's integer err/e2 recurrence, so every tie breaks alike; a ray
+    has max(|dx|, |dy|) cells before its end. Sorted longest first, the rays
+    still stepping at step t are a prefix."""
+    steps = np.maximum(np.abs(ends[0] - starts[0]), np.abs(ends[1] - starts[1]))
+    order = np.argsort(-steps, kind="stable")
+    (x, y), (x1, y1), steps = starts[:, order], ends[:, order], steps[order]
+    dx, dy = np.abs(x1 - x), np.abs(y1 - y)
+    sx, sy = np.where(x < x1, 1, -1), np.where(y < y1, 1, -1)
+    err = dx - dy
+    ray = np.zeros(cells.shape, dtype=bool)
+    # number of rays with more than t cells, for t = 0, 1, ...
+    active = np.searchsorted(-steps, -np.arange(steps[0] if steps.size else 0))
+    for k in active.tolist():
+        ray[y[:k], x[:k]] = True
+        e2 = 2 * err[:k]
+        mx, my = e2 > -dy[:k], e2 < dx[:k]
+        err[:k] += dx[:k] * my - dy[:k] * mx
+        x[:k] += sx[:k] * mx
+        y[:k] += sy[:k] * my
+    cells[ray & (cells != OCCUPIED)] = FREE
+    cells[ends[1], ends[0]] = OCCUPIED
 
 
 # ---------------------------------------------------------------------------

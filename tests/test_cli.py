@@ -562,10 +562,11 @@ def test_bad_input_exit(tmp_path, command, case):
 
 def test_import_leaves_scipy_unloaded():
     # scipy.spatial is most of a cold start, and only a detection that passes
-    # fusion's semantic test needs it
+    # fusion's semantic test needs it; the process pool only `run --jobs N>1`
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, locoman.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    code = ("import sys, locoman.cli; print([m for m in sys.modules if m.split('.')[0] "
+            "in ('scipy', 'multiprocessing') or m == 'concurrent.futures.process'])")
     res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert res.stdout == "[]\n"

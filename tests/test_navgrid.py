@@ -237,6 +237,172 @@ class TestScanIntegration:
         assert "resolution 0.1" in text
         assert "width 4" in text
 
+    @pytest.mark.parametrize("shape", [(6, 2), (4,), (2, 3, 1), (1, 1, 3), (0, 2)])
+    def test_points_must_be_n_by_3(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            Scan(sensor_pose=Pose(), points=np.zeros(shape))
+
+    @pytest.mark.parametrize("points, shape", [([], (0, 3)), (np.empty((0, 3)), (0, 3)),
+                                               ([1, 2, 3], (1, 3)),
+                                               (np.ones((5, 3), dtype=int), (5, 3))])
+    def test_points_shapes_kept(self, points, shape):
+        scan = Scan(sensor_pose=Pose(), points=points)
+        assert scan.points.shape == shape and scan.points.dtype == float
+
+
+def integrate_scan_loop(grid, scan, z_band=(0.05, 0.60)):
+    """The per-point scan integration that integrate_scan replaced."""
+    z_min, z_max = z_band
+    sensor_xy = scan.sensor_pose.position[:2]
+    grid.ensure_contains(sensor_xy[0], sensor_xy[1])
+    for p in scan.points:
+        world = scan.sensor_pose.transform(p)
+        if not (z_min <= world[2] <= z_max):
+            continue
+        e_cx, e_cy = grid.ensure_contains(world[0], world[1])
+        # grid may have grown: refresh sensor cell
+        s_cx, s_cy = grid.world_to_cell(sensor_xy[0], sensor_xy[1])
+        for cx, cy in bresenham(s_cx, s_cy, e_cx, e_cy)[:-1]:
+            if grid.cells[cy, cx] != OCCUPIED:
+                grid.cells[cy, cx] = FREE
+        grid.cells[e_cy, e_cx] = OCCUPIED
+
+
+def _yaw_pose(x, y, yaw, z=0.3):
+    return Pose.from_xy_yaw(x, y, yaw, z=z)
+
+
+class TestScanOracle:
+    """integrate_scan against the per-point loop: the same cells, shape and
+    origin bytes after every scan."""
+
+    @staticmethod
+    def _assert_same(grid_args, scans, z_band=(0.05, 0.60)):
+        batch, loop = OccupancyGrid(*grid_args), OccupancyGrid(*grid_args)
+        for scan in scans:
+            with np.errstate(invalid="ignore"):
+                batch.integrate_scan(scan, z_band)
+                integrate_scan_loop(loop, scan, z_band)
+            assert batch.cells.shape == loop.cells.shape
+            assert np.array_equal(batch.cells, loop.cells)
+            assert batch.origin.tobytes() == loop.origin.tobytes()
+        return batch
+
+    def test_random_scans(self):
+        rng = np.random.default_rng(14)
+        grown = 0
+        for _ in range(120):
+            res = float(rng.choice([0.05, 0.1, 0.25, 0.3]))
+            grid_args = (res, int(rng.integers(1, 12)), int(rng.integers(1, 12)),
+                         tuple(rng.uniform(-2.0, 2.0, 2)))
+            scans = []
+            for _ in range(3):
+                if rng.random() < 0.5:
+                    q = rng.normal(size=4)
+                    pose = Pose(vec3(*rng.uniform(-3.0, 3.0, 3)), q / np.linalg.norm(q))
+                else:
+                    pose = _yaw_pose(*rng.uniform(-3.0, 3.0, 2), rng.uniform(-np.pi, np.pi))
+                pts = rng.uniform(-3.0, 3.0, size=(int(rng.integers(0, 40)), 3))
+                pts[:, 2] = rng.uniform(-0.4, 0.5, len(pts))
+                scans.append(Scan(sensor_pose=pose, points=pts))
+            g = self._assert_same(grid_args, scans)
+            grown += g.cells.shape != (grid_args[2], grid_args[1])
+        assert grown > 60
+
+    @pytest.mark.parametrize("xs", [(-3.0, 5.0, -7.0, 9.0), (5.0, -3.0, 9.0, -7.0)],
+                             ids=["left_then_right", "right_then_left"])
+    def test_growth_both_ways(self, xs):
+        # each point leaves the grid the others grew; y leaves it too
+        pts = [[x, 0.7 * x, 0.0] for x in xs]
+        scans = [Scan(sensor_pose=_yaw_pose(0.3, 0.2, 0.0), points=pts),
+                 Scan(sensor_pose=_yaw_pose(0.3, 0.2, 2.0), points=pts[::-1])]
+        g = self._assert_same((0.1, 4, 4, (0.0, 0.0)), scans)
+        assert g.width >= 160 and g.height >= 128
+
+    def test_one_cell_grid(self):
+        rng = np.random.default_rng(1)
+        for _ in range(10):
+            pts = rng.uniform(-1.0, 1.0, size=(20, 3)) * [1.0, 1.0, 0.0]
+            self._assert_same((0.1, 1, 1, (0.0, 0.0)),
+                              [Scan(sensor_pose=_yaw_pose(0.05, 0.05, 0.4), points=pts)])
+
+    def test_sensor_outside_grid(self):
+        pts = [[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [-9.0, 0.5, 0.0]]
+        for xy in [(10.0, -7.0), (-5.0, 3.0), (0.4, 12.0)]:
+            self._assert_same((0.1, 4, 4, (0.0, 0.0)),
+                              [Scan(sensor_pose=_yaw_pose(*xy, 0.0), points=pts)])
+
+    @pytest.mark.parametrize("res", [0.25, 0.1])
+    def test_endpoints_on_cell_boundaries(self, res):
+        # sensor and endpoints on grid lines, for an exact and an inexact res
+        k = np.arange(-12, 13)
+        pts = np.stack([k * res, np.roll(k, 5) * res, np.zeros_like(k, dtype=float)], 1)
+        scans = [Scan(sensor_pose=_yaw_pose(2 * res, -3 * res, 0.0), points=pts),
+                 Scan(sensor_pose=_yaw_pose(0.0, 0.0, np.pi / 2), points=pts)]
+        self._assert_same((res, 8, 8, (-res, 2 * res)), scans)
+
+    def test_z_band_edges(self):
+        # a sensor at z = 0 keeps z exact: on each band edge, one ulp outside
+        zs = [0.05, np.nextafter(0.05, -1.0), 0.6, np.nextafter(0.6, 1.0), -1.0, 2.0]
+        pts = [[0.2 + 0.3 * i, 0.1 * i, z] for i, z in enumerate(zs)]
+        g = self._assert_same((0.1, 16, 16, (-0.8, -0.8)),
+                              [Scan(sensor_pose=_yaw_pose(0.0, 0.0, 0.0, z=0.0), points=pts)])
+        assert np.count_nonzero(g.cells == OCCUPIED) == 2
+
+    def test_nan_and_inf_points_dropped(self):
+        pts = [[1.0, 0.0, 0.0], [np.nan, 0.0, 0.0], [0.0, np.inf, 0.0],
+               [0.0, 0.5, -np.inf], [np.inf, -np.inf, np.nan], [-0.5, 0.5, 0.0]]
+        q = np.array([0.9, 0.1, -0.2, 0.3])
+        scans = [Scan(sensor_pose=_yaw_pose(0.0, 0.0, 0.7), points=pts),
+                 Scan(sensor_pose=Pose(vec3(0.1, 0.2, 0.3), q / np.linalg.norm(q)),
+                      points=pts)]
+        g = self._assert_same((0.1, 16, 16, (-0.8, -0.8)), scans)
+        assert np.count_nonzero(g.cells == OCCUPIED) >= 2
+
+    def test_cell_index_overflow_raises_before_writing(self):
+        # a NaN or inf coordinate makes world z NaN, so the band drops it;
+        # an in-band point can still overflow the cell index
+        scan = Scan(sensor_pose=_yaw_pose(0.0, 0.0, 0.0),
+                    points=[[0.5, 0.0, 0.0], [1e308, 0.0, 0.0]])
+        loop = OccupancyGrid(0.1, 16, 16, (-0.8, -0.8))
+        with pytest.raises(OverflowError), np.errstate(over="ignore"):
+            integrate_scan_loop(loop, scan)
+        g = OccupancyGrid(0.1, 16, 16, (-0.8, -0.8))
+        with pytest.raises(OverflowError), np.errstate(over="ignore"):
+            g.integrate_scan(scan)
+        assert np.all(g.cells == UNKNOWN)
+
+    def test_empty_and_filtered_scans(self):
+        # the sensor still grows the grid when no point is kept
+        scans = [Scan(sensor_pose=_yaw_pose(3.0, -2.0, 0.0), points=np.empty((0, 3))),
+                 Scan(sensor_pose=_yaw_pose(-4.0, 1.0, 0.0), points=[[1.0, 0.0, 5.0]] * 3),
+                 Scan(sensor_pose=_yaw_pose(0.0, 0.0, 0.0), points=[[1.0, 0.0, 0.0]])]
+        g = self._assert_same((0.1, 4, 4, (0.0, 0.0)), scans)
+        assert g.width > 4 and g.height > 4
+
+    def test_non_yaw_orientations(self):
+        # tilted sensors: z depends on x and y, so the band keeps some points
+        rng = np.random.default_rng(3)
+        pts = rng.uniform(-2.0, 2.0, size=(60, 3))
+        scans = []
+        for roll, pitch in [(0.3, 0.0), (0.0, -0.4), (0.2, 0.25), (np.pi, 0.1)]:
+            q = np.array([np.cos(roll / 2) * np.cos(pitch / 2), np.sin(roll / 2) * np.cos(pitch / 2),
+                          np.cos(roll / 2) * np.sin(pitch / 2), -np.sin(roll / 2) * np.sin(pitch / 2)])
+            scans.append(Scan(sensor_pose=Pose(vec3(0.1, -0.2, 0.3), q), points=pts))
+        self._assert_same((0.1, 20, 20, (-1.0, -1.0)), scans)
+
+    def test_rays_cross_earlier_endpoints(self):
+        # near then far on one bearing, and far then near: the near endpoint
+        # lies on the far point's ray either way, and a later scan's ray
+        # crosses both
+        line = [[0.5, 0.25, 0.0], [1.5, 0.75, 0.0]]
+        scans = [Scan(sensor_pose=_yaw_pose(0.0, 0.0, 0.0), points=line),
+                 Scan(sensor_pose=_yaw_pose(0.0, 1.0, 0.0), points=line[::-1]),
+                 Scan(sensor_pose=_yaw_pose(-0.5, -0.25, 0.0), points=[[2.5, 1.25, 0.0]])]
+        g = self._assert_same((0.1, 32, 32, (-1.6, -1.6)), scans)
+        for x, y in [(0.5, 0.25), (1.5, 0.75), (0.5, 1.25), (1.5, 1.75)]:
+            assert g.cells[g.world_to_cell(x, y)[::-1]] == OCCUPIED
+
 
 class TestAStar:
     def test_matches_dijkstra_on_random_grids(self):

@@ -31,6 +31,8 @@ LIBRARY_ONLY = {
     "euler_from_quat": "the extrinsic X-Y-Z Euler convention; the oracle of Pose.yaw",
     "cartesian_to_spherical": "criterion 5 oracle: targets back in (l, p, y)",
     "is_rotation_matrix": "criterion 2 oracle: the orientation solver returns a rotation",
+    "bresenham": "the integer ray of scan integration, one ray at a time; the "
+                 "oracle of integrate_scan's lockstep rays",
 }
 
 
