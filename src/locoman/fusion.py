@@ -107,7 +107,9 @@ def voxel_downsample(points: np.ndarray, voxel: float) -> np.ndarray:
     keys = np.floor(points / voxel).astype(np.int64)
     order = np.lexsort((keys[:, 2], keys[:, 1], keys[:, 0]))
     keys, points = keys[order], points[order]
-    _, starts, counts = np.unique(keys, axis=0, return_index=True, return_counts=True)
+    # the keys are sorted, so each voxel is one run of equal rows
+    starts = np.flatnonzero(np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)])
+    counts = np.diff(np.r_[starts, len(keys)])
     sums = np.add.reduceat(points, starts, axis=0)
     return sums / counts[:, None]
 

@@ -51,15 +51,18 @@ def quat_normalize(q: np.ndarray) -> np.ndarray:
     return q / np.linalg.norm(q)
 
 
+def _hamilton(aw, ax, ay, az, bw, bx, by, bz):
+    """The Hamilton product a * b, component by component. Each component may
+    be a float or an array; arrays give the product of every row at once."""
+    return (aw * bw - ax * bx - ay * by - az * bz,
+            aw * bx + ax * bw + ay * bz - az * by,
+            aw * by - ax * bz + ay * bw + az * bx,
+            aw * bz + ax * by - ay * bx + az * bw)
+
+
 def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    aw, ax, ay, az = a
-    bw, bx, by, bz = b
-    return np.array([
-        aw * bw - ax * bx - ay * by - az * bz,
-        aw * bx + ax * bw + ay * bz - az * by,
-        aw * by - ax * bz + ay * bw + az * bx,
-        aw * bz + ax * by - ay * bx + az * bw,
-    ])
+    return np.array(_hamilton(*np.asarray(a, dtype=float).tolist(),
+                              *np.asarray(b, dtype=float).tolist()))
 
 
 def quat_conjugate(q: np.ndarray) -> np.ndarray:
@@ -67,9 +70,15 @@ def quat_conjugate(q: np.ndarray) -> np.ndarray:
 
 
 def quat_rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Rotate vector v by unit quaternion q."""
-    qv = np.array([0.0, v[0], v[1], v[2]])
-    return quat_mul(quat_mul(q, qv), quat_conjugate(q))[1:]
+    """Rotate a 3-vector, or each row of an (N, 3) array, by unit quaternion
+    q: the vector part of q * (0, v) * conj(q). The `0.0` scalar part is
+    multiplied like any other, so signed zeros match the 4-vector product."""
+    w, x, y, z = np.asarray(q, dtype=float).tolist()
+    v = np.asarray(v, dtype=float)
+    one = v.ndim == 1
+    t = _hamilton(w, x, y, z, 0.0, *(v.tolist() if one else v.T))
+    r = _hamilton(*t, w, -x, -y, -z)[1:]
+    return np.array(r) if one else np.stack(r, axis=-1)
 
 
 def quat_from_axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:
@@ -235,7 +244,8 @@ class Pose:
         return quat_to_matrix(self.orientation)
 
     def transform(self, p: np.ndarray) -> np.ndarray:
-        """Map a point from this pose's frame to the parent (world) frame."""
+        """Map a point, or each row of an (N, 3) array, from this pose's frame
+        to the parent (world) frame."""
         return self.position + quat_rotate(self.orientation, np.asarray(p, dtype=float))
 
     def inverse_transform(self, p: np.ndarray) -> np.ndarray:

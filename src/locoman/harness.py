@@ -41,7 +41,7 @@ ORI_TOLERANCE = 0.35
 PRE_CONTACT_OFFSET = 0.10  # meters backed off along the approach axis
 NAV_TIMEOUT = 60.0
 MANIP_TIMEOUT = 20.0
-GOAL_SEARCH = GoalSearchConfig()
+GOAL_SEARCH = GoalSearchConfig(robot_inflation=BASE_FOOTPRINT_RADIUS)
 GRID_RESOLUTION = 0.1
 
 # ---------------------------------------------------------------------------
@@ -60,10 +60,9 @@ class WorldState:
 
 
 def make_world(scenario: Scenario) -> WorldState:
-    base = scenario.robot_start.pose()
-    base = Pose(vec3(base.position[0], base.position[1],
-                     scenario.height_at(*base.position[:2]) + BASE_STAND_HEIGHT),
-                base.orientation)
+    x, y = scenario.robot_start.position[:2]
+    base = Pose.from_xy_yaw(x, y, scenario.robot_start.yaw,
+                            z=scenario.height_at(x, y) + BASE_STAND_HEIGHT)
     ee = Pose(base.transform(vec3(0.3, 0.0, 0.2)), base.orientation)
     object_poses = {obj.id: obj.pose() for obj in scenario.objects}
     joint_values = {obj.id: obj.joint.value

@@ -137,7 +137,7 @@ class OccupancyGrid:
         pose = scan.sensor_pose
         sx, sy = pose.position[0], pose.position[1]
         self.ensure_contains(sx, sy)
-        wx, wy, wz = _scan_to_world(pose, scan.points)
+        wx, wy, wz = pose.transform(scan.points).T
         keep = (z_min <= wz) & (wz <= z_max)
         wx, wy = wx[keep], wy[keep]
         n = wx.size
@@ -206,25 +206,6 @@ def bresenham(x0: int, y0: int, x1: int, y1: int) -> list[tuple[int, int]]:
             err += dx
             y += sy
     return cells
-
-
-def _scan_to_world(pose: Pose, points: np.ndarray):
-    """`pose.transform` of every row, as x, y, z columns: the expressions of
-    `quat_rotate`'s two `quat_mul`s in the same operand order, `* 0.0` terms
-    included, so every column is bit for bit the scalar path's."""
-    qw, qx, qy, qz = pose.orientation
-    px, py, pz = points.T
-    # quat_mul(q, (0, p))
-    tw = qw * 0.0 - qx * px - qy * py - qz * pz
-    tx = qw * px + qx * 0.0 + qy * pz - qz * py
-    ty = qw * py - qx * pz + qy * 0.0 + qz * px
-    tz = qw * pz + qx * py - qy * px + qz * 0.0
-    # quat_mul(t, conj(q)), vector part
-    cx, cy, cz = -qx, -qy, -qz
-    ox, oy, oz = pose.position
-    return (ox + (tw * cx + tx * qw + ty * cz - tz * cy),
-            oy + (tw * cy - tx * cz + ty * qw + tz * cx),
-            oz + (tw * cz + tx * cy - ty * cx + tz * qw))
 
 
 def _carve_rays(cells: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> None:

@@ -28,9 +28,11 @@ class RobotStart:
     position: np.ndarray = field(default_factory=lambda: np.zeros(3))
     yaw: float = 0.0
 
-    def pose(self) -> Pose:
-        return Pose.from_xy_yaw(self.position[0], self.position[1], self.yaw,
-                                z=self.position[2])
+    def __post_init__(self):
+        z = float(self.position[2])
+        if z != 0.0:
+            raise ValueError("position[2]", f"must be 0, got {z!r}: the base stands "
+                                            "on the terrain")
 
 
 @dataclass

@@ -290,6 +290,8 @@ MALFORMED_SCENARIOS = [
                  id="object_without_position"),
     pytest.param(lambda d: d.update(robot_start=[0, 0, 0]), "robot_start",
                  id="robot_start_list"),
+    pytest.param(lambda d: d["robot_start"].update(position=[0.0, 0.0, 0.5]),
+                 "robot_start.position[2]", id="robot_start_above_terrain"),
     pytest.param(lambda d: d.update(plan=5), "plan", id="plan_not_list"),
     pytest.param(lambda d: d.update(grounding={"x": {"offset": [0, 0, 0]}}), "grounding.x",
                  id="grounding_key_not_index"),
@@ -471,6 +473,36 @@ GOLDEN_EDGE = {
 }
 
 
+# The same for `run scenarios/missed_grasp.yaml --seed 0 --episodes 2`: a pick
+# whose grounding offset makes it record `grasp missed: …`, then a push_pull
+# cut off by the horizon (`articulation timeout`) under a joint_closed monitor.
+MISS_TRACE = "d26972d14445f9b074fed2c895fcd1004214a7e693c3f08e2a744a72083e9ab0"
+GOLDEN_MISS = {
+    (): {
+        "aggregate.json": "624ee872e4279d2c0756206632d20afb33a9c4fb7286676ee155e25d0b455a09",
+        "missed_grasp/episode_0/trace.csv": MISS_TRACE,
+        "missed_grasp/episode_1/trace.csv": MISS_TRACE,
+        "missed_grasp/episode_0/report.json":
+            "5ab3444412ab39bb352d7562e90e153879309308a3361360a001faed6be36149",
+        "missed_grasp/episode_1/report.json":
+            "ed344a66d634f05e626487fc2809d54337f3b94663866e3cc2e65f217688ff86",
+        "manifest.json": "4f2061e43168ce140cdd71aed49e5a711fad92db7927c273cb3df6344806cb26",
+    },
+    NOISY: {
+        "aggregate.json": "9d86cb9b5a681d26a8e98a08b01e1a3aeed6379ad8df1da573a217d2456667dd",
+        "missed_grasp/episode_0/trace.csv":
+            "2c1a9efc962bc1994077f18f3c6e62e722b5942576608c4a7cb4f07c8dc8c4c0",
+        "missed_grasp/episode_1/trace.csv":
+            "13b8f1403e1e23a763c17927ef37adb8c9e7153313854be8c08fc64c4881bfbf",
+        "missed_grasp/episode_0/report.json":
+            "0ae15ee3584a958e5c6d700f01b341ba7b09ff38bfe56695ff336cabc6e83b30",
+        "missed_grasp/episode_1/report.json":
+            "a3770b85116fa950cb098d6df8060b2133d2bed84cb99c315c5246e2d1bc0981",
+        "manifest.json": "364b003a955e0c2bcb972acd6e5d4c50ff84fa40d5e3ec886442b81f7114efc8",
+    },
+}
+
+
 def run_digests(tmp_path, scenario, episodes, jobs, flags):
     out = tmp_path / "run"
     res = invoke("run", scenario, "--seed", 0, "--episodes", episodes,
@@ -498,6 +530,18 @@ class TestGoldenDigest:
                              / "report.json").read_text())
         assert [o["detail"] for o in report["outcomes"]] == [
             "", "", "navigation timeout", "horizon exhausted"]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("flags", list(GOLDEN_MISS), ids=["noise_free", "noisy"])
+    def test_missed_grasp_artefacts_pinned(self, tmp_path, monkeypatch, flags, jobs):
+        monkeypatch.chdir(ROOT)
+        digests = run_digests(tmp_path, "scenarios/missed_grasp.yaml", 2, jobs, flags)
+        assert digests == GOLDEN_MISS[flags]
+        report = json.loads((tmp_path / "run" / "missed_grasp" / "episode_0"
+                             / "report.json").read_text())
+        details = [o["detail"] for o in report["outcomes"]]
+        assert details[0].startswith("grasp missed: pos_err=0.12")
+        assert details[1:] == ["articulation timeout"]
 
 
 @pytest.mark.parametrize("command, out", [

@@ -145,6 +145,50 @@ class TestVoxelDownsample:
         assert np.allclose(voxel_downsample(pts, 0.0), pts)
 
 
+def unique_voxel_downsample(points, voxel):
+    """voxel_downsample with its runs found by np.unique, which sorts the
+    already sorted keys again: the byte oracle of the run-length version."""
+    points = np.asarray(points, dtype=float).reshape(-1, 3)
+    if voxel <= 0.0 or len(points) == 0:
+        return points.copy()
+    keys = np.floor(points / voxel).astype(np.int64)
+    order = np.lexsort((keys[:, 2], keys[:, 1], keys[:, 0]))
+    keys, points = keys[order], points[order]
+    _, starts, counts = np.unique(keys, axis=0, return_index=True, return_counts=True)
+    sums = np.add.reduceat(points, starts, axis=0)
+    return sums / counts[:, None]
+
+
+class TestVoxelDownsampleOracle:
+    def _same(self, pts, voxel):
+        got, want = voxel_downsample(pts, voxel), unique_voxel_downsample(pts, voxel)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), pts
+
+    def test_random_point_sets(self):
+        rng = np.random.Generator(np.random.PCG64(31))
+        for _ in range(300):
+            n = int(rng.integers(1, 400))
+            pts = rng.normal(0.0, rng.uniform(0.01, 3.0), (n, 3))
+            dup = rng.integers(0, n, size=n // 3)
+            pts[rng.integers(0, n, size=dup.size)] = pts[dup]  # exact duplicates
+            self._same(pts, float(rng.choice([0.01, 0.05, 0.2, 1.0])))
+
+    def test_edge_sets(self):
+        self._same(np.array([[0.1, -0.2, 0.3]]), 0.05)  # a single point
+        self._same(np.full((7, 3), -1.234), 0.1)  # duplicates of one point
+        self._same(np.array([[0.01, 0.02, 0.03], [0.04, 0.01, 0.0],
+                             [0.0, 0.09, 0.05]]), 0.1)  # one shared voxel
+        self._same(-np.abs(np.random.Generator(np.random.PCG64(32))
+                           .normal(size=(50, 3))), 0.25)  # negative coordinates
+        self._same(np.array([[-0.0, 0.0, -1e-9], [0.0, -0.0, 1e-9]]), 0.1)
+
+    def test_pass_throughs(self):
+        pts = np.array([[0.3, -0.0, 1.0], [0.3, 0.0, 1.0]])
+        self._same(pts, 0.0)
+        self._same(pts, -0.1)
+        self._same(np.empty((0, 3)), 0.05)
+
+
 class TestInstanceGraph:
     def test_new_node_per_distinct_object(self):
         g = InstanceGraph(descriptor_dim=4)

@@ -200,6 +200,89 @@ class TestPose:
                 np.float64(euler_from_quat(q)[2]).tobytes(), q
 
 
+def ref_quat_mul(a, b):
+    """The quaternion product written out on numpy scalars: the byte
+    reference of `quat_mul` and `quat_rotate`."""
+    aw, ax, ay, az = np.asarray(a, dtype=float)
+    bw, bx, by, bz = np.asarray(b, dtype=float)
+    return np.array([
+        aw * bw - ax * bx - ay * by - az * bz,
+        aw * bx + ax * bw + ay * bz - az * by,
+        aw * by - ax * bz + ay * bw + az * bx,
+        aw * bz + ax * by - ay * bx + az * bw,
+    ])
+
+
+def ref_quat_rotate(q, v):
+    """The vector part of q * (0, v) * conj(q), as two reference products."""
+    q = np.asarray(q, dtype=float)
+    conj = np.array([q[0], -q[1], -q[2], -q[3]])
+    return ref_quat_mul(ref_quat_mul(q, np.array([0.0, v[0], v[1], v[2]])), conj)[1:]
+
+
+def extreme_vectors(rng, n):
+    """Vectors with magnitudes from 1e-300 to 1e300 per component, about a
+    quarter of the components set to +0.0 or -0.0 and some subnormal."""
+    v = rng.normal(size=(n, 3)) * 10.0 ** rng.uniform(-300, 300, (n, 3))
+    zero = rng.random((n, 3)) < 0.25
+    v[zero] = rng.choice([0.0, -0.0], size=int(zero.sum()))
+    tiny = rng.random((n, 3)) < 0.05
+    v[tiny] = rng.choice([5e-324, -5e-324, 2.5e-310, -1e-320], size=int(tiny.sum()))
+    return v
+
+
+def mixed_quats(rng, n):
+    """Unit and non-unit quaternions, some with +0.0 / -0.0 components."""
+    q = rng.normal(size=(n, 4))
+    q[: n // 2] /= np.linalg.norm(q[: n // 2], axis=1, keepdims=True)
+    q[n // 2:] *= 10.0 ** rng.uniform(-3, 3, (n - n // 2, 1))
+    zero = rng.random((n, 4)) < 0.2
+    q[zero] = rng.choice([0.0, -0.0], size=int(zero.sum()))
+    return q
+
+
+class TestHamiltonProductOracle:
+    """quat_mul and quat_rotate against the two-product composition they
+    replaced, byte for byte: tobytes compares sign bits, so a dropped
+    `* 0.0` term, which only changes the sign of a zero, fails here."""
+
+    def test_quat_mul_bitwise(self):
+        rng = np.random.Generator(np.random.PCG64(21))
+        a, b = mixed_quats(rng, 20_000), mixed_quats(rng, 20_000)
+        for qa, qb in zip(a, b):
+            assert quat_mul(qa, qb).tobytes() == ref_quat_mul(qa, qb).tobytes(), (qa, qb)
+        assert quat_mul([1, 2, 3, 4], (0.5, -0.0, 0.0, 2)).tobytes() == \
+            ref_quat_mul([1, 2, 3, 4], (0.5, -0.0, 0.0, 2)).tobytes()
+
+    def test_quat_rotate_bitwise(self):
+        rng = np.random.Generator(np.random.PCG64(22))
+        quats, vecs = mixed_quats(rng, 20_000), extreme_vectors(rng, 20_000)
+        vecs[:8] = [[0.0, 0.0, 0.0], [-0.0, -0.0, -0.0], [0.0, -0.0, 0.0],
+                    [1e300, -1e300, 1e-300], [5e-324, 0.0, -5e-324],
+                    [1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0]]
+        for q, v in zip(quats, vecs):
+            got = quat_rotate(q, v)
+            assert got.shape == (3,)
+            assert got.tobytes() == ref_quat_rotate(q, v).tobytes(), (q, v)
+        assert quat_rotate((1, 0, 0, 0), [1, -0.0, 2]).tobytes() == \
+            ref_quat_rotate((1, 0, 0, 0), [1, -0.0, 2]).tobytes()
+
+    @pytest.mark.parametrize("n", [0, 1, 360])
+    def test_rows_match_single_vector_transform(self, n):
+        rng = np.random.Generator(np.random.PCG64(23 + n))
+        quats = [random_quat(rng), quat_from_yaw(0.7), quat_from_yaw(-2.0),
+                 np.array([1.0, 0.0, -0.0, 0.0]), *mixed_quats(rng, 4)]
+        for q in quats:
+            pose = Pose(extreme_vectors(rng, 1)[0], q)
+            points = extreme_vectors(rng, n)
+            points[::5] = rng.choice([0.0, -0.0], size=points[::5].shape)
+            rotated, got = quat_rotate(q, points), pose.transform(points)
+            assert rotated.shape == got.shape == (n, 3)
+            for r, row, p in zip(rotated, got, points):
+                assert r.tobytes() == ref_quat_rotate(q, p).tobytes(), p
+                assert row.tobytes() == pose.transform(p).tobytes(), p
+
+
 class TestMisc:
     def test_unit_rejects_zero(self):
         with pytest.raises(ValueError):
