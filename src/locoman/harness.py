@@ -248,6 +248,8 @@ class EpisodeRunner:
         self.object_of = {nid: oid for oid, nid in self.node_of.items()}
         # fresh latches: the scenario is shared by every episode of a run
         self.monitors = [replace(m) for m in scenario.monitors]
+        self._monitors_at = {i: [m for m in self.monitors if m.step == i]
+                             for i in range(len(scenario.plan))}
         self.trace: list[tuple] = []
         self.outcomes: list[ActionOutcome] = []
         self.timeline = ContactTimeline()
@@ -273,7 +275,8 @@ class EpisodeRunner:
     def tick(self, base_cmd: LocomotionCommand, ee_cmd: Optional[Pose]) -> None:
         step(self.world, base_cmd, ee_cmd, self.dt, self.config.tracking, self.rng,
              self.scenario, self.grid)
-        monitor_step(self.monitors, self.world, self.world.t)
+        # a monitor may latch only while its own plan step runs
+        monitor_step(self._monitors_at.get(self._action_index, []), self.world, self.world.t)
         self._record(base_cmd, ee_cmd)
 
     def _record(self, base_cmd: LocomotionCommand, ee_cmd: Optional[Pose]) -> None:
@@ -459,8 +462,6 @@ class EpisodeRunner:
     def _do_push_pull(self, action: AtomicAction) -> tuple[bool, str]:
         deadline = min(self.world.t + MANIP_TIMEOUT, self.scenario.horizon)
         obj = self.scenario.object_by_id(self.object_of[action.target_instance])
-        if obj.joint is None:
-            return False, f"object {obj.id!r} is not articulated"
         handle = obj.attach_point(self.world.object_poses[obj.id].position)
         grasp = Pose(handle, self.world.ee_pose.orientation)
         if not self._move_ee_to(grasp, deadline, pos_tol=0.02):
@@ -477,14 +478,9 @@ class EpisodeRunner:
         return False, "articulation timeout"
 
     def _do_drag(self, action: AtomicAction) -> tuple[bool, str]:
-        target_id = (self.object_of[action.target_instance]
-                     if action.target_instance is not None else None)
-        if target_id is None:
-            draggables = [o for o in self.scenario.objects if o.type == "draggable"]
-            if not draggables:
-                return False, "no draggable object in scene"
-            target_id = draggables[0].id
-        obj = self.scenario.object_by_id(target_id)
+        obj = (self.scenario.object_by_id(self.object_of[action.target_instance])
+               if action.target_instance is not None  # else the first draggable object
+               else next(o for o in self.scenario.objects if o.type == "draggable"))
         obj_pos = self.world.object_poses[obj.id].position
         ok, why = self._navigate_to(obj_pos)
         if not ok:
@@ -530,7 +526,7 @@ class EpisodeRunner:
                              metrics=self._metrics())
 
     def _metrics(self) -> MetricsReport:
-        per_action, overall = report(self.monitors)
+        per_action, overall = report(self.monitors, [s.kind for s in self.scenario.plan])
         err = (self._err_sums / self._err_ticks) if self._err_ticks else np.zeros(3)
         ee = (self._ee_err_sums / self._ee_ticks) if self._ee_ticks else np.zeros(2)
         return MetricsReport(

@@ -2,8 +2,8 @@
 
 A plan is an ordered list of atomic actions (navigate, pick, place,
 push/pull, drag) produced by a planner oracle from an instruction and the
-instance-graph summary. Subtask monitors latch once their goal condition
-holds and never revert within an episode.
+instance-graph summary. A subtask monitor scores one plan step: it latches
+once its goal condition holds while that step runs, and never reverts.
 """
 
 from __future__ import annotations
@@ -118,13 +118,13 @@ class ConditionKind(Enum):
 
 @dataclass
 class SubtaskMonitor:
-    """One scenario `monitors` entry: a goal condition that counts toward the
-    `action` bucket, and its latch (`completed`, `completion_time`), which
-    the scenario file never sets."""
+    """One scenario `monitors` entry: a goal condition that scores plan step
+    `step` and counts toward that step's kind, and its latch (`completed`,
+    `completion_time`), which the scenario file never sets."""
 
     name: str
     kind: ConditionKind
-    action: ActionKind
+    step: int
     object: Optional[str] = None
     other: Optional[str] = None
     point: Optional[np.ndarray] = None
@@ -154,11 +154,9 @@ def _object_position(world, oid: str) -> np.ndarray:
 
 def condition_holds(m: SubtaskMonitor, world) -> bool:
     k = m.kind
-    if k is ConditionKind.ROBOT_NEAR:
-        d = norm(world.base_pose.position[:2] - np.asarray(m.point[:2]))
-        return d <= m.threshold
-    if k is ConditionKind.OBJECT_NEAR:
-        p = _object_position(world, m.object)
+    if k in (ConditionKind.ROBOT_NEAR, ConditionKind.OBJECT_NEAR):
+        p = (world.base_pose.position if k is ConditionKind.ROBOT_NEAR
+             else _object_position(world, m.object))
         return norm(p[:2] - np.asarray(m.point[:2])) <= m.threshold
     if k is ConditionKind.RELATIVE_POSE:
         pa = _object_position(world, m.object)
@@ -168,16 +166,11 @@ def condition_holds(m: SubtaskMonitor, world) -> bool:
         return m.object in world.attachments
     if k is ConditionKind.DETACHED:
         return m.object not in world.attachments
-    if k is ConditionKind.JOINT_OPEN:
+    if k in (ConditionKind.JOINT_OPEN, ConditionKind.JOINT_CLOSED):
         value = world.joint_values.get(m.object)
         if value is None:
             raise UnknownObject(f"no articulation {m.object!r} in world state")
-        return value >= m.threshold
-    if k is ConditionKind.JOINT_CLOSED:
-        value = world.joint_values.get(m.object)
-        if value is None:
-            raise UnknownObject(f"no articulation {m.object!r} in world state")
-        return value <= m.threshold
+        return value >= m.threshold if k is ConditionKind.JOINT_OPEN else value <= m.threshold
     raise ValueError(f"unhandled condition kind {k}")
 
 
@@ -205,10 +198,11 @@ class ActionReport:
         self.rate = self.completed / self.total if self.total else 0.0
 
 
-def report(monitors: list[SubtaskMonitor]) -> tuple[dict[str, ActionReport], bool]:
-    """Per-action-kind success map plus the overall conjunction."""
+def report(monitors: list[SubtaskMonitor],
+           kinds: list[ActionKind]) -> tuple[dict[str, ActionReport], bool]:
+    """Success map by the kind of each monitor's step plus the overall conjunction."""
     buckets: dict[str, ActionReport] = {}
     for m in monitors:
-        buckets.setdefault(m.action.value, ActionReport()).add(int(m.completed), 1)
+        buckets.setdefault(kinds[m.step].value, ActionReport()).add(int(m.completed), 1)
     overall = all(m.completed for m in monitors)
     return buckets, overall

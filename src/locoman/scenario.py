@@ -5,8 +5,7 @@ Every on-disk record is a dataclass whose fields are its YAML keys (a
 monitor entry is a `planning.SubtaskMonitor`), decoded and encoded by the
 config codec (`config.from_dict`, `config.to_dict`). A
 record checks itself in `__post_init__`; `scenario_from_dict` adds the checks
-that span records (unique object ids, references to them, joint monitors on
-objects with a joint).
+that span records, so that `validate` accepts only what `run` can execute.
 """
 
 from __future__ import annotations
@@ -149,24 +148,33 @@ class Scenario:
 
 
 def scenario_from_dict(data, where: str = "scenario") -> Scenario:
+    """`from_dict`, then the checks that span records; raises at the first fault."""
     scenario = from_dict(Scenario, data, where)
-    ids = set()
-    for i, obj in enumerate(scenario.objects):
-        if obj.id in ids:
-            raise ValidationError(f"{where}.objects[{i}].id: duplicate id {obj.id!r}")
-        ids.add(obj.id)
-    refs = [(f"plan[{i}].target", step.target) for i, step in enumerate(scenario.plan)]
-    refs += [(f"monitors[{i}].{key}", getattr(m, key))
-             for i, m in enumerate(scenario.monitors) for key in ("object", "other")]
-    for loc, ref in refs:
-        if ref is not None and ref not in ids:
-            raise ValidationError(f"{where}.{loc}: unknown object {ref!r}")
+    plan, monitors = list(enumerate(scenario.plan)), list(enumerate(scenario.monitors))
+    ids = [obj.id for obj in scenario.objects]
     jointed = {obj.id for obj in scenario.objects if obj.joint is not None}
-    for i, m in enumerate(scenario.monitors):
-        if m.kind in (ConditionKind.JOINT_OPEN, ConditionKind.JOINT_CLOSED) \
-                and m.object not in jointed:
-            raise ValidationError(f"{where}.monitors[{i}].object: "
-                                  f"{m.kind.value} needs an object with a joint")
+    draggable = any(obj.type == "draggable" for obj in scenario.objects)
+    refs = [(f"plan[{i}].target", step.target) for i, step in plan]
+    refs += [(f"monitors[{i}].{key}", getattr(m, key))
+             for i, m in monitors for key in ("object", "other")]
+    faults = [(f"objects[{i}].id", f"duplicate id {oid!r}")
+              for i, oid in enumerate(ids) if oid in ids[:i]]
+    faults += [(loc, f"unknown object {ref!r}") for loc, ref in refs
+               if ref is not None and ref not in ids]
+    faults += [(f"plan[{i}].target", "push_pull needs an object with a joint")
+               for i, step in plan
+               if step.kind is ActionKind.PUSH_PULL and step.target not in jointed]
+    faults += [(f"plan[{i}].target", "a drag without a target needs a draggable object")
+               for i, step in plan
+               if step.kind is ActionKind.DRAG and step.target is None and not draggable]
+    # a planless scene still loads (for its grid); `run` rejects it whole
+    faults += [(f"monitors[{i}].step", f"{m.step} is not one of the plan's {len(plan)} steps")
+               for i, m in monitors if plan and not 0 <= m.step < len(plan)]
+    faults += [(f"monitors[{i}].object", f"{m.kind.value} needs an object with a joint")
+               for i, m in monitors if m.object not in jointed
+               and m.kind in (ConditionKind.JOINT_OPEN, ConditionKind.JOINT_CLOSED)]
+    if faults:
+        raise ValidationError("{}.{}: {}".format(where, *faults[0]))
     return scenario
 
 

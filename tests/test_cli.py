@@ -377,10 +377,22 @@ class TestValidate:
             d["monitors"][0]["kind"] = "robot_close"
         self._rejected_by_both(tmp_path, edit, "monitors[0].kind")
 
-    def test_unknown_monitor_action(self, tmp_path):
+    @pytest.mark.parametrize("step", [
+        pytest.param(lambda plan: -1, id="negative"),
+        pytest.param(len, id="len_plan"),
+        pytest.param(lambda plan: True, id="bool"),
+        pytest.param(lambda plan: "2", id="string"),
+    ])
+    def test_bad_monitor_step(self, tmp_path, step):
         def edit(d):
-            d["monitors"][1]["action"] = "grab"
-        self._rejected_by_both(tmp_path, edit, "monitors[1].action")
+            d["monitors"][1]["step"] = step(d["plan"])
+        self._rejected_by_both(tmp_path, edit, "edited.yaml.monitors[1].step: ")
+
+    def test_monitor_action_key_rejected(self, tmp_path):
+        # a monitor's bucket is its plan step's kind; it no longer names one
+        def edit(d):
+            d["monitors"][1]["action"] = "pick"
+        self._rejected_by_both(tmp_path, edit, "edited.yaml.monitors[1].action: unknown key")
 
     def test_unknown_plan_kind(self, tmp_path):
         def edit(d):
@@ -404,6 +416,19 @@ class TestValidate:
     def test_plan_that_cannot_start(self, tmp_path, edit, where):
         self._rejected_by_both(tmp_path, edit, where)
 
+    # each step here would fail when it ran, not when the episode started
+    @pytest.mark.parametrize("edit, where", [
+        pytest.param(lambda d: d["plan"][3].update(kind="push_pull"),
+                     "plan[3].target: push_pull needs an object with a joint",
+                     id="push_pull_no_joint"),
+        pytest.param(lambda d: (d["plan"][4].pop("target"),
+                                d["objects"][1].update(type="container")),
+                     "plan[4].target: a drag without a target needs a draggable object",
+                     id="drag_nothing_draggable"),
+    ])
+    def test_step_that_cannot_run(self, tmp_path, edit, where):
+        self._rejected_by_both(tmp_path, edit, where)
+
 
 # sha256 of every file `run scenarios/cart_delivery.yaml --seed 0 --episodes 3`
 # writes, run from the repository root (the manifest records the path as given).
@@ -421,7 +446,7 @@ GOLDEN = {
             "282be9d4987b8ab73b9a73daff09d57eb3cab4af02f1cfc072440998995e73f9",
         "cart_delivery/episode_2/report.json":
             "ab163122b6d6d8a6c1eb3f1a4e8d2ffda2a12752ccb8a8fbbcbe4eab7b464d24",
-        "manifest.json": "754cf0c8ceb5c1298f9f136d859e905ab1707774ddb4866c356d94b8bdcf4d4e",
+        "manifest.json": "70c8c53a2238b3fd2623ff30b9f30c480d0a370d2a5b4114146a8adf8a286e3d",
     },
     NOISY: {
         "aggregate.json": "e032bcbc956149d9b47e48e0a52a8afb6cf4d77377519ef39025a00f90381fdf",
@@ -437,7 +462,7 @@ GOLDEN = {
             "a81872d64e23ca42b8fa700e87bf194016764f948c61f7953c57c55ed486a81a",
         "cart_delivery/episode_2/report.json":
             "3bcea986153e47187d4b73a603aa6802e49ed75af26d1939ea22982f17e6e1f3",
-        "manifest.json": "1dba6c5895516e3e45cc8118934ef6a3444d9c81ea487b89ba0cea5e2bfd7973",
+        "manifest.json": "12e16f688a603208c820f2911a9eda073823d93b50dbc0d6d65193c5e3e2a97e",
     },
 }
 
@@ -449,26 +474,26 @@ GOLDEN = {
 EDGE_TRACE = "67fada878922b64f6ff8603a024459c5842acac06dd74221bf42241728397959"
 GOLDEN_EDGE = {
     (): {
-        "aggregate.json": "575aa62f6d93ee4183e9ce368dfb8f26a22842bf5b3842887bbc41a5c262c49a",
+        "aggregate.json": "4aa7a7824d9f992bd2924df4c99f14c48625280929a67b2dfa98401ac0997a83",
         "drawer_and_crate/episode_0/trace.csv": EDGE_TRACE,
         "drawer_and_crate/episode_1/trace.csv": EDGE_TRACE,
         "drawer_and_crate/episode_0/report.json":
-            "04ae7cac4067d523a67f9334f2c5b7c14ce42a88cfa03483017942e5c6176151",
+            "b03ca079ce657921e282f35937af07d069b386b33ddb862651e6c288c8cc1e43",
         "drawer_and_crate/episode_1/report.json":
-            "e5082bd018003594ef6b37e952d1ac18296bfab9d2a1041194ad5e16c792a72f",
-        "manifest.json": "da76b1707fae93a508e9f3a9ce8fa9aa4856c4302fd86c610ab5951a9f4c0bda",
+            "a5beb97549e7a357f8a211915c1db8e46a66314c095cd634cd651002552a7c5b",
+        "manifest.json": "a5990916d30ba2d47525cbbd94bb725b12e6b9bde27d2f3d3c5099c06c648cf3",
     },
     NOISY: {
-        "aggregate.json": "a5f6fda5e7ef1892bf9d36aef6572c2d7d6c93935ad549f2bf9c960c4229ce2b",
+        "aggregate.json": "7e532dcf37b31cc92d857585bd0c46c6cca5433132aa35ab4c98aa35eb216c4b",
         "drawer_and_crate/episode_0/trace.csv":
             "42a077897babede5d8d2e30915964ca6897b95f2830cadb42adc3dc5598c05cc",
         "drawer_and_crate/episode_1/trace.csv":
             "28ce560c436611d8ba1f115b5fa9c22c4386c4aec62d8872f48452ab523702a0",
         "drawer_and_crate/episode_0/report.json":
-            "52b75a201454981edef2ec3fd8b94e1c0a55118eb0907ae3cb7e60aa944ed86b",
+            "dd23f5e146c6257a482b992b9a867c29d145af7d5a8d1f8da49946ac30bfb642",
         "drawer_and_crate/episode_1/report.json":
-            "964c8160f2593157059f04121f8bf4964313858185e142ce18e02c0ba16990a2",
-        "manifest.json": "107249870fee5d878a90547570e3a44a6db55156c6ff16f3ac10ef268c566cad",
+            "735bd93221b6ebbccda4dd6aebe1f7a684c31a6d4f73bafdd514472e39d254e3",
+        "manifest.json": "90305a0cd0b1dc85b0cf909fb54bdb001b45e1887ac95cabf0a00e4d65c8aeae",
     },
 }
 
@@ -486,7 +511,7 @@ GOLDEN_MISS = {
             "5ab3444412ab39bb352d7562e90e153879309308a3361360a001faed6be36149",
         "missed_grasp/episode_1/report.json":
             "ed344a66d634f05e626487fc2809d54337f3b94663866e3cc2e65f217688ff86",
-        "manifest.json": "4f2061e43168ce140cdd71aed49e5a711fad92db7927c273cb3df6344806cb26",
+        "manifest.json": "5a813e5cef519864b3bba0b31c40e19f5f35dc4ed6b201a2d4f7225dcf126552",
     },
     NOISY: {
         "aggregate.json": "9d86cb9b5a681d26a8e98a08b01e1a3aeed6379ad8df1da573a217d2456667dd",
@@ -498,7 +523,7 @@ GOLDEN_MISS = {
             "0ae15ee3584a958e5c6d700f01b341ba7b09ff38bfe56695ff336cabc6e83b30",
         "missed_grasp/episode_1/report.json":
             "a3770b85116fa950cb098d6df8060b2133d2bed84cb99c315c5246e2d1bc0981",
-        "manifest.json": "364b003a955e0c2bcb972acd6e5d4c50ff84fa40d5e3ec886442b81f7114efc8",
+        "manifest.json": "029f3f4ac90b979d35fad9a0e50926d6694da8991f92a784b06f6af6b304b2cc",
     },
 }
 

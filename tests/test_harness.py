@@ -13,8 +13,8 @@ from locoman.cli import _load_runnable
 from locoman.config import Config, TrackingConfig, to_dict
 from locoman.errors import LocomanError, ParseError, ValidationError
 from locoman.geometry import Pose, quat_geodesic_distance, vec3
-from locoman.harness import (BASE_STAND_HEIGHT, TRACE_COLUMNS, aggregate,
-                             build_instance_graph, build_occupancy_grid,
+from locoman.harness import (BASE_STAND_HEIGHT, TRACE_COLUMNS, EpisodeRunner,
+                             aggregate, build_instance_graph, build_occupancy_grid,
                              make_world, run_episode, stage1_terms, step,
                              write_report, write_trace_csv)
 from locoman.navgrid import FREE, OCCUPIED, OccupancyGrid
@@ -41,7 +41,7 @@ def minimal_scenario_dict(**overrides):
              "waypoint": [1.5, 0.0, 0.05]},
         ],
         "monitors": [
-            {"name": "arrived", "kind": "robot_near", "action": "navigate",
+            {"name": "arrived", "kind": "robot_near", "step": 0,
              "point": [1.5, 0.0, 0.0], "threshold": 1.0},
         ],
     }
@@ -108,7 +108,7 @@ class TestScenarioSchema:
     def test_monitor_object_must_exist(self):
         data = minimal_scenario_dict()
         data["monitors"].append({"name": "m", "kind": "attached",
-                                 "action": "pick", "object": "ghost"})
+                                 "step": 0, "object": "ghost"})
         with pytest.raises(ValidationError, match=r"monitors\[1\].object"):
             scenario_from_dict(data)
 
@@ -385,6 +385,19 @@ class TestEpisode:
         assert clean.metrics.overall is True
         assert first.metrics.per_action == second.metrics.per_action
         assert first.metrics.per_action["pick"].completed == 0
+
+    # the three scenarios the golden digests pin, under the pins' tracking flags
+    @pytest.mark.parametrize("tracking", [
+        TrackingConfig(), TrackingConfig(tau_base=0.1, noise_pos=0.002, noise_ori=0.01)],
+        ids=["noise_free", "noisy"])
+    @pytest.mark.parametrize("name", ["cart_delivery", "drawer_and_crate", "missed_grasp"])
+    def test_monitor_latches_during_its_step(self, name, tracking):
+        runner = EpisodeRunner(load_scenario(SCENARIO_DIR / f"{name}.yaml"),
+                               master_seed=0, config=Config(tracking=tracking))
+        ticks = {(row[0], row[1]) for row in runner.run().trace}  # (t, action_index)
+        for m in runner.monitors:
+            assert not m.completed or (m.completion_time, m.step) in ticks, \
+                f"{m.name} latched at t={m.completion_time}, outside step {m.step}"
 
     def test_aggregate_pools_counts(self):
         s = scenario_from_dict(minimal_scenario_dict())

@@ -4,10 +4,12 @@ import pytest
 from locoman.errors import OracleFailure, UnknownObject
 from locoman.fusion import Detection, InstanceGraph
 from locoman.geometry import Pose, vec3
+from locoman.harness import EpisodeRunner
 from locoman.planning import (ActionKind, AtomicAction, ConditionKind,
                               ScriptedPlanner, SubtaskMonitor, TaskPlan,
                               condition_holds, decompose, monitor_step, report,
                               validate_plan)
+from locoman.scenario import scenario_from_dict
 
 
 def _graph_with_nodes(n):
@@ -104,7 +106,7 @@ class TestDecompose:
 
 
 def _cond(kind, **kwargs):
-    return SubtaskMonitor("m", kind, ActionKind.NAVIGATE, **kwargs)
+    return SubtaskMonitor("m", kind, 0, **kwargs)
 
 
 class TestConditions:
@@ -173,10 +175,9 @@ class TestConditions:
 
 
 class TestMonitors:
-    def _monitor(self, threshold=0.5):
+    def _monitor(self, threshold=0.5, step=0):
         return SubtaskMonitor(name="near_origin", kind=ConditionKind.ROBOT_NEAR,
-                              action=ActionKind.NAVIGATE, point=(0, 0, 0),
-                              threshold=threshold)
+                              step=step, point=(0, 0, 0), threshold=threshold)
 
     def test_latches_and_never_reverts(self):
         w = FakeWorld()
@@ -194,14 +195,34 @@ class TestMonitors:
         monitor_step([m], w, 1.0)
         assert not m.completed and m.completion_time is None
 
+    def test_unlatched_until_its_step_runs(self):
+        # the robot starts inside `home`, which scores the walk back (step 1):
+        # the walk out (step 0) must leave it unlatched
+        scenario = scenario_from_dict({
+            "name": "out_and_back", "instruction": "walk out and back", "horizon": 30.0,
+            "robot_start": {"position": [0.0, 0.0, 0.0]},
+            "plan": [{"kind": "navigate", "description": "walk out",
+                      "waypoint": [1.5, 0.0, 0.0]},
+                     {"kind": "navigate", "description": "walk back",
+                      "waypoint": [0.0, 0.0, 0.0]}],
+            "monitors": [{"name": "home", "kind": "robot_near", "step": 1,
+                          "point": [0.0, 0.0, 0.0], "threshold": 0.5}]})
+        runner = EpisodeRunner(scenario)
+        trace = runner.run().trace
+        (home,) = runner.monitors
+        first_of_step_1 = next(row[0] for row in trace if row[1] == 1)
+        assert home.completed and home.completion_time > first_of_step_1
+        assert {row[1] for row in trace if row[0] == home.completion_time} == {1}
+
     def test_report_buckets_by_action(self):
         done = self._monitor()
         done.completed = True
-        pend = self._monitor()
+        pend = self._monitor(step=2)
         pick = SubtaskMonitor(name="grabbed", kind=ConditionKind.ATTACHED,
-                              action=ActionKind.PICK, object="cup")
+                              step=1, object="cup")
         pick.completed = True
-        buckets, overall = report([done, pend, pick])
+        kinds = [ActionKind.NAVIGATE, ActionKind.PICK, ActionKind.NAVIGATE]
+        buckets, overall = report([done, pend, pick], kinds)
         assert buckets["navigate"].completed == 1
         assert buckets["navigate"].total == 2
         assert buckets["navigate"].rate == 0.5
@@ -211,5 +232,5 @@ class TestMonitors:
     def test_overall_conjunction(self):
         a = self._monitor()
         a.completed = True
-        _, overall = report([a])
+        _, overall = report([a], [ActionKind.NAVIGATE])
         assert overall is True
