@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from locoman.errors import NoFeasibleGoal, NoPath
-from locoman.geometry import Pose, vec3
+from locoman.geometry import Pose, quat_from_yaw, vec3
 from locoman.navgrid import (FREE, OCCUPIED, SQRT2, UNKNOWN, GoalSearchConfig,
-                             OccupancyGrid, Scan, _disk_offsets, blocked_mask, bresenham,
-                             disk_overlaps_bbox, find_goal_pose,
+                             OccupancyGrid, Scan, _disk_offsets, _first_clear,
+                             blocked_mask, bresenham, disk_overlaps_bbox, find_goal_pose,
                              footprint_clear, path_cost, plan_path)
 
 
@@ -712,6 +712,168 @@ class TestGoalSearch:
         with pytest.raises(NoFeasibleGoal):
             find_goal_pose(g, np.array([0.0, 0.0, 0.0]), [], GoalSearchConfig(),
                            np.array([0.0, 0.0]))
+
+
+GOAL_FIELDS = ("search_radius", "ring_step", "angular_step",
+               "robot_inflation", "bbox_inflation")
+
+
+class TestGoalSearchConfig:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", GOAL_FIELDS)
+    def test_non_finite_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            GoalSearchConfig(**{name: value})
+
+    @pytest.mark.parametrize("value", [0.0, -0.1])
+    @pytest.mark.parametrize("name", GOAL_FIELDS)
+    def test_non_positive_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be positive$"):
+            GoalSearchConfig(**{name: value})
+
+
+def find_goal_pose_loop(grid, waypoint, obstacles, cfg, face_toward):
+    """Independent oracle: the per-candidate loop find_goal_pose replaced.
+
+    Each candidate, the waypoint and then every ring from angle 0, is tested
+    alone with footprint_clear and disk_overlaps_bbox against every box.
+    """
+    wx, wy = float(waypoint[0]), float(waypoint[1])
+    n = max(1, int(np.ceil(2.0 * np.pi / cfg.angular_step)))
+    ring = [k * cfg.angular_step for k in range(n) if k * cfg.angular_step < 2.0 * np.pi]
+    inflated = [((bmin[0] - cfg.bbox_inflation, bmin[1] - cfg.bbox_inflation),
+                 (bmax[0] + cfg.bbox_inflation, bmax[1] + cfg.bbox_inflation))
+                for bmin, bmax in obstacles]
+    radius = 0.0
+    while radius <= cfg.search_radius + 1e-12:
+        for theta in [0.0] if radius == 0.0 else ring:
+            x = wx + radius * np.cos(theta)
+            y = wy + radius * np.sin(theta)
+            if not footprint_clear(grid, x, y, cfg.robot_inflation):
+                continue
+            if any(disk_overlaps_bbox(x, y, cfg.robot_inflation, lo, hi)
+                   for lo, hi in inflated):
+                continue
+            yaw = float(np.arctan2(face_toward[1] - y, face_toward[0] - x))
+            return Pose(vec3(x, y, float(waypoint[2]) if len(waypoint) > 2 else 0.0),
+                        quat_from_yaw(yaw))
+        radius += cfg.ring_step
+    raise NoFeasibleGoal(
+        f"no collision-free goal within {cfg.search_radius} m of ({wx:.2f}, {wy:.2f})")
+
+
+def _goal_outcome(search, grid, waypoint, obstacles, cfg, face_toward):
+    """("waypoint" | "ring", position bytes, orientation bytes), or
+    ("none", the NoFeasibleGoal text)."""
+    try:
+        pose = search(grid, waypoint, obstacles, cfg, face_toward)
+    except NoFeasibleGoal as err:
+        return "none", str(err)
+    at_waypoint = pose.position[0] == waypoint[0] and pose.position[1] == waypoint[1]
+    return ("waypoint" if at_waypoint else "ring",
+            pose.position.tobytes(), pose.orientation.tobytes())
+
+
+def _random_boxes(rng, grid, count):
+    lo = grid.origin + rng.uniform(0.0, 1.0, (count, 2)) * grid.resolution * \
+        np.array([grid.width, grid.height])
+    hi = lo + rng.uniform(0.05, 0.6, (count, 2))
+    z = rng.uniform(0.2, 1.0, (count, 1))
+    return [(np.append(a, 0.0), np.append(b, c)) for a, b, c in zip(lo, hi, z)]
+
+
+class TestGoalSearchOracle:
+    """find_goal_pose must return the per-candidate loop's pose bit for bit,
+    or raise the same NoFeasibleGoal text."""
+
+    CONFIGS = (
+        GoalSearchConfig(search_radius=0.6),
+        GoalSearchConfig(search_radius=0.5, ring_step=0.07),
+        # 2 pi / 0.3 and 2 pi / 1.0 are not whole numbers
+        GoalSearchConfig(search_radius=0.6, angular_step=0.3, robot_inflation=0.25),
+        GoalSearchConfig(search_radius=0.45, ring_step=0.07, angular_step=1.0,
+                         robot_inflation=0.12, bbox_inflation=0.05),
+    )
+
+    @staticmethod
+    def _waypoints(rng, g, boxes):
+        """Uniform ones reaching a metre past the grid, ones on cell borders,
+        on the grid's edges, far outside it, at x = -0.0, and inside each box."""
+        x_lo, y_lo = g.origin
+        x_hi, y_hi = g.origin + np.array([g.width, g.height]) * g.resolution
+        pts = [(x, y) for x, y in zip(rng.uniform(x_lo - 1.0, x_hi + 1.0, 12),
+                                      rng.uniform(y_lo - 1.0, y_hi + 1.0, 12))]
+        pts += [(x_lo + int(i) * g.resolution, y_lo + int(j) * g.resolution)
+                for i, j in zip(rng.integers(0, g.width + 1, 6),
+                                rng.integers(0, g.height + 1, 6))]
+        pts += [(x_lo, rng.uniform(y_lo, y_hi)), (x_hi, rng.uniform(y_lo, y_hi)),
+                (rng.uniform(x_lo, x_hi), y_lo), (rng.uniform(x_lo, x_hi), y_hi),
+                (x_lo - 5.0, y_hi + 3.0), (-0.0, -0.0), (-0.0, rng.uniform(y_lo, y_hi))]
+        pts += [((lo[0] + hi[0]) / 2, (lo[1] + hi[1]) / 2) for lo, hi in boxes]
+        return [np.array([x, y, 0.3]) for x, y in pts]
+
+    @pytest.mark.parametrize("occupied_share", [0.03, 0.1, 0.5])
+    def test_random_grids(self, occupied_share):
+        rng = np.random.Generator(np.random.PCG64(31 + int(occupied_share * 100)))
+        seen = set()
+        for trial in range(4):
+            g = random_grid(rng, occupied_share, width=24, height=18)
+            boxes = _random_boxes(rng, g, 3) if trial % 2 else []
+            cfg = self.CONFIGS[trial]
+            face = rng.uniform(-2.0, 2.0, 2)
+            for wp in self._waypoints(rng, g, boxes or _random_boxes(rng, g, 3)):
+                expected = _goal_outcome(find_goal_pose_loop, g, wp, boxes, cfg, face)
+                assert _goal_outcome(find_goal_pose, g, wp, boxes, cfg, face) == \
+                    expected, (trial, wp)
+                seen.add(expected[0])
+        assert seen == {"waypoint", "ring", "none"} if occupied_share == 0.5 \
+            else {"waypoint", "ring"} <= seen
+
+    def test_degenerate_boxes(self):
+        """A NaN corner or an inverted box reads as min(max(...)) reads it."""
+        rng = np.random.Generator(np.random.PCG64(35))
+        g = random_grid(rng, 0.02, width=24, height=18)
+        boxes = [((np.nan, 1.0), (0.2, 1.4)), ((0.5, 1.2), (np.nan, np.nan)),
+                 ((0.4, 1.9), (-0.2, 1.5))]
+        for wp in self._waypoints(rng, g, []):
+            for cfg in self.CONFIGS[:2]:
+                assert _goal_outcome(find_goal_pose, g, wp, boxes, cfg, wp) == \
+                    _goal_outcome(find_goal_pose_loop, g, wp, boxes, cfg, wp), wp
+
+    def test_ring_helper_matches_scalar_checks(self):
+        """_first_clear answers each point as footprint_clear and
+        disk_overlaps_bbox do, and returns the first that passes."""
+        rng = np.random.Generator(np.random.PCG64(36))
+        g = random_grid(rng, 0.05)
+        occupied = np.argwhere(g.cells == OCCUPIED)
+        boxes = _random_boxes(rng, g, 4)
+        box_lo = np.array([lo[:2] for lo, _ in boxes])
+        box_hi = np.array([hi[:2] for _, hi in boxes])
+        no_box = np.empty((0, 2))
+        for trial in range(40):
+            r = RADII[trial % len(RADII)]
+            lo, hi = (box_lo, box_hi) if trial % 2 else (no_box, no_box)
+            xs = g.origin[0] + rng.uniform(-0.8, g.width * g.resolution + 0.8, 24)
+            ys = g.origin[1] + rng.uniform(-0.8, g.height * g.resolution + 0.8, 24)
+            # a third of the points lie r from an occupied cell centre, up to
+            # rounding, and a third r past a box's right side
+            for k in range(0, 24, 3):
+                iy, ix = occupied[rng.integers(len(occupied))]
+                c = g.cell_center(ix, iy)
+                theta = rng.uniform(0.0, 2 * np.pi)
+                xs[k], ys[k] = c[0] + r * np.cos(theta), c[1] + r * np.sin(theta)
+            for k in range(1, 24, 3):
+                j = rng.integers(len(boxes))
+                xs[k] = box_hi[j, 0] + r
+                ys[k] = rng.uniform(box_lo[j, 1], box_hi[j, 1])
+            expected = [footprint_clear(g, x, y, r) and not any(
+                disk_overlaps_bbox(x, y, r, a, b) for a, b in zip(lo.tolist(), hi.tolist()))
+                for x, y in zip(xs, ys)]
+            for k in range(xs.size):
+                assert _first_clear(g, xs[k:k + 1], ys[k:k + 1], r, lo, hi) == \
+                    (0 if expected[k] else None), (trial, k)
+            first = expected.index(True) if any(expected) else None
+            assert _first_clear(g, xs, ys, r, lo, hi) == first, trial
 
 
 class TestHelpers:
