@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-_UNIT_TOL = 1e-9
-
 
 def wrap_angle(a):
     """Normalize angle(s) to (-pi, pi]; -pi maps to +pi."""
@@ -112,22 +110,6 @@ def quat_from_euler(roll: float, pitch: float, yaw: float) -> np.ndarray:
     return quat_mul(qz, quat_mul(qy, qx))
 
 
-def euler_from_quat(q: np.ndarray) -> tuple[float, float, float]:
-    """Inverse of quat_from_euler away from gimbal lock (|pitch| = pi/2)."""
-    R = quat_to_matrix(q)
-    sp = -R[2, 0]
-    sp = float(np.clip(sp, -1.0, 1.0))
-    pitch = np.arcsin(sp)
-    if abs(sp) < 1.0 - 1e-9:
-        roll = np.arctan2(R[2, 1], R[2, 2])
-        yaw = np.arctan2(R[1, 0], R[0, 0])
-    else:
-        # gimbal lock: only roll +/- yaw observable, pin roll = 0
-        roll = 0.0
-        yaw = np.arctan2(-R[0, 1], R[1, 1])
-    return float(roll), float(pitch), float(yaw)
-
-
 def quat_to_matrix(q: np.ndarray) -> np.ndarray:
     w, x, y, z = q
     return np.array([
@@ -172,11 +154,6 @@ def quat_slerp(a: np.ndarray, b: np.ndarray, t: float) -> np.ndarray:
     return (np.sin((1.0 - t) * theta) * a + np.sin(t * theta) * b) / s
 
 
-def is_rotation_matrix(R: np.ndarray, tol: float = _UNIT_TOL) -> bool:
-    return (np.allclose(R.T @ R, np.eye(3), atol=tol)
-            and abs(np.linalg.det(R) - 1.0) <= tol)
-
-
 # ---------------------------------------------------------------------------
 # spherical targets
 # ---------------------------------------------------------------------------
@@ -198,15 +175,6 @@ def spherical_to_cartesian(s: SphericalTarget) -> np.ndarray:
     """Radius/pitch/yaw to xyz: pitch positive raises +z, yaw rotates about z."""
     cp = np.cos(s.pitch)
     return s.radius * np.array([cp * np.cos(s.yaw), cp * np.sin(s.yaw), np.sin(s.pitch)])
-
-
-def cartesian_to_spherical(v: np.ndarray) -> SphericalTarget:
-    r = float(np.linalg.norm(v))
-    if r == 0.0:
-        return SphericalTarget(0.0, 0.0, 0.0)
-    pitch = float(np.arcsin(np.clip(v[2] / r, -1.0, 1.0)))
-    yaw = float(np.arctan2(v[1], v[0]))
-    return SphericalTarget(r, pitch, yaw)
 
 
 @dataclass(frozen=True)
@@ -263,8 +231,10 @@ class Pose:
         return Pose(quat_rotate(qi, -self.position), qi)
 
     def yaw(self) -> float:
-        """euler_from_quat(orientation)[2], bit for bit, from only the three
-        matrix entries it reads (same expressions as quat_to_matrix)."""
+        """Yaw of the extrinsic X-Y-Z Euler angles (quat_from_euler's), with
+        roll pinned to 0 at gimbal lock. It reads only the three entries of
+        quat_to_matrix(orientation) that the yaw needs, by the same
+        expressions, and matches the tests' full-matrix oracle bit for bit."""
         w, x, y, z = self.orientation.tolist()
         sp = min(max(-(2 * (x * z - w * y)), -1.0), 1.0)
         if abs(sp) < 1.0 - 1e-9:

@@ -272,18 +272,13 @@ def footprint_clear(grid: OccupancyGrid, x: float, y: float, radius: float) -> b
     return not (np.hypot(centers_x - x, centers_y - y) <= radius).any()
 
 
-def disk_overlaps_bbox(x: float, y: float, radius: float, bbox_min, bbox_max) -> bool:
-    """2D disk vs axis-aligned box overlap."""
-    nx = min(max(x, bbox_min[0]), bbox_max[0])
-    ny = min(max(y, bbox_min[1]), bbox_max[1])
-    return np.hypot(nx - x, ny - y) < radius
-
-
 def _first_clear(grid: OccupancyGrid, xs: np.ndarray, ys: np.ndarray, radius: float,
                  box_lo: np.ndarray, box_hi: np.ndarray) -> int | None:
     """Index of the first candidate (xs[k], ys[k]) that `footprint_clear`
-    accepts and whose disk overlaps no box (box_lo[j], box_hi[j]) as
-    `disk_overlaps_bbox` tests it, or None when no candidate passes.
+    accepts and whose disk of that radius overlaps no box (box_lo[j],
+    box_hi[j]), or None when no candidate passes. A disk overlaps a box when
+    the box point nearest its centre, each coordinate clamped by min(max(c,
+    lo), hi), lies less than radius away.
 
     One window covering every candidate's `footprint_clear` window is read.
     A cell outside a candidate's own window has its centre more than
@@ -304,9 +299,9 @@ def _first_clear(grid: OccupancyGrid, xs: np.ndarray, ys: np.ndarray, radius: fl
         centers_x = ox + (ix + x0 + 0.5) * res
         centers_y = oy + (iy + y0 + 0.5) * res
         ok = ~(np.hypot(centers_x - cx, centers_y - cy) <= radius).any(axis=1)
-    if box_lo.size:
+    if box_lo.size and ok.any():
         # fmax/fmin return the candidate coordinate against a NaN bound, as
-        # the builtin max/min of disk_overlaps_bbox do
+        # the builtin max/min of that clamp do
         nx = np.fmin(np.fmax(cx, box_lo[:, 0]), box_hi[:, 0])
         ny = np.fmin(np.fmax(cy, box_lo[:, 1]), box_hi[:, 1])
         ok &= ~(np.hypot(nx - cx, ny - cy) < radius).any(axis=1)
@@ -319,33 +314,30 @@ def find_goal_pose(grid: OccupancyGrid, waypoint: np.ndarray, obstacles,
     """First collision-free pose searching outward ring-by-ring from the waypoint.
 
     Rings at radii 0, ring_step, 2*ring_step, ... up to search_radius; each ring
-    scanned from angle 0 by angular_step. The pose yaw faces face_toward.
+    scanned from angle 0 by angular_step, and ring 0 is the waypoint alone.
+    The pose yaw faces face_toward.
 
-    The waypoint itself is checked alone with `footprint_clear` and
-    `disk_overlaps_bbox`. Each later ring is checked in one `_first_clear`
-    pass, which gives every candidate the answer of those two checks. Both
-    skip the boxes that `_near_boxes` shows no candidate can touch.
+    Each ring is checked in one `_first_clear` pass, which answers every
+    candidate as `footprint_clear` and the box overlap test would. It skips
+    the boxes that `_near_boxes` shows no candidate can touch.
     """
     wx, wy = float(waypoint[0]), float(waypoint[1])
-    r = cfg.robot_inflation
     box_lo, box_hi = _near_boxes(obstacles, cfg, wx, wy)
-    # radius 0, angle 0, by the ring expression (a -0.0 waypoint gives 0.0)
-    x = wx + 0.0 * np.cos(0.0)
-    y = wy + 0.0 * np.sin(0.0)
-    if footprint_clear(grid, x, y, r) and \
-            not any(disk_overlaps_bbox(x, y, r, lo, hi)
-                    for lo, hi in zip(box_lo.tolist(), box_hi.tolist())):
-        return _goal_pose(x, y, waypoint, face_toward)
     n = max(1, int(np.ceil(2.0 * np.pi / cfg.angular_step)))
     thetas = np.array([k * cfg.angular_step for k in range(n)
                        if k * cfg.angular_step < 2.0 * np.pi])
     cos, sin = np.cos(thetas), np.sin(thetas)
-    radius = cfg.ring_step
+    radius = 0.0
     while radius <= cfg.search_radius + 1e-12:
-        xs, ys = wx + radius * cos, wy + radius * sin
-        k = _first_clear(grid, xs, ys, r, box_lo, box_hi)
+        # ring 0 is one candidate at angle 0 (a -0.0 waypoint gives 0.0)
+        m = 1 if radius == 0.0 else cos.size
+        xs, ys = wx + radius * cos[:m], wy + radius * sin[:m]
+        k = _first_clear(grid, xs, ys, cfg.robot_inflation, box_lo, box_hi)
         if k is not None:
-            return _goal_pose(xs[k], ys[k], waypoint, face_toward)
+            x, y = xs[k], ys[k]
+            yaw = float(np.arctan2(face_toward[1] - y, face_toward[0] - x))
+            return Pose(vec3(x, y, float(waypoint[2]) if len(waypoint) > 2 else 0.0),
+                        quat_from_yaw(yaw))
         radius += cfg.ring_step
     raise NoFeasibleGoal(
         f"no collision-free goal within {cfg.search_radius} m of ({wx:.2f}, {wy:.2f})")
@@ -371,12 +363,6 @@ def _near_boxes(obstacles, cfg: GoalSearchConfig, wx: float, wy: float):
     far = (np.minimum(lo, hi) > reach) | (np.maximum(lo, hi) < -reach)
     near = boxes[~far.any(axis=1)]
     return near[:, :2], near[:, 2:]
-
-
-def _goal_pose(x, y, waypoint: np.ndarray, face_toward: np.ndarray) -> Pose:
-    yaw = float(np.arctan2(face_toward[1] - y, face_toward[0] - x))
-    return Pose(vec3(x, y, float(waypoint[2]) if len(waypoint) > 2 else 0.0),
-                quat_from_yaw(yaw))
 
 
 def blocked_mask(grid: OccupancyGrid, inflation: float) -> np.ndarray:
@@ -469,10 +455,3 @@ def plan_path(grid: OccupancyGrid, start: tuple[int, int], goal: tuple[int, int]
                 hn = (dx + dy) + diag * (dx if dx < dy else dy)
                 push(open_heap, (tentative + hn, hn, nb))
     raise NoPath(f"goal {goal} unreachable from {start}")
-
-
-def path_cost(path: list[tuple[int, int]]) -> float:
-    cost = 0.0
-    for (x0, y0), (x1, y1) in zip(path, path[1:]):
-        cost += SQRT2 if (x0 != x1 and y0 != y1) else 1.0
-    return cost

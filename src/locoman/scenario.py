@@ -39,6 +39,12 @@ class Box:
     min: np.ndarray
     max: np.ndarray
 
+    def __post_init__(self):
+        # an inverted box draws no grid cell, yet the goal search avoids it
+        if (self.min > self.max).any():
+            raise ValueError("max", f"must be >= min on every axis, got {self.max.tolist()} "
+                                    f"against {self.min.tolist()}")
+
 
 @dataclass
 class Joint:
@@ -46,6 +52,15 @@ class Joint:
     min: float
     max: float
     goal: float
+
+    def __post_init__(self):
+        if self.min > self.max:
+            raise ValueError("max", f"must be >= min {self.min!r}, got {self.max!r}")
+        for name in ("value", "goal"):
+            v = getattr(self, name)
+            if not self.min <= v <= self.max:
+                raise ValueError(name, f"must lie in [min, max] = [{self.min!r}, "
+                                       f"{self.max!r}], got {v!r}")
 
 
 @dataclass
@@ -70,6 +85,8 @@ class SceneObject:
             raise ValueError("type", f"{self.type!r} not one of {types}")
         if self.type == "articulated" and self.joint is None:
             raise ValueError("joint", "articulated object needs a joint block")
+        if (self.size < 0).any():
+            raise ValueError("size", f"must have no negative component, got {self.size.tolist()}")
         if self.label is None:
             self.label = self.id
 
@@ -173,6 +190,10 @@ def scenario_from_dict(data, where: str = "scenario") -> Scenario:
     faults += [(f"monitors[{i}].object", f"{m.kind.value} needs an object with a joint")
                for i, m in monitors if m.object not in jointed
                and m.kind in (ConditionKind.JOINT_OPEN, ConditionKind.JOINT_CLOSED)]
+    # only a pick grounds its target, so any other key would be ignored
+    picks = [i for i, step in plan if step.kind is ActionKind.PICK]
+    faults += [(f"grounding.{k}", f"is not a pick step; the plan's pick steps are {picks}")
+               for k in scenario.grounding if plan and k not in picks]
     if faults:
         raise ValidationError("{}.{}: {}".format(where, *faults[0]))
     return scenario

@@ -14,7 +14,7 @@ from click.testing import CliRunner
 from locoman.cli import main as cli_main
 from locoman.config import Config
 from locoman.fusion import geometric_similarity
-from locoman.geometry import (Pose, is_rotation_matrix, quat_from_axis_angle,
+from locoman.geometry import (Pose, quat_from_axis_angle,
                               quat_from_euler, quat_geodesic_distance,
                               quat_mul, quat_normalize, unit, vec3)
 from locoman.grounding import solve_orientation
@@ -23,12 +23,12 @@ from locoman.harness import run_episode
 from locoman.scenario import scenario_from_dict
 from locoman.navgrid import (FREE, OCCUPIED, SQRT2, GoalSearchConfig,
                              OccupancyGrid, blocked_mask, find_goal_pose,
-                             path_cost, plan_path)
+                             plan_path)
 from locoman.rewards import (ContactTimeline, LegTimeline, r_freq, r_gait,
                              sync_term, total_reward)
-from locoman.geometry import cartesian_to_spherical
 from locoman.sampling import (COMMAND_RANGES, RandomizationConfig, make_rng,
                               sample_ee_target, sample_locomotion_command)
+from oracles import cartesian_to_spherical, is_rotation_matrix, path_cost
 
 SCENARIO_PATH = Path(__file__).resolve().parent.parent / "scenarios" / "cart_delivery.yaml"
 PI = np.pi

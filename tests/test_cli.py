@@ -323,6 +323,20 @@ MALFORMED_SCENARIOS = [
     pytest.param(lambda d: d.update(speed=3), "speed", id="unknown_top_level_key"),
     pytest.param(lambda d: d["objects"][0].update(colour="red"), "objects[0].colour",
                  id="unknown_object_key"),
+    pytest.param(lambda d: d["static_obstacles"][0].update(max=[0.7, -0.9, 0.5]),
+                 "static_obstacles[0].max", id="box_inverted"),
+    pytest.param(lambda d: d["grounding"].update({"9": {"offset": [0.5, 0.0, 0.0]}}),
+                 "grounding.9", id="grounding_past_plan"),
+    pytest.param(lambda d: d["grounding"].update({"0": {"offset": [0.5, 0.0, 0.0]}}),
+                 "grounding.0", id="grounding_on_navigate"),
+    pytest.param(lambda d: d["objects"][0].update(
+        joint={"value": 0.0, "min": 0.0, "max": 0.35, "goal": 0.9}),
+                 "objects[0].joint.goal", id="joint_goal_past_max"),
+    pytest.param(lambda d: d["objects"][0].update(
+        joint={"value": 0.0, "min": 0.35, "max": 0.0, "goal": 0.3}),
+                 "objects[0].joint.max", id="joint_max_below_min"),
+    pytest.param(lambda d: d["objects"][0].update(size=[0.08, -0.08, 0.08]),
+                 "objects[0].size", id="object_size_negative"),
 ]
 
 

@@ -3,9 +3,10 @@ import pytest
 
 from locoman.errors import (DegenerateConstraints, InvalidDepth, OracleFailure,
                             UsageError)
-from locoman.geometry import Pose, is_rotation_matrix, quat_from_euler, unit
+from locoman.geometry import Pose, quat_from_euler, unit
 from locoman.grounding import (CameraModel, DepthImage, GroundingResult,
                                ground_action, pixel_to_point, solve_orientation)
+from oracles import is_rotation_matrix
 
 
 def _cam(extrinsic=None):

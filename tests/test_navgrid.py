@@ -8,8 +8,9 @@ from locoman.errors import NoFeasibleGoal, NoPath
 from locoman.geometry import Pose, quat_from_yaw, vec3
 from locoman.navgrid import (FREE, OCCUPIED, SQRT2, UNKNOWN, GoalSearchConfig,
                              OccupancyGrid, Scan, _disk_offsets, _first_clear,
-                             blocked_mask, bresenham, disk_overlaps_bbox, find_goal_pose,
-                             footprint_clear, path_cost, plan_path)
+                             blocked_mask, bresenham, find_goal_pose,
+                             footprint_clear, plan_path)
+from oracles import disk_overlaps_bbox, path_cost
 
 
 def dijkstra_cost(blocked, start, goal):

@@ -28,11 +28,6 @@ LIBRARY_ONLY = {
                                     "(sampling.RandomizationConfig)",
     "quat_from_euler": "end-effector orientation commands (alpha, beta, gamma); "
                        "criterion 5 tilts the base with it",
-    "euler_from_quat": "the extrinsic X-Y-Z Euler convention; the oracle of Pose.yaw",
-    "cartesian_to_spherical": "criterion 5 oracle: targets back in (l, p, y)",
-    "is_rotation_matrix": "criterion 2 oracle: the orientation solver returns a rotation",
-    "path_cost": "the A* objective (unit straight, sqrt(2) diagonal steps) that "
-                 "criterion 6 compares with Dijkstra",
     "bresenham": "the integer ray of scan integration, one ray at a time; the "
                  "oracle of integrate_scan's lockstep rays",
 }
@@ -60,8 +55,8 @@ def definitions_and_unreached():
     """All module-level functions and classes of `src/locoman/`, and those of
     them that no other top-level statement in `src/` or `benchmarks/` names.
     A definition naming itself does not count, nor does a `benchmarks/`
-    mention of a name that `benchmarks/` defines too (`ref.path_cost` calls
-    the benchmarks' own `path_cost`, not `navgrid.path_cost`)."""
+    mention of a name that `benchmarks/` defines too (a call of `ref.f`
+    reaches the benchmarks' own `f`, not a `src/` function of that name)."""
     trees = {path: ast.parse(path.read_text()) for path in SRC + BENCHMARKS}
     own = {n.name for path in BENCHMARKS for n in ast.walk(trees[path])
            if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
