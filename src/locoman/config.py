@@ -79,7 +79,7 @@ def to_dict(obj):
     """Plain YAML data for a config value: dataclasses become mappings of
     their fields, tuples and arrays become lists and enums their values."""
     if is_dataclass(obj):
-        return {f.name: to_dict(getattr(obj, f.name)) for f in fields(obj) if f.init}
+        return {f.name: to_dict(getattr(obj, f.name)) for f in fields(obj)}
     if isinstance(obj, (tuple, list)):
         return [to_dict(v) for v in obj]
     if isinstance(obj, dict):
@@ -134,7 +134,7 @@ def from_dict(cls, data, where: str = "config"):
                 return from_dict(args[0], k, f"{where}.{k}")
             return {decode_key(k): from_dict(args[1], v, f"{where}.{k}")
                     for k, v in data.items()}
-        known = {f.name: f for f in fields(cls) if f.init}
+        known = {f.name: f for f in fields(cls)}
         for key in data:
             if key not in known:
                 raise ValidationError(f"{where}.{key}: unknown key")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -144,7 +144,7 @@ def build_instance_graph(scenario: Scenario,
     per object: an object fused into another's node raises ValidationError."""
     graph = InstanceGraph(descriptor_dim=16, cfg=FusionConfig())
     node_of: dict[str, int] = {}
-    object_of: dict[int, str] = {}
+    owner: dict[int, str] = {}
     for i, obj in enumerate(scenario.objects):
         lo, hi = obj.bbox()
         corners = np.array([[x, y, z] for x in (lo[0], hi[0])
@@ -153,10 +153,10 @@ def build_instance_graph(scenario: Scenario,
         det = Detection(label=obj.label, descriptor=_label_descriptor(obj.label),
                         points=points)
         node = graph.ingest_detection(det)
-        if node in object_of:
+        if node in owner:
             raise ValidationError(f"{where}.objects[{i}]: object {obj.id!r} fuses with "
-                                  f"{object_of[node]!r} into one instance node")
-        node_of[obj.id], object_of[node] = node, obj.id
+                                  f"{owner[node]!r} into one instance node")
+        node_of[obj.id], owner[node] = node, obj.id
     return graph, node_of
 
 
@@ -232,7 +232,8 @@ TRACE_COLUMNS = [
 
 
 class EpisodeRunner:
-    """Owns one episode: world, grid, graph, monitors, trace, metrics."""
+    """Owns one episode: world, grid, graph, monitor latches, trace, metrics.
+    The scenario is read only, so every episode of a run may share it."""
 
     def __init__(self, scenario: Scenario, dt: float = 0.02,
                  master_seed: Optional[int] = None, episode_index: int = 0,
@@ -245,11 +246,10 @@ class EpisodeRunner:
         self.world = make_world(scenario)
         self.grid = build_occupancy_grid(scenario)
         self.graph, self.node_of = build_instance_graph(scenario)
-        self.object_of = {nid: oid for oid, nid in self.node_of.items()}
-        # fresh latches: the scenario is shared by every episode of a run
-        self.monitors = [replace(m) for m in scenario.monitors]
-        self._monitors_at = {i: [m for m in self.monitors if m.step == i]
-                             for i in range(len(scenario.plan))}
+        self.target_of = {self.node_of[obj.id]: obj for obj in scenario.objects}
+        self.latched: dict[int, float] = {}  # monitor index -> latch time
+        self._monitors_at = {i: [(j, m) for j, m in enumerate(scenario.monitors)
+                                 if m.step == i] for i in range(len(scenario.plan))}
         self.trace: list[tuple] = []
         self.outcomes: list[ActionOutcome] = []
         self.timeline = ContactTimeline()
@@ -276,7 +276,8 @@ class EpisodeRunner:
         step(self.world, base_cmd, ee_cmd, self.dt, self.config.tracking, self.rng,
              self.scenario, self.grid)
         # a monitor may latch only while its own plan step runs
-        monitor_step(self._monitors_at.get(self._action_index, []), self.world, self.world.t)
+        monitor_step(self._monitors_at.get(self._action_index, []), self.world, self.world.t,
+                     self.latched)
         self._record(base_cmd, ee_cmd)
 
     def _record(self, base_cmd: LocomotionCommand, ee_cmd: Optional[Pose]) -> None:
@@ -415,7 +416,7 @@ class EpisodeRunner:
 
     def _do_pick(self, action: AtomicAction) -> tuple[bool, str]:
         deadline = min(self.world.t + MANIP_TIMEOUT, self.scenario.horizon)
-        obj = self.scenario.object_by_id(self.object_of[action.target_instance])
+        obj = self.target_of[action.target_instance]
         try:
             target_base = self._ground_target(obj)
         except LocomanError as exc:
@@ -445,7 +446,7 @@ class EpisodeRunner:
                    if carrier == "ee"]
         if not carried:
             return False, "nothing attached to place"
-        container = self.scenario.object_by_id(self.object_of[action.target_instance])
+        container = self.target_of[action.target_instance]
         offset = (container.container_offset if container.container_offset is not None
                   else vec3(0.0, 0.0, container.size[2] / 2.0 + 0.05))
         drop_point = self.world.object_poses[container.id].position + offset
@@ -461,7 +462,7 @@ class EpisodeRunner:
 
     def _do_push_pull(self, action: AtomicAction) -> tuple[bool, str]:
         deadline = min(self.world.t + MANIP_TIMEOUT, self.scenario.horizon)
-        obj = self.scenario.object_by_id(self.object_of[action.target_instance])
+        obj = self.target_of[action.target_instance]
         handle = obj.attach_point(self.world.object_poses[obj.id].position)
         grasp = Pose(handle, self.world.ee_pose.orientation)
         if not self._move_ee_to(grasp, deadline, pos_tol=0.02):
@@ -478,7 +479,7 @@ class EpisodeRunner:
         return False, "articulation timeout"
 
     def _do_drag(self, action: AtomicAction) -> tuple[bool, str]:
-        obj = (self.scenario.object_by_id(self.object_of[action.target_instance])
+        obj = (self.target_of[action.target_instance]
                if action.target_instance is not None  # else the first draggable object
                else next(o for o in self.scenario.objects if o.type == "draggable"))
         obj_pos = self.world.object_poses[obj.id].position
@@ -526,7 +527,8 @@ class EpisodeRunner:
                              metrics=self._metrics())
 
     def _metrics(self) -> MetricsReport:
-        per_action, overall = report(self.monitors, [s.kind for s in self.scenario.plan])
+        per_action, overall = report(self.scenario.monitors,
+                                     [s.kind for s in self.scenario.plan], self.latched)
         err = (self._err_sums / self._err_ticks) if self._err_ticks else np.zeros(3)
         ee = (self._ee_err_sums / self._ee_ticks) if self._ee_ticks else np.zeros(2)
         return MetricsReport(

@@ -8,7 +8,7 @@ once its goal condition holds while that step runs, and never reverts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Protocol
 
@@ -116,11 +116,26 @@ class ConditionKind(Enum):
     JOINT_CLOSED = "joint_closed"
 
 
-@dataclass
+# the fields each condition kind reads: those it needs, then those it may set
+# (a joint kind compares against 0 by default); a kind reads no other field
+MONITOR_READS = {
+    ConditionKind.ROBOT_NEAR: (("point", "threshold"), ()),
+    ConditionKind.OBJECT_NEAR: (("object", "point", "threshold"), ()),
+    ConditionKind.RELATIVE_POSE: (("object", "other", "threshold"), ()),
+    ConditionKind.ATTACHED: (("object",), ()),
+    ConditionKind.DETACHED: (("object",), ()),
+    ConditionKind.JOINT_OPEN: (("object",), ("threshold",)),
+    ConditionKind.JOINT_CLOSED: (("object",), ("threshold",)),
+}
+_NEEDS = {"object": "an object", "other": "an other object", "point": "a point",
+          "threshold": "a positive threshold"}
+
+
+@dataclass(frozen=True)
 class SubtaskMonitor:
     """One scenario `monitors` entry: a goal condition that scores plan step
-    `step` and counts toward that step's kind, and its latch (`completed`,
-    `completion_time`), which the scenario file never sets."""
+    `step` and counts toward that step's kind. Its latch is episode state,
+    kept by the episode runner."""
 
     name: str
     kind: ConditionKind
@@ -129,20 +144,17 @@ class SubtaskMonitor:
     other: Optional[str] = None
     point: Optional[np.ndarray] = None
     threshold: float = 0.0  # radius / max distance / joint threshold
-    completed: bool = field(default=False, init=False)
-    completion_time: Optional[float] = field(default=None, init=False)
 
     def __post_init__(self):
-        if self.kind in (ConditionKind.ROBOT_NEAR, ConditionKind.OBJECT_NEAR,
-                         ConditionKind.RELATIVE_POSE) and self.threshold <= 0.0:
-            raise ValueError(f"{self.kind.value} needs a positive threshold")
-        if self.kind in (ConditionKind.ROBOT_NEAR, ConditionKind.OBJECT_NEAR) \
-                and self.point is None:
-            raise ValueError(f"{self.kind.value} needs a point")
-        if self.kind is not ConditionKind.ROBOT_NEAR and self.object is None:
-            raise ValueError(f"{self.kind.value} needs an object")
-        if self.kind is ConditionKind.RELATIVE_POSE and self.other is None:
-            raise ValueError(f"{self.kind.value} needs an other object")
+        needs, may = MONITOR_READS[self.kind]
+        for name, noun in _NEEDS.items():
+            value = getattr(self, name)
+            is_threshold = name == "threshold"
+            if name in needs and (value <= 0.0 if is_threshold else value is None):
+                raise ValueError(name, f"{self.kind.value} needs {noun}")
+            if name not in needs + may and (value != 0.0 if is_threshold
+                                             else value is not None):
+                raise ValueError(name, f"{self.kind.value} never reads it")
 
 
 def _object_position(world, oid: str) -> np.ndarray:
@@ -174,14 +186,13 @@ def condition_holds(m: SubtaskMonitor, world) -> bool:
     raise ValueError(f"unhandled condition kind {k}")
 
 
-def monitor_step(monitors: list[SubtaskMonitor], world, t: float) -> None:
-    """Latch every unmet monitor whose condition now holds. In place, monotone."""
-    for m in monitors:
-        if m.completed:
-            continue
-        if condition_holds(m, world):
-            m.completed = True
-            m.completion_time = t
+def monitor_step(pending: list[tuple[int, SubtaskMonitor]], world, t: float,
+                 latched: dict[int, float]) -> None:
+    """Latch at `t` each `(index, monitor)` of `pending` not yet in `latched`
+    whose condition now holds. Monotone: a latch never reverts."""
+    for i, m in pending:
+        if i not in latched and condition_holds(m, world):
+            latched[i] = t
 
 
 @dataclass
@@ -198,11 +209,12 @@ class ActionReport:
         self.rate = self.completed / self.total if self.total else 0.0
 
 
-def report(monitors: list[SubtaskMonitor],
-           kinds: list[ActionKind]) -> tuple[dict[str, ActionReport], bool]:
-    """Success map by the kind of each monitor's step plus the overall conjunction."""
+def report(monitors: list[SubtaskMonitor], kinds: list[ActionKind],
+           latched: dict[int, float]) -> tuple[dict[str, ActionReport], bool]:
+    """Success map by the kind of each monitor's step plus the overall
+    conjunction; monitor `i` succeeded when `latched` holds its index."""
     buckets: dict[str, ActionReport] = {}
-    for m in monitors:
-        buckets.setdefault(kinds[m.step].value, ActionReport()).add(int(m.completed), 1)
-    overall = all(m.completed for m in monitors)
+    for i, m in enumerate(monitors):
+        buckets.setdefault(kinds[m.step].value, ActionReport()).add(int(i in latched), 1)
+    overall = all(i in latched for i in range(len(monitors)))
     return buckets, overall

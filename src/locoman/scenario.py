@@ -1,11 +1,13 @@
 """Scenario bundles: a scene, a scripted plan, grounding fixtures and subtask
 monitors.
 
-Every on-disk record is a dataclass whose fields are its YAML keys (a
+Every on-disk record is a frozen dataclass whose fields are its YAML keys (a
 monitor entry is a `planning.SubtaskMonitor`), decoded and encoded by the
-config codec (`config.from_dict`, `config.to_dict`). A
-record checks itself in `__post_init__`; `scenario_from_dict` adds the checks
-that span records, so that `validate` accepts only what `run` can execute.
+config codec (`config.from_dict`, `config.to_dict`). A loaded scenario is
+one value that every episode of a run shares; episode state lives in
+`harness.EpisodeRunner`. A record checks itself in `__post_init__`;
+`scenario_from_dict` adds the checks that span records, so that `validate`
+accepts only what `run` can execute.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .planning import (NEEDS_TARGET, NEEDS_WAYPOINT, ActionKind, ConditionKind,
                        SubtaskMonitor)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RobotStart:
     position: np.ndarray = field(default_factory=lambda: np.zeros(3))
     yaw: float = 0.0
@@ -34,7 +36,7 @@ class RobotStart:
                                             "on the terrain")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Box:
     min: np.ndarray
     max: np.ndarray
@@ -46,7 +48,7 @@ class Box:
                                     f"against {self.min.tolist()}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Joint:
     value: float
     min: float
@@ -63,7 +65,7 @@ class Joint:
                                        f"{self.max!r}], got {v!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SceneObject:
     id: str
     position: np.ndarray
@@ -88,7 +90,7 @@ class SceneObject:
         if (self.size < 0).any():
             raise ValueError("size", f"must have no negative component, got {self.size.tolist()}")
         if self.label is None:
-            self.label = self.id
+            object.__setattr__(self, "label", self.id)
 
     def pose(self) -> Pose:
         return Pose.from_xy_yaw(self.position[0], self.position[1], self.yaw,
@@ -104,7 +106,7 @@ class SceneObject:
         return p + self.attach_offset
 
 
-@dataclass
+@dataclass(frozen=True)
 class PlanStep:
     """One scripted atomic action; `target` names a scene object."""
 
@@ -122,7 +124,7 @@ class PlanStep:
             raise ValueError("waypoint", f"{self.kind.value} needs a waypoint")
 
 
-@dataclass
+@dataclass(frozen=True)
 class GroundingFixture:
     """What the grounding oracle reports for one plan step: the detected
     contact point's offset from the true one, and optional axis overrides."""
@@ -132,7 +134,7 @@ class GroundingFixture:
     surface_normal: Optional[np.ndarray] = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
     name: str
     instruction: str
@@ -147,18 +149,17 @@ class Scenario:
     monitors: list[SubtaskMonitor] = field(default_factory=list)
 
     def __post_init__(self):
+        # `run` writes a scenario's episodes to `<out>/<name>/`, beside its own files
+        if self.name in ("", ".", "..", "aggregate.json", "manifest.json") \
+                or any(c in self.name for c in "/\\\0"):
+            raise ValueError("name", f"must be one plain path component and not a run "
+                                     f"file's name, got {self.name!r}")
         if not self.instruction.strip():
             raise ValueError("instruction", "must be a non-empty string")
         if self.horizon <= 0:
             raise ValueError("horizon", "must be > 0")
         if self.seed < 0:
             raise ValueError("seed", "must be >= 0")
-
-    def object_by_id(self, oid: str) -> SceneObject:
-        for obj in self.objects:
-            if obj.id == oid:
-                return obj
-        raise ValidationError(f"unknown object id {oid!r}")
 
     def height_at(self, x: float, y: float) -> float:
         return self.terrain_height

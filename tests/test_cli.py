@@ -305,12 +305,21 @@ MALFORMED_SCENARIOS = [
                  id="monitor_point_string"),
     pytest.param(lambda d: d["grounding"]["1"].update(offset=[0, 0]), "grounding.1.offset",
                  id="grounding_offset_short"),
-    pytest.param(lambda d: d["monitors"][0].pop("threshold"), "monitors[0]",
+    pytest.param(lambda d: d["monitors"][0].pop("threshold"), "monitors[0].threshold",
                  id="robot_near_without_threshold"),
-    pytest.param(lambda d: d["monitors"][0].pop("point"), "monitors[0]",
+    pytest.param(lambda d: d["monitors"][0].pop("point"), "monitors[0].point",
                  id="robot_near_without_point"),
-    pytest.param(lambda d: d["monitors"][3].pop("other"), "monitors[3]",
+    pytest.param(lambda d: d["monitors"][3].pop("other"), "monitors[3].other",
                  id="relative_pose_without_other"),
+    # a field the monitor's kind never reads
+    pytest.param(lambda d: d["monitors"][1].update(point=[5, 5, 0]), "monitors[1].point",
+                 id="attached_with_point"),
+    pytest.param(lambda d: d["monitors"][1].update(threshold=0.3), "monitors[1].threshold",
+                 id="attached_with_threshold"),
+    pytest.param(lambda d: d["monitors"][0].update(object="cart"), "monitors[0].object",
+                 id="robot_near_with_object"),
+    pytest.param(lambda d: d["monitors"][0].update(other="apple"), "monitors[0].other",
+                 id="robot_near_with_other"),
     pytest.param(lambda d: d["monitors"][1].update(kind="joint_open"), "monitors[1].object",
                  id="joint_monitor_on_rigid_object"),
     pytest.param(lambda d: d["plan"][0].update(waypoint=[2.0, 0.0]), "plan[0].waypoint",
@@ -337,6 +346,13 @@ MALFORMED_SCENARIOS = [
                  "objects[0].joint.max", id="joint_max_below_min"),
     pytest.param(lambda d: d["objects"][0].update(size=[0.08, -0.08, 0.08]),
                  "objects[0].size", id="object_size_negative"),
+    # `run` writes episodes to <out>/<name>/, so a name is one plain path
+    # component that no run file takes
+    *[pytest.param(lambda d, n=name: d.update(name=n), "name", id=f"name_{case}")
+      for case, name in [("empty", ""), ("dot", "."), ("dotdot", ".."),
+                         ("slash", "a/b"), ("backslash", "a\\b"), ("nul", "a\0b"),
+                         ("aggregate_json", "aggregate.json"),
+                         ("manifest_json", "manifest.json")]],
 ]
 
 

@@ -380,11 +380,15 @@ class TestEpisode:
         s = load_scenario(SCENARIO_DIR / "cart_delivery.yaml")
         shaky = Config(tracking=TrackingConfig(noise_pos=0.05))  # the grasp misses
         clean = run_episode(s, master_seed=0)
-        first, second = (run_episode(s, master_seed=0, config=shaky) for _ in range(2))
-        assert all(not m.completed and m.completion_time is None for m in s.monitors)
+        first = EpisodeRunner(s, master_seed=0, config=shaky)
+        first_metrics = first.run().metrics
+        second = EpisodeRunner(s, master_seed=0, config=shaky)
+        assert second.latched == {}  # nothing carried over from the first
+        second_metrics = second.run().metrics
+        assert first.latched == second.latched
         assert clean.metrics.overall is True
-        assert first.metrics.per_action == second.metrics.per_action
-        assert first.metrics.per_action["pick"].completed == 0
+        assert first_metrics.per_action == second_metrics.per_action
+        assert first_metrics.per_action["pick"].completed == 0
 
     # the three scenarios the golden digests pin, under the pins' tracking flags
     @pytest.mark.parametrize("tracking", [
@@ -395,9 +399,9 @@ class TestEpisode:
         runner = EpisodeRunner(load_scenario(SCENARIO_DIR / f"{name}.yaml"),
                                master_seed=0, config=Config(tracking=tracking))
         ticks = {(row[0], row[1]) for row in runner.run().trace}  # (t, action_index)
-        for m in runner.monitors:
-            assert not m.completed or (m.completion_time, m.step) in ticks, \
-                f"{m.name} latched at t={m.completion_time}, outside step {m.step}"
+        for i, t in runner.latched.items():
+            m = runner.scenario.monitors[i]
+            assert (t, m.step) in ticks, f"{m.name} latched at t={t}, outside step {m.step}"
 
     def test_aggregate_pools_counts(self):
         s = scenario_from_dict(minimal_scenario_dict())

@@ -181,19 +181,19 @@ class TestMonitors:
 
     def test_latches_and_never_reverts(self):
         w = FakeWorld()
-        m = self._monitor()
-        monitor_step([m], w, 1.0)
-        assert m.completed and m.completion_time == 1.0
+        m, latched = self._monitor(), {}
+        monitor_step([(0, m)], w, 1.0, latched)
+        assert latched == {0: 1.0}
         w.base_pose = Pose(vec3(10, 0, 0.35))
-        monitor_step([m], w, 2.0)
-        assert m.completed and m.completion_time == 1.0  # latched
+        monitor_step([(0, m)], w, 2.0, latched)
+        assert latched == {0: 1.0}  # latched
 
     def test_stays_unmet_until_condition(self):
         w = FakeWorld()
         w.base_pose = Pose(vec3(10, 0, 0.35))
-        m = self._monitor()
-        monitor_step([m], w, 1.0)
-        assert not m.completed and m.completion_time is None
+        m, latched = self._monitor(), {}
+        monitor_step([(0, m)], w, 1.0, latched)
+        assert latched == {}
 
     def test_unlatched_until_its_step_runs(self):
         # the robot starts inside `home`, which scores the walk back (step 1):
@@ -209,20 +209,18 @@ class TestMonitors:
                           "point": [0.0, 0.0, 0.0], "threshold": 0.5}]})
         runner = EpisodeRunner(scenario)
         trace = runner.run().trace
-        (home,) = runner.monitors
         first_of_step_1 = next(row[0] for row in trace if row[1] == 1)
-        assert home.completed and home.completion_time > first_of_step_1
-        assert {row[1] for row in trace if row[0] == home.completion_time} == {1}
+        assert runner.latched.keys() == {0}  # `home`, the only monitor
+        assert runner.latched[0] > first_of_step_1
+        assert {row[1] for row in trace if row[0] == runner.latched[0]} == {1}
 
     def test_report_buckets_by_action(self):
         done = self._monitor()
-        done.completed = True
         pend = self._monitor(step=2)
         pick = SubtaskMonitor(name="grabbed", kind=ConditionKind.ATTACHED,
                               step=1, object="cup")
-        pick.completed = True
         kinds = [ActionKind.NAVIGATE, ActionKind.PICK, ActionKind.NAVIGATE]
-        buckets, overall = report([done, pend, pick], kinds)
+        buckets, overall = report([done, pend, pick], kinds, {0: 1.0, 2: 1.0})
         assert buckets["navigate"].completed == 1
         assert buckets["navigate"].total == 2
         assert buckets["navigate"].rate == 0.5
@@ -231,6 +229,5 @@ class TestMonitors:
 
     def test_overall_conjunction(self):
         a = self._monitor()
-        a.completed = True
-        _, overall = report([a], [ActionKind.NAVIGATE])
+        _, overall = report([a], [ActionKind.NAVIGATE], {0: 1.0})
         assert overall is True
