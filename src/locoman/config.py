@@ -110,8 +110,7 @@ def from_dict(cls, data, where: str = "config"):
     that does not fit raises ValidationError naming the dotted location: a
     `__post_init__` that raises `ValueError(message)` is located at the
     record, one that raises `ValueError(field, message)` at that field.
-    `dict[int, X]` keys may be given as decimal strings, an `np.ndarray` is
-    3 numbers, an `Enum` is one of its values."""
+    An `np.ndarray` is 3 numbers, an `Enum` is one of its values."""
     if cls is float:
         return _number(data, where)
     if cls is np.ndarray:
@@ -124,16 +123,9 @@ def from_dict(cls, data, where: str = "config"):
             return None
         (inner,) = [a for a in args if a is not type(None)]
         return from_dict(inner, data, where)
-    if is_dataclass(cls) or origin is dict:
+    if is_dataclass(cls):
         if not isinstance(data, dict):
             raise ValidationError(f"{where}: expected a mapping, got {data!r}")
-        if origin is dict:
-            def decode_key(k):
-                if args[0] is int and isinstance(k, str) and k.isdecimal():
-                    return int(k)
-                return from_dict(args[0], k, f"{where}.{k}")
-            return {decode_key(k): from_dict(args[1], v, f"{where}.{k}")
-                    for k, v in data.items()}
         known = {f.name: f for f in fields(cls)}
         for key in data:
             if key not in known:

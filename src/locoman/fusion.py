@@ -23,6 +23,10 @@ class FusionConfig:
     downsample_voxel: float = 0.02  # meters
 
     def __post_init__(self):
+        # a downsample_voxel <= 0 stays valid: it means no downsampling
+        for name in ("epsilon", "downsample_voxel"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not (0.0 < self.tau_sem <= 1.0 and 0.0 < self.tau_geo <= 1.0):
             raise ValueError("thresholds must be in (0, 1]")
         if self.epsilon <= 0.0:

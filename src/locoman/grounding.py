@@ -34,6 +34,8 @@ class CameraModel:
     extrinsic: Pose  # camera frame expressed in the robot base frame
 
     def __post_init__(self):
+        if not np.isfinite([self.fx, self.fy, self.cx, self.cy]).all():
+            raise ValueError("intrinsics must be finite")
         if self.fx <= 0 or self.fy <= 0:
             raise ValueError("focal lengths must be positive")
         if not (0 <= self.cx <= self.width and 0 <= self.cy <= self.height):

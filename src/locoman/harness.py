@@ -247,9 +247,7 @@ class EpisodeRunner:
         self.grid = build_occupancy_grid(scenario)
         self.graph, self.node_of = build_instance_graph(scenario)
         self.target_of = {self.node_of[obj.id]: obj for obj in scenario.objects}
-        self.latched: dict[int, float] = {}  # monitor index -> latch time
-        self._monitors_at = {i: [(j, m) for j, m in enumerate(scenario.monitors)
-                                 if m.step == i] for i in range(len(scenario.plan))}
+        self.latched: dict[tuple[int, int], float] = {}  # (step, monitor) -> latch time
         self.trace: list[tuple] = []
         self.outcomes: list[ActionOutcome] = []
         self.timeline = ContactTimeline()
@@ -276,8 +274,8 @@ class EpisodeRunner:
         step(self.world, base_cmd, ee_cmd, self.dt, self.config.tracking, self.rng,
              self.scenario, self.grid)
         # a monitor may latch only while its own plan step runs
-        monitor_step(self._monitors_at.get(self._action_index, []), self.world, self.world.t,
-                     self.latched)
+        i = self._action_index
+        monitor_step(i, self.scenario.plan[i].monitors, self.world, self.world.t, self.latched)
         self._record(base_cmd, ee_cmd)
 
     def _record(self, base_cmd: LocomotionCommand, ee_cmd: Optional[Pose]) -> None:
@@ -374,7 +372,7 @@ class EpisodeRunner:
 
     def _ground_target(self, obj: SceneObject) -> Pose:
         """Run the grounding pipeline against a synthetic wrist camera view."""
-        fixture = self.scenario.grounding.get(self._action_index) or GroundingFixture()
+        fixture = self.scenario.plan[self._action_index].grounding or GroundingFixture()
         true_attach = obj.attach_point(self.world.object_poses[obj.id].position)
         detected = true_attach + fixture.offset
 
@@ -527,8 +525,7 @@ class EpisodeRunner:
                              metrics=self._metrics())
 
     def _metrics(self) -> MetricsReport:
-        per_action, overall = report(self.scenario.monitors,
-                                     [s.kind for s in self.scenario.plan], self.latched)
+        per_action, overall = report(self.scenario.plan, self.latched)
         err = (self._err_sums / self._err_ticks) if self._err_ticks else np.zeros(3)
         ee = (self._ee_err_sums / self._ee_ticks) if self._ee_ticks else np.zeros(2)
         return MetricsReport(

@@ -2,7 +2,8 @@
 
 A plan is an ordered list of atomic actions (navigate, pick, place,
 push/pull, drag) produced by a planner oracle from an instruction and the
-instance-graph summary. A subtask monitor scores one plan step: it latches
+instance-graph summary. `STEP_READS` names the fields each action kind
+reads. A subtask monitor belongs to the plan step that holds it: it latches
 once its goal condition holds while that step runs, and never reverts.
 """
 
@@ -68,9 +69,15 @@ class ScriptedPlanner:
         return self.fixtures.get(instruction)
 
 
-# spatial-displacement actions must carry a waypoint; object-centric ones a target
-NEEDS_WAYPOINT = {ActionKind.NAVIGATE, ActionKind.DRAG}
-NEEDS_TARGET = {ActionKind.PICK, ActionKind.PLACE, ActionKind.PUSH_PULL}
+# the fields each action kind reads: those it needs, then those it may set (a
+# drag without a target hauls the draggable object; only a pick is grounded)
+STEP_READS = {
+    ActionKind.NAVIGATE: (("waypoint",), ()),
+    ActionKind.PICK: (("target",), ("grounding",)),
+    ActionKind.PLACE: (("target",), ()),
+    ActionKind.PUSH_PULL: (("target",), ()),
+    ActionKind.DRAG: (("waypoint",), ("target",)),
+}
 
 
 def validate_plan(plan: TaskPlan, graph: InstanceGraph) -> Optional[InvalidPlan]:
@@ -78,9 +85,10 @@ def validate_plan(plan: TaskPlan, graph: InstanceGraph) -> Optional[InvalidPlan]
     if not plan.actions:
         return InvalidPlan(0, "plan is empty")
     for i, action in enumerate(plan.actions):
-        if action.kind in NEEDS_WAYPOINT and action.waypoint is None:
+        needs = STEP_READS[action.kind][0]
+        if "waypoint" in needs and action.waypoint is None:
             return InvalidPlan(i, f"{action.kind.value} missing waypoint")
-        if action.kind in NEEDS_TARGET and action.target_instance is None:
+        if "target" in needs and action.target_instance is None:
             return InvalidPlan(i, f"{action.kind.value} missing target instance")
         if action.target_instance is not None and action.target_instance not in graph.nodes:
             return InvalidPlan(i, f"unknown instance {action.target_instance}")
@@ -133,13 +141,12 @@ _NEEDS = {"object": "an object", "other": "an other object", "point": "a point",
 
 @dataclass(frozen=True)
 class SubtaskMonitor:
-    """One scenario `monitors` entry: a goal condition that scores plan step
-    `step` and counts toward that step's kind. Its latch is episode state,
-    kept by the episode runner."""
+    """One entry of a plan step's `monitors`: a goal condition that scores
+    that step and counts toward its kind. Its latch is episode state, kept by
+    the episode runner."""
 
     name: str
     kind: ConditionKind
-    step: int
     object: Optional[str] = None
     other: Optional[str] = None
     point: Optional[np.ndarray] = None
@@ -186,13 +193,13 @@ def condition_holds(m: SubtaskMonitor, world) -> bool:
     raise ValueError(f"unhandled condition kind {k}")
 
 
-def monitor_step(pending: list[tuple[int, SubtaskMonitor]], world, t: float,
-                 latched: dict[int, float]) -> None:
-    """Latch at `t` each `(index, monitor)` of `pending` not yet in `latched`
-    whose condition now holds. Monotone: a latch never reverts."""
-    for i, m in pending:
-        if i not in latched and condition_holds(m, world):
-            latched[i] = t
+def monitor_step(step: int, monitors: list[SubtaskMonitor], world, t: float,
+                 latched: dict[tuple[int, int], float]) -> None:
+    """Latch at `t` each monitor `j` of plan step `step` not yet latched whose
+    condition now holds, keyed `(step, j)`. Monotone: a latch never reverts."""
+    for j, m in enumerate(monitors):
+        if (step, j) not in latched and condition_holds(m, world):
+            latched[step, j] = t
 
 
 @dataclass
@@ -209,12 +216,13 @@ class ActionReport:
         self.rate = self.completed / self.total if self.total else 0.0
 
 
-def report(monitors: list[SubtaskMonitor], kinds: list[ActionKind],
-           latched: dict[int, float]) -> tuple[dict[str, ActionReport], bool]:
-    """Success map by the kind of each monitor's step plus the overall
-    conjunction; monitor `i` succeeded when `latched` holds its index."""
+def report(plan: list,
+           latched: dict[tuple[int, int], float]) -> tuple[dict[str, ActionReport], bool]:
+    """Success map of `plan`'s monitors by the kind of the step that holds each,
+    plus the overall conjunction; monitor `j` of step `i` succeeded when
+    `latched` holds `(i, j)`."""
     buckets: dict[str, ActionReport] = {}
-    for i, m in enumerate(monitors):
-        buckets.setdefault(kinds[m.step].value, ActionReport()).add(int(i in latched), 1)
-    overall = all(i in latched for i in range(len(monitors)))
-    return buckets, overall
+    for i, step in enumerate(plan):
+        for j in range(len(step.monitors)):
+            buckets.setdefault(step.kind.value, ActionReport()).add(int((i, j) in latched), 1)
+    return buckets, all(b.completed == b.total for b in buckets.values())

@@ -1,8 +1,8 @@
-"""Scenario bundles: a scene, a scripted plan, grounding fixtures and subtask
-monitors.
+"""Scenario bundles: a scene and a scripted plan whose steps hold their own
+grounding fixtures and subtask monitors.
 
 Every on-disk record is a frozen dataclass whose fields are its YAML keys (a
-monitor entry is a `planning.SubtaskMonitor`), decoded and encoded by the
+step's monitor entry is a `planning.SubtaskMonitor`), decoded and encoded by the
 config codec (`config.from_dict`, `config.to_dict`). A loaded scenario is
 one value that every episode of a run shares; episode state lives in
 `harness.EpisodeRunner`. A record checks itself in `__post_init__`;
@@ -20,8 +20,7 @@ import numpy as np
 from .config import from_dict, read_file
 from .errors import ParseError, ValidationError
 from .geometry import Pose
-from .planning import (NEEDS_TARGET, NEEDS_WAYPOINT, ActionKind, ConditionKind,
-                       SubtaskMonitor)
+from .planning import STEP_READS, ActionKind, ConditionKind, SubtaskMonitor
 
 
 @dataclass(frozen=True)
@@ -108,25 +107,31 @@ class SceneObject:
 
 @dataclass(frozen=True)
 class PlanStep:
-    """One scripted atomic action; `target` names a scene object."""
+    """One scripted atomic action; `target` names a scene object. The step
+    holds its own grounding fixture and the monitors that score it."""
 
     kind: ActionKind
     description: str
     target: Optional[str] = None
     waypoint: Optional[np.ndarray] = None
+    grounding: Optional[GroundingFixture] = None
+    monitors: list[SubtaskMonitor] = field(default_factory=list)
 
     def __post_init__(self):
         if not self.description.strip():
             raise ValueError("description", "must be a non-empty string")
-        if self.target is None and self.kind in NEEDS_TARGET:
-            raise ValueError("target", f"{self.kind.value} needs a target")
-        if self.waypoint is None and self.kind in NEEDS_WAYPOINT:
-            raise ValueError("waypoint", f"{self.kind.value} needs a waypoint")
+        needs, may = STEP_READS[self.kind]
+        for name in ("target", "waypoint", "grounding"):
+            value = getattr(self, name)
+            if name in needs and value is None:
+                raise ValueError(name, f"{self.kind.value} needs a {name}")
+            if name not in needs + may and value is not None:
+                raise ValueError(name, f"{self.kind.value} never reads it")
 
 
 @dataclass(frozen=True)
 class GroundingFixture:
-    """What the grounding oracle reports for one plan step: the detected
+    """What the grounding oracle reports for one pick step: the detected
     contact point's offset from the true one, and optional axis overrides."""
 
     offset: np.ndarray = field(default_factory=lambda: np.zeros(3))
@@ -145,8 +150,6 @@ class Scenario:
     static_obstacles: list[Box] = field(default_factory=list)
     objects: list[SceneObject] = field(default_factory=list)
     plan: list[PlanStep] = field(default_factory=list)
-    grounding: dict[int, GroundingFixture] = field(default_factory=dict)  # by plan index
-    monitors: list[SubtaskMonitor] = field(default_factory=list)
 
     def __post_init__(self):
         # `run` writes a scenario's episodes to `<out>/<name>/`, beside its own files
@@ -168,13 +171,15 @@ class Scenario:
 def scenario_from_dict(data, where: str = "scenario") -> Scenario:
     """`from_dict`, then the checks that span records; raises at the first fault."""
     scenario = from_dict(Scenario, data, where)
-    plan, monitors = list(enumerate(scenario.plan)), list(enumerate(scenario.monitors))
+    plan = list(enumerate(scenario.plan))
+    monitors = [(f"plan[{i}].monitors[{j}]", m)
+                for i, step in plan for j, m in enumerate(step.monitors)]
     ids = [obj.id for obj in scenario.objects]
     jointed = {obj.id for obj in scenario.objects if obj.joint is not None}
     draggable = any(obj.type == "draggable" for obj in scenario.objects)
     refs = [(f"plan[{i}].target", step.target) for i, step in plan]
-    refs += [(f"monitors[{i}].{key}", getattr(m, key))
-             for i, m in monitors for key in ("object", "other")]
+    refs += [(f"{at}.{key}", getattr(m, key))
+             for at, m in monitors for key in ("object", "other")]
     faults = [(f"objects[{i}].id", f"duplicate id {oid!r}")
               for i, oid in enumerate(ids) if oid in ids[:i]]
     faults += [(loc, f"unknown object {ref!r}") for loc, ref in refs
@@ -185,16 +190,9 @@ def scenario_from_dict(data, where: str = "scenario") -> Scenario:
     faults += [(f"plan[{i}].target", "a drag without a target needs a draggable object")
                for i, step in plan
                if step.kind is ActionKind.DRAG and step.target is None and not draggable]
-    # a planless scene still loads (for its grid); `run` rejects it whole
-    faults += [(f"monitors[{i}].step", f"{m.step} is not one of the plan's {len(plan)} steps")
-               for i, m in monitors if plan and not 0 <= m.step < len(plan)]
-    faults += [(f"monitors[{i}].object", f"{m.kind.value} needs an object with a joint")
-               for i, m in monitors if m.object not in jointed
+    faults += [(f"{at}.object", f"{m.kind.value} needs an object with a joint")
+               for at, m in monitors if m.object not in jointed
                and m.kind in (ConditionKind.JOINT_OPEN, ConditionKind.JOINT_CLOSED)]
-    # only a pick grounds its target, so any other key would be ignored
-    picks = [i for i, step in plan if step.kind is ActionKind.PICK]
-    faults += [(f"grounding.{k}", f"is not a pick step; the plan's pick steps are {picks}")
-               for k in scenario.grounding if plan and k not in picks]
     if faults:
         raise ValidationError("{}.{}: {}".format(where, *faults[0]))
     return scenario

@@ -272,7 +272,7 @@ def test_criterion_7_end_to_end_protocol():
         assert entry.rate == 1.0, kind
 
     offset_data = yaml.safe_load(SCENARIO_PATH.read_text())
-    offset_data["grounding"]["1"] = {"offset": [0.15, 0.0, 0.0]}
+    offset_data["plan"][1]["grounding"] = {"offset": [0.15, 0.0, 0.0]}
     degraded = run_episode(scenario_from_dict(offset_data), master_seed=0)
     assert degraded.metrics.per_action["pick"].rate == 0.0
     assert degraded.metrics.per_action["navigate"].rate == 1.0

@@ -293,51 +293,47 @@ MALFORMED_SCENARIOS = [
     pytest.param(lambda d: d["robot_start"].update(position=[0.0, 0.0, 0.5]),
                  "robot_start.position[2]", id="robot_start_above_terrain"),
     pytest.param(lambda d: d.update(plan=5), "plan", id="plan_not_list"),
-    pytest.param(lambda d: d.update(grounding={"x": {"offset": [0, 0, 0]}}), "grounding.x",
-                 id="grounding_key_not_index"),
     pytest.param(lambda d: d.update(horizon="abc"), "horizon", id="horizon_not_number"),
     pytest.param(lambda d: d["objects"].__setitem__(0, "apple"), "objects[0]",
                  id="object_as_string"),
     pytest.param(lambda d: d["objects"][0].update(
         joint={"value": "a", "min": 0, "max": 1, "goal": 1}),
                  "objects[0].joint.value", id="joint_value_not_number"),
-    pytest.param(lambda d: d["monitors"][0].update(point="ab"), "monitors[0].point",
-                 id="monitor_point_string"),
-    pytest.param(lambda d: d["grounding"]["1"].update(offset=[0, 0]), "grounding.1.offset",
-                 id="grounding_offset_short"),
-    pytest.param(lambda d: d["monitors"][0].pop("threshold"), "monitors[0].threshold",
-                 id="robot_near_without_threshold"),
-    pytest.param(lambda d: d["monitors"][0].pop("point"), "monitors[0].point",
-                 id="robot_near_without_point"),
-    pytest.param(lambda d: d["monitors"][3].pop("other"), "monitors[3].other",
-                 id="relative_pose_without_other"),
+    pytest.param(lambda d: d["plan"][0]["monitors"][0].update(point="ab"),
+                 "plan[0].monitors[0].point", id="monitor_point_string"),
+    pytest.param(lambda d: d["plan"][1]["grounding"].update(offset=[0, 0]),
+                 "plan[1].grounding.offset", id="grounding_offset_short"),
+    pytest.param(lambda d: d["plan"][0]["monitors"][0].pop("threshold"),
+                 "plan[0].monitors[0].threshold", id="robot_near_without_threshold"),
+    pytest.param(lambda d: d["plan"][0]["monitors"][0].pop("point"),
+                 "plan[0].monitors[0].point", id="robot_near_without_point"),
+    pytest.param(lambda d: d["plan"][3]["monitors"][0].pop("other"),
+                 "plan[3].monitors[0].other", id="relative_pose_without_other"),
     # a field the monitor's kind never reads
-    pytest.param(lambda d: d["monitors"][1].update(point=[5, 5, 0]), "monitors[1].point",
-                 id="attached_with_point"),
-    pytest.param(lambda d: d["monitors"][1].update(threshold=0.3), "monitors[1].threshold",
-                 id="attached_with_threshold"),
-    pytest.param(lambda d: d["monitors"][0].update(object="cart"), "monitors[0].object",
-                 id="robot_near_with_object"),
-    pytest.param(lambda d: d["monitors"][0].update(other="apple"), "monitors[0].other",
-                 id="robot_near_with_other"),
-    pytest.param(lambda d: d["monitors"][1].update(kind="joint_open"), "monitors[1].object",
-                 id="joint_monitor_on_rigid_object"),
+    pytest.param(lambda d: d["plan"][1]["monitors"][0].update(point=[5, 5, 0]),
+                 "plan[1].monitors[0].point", id="attached_with_point"),
+    pytest.param(lambda d: d["plan"][1]["monitors"][0].update(threshold=0.3),
+                 "plan[1].monitors[0].threshold", id="attached_with_threshold"),
+    pytest.param(lambda d: d["plan"][0]["monitors"][0].update(object="cart"),
+                 "plan[0].monitors[0].object", id="robot_near_with_object"),
+    pytest.param(lambda d: d["plan"][0]["monitors"][0].update(other="apple"),
+                 "plan[0].monitors[0].other", id="robot_near_with_other"),
+    pytest.param(lambda d: d["plan"][1]["monitors"][0].update(kind="joint_open"),
+                 "plan[1].monitors[0].object", id="joint_monitor_on_rigid_object"),
     pytest.param(lambda d: d["plan"][0].update(waypoint=[2.0, 0.0]), "plan[0].waypoint",
                  id="waypoint_short"),
-    pytest.param(lambda d: d["monitors"][0].update(point=[2.0]), "monitors[0].point",
-                 id="monitor_point_short"),
-    pytest.param(lambda d: d["monitors"][0].update(completed=True), "monitors[0].completed",
-                 id="monitor_sets_latch"),
+    pytest.param(lambda d: d["plan"][0]["monitors"][0].update(point=[2.0]),
+                 "plan[0].monitors[0].point", id="monitor_point_short"),
+    pytest.param(lambda d: d["plan"][0]["monitors"][0].update(completed=True),
+                 "plan[0].monitors[0].completed", id="monitor_sets_latch"),
     pytest.param(lambda d: d.update(seed=7.9), "seed", id="seed_not_int"),
     pytest.param(lambda d: d.update(speed=3), "speed", id="unknown_top_level_key"),
     pytest.param(lambda d: d["objects"][0].update(colour="red"), "objects[0].colour",
                  id="unknown_object_key"),
     pytest.param(lambda d: d["static_obstacles"][0].update(max=[0.7, -0.9, 0.5]),
                  "static_obstacles[0].max", id="box_inverted"),
-    pytest.param(lambda d: d["grounding"].update({"9": {"offset": [0.5, 0.0, 0.0]}}),
-                 "grounding.9", id="grounding_past_plan"),
-    pytest.param(lambda d: d["grounding"].update({"0": {"offset": [0.5, 0.0, 0.0]}}),
-                 "grounding.0", id="grounding_on_navigate"),
+    pytest.param(lambda d: d["plan"][0].update(grounding={"offset": [0.5, 0.0, 0.0]}),
+                 "plan[0].grounding", id="grounding_on_navigate"),
     pytest.param(lambda d: d["objects"][0].update(
         joint={"value": 0.0, "min": 0.0, "max": 0.35, "goal": 0.9}),
                  "objects[0].joint.goal", id="joint_goal_past_max"),
@@ -404,10 +400,37 @@ class TestValidate:
 
     def test_unknown_monitor_kind(self, tmp_path):
         def edit(d):
-            d["monitors"][0]["kind"] = "robot_close"
-        self._rejected_by_both(tmp_path, edit, "monitors[0].kind")
+            d["plan"][0]["monitors"][0]["kind"] = "robot_close"
+        self._rejected_by_both(tmp_path, edit, "plan[0].monitors[0].kind")
 
+    # a key nothing reads is rejected, not ignored: the old layout's top-level
+    # `monitors` and `grounding`, and a plan step field its kind never reads
+    @pytest.mark.parametrize("edit, message", [
+        pytest.param(lambda d: d.update(monitors=[{
+            "name": "reach_apple", "kind": "robot_near", "step": 0,
+            "point": [2.0, 0.0, 0.0], "threshold": 1.2}]),
+                     "monitors: unknown key", id="top_level_monitors"),
+        pytest.param(lambda d: d.update(grounding={"1": {"offset": [0.0, 0.0, 0.0]}}),
+                     "grounding: unknown key", id="top_level_grounding"),
+        pytest.param(lambda d: d["plan"][0].update(target="cart"),
+                     "plan[0].target: navigate never reads it", id="navigate_with_target"),
+        pytest.param(lambda d: d["plan"][1].update(waypoint=[2.0, 0.0, 0.1]),
+                     "plan[1].waypoint: pick never reads it", id="pick_with_waypoint"),
+        pytest.param(lambda d: d["plan"][3].update(waypoint=[2.0, 2.0, 0.25]),
+                     "plan[3].waypoint: place never reads it", id="place_with_waypoint"),
+        pytest.param(lambda d: d["plan"][3].update(kind="push_pull", waypoint=[2.0, 2.0, 0.25]),
+                     "plan[3].waypoint: push_pull never reads it",
+                     id="push_pull_with_waypoint"),
+        pytest.param(lambda d: d["plan"][4].update(grounding={}),
+                     "plan[4].grounding: drag never reads it", id="drag_with_grounding"),
+    ])
+    def test_key_never_read(self, tmp_path, edit, message):
+        self._rejected_by_both(tmp_path, edit, f"edited.yaml.{message}")
+
+    # a monitor belongs to the step that holds it, so a `step` left over from
+    # the old layout is an unknown key, whatever its value
     @pytest.mark.parametrize("step", [
+        pytest.param(lambda plan: 1, id="in_range"),
         pytest.param(lambda plan: -1, id="negative"),
         pytest.param(len, id="len_plan"),
         pytest.param(lambda plan: True, id="bool"),
@@ -415,14 +438,16 @@ class TestValidate:
     ])
     def test_bad_monitor_step(self, tmp_path, step):
         def edit(d):
-            d["monitors"][1]["step"] = step(d["plan"])
-        self._rejected_by_both(tmp_path, edit, "edited.yaml.monitors[1].step: ")
+            d["plan"][1]["monitors"][0]["step"] = step(d["plan"])
+        self._rejected_by_both(tmp_path, edit,
+                               "edited.yaml.plan[1].monitors[0].step: unknown key")
 
     def test_monitor_action_key_rejected(self, tmp_path):
         # a monitor's bucket is its plan step's kind; it no longer names one
         def edit(d):
-            d["monitors"][1]["action"] = "pick"
-        self._rejected_by_both(tmp_path, edit, "edited.yaml.monitors[1].action: unknown key")
+            d["plan"][1]["monitors"][0]["action"] = "pick"
+        self._rejected_by_both(tmp_path, edit,
+                               "edited.yaml.plan[1].monitors[0].action: unknown key")
 
     def test_unknown_plan_kind(self, tmp_path):
         def edit(d):
@@ -432,12 +457,12 @@ class TestValidate:
     # each plan here would fail decompose() at the start of every episode
     @pytest.mark.parametrize("edit, where", [
         pytest.param(lambda d: d.update(plan=[]), "plan: plan is empty", id="empty"),
-        pytest.param(lambda d: d["plan"][1].pop("target"), "plan[1].target",
-                     id="pick_no_target"),
-        pytest.param(lambda d: d["plan"][0].pop("waypoint"), "plan[0].waypoint",
-                     id="navigate_no_waypoint"),
-        pytest.param(lambda d: d["plan"][4].pop("waypoint"), "plan[4].waypoint",
-                     id="drag_no_waypoint"),
+        pytest.param(lambda d: d["plan"][1].pop("target"),
+                     "plan[1].target: pick needs a target", id="pick_no_target"),
+        pytest.param(lambda d: d["plan"][0].pop("waypoint"),
+                     "plan[0].waypoint: navigate needs a waypoint", id="navigate_no_waypoint"),
+        pytest.param(lambda d: d["plan"][4].pop("waypoint"),
+                     "plan[4].waypoint: drag needs a waypoint", id="drag_no_waypoint"),
         pytest.param(lambda d: d["plan"][2].update(description=" "),
                      "plan[2].description", id="blank_description"),
         pytest.param(lambda d: d.update(instruction=" "), "instruction",
@@ -476,7 +501,7 @@ GOLDEN = {
             "282be9d4987b8ab73b9a73daff09d57eb3cab4af02f1cfc072440998995e73f9",
         "cart_delivery/episode_2/report.json":
             "ab163122b6d6d8a6c1eb3f1a4e8d2ffda2a12752ccb8a8fbbcbe4eab7b464d24",
-        "manifest.json": "70c8c53a2238b3fd2623ff30b9f30c480d0a370d2a5b4114146a8adf8a286e3d",
+        "manifest.json": "0d4e9c240ff77f06599c465a85541bc29ebd6df2dbe83c95150e5a9460e433d1",
     },
     NOISY: {
         "aggregate.json": "e032bcbc956149d9b47e48e0a52a8afb6cf4d77377519ef39025a00f90381fdf",
@@ -492,7 +517,7 @@ GOLDEN = {
             "a81872d64e23ca42b8fa700e87bf194016764f948c61f7953c57c55ed486a81a",
         "cart_delivery/episode_2/report.json":
             "3bcea986153e47187d4b73a603aa6802e49ed75af26d1939ea22982f17e6e1f3",
-        "manifest.json": "12e16f688a603208c820f2911a9eda073823d93b50dbc0d6d65193c5e3e2a97e",
+        "manifest.json": "09c68bcc7e09f762af3302661a5b27c0d2664ada95ccf1539893e8ce42528cd8",
     },
 }
 
@@ -511,7 +536,7 @@ GOLDEN_EDGE = {
             "b03ca079ce657921e282f35937af07d069b386b33ddb862651e6c288c8cc1e43",
         "drawer_and_crate/episode_1/report.json":
             "a5beb97549e7a357f8a211915c1db8e46a66314c095cd634cd651002552a7c5b",
-        "manifest.json": "a5990916d30ba2d47525cbbd94bb725b12e6b9bde27d2f3d3c5099c06c648cf3",
+        "manifest.json": "5619c60c73bda8763bed0ff46f6957b7cd09d8e54989462eb38076d6f7896a54",
     },
     NOISY: {
         "aggregate.json": "7e532dcf37b31cc92d857585bd0c46c6cca5433132aa35ab4c98aa35eb216c4b",
@@ -523,7 +548,7 @@ GOLDEN_EDGE = {
             "dd23f5e146c6257a482b992b9a867c29d145af7d5a8d1f8da49946ac30bfb642",
         "drawer_and_crate/episode_1/report.json":
             "735bd93221b6ebbccda4dd6aebe1f7a684c31a6d4f73bafdd514472e39d254e3",
-        "manifest.json": "90305a0cd0b1dc85b0cf909fb54bdb001b45e1887ac95cabf0a00e4d65c8aeae",
+        "manifest.json": "997536696218c76d2edacfd0efb9c2600a1d9892e24a094b3602710f253db756",
     },
 }
 
@@ -541,7 +566,7 @@ GOLDEN_MISS = {
             "5ab3444412ab39bb352d7562e90e153879309308a3361360a001faed6be36149",
         "missed_grasp/episode_1/report.json":
             "ed344a66d634f05e626487fc2809d54337f3b94663866e3cc2e65f217688ff86",
-        "manifest.json": "5a813e5cef519864b3bba0b31c40e19f5f35dc4ed6b201a2d4f7225dcf126552",
+        "manifest.json": "63a4255bcd76292fc0f164d6b2992ae7b454b89f859b06e99f1be06d217e36c0",
     },
     NOISY: {
         "aggregate.json": "9d86cb9b5a681d26a8e98a08b01e1a3aeed6379ad8df1da573a217d2456667dd",
@@ -553,7 +578,7 @@ GOLDEN_MISS = {
             "0ae15ee3584a958e5c6d700f01b341ba7b09ff38bfe56695ff336cabc6e83b30",
         "missed_grasp/episode_1/report.json":
             "a3770b85116fa950cb098d6df8060b2133d2bed84cb99c315c5246e2d1bc0981",
-        "manifest.json": "029f3f4ac90b979d35fad9a0e50926d6694da8991f92a784b06f6af6b304b2cc",
+        "manifest.json": "46720a2efd351236481cc652f13f04b6dcd3c7a0a1204ec017283f0b92fe37d6",
     },
 }
 

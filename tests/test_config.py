@@ -109,7 +109,7 @@ class TestLoad:
     @pytest.mark.parametrize("cls, data, expected", [
         (Optional[float], None, None),
         (Optional[float], 2, 2.0),
-        (dict[int, float], {"1": 0.5, 2: 1}, {1: 0.5, 2: 1.0}),
+        (tuple[float, float], [1, 2.5], (1.0, 2.5)),
         (ActionKind, "pick", ActionKind.PICK),
         (list[int], [1, 2], [1, 2]),
     ])
@@ -128,7 +128,7 @@ class TestLoad:
         (float, 10 ** 400, "config: expected a number"),
         (np.ndarray, [1.0, 2.0], "config: expected 3 numbers"),
         (np.ndarray, [1.0, float("inf"), 2.0], r"config\[1\]: expected a number"),
-        (dict[int, float], {"x": 1.0}, "config.x: expected int"),
+        (tuple[float, float], [1.0], "config: expected a list of 2 items"),
         (ActionKind, "fly", r"config: 'fly' not one of \['navigate', 'pick'"),
         (list[float], {"a": 1}, "config: expected a list"),
     ])

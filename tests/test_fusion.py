@@ -126,6 +126,16 @@ class TestMergeBoundary:
         assert should_merge(both, node, cfg)
 
 
+class TestFusionConfig:
+    # a NaN voxel turned [[0,0,0],[1,1,1],[5,5,5]] into the one point [2,2,2]
+    @pytest.mark.parametrize("field, value", [
+        ("epsilon", float("nan")), ("epsilon", float("inf")),
+        ("downsample_voxel", float("nan"))])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            FusionConfig(**{field: value})
+
+
 class TestVoxelDownsample:
     def test_centroid_per_voxel(self):
         pts = np.array([[0.001, 0.0, 0.0], [0.003, 0.0, 0.0], [0.5, 0.5, 0.5]])

@@ -33,6 +33,11 @@ class TestCameraModel:
             CameraModel(fx=0.0, fy=100.0, cx=32, cy=32, width=64, height=64,
                         extrinsic=Pose())
 
+    def test_non_finite_intrinsics_rejected(self):
+        with pytest.raises(ValueError, match="must be finite"):
+            CameraModel(fx=float("nan"), fy=100.0, cx=32, cy=32, width=64, height=64,
+                        extrinsic=Pose())
+
 
 class TestPixelToPoint:
     def test_transforms_into_base_frame(self):

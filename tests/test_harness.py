@@ -38,11 +38,9 @@ def minimal_scenario_dict(**overrides):
         ],
         "plan": [
             {"kind": "navigate", "description": "walk to the marker",
-             "waypoint": [1.5, 0.0, 0.05]},
-        ],
-        "monitors": [
-            {"name": "arrived", "kind": "robot_near", "step": 0,
-             "point": [1.5, 0.0, 0.0], "threshold": 1.0},
+             "waypoint": [1.5, 0.0, 0.05],
+             "monitors": [{"name": "arrived", "kind": "robot_near",
+                           "point": [1.5, 0.0, 0.0], "threshold": 1.0}]},
         ],
     }
     data.update(overrides)
@@ -54,11 +52,14 @@ class TestScenarioSchema:
         s = load_scenario(SCENARIO_DIR / "cart_delivery.yaml")
         assert s.name == "cart_delivery"
         assert len(s.plan) == 6
-        assert len(s.monitors) == 6
+        assert [len(step.monitors) for step in s.plan] == [1] * 6
+        assert [step.grounding is not None for step in s.plan] == [
+            False, True, False, False, False, False]
 
     def test_round_trip(self):
+        # every bundled scenario: its steps' fixtures and monitors included
         for s in (scenario_from_dict(minimal_scenario_dict()),
-                  load_scenario(SCENARIO_DIR / "cart_delivery.yaml")):
+                  *map(load_scenario, sorted(SCENARIO_DIR.glob("*.yaml")))):
             back = scenario_from_dict(yaml.safe_load(yaml.safe_dump(to_dict(s))))
             assert to_dict(back) == to_dict(s)
 
@@ -89,7 +90,7 @@ class TestScenarioSchema:
 
     def test_planless_scene_loads_but_cannot_run(self, tmp_path):
         path = tmp_path / "scene.yaml"
-        path.write_text(yaml.safe_dump(minimal_scenario_dict(plan=[], monitors=[])))
+        path.write_text(yaml.safe_dump(minimal_scenario_dict(plan=[])))
         assert load_scenario(path).plan == []
         with pytest.raises(ValidationError, match="plan is empty"):
             _load_runnable(path)
@@ -98,7 +99,7 @@ class TestScenarioSchema:
         data = {k: v for k, v in minimal_scenario_dict().items()
                 if k in ("name", "instruction", "horizon", "robot_start")}
         s = scenario_from_dict(data)
-        assert (s.seed, s.objects, s.plan, s.monitors) == (0, [], [], [])
+        assert (s.seed, s.objects, s.plan) == (0, [], [])
 
     def test_label_defaults_to_id(self):
         data = minimal_scenario_dict()
@@ -107,9 +108,9 @@ class TestScenarioSchema:
 
     def test_monitor_object_must_exist(self):
         data = minimal_scenario_dict()
-        data["monitors"].append({"name": "m", "kind": "attached",
-                                 "step": 0, "object": "ghost"})
-        with pytest.raises(ValidationError, match=r"monitors\[1\].object"):
+        data["plan"][0]["monitors"].append({"name": "m", "kind": "attached",
+                                            "object": "ghost"})
+        with pytest.raises(ValidationError, match=r"plan\[0\].monitors\[1\].object"):
             scenario_from_dict(data)
 
     def test_articulated_needs_joint(self):
@@ -399,9 +400,9 @@ class TestEpisode:
         runner = EpisodeRunner(load_scenario(SCENARIO_DIR / f"{name}.yaml"),
                                master_seed=0, config=Config(tracking=tracking))
         ticks = {(row[0], row[1]) for row in runner.run().trace}  # (t, action_index)
-        for i, t in runner.latched.items():
-            m = runner.scenario.monitors[i]
-            assert (t, m.step) in ticks, f"{m.name} latched at t={t}, outside step {m.step}"
+        for (i, j), t in runner.latched.items():
+            m = runner.scenario.plan[i].monitors[j]
+            assert (t, i) in ticks, f"{m.name} latched at t={t}, outside step {i}"
 
     def test_aggregate_pools_counts(self):
         s = scenario_from_dict(minimal_scenario_dict())
@@ -493,7 +494,7 @@ class TestTraceColumns:
 class TestGroundingFixtureOffset:
     def _with_offset(self, offset):
         data = yaml.safe_load((SCENARIO_DIR / "cart_delivery.yaml").read_text())
-        data["grounding"]["1"] = {"offset": list(offset)}
+        data["plan"][1]["grounding"] = {"offset": list(offset)}
         return scenario_from_dict(data)
 
     def test_small_offset_still_grasps(self):

@@ -9,7 +9,7 @@ from locoman.planning import (ActionKind, AtomicAction, ConditionKind,
                               ScriptedPlanner, SubtaskMonitor, TaskPlan,
                               condition_holds, decompose, monitor_step, report,
                               validate_plan)
-from locoman.scenario import scenario_from_dict
+from locoman.scenario import PlanStep, scenario_from_dict
 
 
 def _graph_with_nodes(n):
@@ -106,7 +106,7 @@ class TestDecompose:
 
 
 def _cond(kind, **kwargs):
-    return SubtaskMonitor("m", kind, 0, **kwargs)
+    return SubtaskMonitor("m", kind, **kwargs)
 
 
 class TestConditions:
@@ -175,24 +175,24 @@ class TestConditions:
 
 
 class TestMonitors:
-    def _monitor(self, threshold=0.5, step=0):
+    def _monitor(self, threshold=0.5):
         return SubtaskMonitor(name="near_origin", kind=ConditionKind.ROBOT_NEAR,
-                              step=step, point=(0, 0, 0), threshold=threshold)
+                              point=(0, 0, 0), threshold=threshold)
 
     def test_latches_and_never_reverts(self):
         w = FakeWorld()
         m, latched = self._monitor(), {}
-        monitor_step([(0, m)], w, 1.0, latched)
-        assert latched == {0: 1.0}
+        monitor_step(0, [m], w, 1.0, latched)
+        assert latched == {(0, 0): 1.0}
         w.base_pose = Pose(vec3(10, 0, 0.35))
-        monitor_step([(0, m)], w, 2.0, latched)
-        assert latched == {0: 1.0}  # latched
+        monitor_step(0, [m], w, 2.0, latched)
+        assert latched == {(0, 0): 1.0}  # latched
 
     def test_stays_unmet_until_condition(self):
         w = FakeWorld()
         w.base_pose = Pose(vec3(10, 0, 0.35))
         m, latched = self._monitor(), {}
-        monitor_step([(0, m)], w, 1.0, latched)
+        monitor_step(0, [m], w, 1.0, latched)
         assert latched == {}
 
     def test_unlatched_until_its_step_runs(self):
@@ -204,23 +204,27 @@ class TestMonitors:
             "plan": [{"kind": "navigate", "description": "walk out",
                       "waypoint": [1.5, 0.0, 0.0]},
                      {"kind": "navigate", "description": "walk back",
-                      "waypoint": [0.0, 0.0, 0.0]}],
-            "monitors": [{"name": "home", "kind": "robot_near", "step": 1,
-                          "point": [0.0, 0.0, 0.0], "threshold": 0.5}]})
+                      "waypoint": [0.0, 0.0, 0.0],
+                      "monitors": [{"name": "home", "kind": "robot_near",
+                                    "point": [0.0, 0.0, 0.0], "threshold": 0.5}]}]})
         runner = EpisodeRunner(scenario)
         trace = runner.run().trace
         first_of_step_1 = next(row[0] for row in trace if row[1] == 1)
-        assert runner.latched.keys() == {0}  # `home`, the only monitor
-        assert runner.latched[0] > first_of_step_1
-        assert {row[1] for row in trace if row[0] == runner.latched[0]} == {1}
+        assert runner.latched.keys() == {(1, 0)}  # `home`, the only monitor
+        assert runner.latched[1, 0] > first_of_step_1
+        assert {row[1] for row in trace if row[0] == runner.latched[1, 0]} == {1}
+
+    @staticmethod
+    def _walk(*monitors):
+        return PlanStep(ActionKind.NAVIGATE, "walk", waypoint=np.zeros(3),
+                        monitors=list(monitors))
 
     def test_report_buckets_by_action(self):
-        done = self._monitor()
-        pend = self._monitor(step=2)
-        pick = SubtaskMonitor(name="grabbed", kind=ConditionKind.ATTACHED,
-                              step=1, object="cup")
-        kinds = [ActionKind.NAVIGATE, ActionKind.PICK, ActionKind.NAVIGATE]
-        buckets, overall = report([done, pend, pick], kinds, {0: 1.0, 2: 1.0})
+        pick = SubtaskMonitor(name="grabbed", kind=ConditionKind.ATTACHED, object="cup")
+        plan = [self._walk(self._monitor()),
+                PlanStep(ActionKind.PICK, "grab", target="cup", monitors=[pick]),
+                self._walk(self._monitor())]
+        buckets, overall = report(plan, {(0, 0): 1.0, (1, 0): 1.0})
         assert buckets["navigate"].completed == 1
         assert buckets["navigate"].total == 2
         assert buckets["navigate"].rate == 0.5
@@ -228,6 +232,5 @@ class TestMonitors:
         assert overall is False
 
     def test_overall_conjunction(self):
-        a = self._monitor()
-        _, overall = report([a], [ActionKind.NAVIGATE], {0: 1.0})
+        _, overall = report([self._walk(self._monitor())], {(0, 0): 1.0})
         assert overall is True
