@@ -46,6 +46,12 @@ class Config:
     f_target: float = 2.0
     tracking: TrackingConfig = field(default_factory=TrackingConfig)
 
+    def __post_init__(self):
+        for name in ("gamma_xy", "gamma_w"):  # the tracking rewards divide by them
+            value = getattr(self, name)
+            if not math.isfinite(value) or value <= 0:
+                raise ValueError(name, f"must be finite and > 0, got {value!r}")
+
     def dump(self, path) -> None:
         with open(path, "w") as fh:
             yaml.safe_dump(to_dict(self), fh, sort_keys=True)

@@ -4,7 +4,8 @@ Runs scenario bundles (`locoman.scenario`), replaces the trained policy with
 a configurable tracking model (first-order base lag, exponential
 end-effector convergence, optional noise), executes atomic actions through
 primitive controllers, and emits per-episode traces and metric reports.
-Everything downstream of (scenario, seed, dt, fixtures) is bit-reproducible.
+Everything downstream of (scenario, seed, dt, fixtures, config) is
+bit-reproducible on one numpy and BLAS code path (the README says which).
 """
 
 from __future__ import annotations

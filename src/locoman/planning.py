@@ -3,7 +3,9 @@
 A plan is an ordered list of atomic actions (navigate, pick, place,
 push/pull, drag) produced by a planner oracle from an instruction and the
 instance-graph summary. `STEP_READS` names the fields each action kind
-reads. A subtask monitor belongs to the plan step that holds it: it latches
+reads and `MONITOR_READS` those each condition kind reads; one rule,
+`reads_fault`, applies them to scenario steps, monitors and every planner's
+plan. A subtask monitor belongs to the plan step that holds it: it latches
 once its goal condition holds while that step runs, and never reverts.
 """
 
@@ -78,20 +80,39 @@ STEP_READS = {
     ActionKind.PUSH_PULL: (("target",), ()),
     ActionKind.DRAG: (("waypoint",), ("target",)),
 }
+_NEEDS = {"target": "a target", "waypoint": "a waypoint", "grounding": "a grounding",
+          "object": "an object", "other": "an other object", "point": "a point",
+          "threshold": "a positive threshold"}
+
+
+def reads_fault(kind: Enum, needs: tuple, may: tuple, values: dict) -> Optional[tuple]:
+    """The first `(field, message)` by which `values`, a record's fields by name,
+    break `kind`'s `(needs, may)` row: a needed field unset, or a field of `_NEEDS`
+    outside the row set. Unset is None; a threshold is unset at <= 0 if needed, else at 0.0."""
+    for name in [n for n in _NEEDS if n in values]:
+        value, number = values[name], name == "threshold"
+        if name in needs and (value <= 0.0 if number else value is None):
+            return name, f"{kind.value} needs {_NEEDS[name]}"
+        if name not in needs + may and (value != 0.0 if number else value is not None):
+            return name, f"{kind.value} never reads it"
+    return None
 
 
 def validate_plan(plan: TaskPlan, graph: InstanceGraph) -> Optional[InvalidPlan]:
     """None when valid, else the first violation with its action index."""
     if not plan.actions:
         return InvalidPlan(0, "plan is empty")
-    for i, action in enumerate(plan.actions):
-        needs = STEP_READS[action.kind][0]
-        if "waypoint" in needs and action.waypoint is None:
-            return InvalidPlan(i, f"{action.kind.value} missing waypoint")
-        if "target" in needs and action.target_instance is None:
-            return InvalidPlan(i, f"{action.kind.value} missing target instance")
-        if action.target_instance is not None and action.target_instance not in graph.nodes:
-            return InvalidPlan(i, f"unknown instance {action.target_instance}")
+    for i, a in enumerate(plan.actions):
+        if not a.description.strip():
+            return InvalidPlan(i, "description: must be a non-empty string")
+        if fault := reads_fault(a.kind, *STEP_READS[a.kind],  # `target_instance` as `target`
+                                {"target": a.target_instance, "waypoint": a.waypoint}):
+            name = "target_instance" if fault[0] == "target" else fault[0]
+            return InvalidPlan(i, f"{name}: {fault[1]}")
+        if a.target_instance is not None and a.target_instance not in graph.nodes:
+            return InvalidPlan(i, f"unknown instance {a.target_instance}")
+        if a.waypoint is not None and not np.isfinite(a.waypoint).all():
+            return InvalidPlan(i, f"waypoint: must be finite, got {a.waypoint.tolist()}")
     return None
 
 
@@ -101,12 +122,8 @@ def decompose(oracle: PlannerOracle, instruction: str, graph: InstanceGraph) -> 
     plan = oracle.plan(instruction, graph.graph_summary())
     if plan is None:
         raise OracleFailure(f"planner produced no plan for {instruction!r}")
-    problem = validate_plan(plan, graph)
-    if problem is not None:
+    if problem := validate_plan(plan, graph):
         raise OracleFailure(f"invalid plan: {problem}")
-    for i, action in enumerate(plan.actions):
-        if not action.description.strip():
-            raise OracleFailure(f"action {i} missing description")
     return plan
 
 
@@ -124,8 +141,7 @@ class ConditionKind(Enum):
     JOINT_CLOSED = "joint_closed"
 
 
-# the fields each condition kind reads: those it needs, then those it may set
-# (a joint kind compares against 0 by default); a kind reads no other field
+# as STEP_READS, for each condition kind (a joint kind compares against 0 by default)
 MONITOR_READS = {
     ConditionKind.ROBOT_NEAR: (("point", "threshold"), ()),
     ConditionKind.OBJECT_NEAR: (("object", "point", "threshold"), ()),
@@ -135,8 +151,6 @@ MONITOR_READS = {
     ConditionKind.JOINT_OPEN: (("object",), ("threshold",)),
     ConditionKind.JOINT_CLOSED: (("object",), ("threshold",)),
 }
-_NEEDS = {"object": "an object", "other": "an other object", "point": "a point",
-          "threshold": "a positive threshold"}
 
 
 @dataclass(frozen=True)
@@ -153,15 +167,8 @@ class SubtaskMonitor:
     threshold: float = 0.0  # radius / max distance / joint threshold
 
     def __post_init__(self):
-        needs, may = MONITOR_READS[self.kind]
-        for name, noun in _NEEDS.items():
-            value = getattr(self, name)
-            is_threshold = name == "threshold"
-            if name in needs and (value <= 0.0 if is_threshold else value is None):
-                raise ValueError(name, f"{self.kind.value} needs {noun}")
-            if name not in needs + may and (value != 0.0 if is_threshold
-                                             else value is not None):
-                raise ValueError(name, f"{self.kind.value} never reads it")
+        if fault := reads_fault(self.kind, *MONITOR_READS[self.kind], vars(self)):
+            raise ValueError(*fault)
 
 
 def _object_position(world, oid: str) -> np.ndarray:

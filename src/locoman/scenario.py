@@ -20,7 +20,7 @@ import numpy as np
 from .config import from_dict, read_file
 from .errors import ParseError, ValidationError
 from .geometry import Pose
-from .planning import STEP_READS, ActionKind, ConditionKind, SubtaskMonitor
+from .planning import STEP_READS, ActionKind, ConditionKind, SubtaskMonitor, reads_fault
 
 
 @dataclass(frozen=True)
@@ -90,6 +90,7 @@ class SceneObject:
             raise ValueError("size", f"must have no negative component, got {self.size.tolist()}")
         if self.label is None:
             object.__setattr__(self, "label", self.id)
+        _nonzero_axes(self)
 
     def pose(self) -> Pose:
         return Pose.from_xy_yaw(self.position[0], self.position[1], self.yaw,
@@ -120,13 +121,8 @@ class PlanStep:
     def __post_init__(self):
         if not self.description.strip():
             raise ValueError("description", "must be a non-empty string")
-        needs, may = STEP_READS[self.kind]
-        for name in ("target", "waypoint", "grounding"):
-            value = getattr(self, name)
-            if name in needs and value is None:
-                raise ValueError(name, f"{self.kind.value} needs a {name}")
-            if name not in needs + may and value is not None:
-                raise ValueError(name, f"{self.kind.value} never reads it")
+        if fault := reads_fault(self.kind, *STEP_READS[self.kind], vars(self)):
+            raise ValueError(*fault)
 
 
 @dataclass(frozen=True)
@@ -137,6 +133,18 @@ class GroundingFixture:
     offset: np.ndarray = field(default_factory=lambda: np.zeros(3))
     dominant_axis: Optional[np.ndarray] = None
     surface_normal: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        _nonzero_axes(self)
+
+
+def _nonzero_axes(record) -> None:
+    """Reject, at its own field, a `dominant_axis` or `surface_normal` that
+    `geometry.unit` cannot normalise: the grasp solver normalises both."""
+    for name in ("dominant_axis", "surface_normal"):
+        v = getattr(record, name)
+        if v is not None and np.linalg.norm(v) == 0.0:
+            raise ValueError(name, f"must not be the zero vector, got {v.tolist()}")
 
 
 @dataclass(frozen=True)

@@ -67,6 +67,13 @@ MALFORMED_CONFIGS = [
     # a table that config files held before it became a module constant
     pytest.param(yaml.safe_dump({"command_ranges": to_dict(COMMAND_RANGES)}),
                  "config.command_ranges: unknown key", id="removed_key"),
+    # the tracking rewards divide by their scales: exp(-err^2 / gamma)
+    pytest.param("gamma_xy: 0.0\n", "config.gamma_xy: must be finite and > 0, got 0.0",
+                 id="gamma_xy_zero"),
+    pytest.param("gamma_w: 0.0\n", "config.gamma_w: must be finite and > 0, got 0.0",
+                 id="gamma_w_zero"),
+    pytest.param("gamma_xy: -0.25\n", "config.gamma_xy: must be finite and > 0, got -0.25",
+                 id="gamma_xy_negative"),
 ]
 
 # out-of-range numbers for `run`: (arguments, exit code, text the message names)
@@ -342,6 +349,11 @@ MALFORMED_SCENARIOS = [
                  "objects[0].joint.max", id="joint_max_below_min"),
     pytest.param(lambda d: d["objects"][0].update(size=[0.08, -0.08, 0.08]),
                  "objects[0].size", id="object_size_negative"),
+    # the grasp solver normalises every axis it is given
+    pytest.param(lambda d: d["objects"][0].update(surface_normal=[0, 0, 0]),
+                 "objects[0].surface_normal", id="object_zero_surface_normal"),
+    pytest.param(lambda d: d["plan"][1]["grounding"].update(dominant_axis=[0, 0, 0]),
+                 "plan[1].grounding.dominant_axis", id="grounding_zero_dominant_axis"),
     # `run` writes episodes to <out>/<name>/, so a name is one plain path
     # component that no run file takes
     *[pytest.param(lambda d, n=name: d.update(name=n), "name", id=f"name_{case}")

@@ -73,6 +73,47 @@ class TestValidatePlan:
         ])
         assert validate_plan(plan, _graph_with_nodes(1)).action_index == 1
 
+    def test_nonfinite_waypoint(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            plan = TaskPlan("x", [AtomicAction(ActionKind.NAVIGATE, "go",
+                                               waypoint=[1.0, bad, 0.0])])
+            problem = validate_plan(plan, _graph_with_nodes(1))
+            assert problem.action_index == 0
+            assert problem.reason.startswith("waypoint: must be finite")
+
+
+# the subsets of {target, waypoint} each action kind accepts
+ACCEPTED_FIELDS = {
+    ActionKind.NAVIGATE: [{"waypoint"}],
+    ActionKind.PICK: [{"target"}],
+    ActionKind.PLACE: [{"target"}],
+    ActionKind.PUSH_PULL: [{"target"}],
+    ActionKind.DRAG: [{"waypoint"}, {"target", "waypoint"}],
+}
+
+
+@pytest.mark.parametrize("fields", [(), ("target",), ("waypoint",), ("target", "waypoint")],
+                         ids=["none", "target", "waypoint", "both"])
+@pytest.mark.parametrize("kind", list(ActionKind), ids=lambda k: k.value)
+def test_step_and_action_share_reads_rule(kind, fields):
+    """A scenario step and a planner's action with the same fields set are
+    accepted alike, and rejected at the same field with the same message."""
+    try:
+        PlanStep(kind, "do it", target="obj0" if "target" in fields else None,
+                 waypoint=np.array([1.0, 0.0, 0.0]) if "waypoint" in fields else None)
+        step_fault = None
+    except ValueError as exc:
+        step_fault = exc.args
+    action = AtomicAction(kind, "do it", target_instance=0 if "target" in fields else None,
+                          waypoint=[1.0, 0.0, 0.0] if "waypoint" in fields else None)
+    problem = validate_plan(TaskPlan("x", [action]), _graph_with_nodes(1))
+    assert (step_fault is None) == (set(fields) in ACCEPTED_FIELDS[kind])
+    assert (problem is None) == (step_fault is None)
+    if step_fault is not None:
+        name, message = step_fault
+        assert problem.action_index == 0
+        assert problem.reason == f"{'target_instance' if name == 'target' else name}: {message}"
+
 
 class TestDecompose:
     def test_fixture_lookup(self):
@@ -96,6 +137,15 @@ class TestDecompose:
         planner = ScriptedPlanner({"x": TaskPlan("x", [
             AtomicAction(ActionKind.PICK, "grasp")])})
         with pytest.raises(OracleFailure):
+            decompose(planner, "x", _graph_with_nodes(1))
+
+    def test_field_its_kind_never_reads_raises(self):
+        # a planner's navigate that names a target, and pick that names a waypoint
+        planner = ScriptedPlanner({"x": TaskPlan("x", [
+            AtomicAction(ActionKind.NAVIGATE, "go", target_instance=0, waypoint=[1, 0, 0]),
+            AtomicAction(ActionKind.PICK, "p", target_instance=0, waypoint=[5, 5, 0])])})
+        with pytest.raises(OracleFailure,
+                           match="^invalid plan: action 0: target_instance: navigate never reads"):
             decompose(planner, "x", _graph_with_nodes(1))
 
     def test_missing_description_raises(self):
