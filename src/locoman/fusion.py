@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError
+from .geometry import dot, norm, unit
 
 
 @dataclass(frozen=True)
@@ -44,7 +45,7 @@ class Detection:
     def __post_init__(self):
         self.descriptor = np.asarray(self.descriptor, dtype=float)
         self.points = np.asarray(self.points, dtype=float).reshape(-1, 3)
-        if np.linalg.norm(self.descriptor) == 0.0:
+        if norm(self.descriptor) == 0.0:
             raise UsageError("detection descriptor must be nonzero")
         if len(self.points) == 0:
             raise UsageError("detection must carry at least one point")
@@ -67,10 +68,10 @@ def semantic_similarity(f_i: np.ndarray, f_j: np.ndarray) -> float:
     f_j = np.asarray(f_j, dtype=float)
     if f_i.shape != f_j.shape:
         raise UsageError(f"descriptor dimension mismatch: {f_i.shape} vs {f_j.shape}")
-    ni, nj = np.linalg.norm(f_i), np.linalg.norm(f_j)
+    ni, nj = norm(f_i), norm(f_j)
     if ni == 0.0 or nj == 0.0:
         raise UsageError("descriptors must be nonzero")
-    return float(np.dot(f_i, f_j) / (ni * nj))
+    return dot(f_i, f_j) / (ni * nj)
 
 
 def geometric_similarity(points_i: np.ndarray, points_j: np.ndarray,
@@ -151,7 +152,7 @@ class InstanceGraph:
     def _add_node(self, det: Detection) -> int:
         nid = self._next_id
         self._next_id += 1
-        desc = det.descriptor / np.linalg.norm(det.descriptor)
+        desc = unit(det.descriptor)
         pts = voxel_downsample(det.points, self.cfg.downsample_voxel)
         self.nodes[nid] = InstanceNode(
             id=nid, label=det.label, descriptor=desc, points=pts,
@@ -160,9 +161,7 @@ class InstanceGraph:
 
     def _fuse(self, node: InstanceNode, det: Detection) -> None:
         n = node.observation_count
-        det_desc = det.descriptor / np.linalg.norm(det.descriptor)
-        merged = n * node.descriptor + det_desc
-        node.descriptor = merged / np.linalg.norm(merged)
+        node.descriptor = unit(n * node.descriptor + unit(det.descriptor))
         node.points = voxel_downsample(
             np.vstack([node.points, det.points]), self.cfg.downsample_voxel)
         # bbox grows monotonically: union with the raw detection extents

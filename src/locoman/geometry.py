@@ -24,14 +24,20 @@ def vec3(x, y, z) -> np.ndarray:
     return np.array([x, y, z], dtype=float)
 
 
+def dot(a, b) -> float:
+    """Inner product of two 1-D vectors as a float: every small-vector
+    product and norm in the package goes through it."""
+    return float(np.dot(a, b))
+
+
 def norm(v: np.ndarray) -> float:
     """np.linalg.norm of a 1-D float array, bit for bit (numpy computes the
     same sqrt of v.dot(v)), without its per-call overhead."""
-    return math.sqrt(float(v.dot(v)))
+    return math.sqrt(dot(v, v))
 
 
 def unit(v: np.ndarray) -> np.ndarray:
-    n = np.linalg.norm(v)
+    n = norm(v)
     if n == 0.0:
         raise ValueError("cannot normalize zero vector")
     return v / n
@@ -46,7 +52,7 @@ QUAT_IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
 
 def quat_normalize(q: np.ndarray) -> np.ndarray:
     q = np.asarray(q, dtype=float)
-    return q / np.linalg.norm(q)
+    return q / norm(q)
 
 
 def _hamilton(aw, ax, ay, az, bw, bx, by, bz):
@@ -98,7 +104,7 @@ def quat_geodesic_distance(a: np.ndarray, b: np.ndarray) -> float:
 
     Symmetric, in [0, pi], invariant under sign flip of either argument.
     """
-    d = abs(float(np.dot(a, b)))
+    d = abs(dot(a, b))
     return 2.0 * np.arccos(min(d, 1.0))
 
 
@@ -143,7 +149,7 @@ def matrix_to_quat(R: np.ndarray) -> np.ndarray:
 
 
 def quat_slerp(a: np.ndarray, b: np.ndarray, t: float) -> np.ndarray:
-    d = float(np.dot(a, b))
+    d = dot(a, b)
     if d < 0.0:
         b = -b
         d = -d

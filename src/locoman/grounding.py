@@ -18,7 +18,7 @@ from typing import Optional, Protocol
 import numpy as np
 
 from .errors import DegenerateConstraints, InvalidDepth, OracleFailure, UsageError
-from .geometry import Pose, matrix_to_quat, unit
+from .geometry import Pose, dot, matrix_to_quat, norm, unit
 
 _PARALLEL_TOL = 1e-6
 
@@ -113,14 +113,14 @@ def pixel_to_point(cam: CameraModel, depth: DepthImage,
 
 
 def _project_out(v: np.ndarray, axis: np.ndarray) -> np.ndarray:
-    return v - np.dot(v, axis) * axis
+    return v - dot(v, axis) * axis
 
 
 def _pick_in_plane(preferred: np.ndarray, normal: np.ndarray,
                    fallback: np.ndarray) -> np.ndarray:
     """Unit vector in the plane orthogonal to normal, closest to preferred."""
     p = _project_out(preferred, normal)
-    if np.linalg.norm(p) < 1e-9:
+    if norm(p) < 1e-9:
         p = _project_out(fallback, normal)
     return unit(p)
 
@@ -142,16 +142,16 @@ def solve_orientation(dominant_axis: Optional[np.ndarray],
     n = None if surface_normal is None else unit(np.asarray(surface_normal, dtype=float))
 
     if a is not None and n is not None:
-        if abs(float(np.dot(n, a))) >= 1.0 - _PARALLEL_TOL:
+        if abs(dot(n, a)) >= 1.0 - _PARALLEL_TOL:
             raise DegenerateConstraints("surface normal parallel to dominant axis")
         # closest direction to n in the plane orthogonal to a
         r_z = unit(_project_out(n, a))
     elif a is not None:
         r_z = _pick_in_plane(approach, a, _WORLD_X)
-        if np.dot(r_z, approach) < 0.0:
+        if dot(r_z, approach) < 0.0:
             r_z = -r_z
     elif n is not None:
-        r_z = n if np.dot(n, approach) >= 0.0 else -n
+        r_z = n if dot(n, approach) >= 0.0 else -n
     else:
         r_z = approach
 
@@ -159,9 +159,9 @@ def solve_orientation(dominant_axis: Optional[np.ndarray],
         # r_x is the one direction orthogonal to both a and r_z, sign pinned
         r_x = unit(np.cross(r_z, a))
         ref = _project_out(_WORLD_X, a)
-        if np.linalg.norm(ref) < 1e-9:
+        if norm(ref) < 1e-9:
             ref = _project_out(_WORLD_Y, a)
-        if np.dot(r_x, ref) < 0.0:
+        if dot(r_x, ref) < 0.0:
             r_x = -r_x
     else:
         r_x = _pick_in_plane(_WORLD_X, r_z, _WORLD_Y)

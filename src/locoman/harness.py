@@ -23,7 +23,8 @@ from .fusion import Detection, FusionConfig, InstanceGraph
 from .geometry import (Pose, norm, quat_from_axis_angle, quat_geodesic_distance,
                        quat_mul, quat_normalize, quat_slerp, matrix_to_quat,
                        quat_to_matrix, unit, vec3, wrap_angle)
-from .grounding import (CameraModel, DepthImage, GroundingResult, ground_action)
+from .grounding import (CameraModel, DepthImage, GroundingResult, ground_action,
+                        solve_orientation)
 from .navgrid import (GoalSearchConfig, OccupancyGrid, OCCUPIED, find_goal_pose,
                       footprint_clear, plan_path)
 from .planning import (ActionKind, ActionReport, AtomicAction, ScriptedPlanner,
@@ -136,7 +137,7 @@ def _label_descriptor(label: str, dim: int = 16) -> np.ndarray:
     seed = int.from_bytes(hashlib.sha256(label.encode()).digest()[:8], "big")
     g = np.random.Generator(np.random.PCG64(seed))
     v = g.normal(size=dim)
-    return v / np.linalg.norm(v)
+    return unit(v)
 
 
 def build_instance_graph(scenario: Scenario,
@@ -331,7 +332,7 @@ class EpisodeRunner:
             yaw = self.world.base_pose.yaw()
             heading = np.arctan2(target[1] - pos[1], target[0] - pos[0])
             err = float(wrap_angle(heading - yaw))
-            w_cmd = float(np.clip(2.0 * err, -1.0, 1.0))
+            w_cmd = min(max(2.0 * err, -1.0), 1.0)
             vx = 0.8 if abs(err) < 0.5 else 0.0
             self.tick(LocomotionCommand(vx, 0.0, w_cmd), None)
         return False
@@ -381,13 +382,8 @@ class EpisodeRunner:
         toward_robot = self.world.base_pose.position - true_attach
         toward_robot[2] = abs(toward_robot[2]) + 0.4
         cam_pos = true_attach + 0.6 * unit(toward_robot)
-        z_axis = unit(true_attach - cam_pos)
-        x_ref = np.array([1.0, 0.0, 0.0])
-        if abs(float(np.dot(x_ref, z_axis))) > 0.95:
-            x_ref = np.array([0.0, 1.0, 0.0])
-        x_axis = unit(x_ref - np.dot(x_ref, z_axis) * z_axis)
-        y_axis = np.cross(z_axis, x_axis)
-        cam_world = Pose(cam_pos, matrix_to_quat(np.column_stack([x_axis, y_axis, z_axis])))
+        look_at = solve_orientation(None, None, true_attach - cam_pos)
+        cam_world = Pose(cam_pos, matrix_to_quat(look_at))
         cam_in_base = self.world.base_pose.inverse().compose(cam_world)
 
         cam = CameraModel(fx=120.0, fy=120.0, cx=48.0, cy=48.0,
@@ -429,7 +425,7 @@ class EpisodeRunner:
         if not self._move_ee_to(target_world, deadline):
             return False, "approach timeout"
         true_attach = obj.attach_point(self.world.object_poses[obj.id].position)
-        pos_err = float(np.linalg.norm(self.world.ee_pose.position - true_attach))
+        pos_err = norm(self.world.ee_pose.position - true_attach)
         ori_err = quat_geodesic_distance(self.world.ee_pose.orientation,
                                          target_world.orientation)
         if pos_err > ATTACH_TOLERANCE or ori_err > ORI_TOLERANCE:
@@ -470,8 +466,8 @@ class EpisodeRunner:
         rate = 0.4  # joint units per second
         while self.world.t < deadline:
             value = self.world.joint_values[obj.id]
-            delta = np.clip(goal - value, -rate * self.dt, rate * self.dt)
-            self.world.joint_values[obj.id] = float(np.clip(value + delta, lo, hi))
+            delta = min(max(goal - value, -rate * self.dt), rate * self.dt)
+            self.world.joint_values[obj.id] = float(min(max(value + delta, lo), hi))
             self.tick(LocomotionCommand(0, 0, 0), grasp)
             if abs(self.world.joint_values[obj.id] - goal) < 1e-9:
                 return True, ""

@@ -98,6 +98,18 @@ def reads_fault(kind: Enum, needs: tuple, may: tuple, values: dict) -> Optional[
     return None
 
 
+# metres on |x| and |y| of every scene point and waypoint: the occupancy grid
+# grows to cover each one, so an unbounded coordinate is an unbounded grid
+SCENE_BOUND = 100.0
+
+
+def bound_fault(p: np.ndarray) -> Optional[str]:
+    """Why a world point lies past SCENE_BOUND, else None."""
+    if abs(p[0]) <= SCENE_BOUND and abs(p[1]) <= SCENE_BOUND:
+        return None
+    return f"|x| and |y| must be <= {SCENE_BOUND:g} m, got {p.tolist()}"
+
+
 def validate_plan(plan: TaskPlan, graph: InstanceGraph) -> Optional[InvalidPlan]:
     """None when valid, else the first violation with its action index."""
     if not plan.actions:
@@ -113,6 +125,8 @@ def validate_plan(plan: TaskPlan, graph: InstanceGraph) -> Optional[InvalidPlan]
             return InvalidPlan(i, f"unknown instance {a.target_instance}")
         if a.waypoint is not None and not np.isfinite(a.waypoint).all():
             return InvalidPlan(i, f"waypoint: must be finite, got {a.waypoint.tolist()}")
+        if a.waypoint is not None and (fault := bound_fault(a.waypoint)):
+            return InvalidPlan(i, f"waypoint: {fault}")
     return None
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import UsageError
-from .geometry import wrap_angle
+from .geometry import dot, norm, wrap_angle
 
 LEGS = ("FL", "FR", "RL", "RR")
 SYNC_PAIRS = (("FL", "RR"), ("FR", "RL"))
@@ -80,7 +80,7 @@ def leg_frequency(leg: LegTimeline) -> float | None:
 
 def r_track_xy(cmd_xy: np.ndarray, actual_xy: np.ndarray, gamma_xy: float = 0.25) -> float:
     err = np.asarray(cmd_xy, dtype=float) - np.asarray(actual_xy, dtype=float)
-    return float(np.exp(-float(np.dot(err, err)) / gamma_xy))
+    return float(np.exp(-dot(err, err) / gamma_xy))
 
 
 def r_track_yaw(cmd_w: float, actual_w: float, gamma_w: float = 0.25) -> float:
@@ -89,15 +89,14 @@ def r_track_yaw(cmd_w: float, actual_w: float, gamma_w: float = 0.25) -> float:
 
 def r_ee_pos(target: np.ndarray, actual: np.ndarray) -> float:
     """Euclidean position tracking error (penalized via negative weight)."""
-    return float(np.linalg.norm(np.asarray(target, dtype=float)
-                                - np.asarray(actual, dtype=float)))
+    return norm(np.asarray(target, dtype=float) - np.asarray(actual, dtype=float))
 
 
 def r_ee_ori(target_euler: np.ndarray, actual_euler: np.ndarray) -> float:
     """Norm of per-axis wrapped Euler differences."""
     diff = wrap_angle(np.asarray(target_euler, dtype=float)
                       - np.asarray(actual_euler, dtype=float))
-    return float(np.linalg.norm(diff))
+    return norm(diff)
 
 
 # ---------------------------------------------------------------------------
@@ -157,12 +156,12 @@ def _part_slice(part: str) -> slice:
 
 def r_torque(tau: np.ndarray, part: str) -> float:
     v = np.asarray(tau, dtype=float)[_part_slice(part)]
-    return float(np.dot(v, v))
+    return dot(v, v)
 
 
 def r_acc(qddot: np.ndarray, part: str) -> float:
     v = np.asarray(qddot, dtype=float)[_part_slice(part)]
-    return float(np.dot(v, v))
+    return dot(v, v)
 
 
 def r_power(tau: np.ndarray, qdot: np.ndarray, part: str) -> float:
@@ -173,8 +172,7 @@ def r_power(tau: np.ndarray, qdot: np.ndarray, part: str) -> float:
 
 
 def r_smooth(a_t: np.ndarray, a_prev: np.ndarray) -> float:
-    return float(np.linalg.norm(np.asarray(a_t, dtype=float)
-                                - np.asarray(a_prev, dtype=float)))
+    return norm(np.asarray(a_t, dtype=float) - np.asarray(a_prev, dtype=float))
 
 
 # ---------------------------------------------------------------------------

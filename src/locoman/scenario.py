@@ -19,8 +19,9 @@ import numpy as np
 
 from .config import from_dict, read_file
 from .errors import ParseError, ValidationError
-from .geometry import Pose
-from .planning import STEP_READS, ActionKind, ConditionKind, SubtaskMonitor, reads_fault
+from .geometry import Pose, norm
+from .planning import (STEP_READS, ActionKind, ConditionKind, SubtaskMonitor, bound_fault,
+                       reads_fault)
 
 
 @dataclass(frozen=True)
@@ -143,7 +144,7 @@ def _nonzero_axes(record) -> None:
     `geometry.unit` cannot normalise: the grasp solver normalises both."""
     for name in ("dominant_axis", "surface_normal"):
         v = getattr(record, name)
-        if v is not None and np.linalg.norm(v) == 0.0:
+        if v is not None and norm(v) == 0.0:
             raise ValueError(name, f"must not be the zero vector, got {v.tolist()}")
 
 
@@ -177,7 +178,8 @@ class Scenario:
 
 
 def scenario_from_dict(data, where: str = "scenario") -> Scenario:
-    """`from_dict`, then the checks that span records; raises at the first fault."""
+    """`from_dict`, then the checks that span records and the SCENE_BOUND on
+    every scene point and waypoint; raises at the first fault."""
     scenario = from_dict(Scenario, data, where)
     plan = list(enumerate(scenario.plan))
     monitors = [(f"plan[{i}].monitors[{j}]", m)
@@ -201,6 +203,14 @@ def scenario_from_dict(data, where: str = "scenario") -> Scenario:
     faults += [(f"{at}.object", f"{m.kind.value} needs an object with a joint")
                for at, m in monitors if m.object not in jointed
                and m.kind in (ConditionKind.JOINT_OPEN, ConditionKind.JOINT_CLOSED)]
+    points = [("robot_start.position", scenario.robot_start.position)]
+    points += [(f"static_obstacles[{i}].{end}", getattr(box, end))
+               for i, box in enumerate(scenario.static_obstacles) for end in ("min", "max")]
+    points += [(f"objects[{i}].position", obj.position)
+               for i, obj in enumerate(scenario.objects)]
+    points += [(f"plan[{i}].waypoint", step.waypoint) for i, step in plan
+               if step.waypoint is not None]
+    faults += [(loc, fault) for loc, p in points if (fault := bound_fault(p))]
     if faults:
         raise ValidationError("{}.{}: {}".format(where, *faults[0]))
     return scenario

@@ -354,6 +354,20 @@ MALFORMED_SCENARIOS = [
                  "objects[0].surface_normal", id="object_zero_surface_normal"),
     pytest.param(lambda d: d["plan"][1]["grounding"].update(dominant_axis=[0, 0, 0]),
                  "plan[1].grounding.dominant_axis", id="grounding_zero_dominant_axis"),
+    # the grid grows to cover every scene point: |x| and |y| stop at 100 m
+    # (each row sits just past it, so a broken guard builds a small grid)
+    pytest.param(lambda d: d["robot_start"].update(position=[100.5, 0.0, 0.0]),
+                 "robot_start.position", id="robot_start_past_bound"),
+    pytest.param(lambda d: d["objects"][1].update(position=[2.0, -100.5, 0.25]),
+                 "objects[1].position", id="object_past_bound"),
+    pytest.param(lambda d: d["static_obstacles"][0].update(min=[-100.5, -1.6, 0.0]),
+                 "static_obstacles[0].min", id="box_min_past_bound"),
+    pytest.param(lambda d: d["static_obstacles"][0].update(max=[1.3, 100.5, 0.5]),
+                 "static_obstacles[0].max", id="box_max_past_bound"),
+    pytest.param(lambda d: d["plan"][0].update(waypoint=[100.5, 0.0, 0.1]),
+                 "plan[0].waypoint", id="waypoint_past_bound"),
+    pytest.param(lambda d: d["plan"][4].update(waypoint=[-1.5, -100.5, 0.0]),
+                 "plan[4].waypoint", id="drag_waypoint_past_bound"),
     # `run` writes episodes to <out>/<name>/, so a name is one plain path
     # component that no run file takes
     *[pytest.param(lambda d, n=name: d.update(name=n), "name", id=f"name_{case}")

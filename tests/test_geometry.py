@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from locoman.geometry import (EulerAngles, Pose, SphericalTarget,
-                              matrix_to_quat, norm,
+                              dot, matrix_to_quat, norm,
                               quat_from_axis_angle, quat_from_euler,
                               quat_from_yaw, quat_geodesic_distance, quat_mul,
                               quat_normalize, quat_rotate, quat_slerp,
@@ -295,13 +295,16 @@ class TestMisc:
         assert not is_rotation_matrix(refl)
 
     def test_norm_bitwise_equals_linalg_norm(self):
+        # 2-D and 3-D vectors, quaternions, fusion descriptors, r_smooth's joints
         rng = np.random.Generator(np.random.PCG64(13))
-        for n in (2, 3):
-            for v in rng.normal(0.0, 3.0, (5_000, n)):
+        for n in (2, 3, 4, 16, 18):
+            for v, w in rng.normal(0.0, 3.0, (5_000, 2, n)):
                 got = norm(v)
                 assert type(got) is float
                 assert got == float(np.linalg.norm(v)), v
                 assert norm(v[:2]) == float(np.linalg.norm(v[:2]))
+                assert type(dot(v, w)) is float
+                assert dot(v, w) == float(np.dot(v, w)), (v, w)
 
     def test_euler_angles_as_array(self):
         e = EulerAngles(0.1, 0.2, 0.3)

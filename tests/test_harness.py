@@ -509,3 +509,38 @@ class TestGroundingFixtureOffset:
         pick = next(o for o in result.outcomes if o.kind == "pick")
         assert not pick.success
         assert "grasp missed" in pick.detail
+
+    # the wrist camera's look-at frame decides where the detected point lands
+    def test_contact_behind_camera(self):
+        result = run_episode(self._with_offset([0.0, 0.0, 0.8]), master_seed=0)
+        pick, place = (next(o for o in result.outcomes if o.kind == kind)
+                       for kind in ("pick", "place"))
+        assert pick.detail == ("grounding failed: detected contact point "
+                               "behind the wrist camera")
+        assert place.detail == "nothing attached to place"
+
+    def test_pixel_out_of_bounds(self):
+        result = run_episode(self._with_offset([-0.5, 0.0, 0.6]), master_seed=0)
+        pick = next(o for o in result.outcomes if o.kind == "pick")
+        assert not pick.success
+        assert pick.detail.startswith("grounding failed: oracle pixel (")
+        assert pick.detail.endswith(") out of bounds")
+
+
+def test_ground_target_in_steep_look_at_band():
+    """A base 1.5 m from the object along x and level with it puts the wrist
+    camera's optical axis within 15 degrees of world x (|x . z| > 0.95): the
+    look-at frame there still grounds the point the camera sees."""
+    data = minimal_scenario_dict(plan=[
+        {"kind": "pick", "description": "pick the marker", "target": "marker"}])
+    data["objects"][0]["position"] = [1.5, 0.0, BASE_STAND_HEIGHT]
+    runner = EpisodeRunner(scenario_from_dict(data), master_seed=0)
+    runner._action_index = 0
+    obj = runner.scenario.objects[0]
+    true_attach = obj.attach_point()
+    toward_camera = runner.world.base_pose.position - true_attach
+    toward_camera[2] = abs(toward_camera[2]) + 0.4
+    assert abs(toward_camera[0]) / np.linalg.norm(toward_camera) > 0.95
+    grounded = runner.world.base_pose.compose(runner._ground_target(obj))
+    # the depth image is float32: a 0.6 m depth rounds by up to 0.6 * 2**-24 m
+    assert np.abs(grounded.position - true_attach).max() <= 1e-7

@@ -81,6 +81,18 @@ class TestValidatePlan:
             assert problem.action_index == 0
             assert problem.reason.startswith("waypoint: must be finite")
 
+    def test_waypoint_past_scene_bound(self):
+        def plan(x, y):
+            return TaskPlan("x", [
+                AtomicAction(ActionKind.NAVIGATE, "go", waypoint=[0.0, 0.0, 0.0]),
+                AtomicAction(ActionKind.DRAG, "drag", waypoint=[x, y, 0.0])])
+        assert validate_plan(plan(100.0, -100.0), _graph_with_nodes(1)) is None
+        for x, y in ((100.5, 0.0), (0.0, -100.5), (1e6, 0.0)):
+            problem = validate_plan(plan(x, y), _graph_with_nodes(1))
+            assert problem.action_index == 1
+            assert problem.reason == (f"waypoint: |x| and |y| must be <= 100 m, "
+                                      f"got {[x, y, 0.0]}")
+
 
 # the subsets of {target, waypoint} each action kind accepts
 ACCEPTED_FIELDS = {

@@ -2,7 +2,8 @@
 `src/locoman/` is reached from `src/` or `benchmarks/` (a re-export in the
 package `__init__.py` does not count), or is library-only
 with a paper role named in LIBRARY_ONLY; every method of a `src/locoman/`
-class is reached; and every function the benchmark tracer wraps exists."""
+class is reached; every function the benchmark tracer wraps exists; and
+small-vector arithmetic has one implementation, in `geometry`."""
 
 import ast
 import importlib.util
@@ -118,3 +119,30 @@ def test_tracer_targets_resolve():
     missing = [f"{path}.{attr}" for path, attr, _, _ in tracer.TARGETS
                if vars(tracer._resolve(path)).get(attr) is None]
     assert missing == []
+
+
+def small_vector_calls():
+    """`module:line: call` for every `np.linalg.norm`, `np.dot`, `.dot` or
+    `np.clip` call in `src/locoman/` outside `geometry.py`, and every import
+    of those names from numpy."""
+    out = []
+    for path in SRC:
+        if path.name == "geometry.py":
+            continue
+        for n in ast.walk(ast.parse(path.read_text())):
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute):
+                call = ast.unparse(n.func)
+                if (n.func.attr == "dot" or call in ("np.clip", "numpy.clip")
+                        or call.endswith("linalg.norm")):
+                    out.append(f"{path.name}:{n.lineno}: {call}")
+            elif isinstance(n, ast.ImportFrom) and (n.module or "").startswith("numpy"):
+                out += [f"{path.name}:{n.lineno}: from {n.module} import {a.name}"
+                        for a in n.names if a.name in ("dot", "clip", "norm")]
+    return out
+
+
+def test_small_vector_arithmetic_lives_in_geometry():
+    """`geometry.norm`, `dot` and `unit` and `min(max(v, lo), hi)` are the one
+    implementation of each small-vector operation: a second one elsewhere
+    is a second place to edit when the float path changes."""
+    assert small_vector_calls() == []
