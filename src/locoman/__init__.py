@@ -3,7 +3,7 @@ navigation, grasp-pose solving, reward shaping, command sampling, and a
 kinematic episode harness with scripted oracles."""
 
 from .config import Config, TrackingConfig
-from .errors import (DegenerateConstraints, InvalidDepth, LocomanError,
+from .errors import (ActionFailed, DegenerateConstraints, InvalidDepth, LocomanError,
                      NoFeasibleGoal, NoPath, OracleFailure, ParseError,
                      UnknownObject, UsageError, ValidationError)
 from .fusion import Detection, FusionConfig, InstanceGraph

@@ -29,6 +29,10 @@ class NoPath(LocomanError):
     """Grid planner found the goal unreachable."""
 
 
+class ActionFailed(LocomanError):
+    """An atomic action stopped short of its goal; the message is its outcome's detail."""
+
+
 class UnknownObject(LocomanError):
     """A goal condition references an object absent from the world state."""
 

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .config import Config, TrackingConfig, to_dict
-from .errors import LocomanError, NoFeasibleGoal, NoPath, OracleFailure, ValidationError
+from .errors import ActionFailed, LocomanError, OracleFailure, ValidationError
 from .fusion import Detection, FusionConfig, InstanceGraph
 from .geometry import (Pose, norm, quat_from_axis_angle, quat_geodesic_distance,
                        quat_mul, quat_normalize, quat_slerp, matrix_to_quat,
@@ -251,7 +251,6 @@ class EpisodeRunner:
         self.target_of = {self.node_of[obj.id]: obj for obj in scenario.objects}
         self.latched: dict[tuple[int, int], float] = {}  # (step, monitor) -> latch time
         self.trace: list[tuple] = []
-        self.outcomes: list[ActionOutcome] = []
         self.timeline = ContactTimeline()
         self._err_sums = np.zeros(3)
         self._err_ticks = 0
@@ -315,16 +314,18 @@ class EpisodeRunner:
             *terms.values(), total_reward(1, terms, self.config.reward_weights)))
 
     # -- primitive controllers -------------------------------------------
+    # Each returns once it reaches its goal, or raises: `ActionFailed` when it
+    # stops short, or the `LocomanError` of the layer that gave out.
 
     def _follow_path(self, path_points: list[np.ndarray], goal_xy: np.ndarray,
-                     deadline: float) -> bool:
-        """Pure-pursuit style follower; True when within goal tolerance."""
+                     deadline: float) -> None:
+        """Pure-pursuit style follower, until within goal tolerance."""
         idx = 0
         while self.world.t < deadline:
             pos = self.world.base_pose.position[:2]
             if norm(pos - goal_xy) <= NAV_GOAL_TOL:
                 self.tick(LocomotionCommand(0, 0, 0), None)
-                return True
+                return
             while (idx < len(path_points) - 1
                    and norm(path_points[idx] - pos) < 0.3):
                 idx += 1
@@ -335,42 +336,36 @@ class EpisodeRunner:
             w_cmd = min(max(2.0 * err, -1.0), 1.0)
             vx = 0.8 if abs(err) < 0.5 else 0.0
             self.tick(LocomotionCommand(vx, 0.0, w_cmd), None)
-        return False
+        raise ActionFailed("navigation timeout")
 
-    def _navigate_to(self, waypoint: np.ndarray) -> tuple[bool, str]:
+    def _navigate_to(self, waypoint: np.ndarray) -> None:
         deadline = min(self.world.t + NAV_TIMEOUT, self.scenario.horizon)
         obstacles = [(box.min, box.max) for box in self.scenario.static_obstacles]
         for obj in self.scenario.objects:
             if obj.id in self.world.attachments:
                 continue
             obstacles.append(obj.bbox(self.world.object_poses[obj.id].position))
-        try:
-            goal = find_goal_pose(self.grid, waypoint, obstacles, GOAL_SEARCH,
-                                  waypoint)
-        except NoFeasibleGoal as exc:
-            return False, str(exc)
+        goal = find_goal_pose(self.grid, waypoint, obstacles, GOAL_SEARCH, waypoint)
         start_cell = self.grid.ensure_contains(*self.world.base_pose.position[:2])
         goal_cell = self.grid.ensure_contains(*goal.position[:2])
-        try:
-            cells = plan_path(self.grid, start_cell, goal_cell,
-                              inflation=GOAL_SEARCH.robot_inflation)
-        except NoPath as exc:
-            return False, str(exc)
+        cells = plan_path(self.grid, start_cell, goal_cell,
+                          inflation=GOAL_SEARCH.robot_inflation)
         points = [self.grid.cell_center(cx, cy) for cx, cy in cells]
         points.append(goal.position[:2])
-        ok = self._follow_path(points, goal.position[:2], deadline)
-        return ok, "" if ok else "navigation timeout"
+        self._follow_path(points, goal.position[:2], deadline)
 
-    def _move_ee_to(self, target: Pose, deadline: float,
-                    pos_tol: float = 0.01) -> bool:
+    def _move_ee_to(self, target: Pose, deadline: float, failure: str,
+                    pos_tol: float = 0.01) -> None:
+        """Track `target` until within tolerance; `failure` is the message
+        raised at the deadline."""
         while self.world.t < deadline:
             self.tick(LocomotionCommand(0, 0, 0), target)
             close = (norm(self.world.ee_pose.position - target.position) <= pos_tol
                      and quat_geodesic_distance(self.world.ee_pose.orientation,
                                                 target.orientation) <= 0.02)
             if close:
-                return True
-        return False
+                return
+        raise ActionFailed(failure)
 
     def _ground_target(self, obj: SceneObject) -> Pose:
         """Run the grounding pipeline against a synthetic wrist camera view."""
@@ -409,59 +404,53 @@ class EpisodeRunner:
 
     # -- atomic actions --------------------------------------------------
 
-    def _do_pick(self, action: AtomicAction) -> tuple[bool, str]:
+    def _do_pick(self, action: AtomicAction) -> None:
         deadline = min(self.world.t + MANIP_TIMEOUT, self.scenario.horizon)
         obj = self.target_of[action.target_instance]
         try:
             target_base = self._ground_target(obj)
         except LocomanError as exc:
-            return False, f"grounding failed: {exc}"
+            raise ActionFailed(f"grounding failed: {exc}") from exc
         target_world = self.world.base_pose.compose(target_base)
         approach = quat_to_matrix(target_world.orientation)[:, 2]
         pre_contact = Pose(target_world.position - PRE_CONTACT_OFFSET * approach,
                            target_world.orientation)
-        if not self._move_ee_to(pre_contact, deadline):
-            return False, "pre-contact alignment timeout"
-        if not self._move_ee_to(target_world, deadline):
-            return False, "approach timeout"
+        self._move_ee_to(pre_contact, deadline, "pre-contact alignment timeout")
+        self._move_ee_to(target_world, deadline, "approach timeout")
         true_attach = obj.attach_point(self.world.object_poses[obj.id].position)
         pos_err = norm(self.world.ee_pose.position - true_attach)
         ori_err = quat_geodesic_distance(self.world.ee_pose.orientation,
                                          target_world.orientation)
         if pos_err > ATTACH_TOLERANCE or ori_err > ORI_TOLERANCE:
-            return False, f"grasp missed: pos_err={pos_err:.3f} ori_err={ori_err:.3f}"
+            raise ActionFailed(f"grasp missed: pos_err={pos_err:.3f} ori_err={ori_err:.3f}")
         rel = self.world.ee_pose.inverse().compose(self.world.object_poses[obj.id])
         self.world.attachments[obj.id] = ("ee", rel)
         self.tick(LocomotionCommand(0, 0, 0), self.world.ee_pose)
-        return True, ""
 
-    def _do_place(self, action: AtomicAction) -> tuple[bool, str]:
+    def _do_place(self, action: AtomicAction) -> None:
         deadline = min(self.world.t + MANIP_TIMEOUT, self.scenario.horizon)
         carried = [oid for oid, (carrier, _) in self.world.attachments.items()
                    if carrier == "ee"]
         if not carried:
-            return False, "nothing attached to place"
+            raise ActionFailed("nothing attached to place")
         container = self.target_of[action.target_instance]
         offset = (container.container_offset if container.container_offset is not None
                   else vec3(0.0, 0.0, container.size[2] / 2.0 + 0.05))
         drop_point = self.world.object_poses[container.id].position + offset
         hover = Pose(drop_point + vec3(0, 0, 0.15), self.world.ee_pose.orientation)
-        if not self._move_ee_to(hover, deadline, pos_tol=0.02):
-            return False, "hover timeout"
+        self._move_ee_to(hover, deadline, "hover timeout", pos_tol=0.02)
         for oid in carried:
             del self.world.attachments[oid]
             pose = self.world.object_poses[oid]
             self.world.object_poses[oid] = Pose(drop_point.copy(), pose.orientation)
         self.tick(LocomotionCommand(0, 0, 0), None)
-        return True, ""
 
-    def _do_push_pull(self, action: AtomicAction) -> tuple[bool, str]:
+    def _do_push_pull(self, action: AtomicAction) -> None:
         deadline = min(self.world.t + MANIP_TIMEOUT, self.scenario.horizon)
         obj = self.target_of[action.target_instance]
         handle = obj.attach_point(self.world.object_poses[obj.id].position)
         grasp = Pose(handle, self.world.ee_pose.orientation)
-        if not self._move_ee_to(grasp, deadline, pos_tol=0.02):
-            return False, "handle approach timeout"
+        self._move_ee_to(grasp, deadline, "handle approach timeout", pos_tol=0.02)
         goal, lo, hi = obj.joint.goal, obj.joint.min, obj.joint.max
         rate = 0.4  # joint units per second
         while self.world.t < deadline:
@@ -470,56 +459,50 @@ class EpisodeRunner:
             self.world.joint_values[obj.id] = float(min(max(value + delta, lo), hi))
             self.tick(LocomotionCommand(0, 0, 0), grasp)
             if abs(self.world.joint_values[obj.id] - goal) < 1e-9:
-                return True, ""
-        return False, "articulation timeout"
+                return
+        raise ActionFailed("articulation timeout")
 
-    def _do_drag(self, action: AtomicAction) -> tuple[bool, str]:
+    def _do_drag(self, action: AtomicAction) -> None:
         obj = (self.target_of[action.target_instance]
                if action.target_instance is not None  # else the first draggable object
                else next(o for o in self.scenario.objects if o.type == "draggable"))
         obj_pos = self.world.object_poses[obj.id].position
-        ok, why = self._navigate_to(obj_pos)
-        if not ok:
-            return False, f"approach failed: {why}"
+        try:
+            self._navigate_to(obj_pos)
+        except LocomanError as exc:
+            raise ActionFailed(f"approach failed: {exc}") from exc
         rel = self.world.base_pose.inverse().compose(self.world.object_poses[obj.id])
         self.world.attachments[obj.id] = ("base", rel)
-        ok, why = self._navigate_to(action.waypoint)
-        del self.world.attachments[obj.id]
-        if not ok:
-            return False, f"drag transit failed: {why}"
-        return True, ""
+        try:
+            self._navigate_to(action.waypoint)
+        except LocomanError as exc:
+            raise ActionFailed(f"drag transit failed: {exc}") from exc
+        finally:
+            del self.world.attachments[obj.id]
 
     def execute_action(self, index: int, action: AtomicAction) -> ActionOutcome:
+        """Run one action to its end. The message of the `LocomanError` that
+        stops it is the outcome's detail; the episode goes on to the next."""
         self._action_index = index
+        do = {ActionKind.NAVIGATE: lambda a: self._navigate_to(a.waypoint),
+              ActionKind.PICK: self._do_pick,
+              ActionKind.PLACE: self._do_place,
+              ActionKind.PUSH_PULL: self._do_push_pull,
+              ActionKind.DRAG: self._do_drag}[action.kind]
         try:
-            if action.kind is ActionKind.NAVIGATE:
-                ok, detail = self._navigate_to(action.waypoint)
-            elif action.kind is ActionKind.PICK:
-                ok, detail = self._do_pick(action)
-            elif action.kind is ActionKind.PLACE:
-                ok, detail = self._do_place(action)
-            elif action.kind is ActionKind.PUSH_PULL:
-                ok, detail = self._do_push_pull(action)
-            else:
-                ok, detail = self._do_drag(action)
+            if self.world.t >= self.scenario.horizon:
+                raise ActionFailed("horizon exhausted")
+            do(action)
         except LocomanError as exc:
-            # oracle/geometry failures are recorded, never abort the episode
-            ok, detail = False, f"{type(exc).__name__}: {exc}"
-        return ActionOutcome(index=index, kind=action.kind.value, success=ok,
-                             detail=detail)
+            return ActionOutcome(index, action.kind.value, False, str(exc))
+        return ActionOutcome(index, action.kind.value, True)
 
     # -- episode ---------------------------------------------------------
 
     def run(self) -> EpisodeResult:
-        plan = self.build_plan()
-        for i, action in enumerate(plan.actions):
-            if self.world.t >= self.scenario.horizon:
-                self.outcomes.append(ActionOutcome(i, action.kind.value, False,
-                                                   "horizon exhausted"))
-                continue
-            self.outcomes.append(self.execute_action(i, action))
-        return EpisodeResult(trace=self.trace, outcomes=self.outcomes,
-                             metrics=self._metrics())
+        outcomes = [self.execute_action(i, action)
+                    for i, action in enumerate(self.build_plan().actions)]
+        return EpisodeResult(trace=self.trace, outcomes=outcomes, metrics=self._metrics())
 
     def _metrics(self) -> MetricsReport:
         per_action, overall = report(self.scenario.plan, self.latched)

@@ -179,7 +179,7 @@ class Scenario:
 
 def scenario_from_dict(data, where: str = "scenario") -> Scenario:
     """`from_dict`, then the checks that span records and the SCENE_BOUND on
-    every scene point and waypoint; raises at the first fault."""
+    every scene point, drop point and waypoint; raises at the first fault."""
     scenario = from_dict(Scenario, data, where)
     plan = list(enumerate(scenario.plan))
     monitors = [(f"plan[{i}].monitors[{j}]", m)
@@ -211,6 +211,10 @@ def scenario_from_dict(data, where: str = "scenario") -> Scenario:
     points += [(f"plan[{i}].waypoint", step.waypoint) for i, step in plan
                if step.waypoint is not None]
     faults += [(loc, fault) for loc, p in points if (fault := bound_fault(p))]
+    # `place` drops onto a container at its position plus `container_offset`
+    faults += [(f"objects[{i}].container_offset", f"position + container_offset: {fault}")
+               for i, obj in enumerate(scenario.objects) if obj.container_offset is not None
+               and (fault := bound_fault(obj.position + obj.container_offset))]
     if faults:
         raise ValidationError("{}.{}: {}".format(where, *faults[0]))
     return scenario

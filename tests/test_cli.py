@@ -368,6 +368,9 @@ MALFORMED_SCENARIOS = [
                  "plan[0].waypoint", id="waypoint_past_bound"),
     pytest.param(lambda d: d["plan"][4].update(waypoint=[-1.5, -100.5, 0.0]),
                  "plan[4].waypoint", id="drag_waypoint_past_bound"),
+    # the cart sits at x = 2.0, so its drop point lands at x = 100.5
+    pytest.param(lambda d: d["objects"][1].update(container_offset=[98.5, 0.0, 0.3]),
+                 "objects[1].container_offset", id="container_offset_past_bound"),
     # `run` writes episodes to <out>/<name>/, so a name is one plain path
     # component that no run file takes
     *[pytest.param(lambda d, n=name: d.update(name=n), "name", id=f"name_{case}")

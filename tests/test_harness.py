@@ -1,3 +1,4 @@
+import ast
 import csv
 import re
 import tempfile
@@ -9,6 +10,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from locoman import harness
 from locoman.cli import _load_runnable
 from locoman.config import Config, TrackingConfig, to_dict
 from locoman.errors import LocomanError, ParseError, ValidationError
@@ -544,3 +546,115 @@ def test_ground_target_in_steep_look_at_band():
     grounded = runner.world.base_pose.compose(runner._ground_target(obj))
     # the depth image is float32: a 0.6 m depth rounds by up to 0.6 * 2**-24 m
     assert np.abs(grounded.position - true_attach).max() <= 1e-7
+
+
+def _bundled(name, **overrides):
+    data = yaml.safe_load((SCENARIO_DIR / f"{name}.yaml").read_text())
+    data.update(overrides)
+    return data
+
+
+# 0.2 m walls sealing off x 3..7 m, y -2..2 m
+SEALED_ROOM = [{"min": [3.0, -2.0, 0.0], "max": [3.2, 2.0, 1.0]},
+               {"min": [6.8, -2.0, 0.0], "max": [7.0, 2.0, 1.0]},
+               {"min": [3.0, -2.0, 0.0], "max": [7.0, -1.8, 1.0]},
+               {"min": [3.0, 1.8, 0.0], "max": [7.0, 2.0, 1.0]}]
+
+
+def _navigate(waypoint):
+    return [{"kind": "navigate", "description": "walk", "waypoint": waypoint}]
+
+
+# Every failure detail an action records, as (scenario, plan step, exact
+# detail) under master_seed 0. A horizon cut sits inside the band of horizons
+# (scanned in 0.02 s or 0.05 s steps) that records the detail.
+FAILURE_DETAILS = [
+    # band 0.02-0.62 s
+    pytest.param(_bundled("missed_grasp", horizon=0.3), 0,
+                 "pre-contact alignment timeout", id="pre_contact_timeout"),
+    # band 0.64-0.92 s
+    pytest.param(_bundled("missed_grasp", horizon=0.8), 0,
+                 "approach timeout", id="approach_timeout"),
+    # band 0.96-1.40 s
+    pytest.param(_bundled("missed_grasp", horizon=1.2), 1,
+                 "handle approach timeout", id="handle_approach_timeout"),
+    # band 7.10-7.65 s
+    pytest.param(_bundled("cart_delivery", horizon=7.4), 3,
+                 "hover timeout", id="hover_timeout"),
+    # band 7.75-12.55 s
+    pytest.param(_bundled("cart_delivery", horizon=10.0), 4,
+                 "drag transit failed: navigation timeout", id="drag_transit_timeout"),
+    # band 1.20-4.64 s
+    pytest.param(_bundled("drawer_and_crate", horizon=3.0), 1,
+                 "approach failed: navigation timeout", id="drag_approach_timeout"),
+    pytest.param(minimal_scenario_dict(
+        static_obstacles=[{"min": [-1.0, 2.0, 0.0], "max": [5.0, 8.0, 1.0]}],
+        plan=_navigate([2.0, 5.0, 0.0])), 0,
+        "no collision-free goal within 2.0 m of (2.00, 5.00)", id="no_feasible_goal"),
+    pytest.param(minimal_scenario_dict(
+        static_obstacles=SEALED_ROOM, plan=_navigate([5.0, 0.0, 0.0])), 0,
+        "goal (81, 96) unreachable from (32, 96)", id="no_path"),
+    pytest.param(minimal_scenario_dict(
+        static_obstacles=SEALED_ROOM,
+        objects=[{"id": "crate", "type": "draggable", "position": [5.0, 0.0, 0.2],
+                  "size": [0.4, 0.4, 0.4]}],
+        plan=[{"kind": "drag", "description": "haul the crate out", "target": "crate",
+               "waypoint": [0.0, -3.0, 0.0]}]), 0,
+        "approach failed: goal (89, 96) unreachable from (32, 96)", id="drag_approach_no_path"),
+]
+
+# failure details that other tests pin, each up to where its test stops reading
+PINNED_ELSEWHERE = [
+    "grasp missed: pos_err=0.12",  # test_cli TestGoldenDigest, missed_grasp
+    "grounding failed: detected contact point behind the wrist camera",
+    "nothing attached to place", "articulation timeout", "navigation timeout",
+    "horizon exhausted",
+]
+
+
+@pytest.mark.parametrize("data, index, detail", FAILURE_DETAILS)
+def test_failure_detail(data, index, detail):
+    outcome = run_episode(scenario_from_dict(data), master_seed=0).outcomes[index]
+    assert (outcome.success, outcome.detail) == (False, detail)
+
+
+def _leading_text(node) -> str:
+    """The constant text a message expression starts with: all of a string
+    literal, the literal head of an f-string, else ''."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    head = ""
+    for part in node.values if isinstance(node, ast.JoinedStr) else ():
+        if not isinstance(part, ast.Constant):
+            break
+        head += part.value
+    return head
+
+
+def failure_prefixes() -> list[str]:
+    """The leading text of every failure message `harness` raises: each
+    `ActionFailed(...)` message, and each `failure` text a caller hands
+    `_move_ee_to`, which raises it as given."""
+    tree = ast.parse(Path(harness.__file__).read_text())
+    messages = []
+    for call in ast.walk(tree):
+        if not isinstance(call, ast.Call):
+            continue
+        name = getattr(call.func, "id", getattr(call.func, "attr", None))
+        if name == "ActionFailed":
+            messages += call.args[:1]
+        elif name == "_move_ee_to":
+            messages += call.args[2:3] + [k.value for k in call.keywords
+                                          if k.arg == "failure"]
+    return [_leading_text(m) for m in messages
+            if not (isinstance(m, ast.Name) and m.id == "failure")]
+
+
+def test_every_failure_message_has_a_test():
+    """A new failure branch needs a row in FAILURE_DETAILS (or a test that
+    pins it, listed in PINNED_ELSEWHERE)."""
+    known = [p.values[2] for p in FAILURE_DETAILS] + PINNED_ELSEWHERE
+    prefixes = failure_prefixes()
+    assert len(prefixes) >= 10
+    assert [p for p in prefixes
+            if not p or not any(detail.startswith(p) for detail in known)] == []
