@@ -56,21 +56,21 @@ class WorldState:
     base_pose: Pose
     base_vel: np.ndarray              # (vx, vy) base frame + (omega,)
     ee_pose: Pose
-    attachments: dict = field(default_factory=dict)  # obj id -> (carrier, rel Pose)
-    object_poses: dict = field(default_factory=dict)
+    attachments: dict = field(default_factory=dict)  # obj id -> (carrier, point in its frame)
+    object_positions: dict[str, np.ndarray] = field(default_factory=dict)
     joint_values: dict = field(default_factory=dict)
 
 
 def make_world(scenario: Scenario) -> WorldState:
     x, y = scenario.robot_start.position[:2]
     base = Pose.from_xy_yaw(x, y, scenario.robot_start.yaw,
-                            z=scenario.height_at(x, y) + BASE_STAND_HEIGHT)
+                            z=scenario.terrain_height + BASE_STAND_HEIGHT)
     ee = Pose(base.transform(vec3(0.3, 0.0, 0.2)), base.orientation)
-    object_poses = {obj.id: obj.pose() for obj in scenario.objects}
+    object_positions = {obj.id: obj.position.copy() for obj in scenario.objects}
     joint_values = {obj.id: obj.joint.value
                     for obj in scenario.objects if obj.joint is not None}
     return WorldState(t=0.0, base_pose=base, base_vel=np.zeros(3), ee_pose=ee,
-                      object_poses=object_poses, joint_values=joint_values)
+                      object_positions=object_positions, joint_values=joint_values)
 
 
 def step(world: WorldState, base_cmd: LocomotionCommand,
@@ -96,8 +96,8 @@ def step(world: WorldState, base_cmd: LocomotionCommand,
         # terrain contact halts base motion for this tick
         world.base_vel = np.zeros(3)
     else:
-        nz = scenario.height_at(nx, ny) + BASE_STAND_HEIGHT
-        world.base_pose = Pose.from_xy_yaw(nx, ny, new_yaw, z=nz)
+        world.base_pose = Pose.from_xy_yaw(nx, ny, new_yaw,
+                                           z=scenario.terrain_height + BASE_STAND_HEIGHT)
 
     if ee_cmd is not None:
         decay = float(np.exp(-tracking.ee_rate * dt))
@@ -113,7 +113,7 @@ def step(world: WorldState, base_cmd: LocomotionCommand,
 
     for oid, (carrier, rel) in world.attachments.items():
         anchor = world.ee_pose if carrier == "ee" else world.base_pose
-        world.object_poses[oid] = anchor.compose(rel)
+        world.object_positions[oid] = anchor.transform(rel)
 
     world.t += dt
 
@@ -344,7 +344,7 @@ class EpisodeRunner:
         for obj in self.scenario.objects:
             if obj.id in self.world.attachments:
                 continue
-            obstacles.append(obj.bbox(self.world.object_poses[obj.id].position))
+            obstacles.append(obj.bbox(self.world.object_positions[obj.id]))
         goal = find_goal_pose(self.grid, waypoint, obstacles, GOAL_SEARCH, waypoint)
         start_cell = self.grid.ensure_contains(*self.world.base_pose.position[:2])
         goal_cell = self.grid.ensure_contains(*goal.position[:2])
@@ -370,7 +370,7 @@ class EpisodeRunner:
     def _ground_target(self, obj: SceneObject) -> Pose:
         """Run the grounding pipeline against a synthetic wrist camera view."""
         fixture = self.scenario.plan[self._action_index].grounding or GroundingFixture()
-        true_attach = obj.attach_point(self.world.object_poses[obj.id].position)
+        true_attach = obj.attach_point(self.world.object_positions[obj.id])
         detected = true_attach + fixture.offset
 
         # camera looks at the true attach point from 0.6 m toward the robot
@@ -417,13 +417,13 @@ class EpisodeRunner:
                            target_world.orientation)
         self._move_ee_to(pre_contact, deadline, "pre-contact alignment timeout")
         self._move_ee_to(target_world, deadline, "approach timeout")
-        true_attach = obj.attach_point(self.world.object_poses[obj.id].position)
+        true_attach = obj.attach_point(self.world.object_positions[obj.id])
         pos_err = norm(self.world.ee_pose.position - true_attach)
         ori_err = quat_geodesic_distance(self.world.ee_pose.orientation,
                                          target_world.orientation)
         if pos_err > ATTACH_TOLERANCE or ori_err > ORI_TOLERANCE:
             raise ActionFailed(f"grasp missed: pos_err={pos_err:.3f} ori_err={ori_err:.3f}")
-        rel = self.world.ee_pose.inverse().compose(self.world.object_poses[obj.id])
+        rel = self.world.ee_pose.inverse().transform(self.world.object_positions[obj.id])
         self.world.attachments[obj.id] = ("ee", rel)
         self.tick(LocomotionCommand(0, 0, 0), self.world.ee_pose)
 
@@ -436,19 +436,18 @@ class EpisodeRunner:
         container = self.target_of[action.target_instance]
         offset = (container.container_offset if container.container_offset is not None
                   else vec3(0.0, 0.0, container.size[2] / 2.0 + 0.05))
-        drop_point = self.world.object_poses[container.id].position + offset
+        drop_point = self.world.object_positions[container.id] + offset
         hover = Pose(drop_point + vec3(0, 0, 0.15), self.world.ee_pose.orientation)
         self._move_ee_to(hover, deadline, "hover timeout", pos_tol=0.02)
         for oid in carried:
             del self.world.attachments[oid]
-            pose = self.world.object_poses[oid]
-            self.world.object_poses[oid] = Pose(drop_point.copy(), pose.orientation)
+            self.world.object_positions[oid] = drop_point.copy()
         self.tick(LocomotionCommand(0, 0, 0), None)
 
     def _do_push_pull(self, action: AtomicAction) -> None:
         deadline = min(self.world.t + MANIP_TIMEOUT, self.scenario.horizon)
         obj = self.target_of[action.target_instance]
-        handle = obj.attach_point(self.world.object_poses[obj.id].position)
+        handle = obj.attach_point(self.world.object_positions[obj.id])
         grasp = Pose(handle, self.world.ee_pose.orientation)
         self._move_ee_to(grasp, deadline, "handle approach timeout", pos_tol=0.02)
         goal, lo, hi = obj.joint.goal, obj.joint.min, obj.joint.max
@@ -466,12 +465,11 @@ class EpisodeRunner:
         obj = (self.target_of[action.target_instance]
                if action.target_instance is not None  # else the first draggable object
                else next(o for o in self.scenario.objects if o.type == "draggable"))
-        obj_pos = self.world.object_poses[obj.id].position
         try:
-            self._navigate_to(obj_pos)
+            self._navigate_to(self.world.object_positions[obj.id])
         except LocomanError as exc:
             raise ActionFailed(f"approach failed: {exc}") from exc
-        rel = self.world.base_pose.inverse().compose(self.world.object_poses[obj.id])
+        rel = self.world.base_pose.inverse().transform(self.world.object_positions[obj.id])
         self.world.attachments[obj.id] = ("base", rel)
         try:
             self._navigate_to(action.waypoint)

@@ -186,10 +186,10 @@ class SubtaskMonitor:
 
 
 def _object_position(world, oid: str) -> np.ndarray:
-    pose = world.object_poses.get(oid)
-    if pose is None:
+    position = world.object_positions.get(oid)
+    if position is None:
         raise UnknownObject(f"no object {oid!r} in world state")
-    return pose.position
+    return position
 
 
 def condition_holds(m: SubtaskMonitor, world) -> bool:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import from_dict, read_file
 from .errors import ParseError, ValidationError
-from .geometry import Pose, norm
+from .geometry import norm
 from .planning import (STEP_READS, ActionKind, ConditionKind, SubtaskMonitor, bound_fault,
                        reads_fault)
 
@@ -71,7 +71,6 @@ class SceneObject:
     position: np.ndarray
     type: str = "rigid"
     label: Optional[str] = None  # defaults to the id
-    yaw: float = 0.0
     size: np.ndarray = field(default_factory=lambda: np.array([0.1, 0.1, 0.1]))
     attach_offset: np.ndarray = field(default_factory=lambda: np.zeros(3))
     dominant_axis: Optional[np.ndarray] = None
@@ -92,10 +91,6 @@ class SceneObject:
         if self.label is None:
             object.__setattr__(self, "label", self.id)
         _nonzero_axes(self)
-
-    def pose(self) -> Pose:
-        return Pose.from_xy_yaw(self.position[0], self.position[1], self.yaw,
-                                z=self.position[2])
 
     def bbox(self, position: Optional[np.ndarray] = None):
         p = self.position if position is None else position
@@ -172,9 +167,6 @@ class Scenario:
             raise ValueError("horizon", "must be > 0")
         if self.seed < 0:
             raise ValueError("seed", "must be >= 0")
-
-    def height_at(self, x: float, y: float) -> float:
-        return self.terrain_height
 
 
 def scenario_from_dict(data, where: str = "scenario") -> Scenario:

@@ -337,6 +337,9 @@ MALFORMED_SCENARIOS = [
     pytest.param(lambda d: d.update(speed=3), "speed", id="unknown_top_level_key"),
     pytest.param(lambda d: d["objects"][0].update(colour="red"), "objects[0].colour",
                  id="unknown_object_key"),
+    # an object is a point with an axis-aligned box: no orientation to set
+    pytest.param(lambda d: d["objects"][0].update(yaw=0.5), "objects[0].yaw",
+                 id="object_yaw"),
     pytest.param(lambda d: d["static_obstacles"][0].update(max=[0.7, -0.9, 0.5]),
                  "static_obstacles[0].max", id="box_inverted"),
     pytest.param(lambda d: d["plan"][0].update(grounding={"offset": [0.5, 0.0, 0.0]}),
@@ -433,7 +436,8 @@ class TestValidate:
         self._rejected_by_both(tmp_path, edit, "plan[0].monitors[0].kind")
 
     # a key nothing reads is rejected, not ignored: the old layout's top-level
-    # `monitors` and `grounding`, and a plan step field its kind never reads
+    # `monitors` and `grounding`, an object's `yaw`, and a plan step field its
+    # kind never reads
     @pytest.mark.parametrize("edit, message", [
         pytest.param(lambda d: d.update(monitors=[{
             "name": "reach_apple", "kind": "robot_near", "step": 0,
@@ -441,6 +445,8 @@ class TestValidate:
                      "monitors: unknown key", id="top_level_monitors"),
         pytest.param(lambda d: d.update(grounding={"1": {"offset": [0.0, 0.0, 0.0]}}),
                      "grounding: unknown key", id="top_level_grounding"),
+        pytest.param(lambda d: d["objects"][0].update(yaw=0.5),
+                     "objects[0].yaw: unknown key", id="object_yaw"),
         pytest.param(lambda d: d["plan"][0].update(target="cart"),
                      "plan[0].target: navigate never reads it", id="navigate_with_target"),
         pytest.param(lambda d: d["plan"][1].update(waypoint=[2.0, 0.0, 0.1]),

@@ -1,5 +1,6 @@
 import ast
 import csv
+import hashlib
 import re
 import tempfile
 from pathlib import Path
@@ -19,7 +20,7 @@ from locoman.harness import (BASE_STAND_HEIGHT, TRACE_COLUMNS, EpisodeRunner,
                              aggregate, build_instance_graph, build_occupancy_grid,
                              make_world, run_episode, stage1_terms, step,
                              write_report, write_trace_csv)
-from locoman.navgrid import FREE, OCCUPIED, OccupancyGrid
+from locoman.navgrid import FREE, OCCUPIED, OccupancyGrid, footprint_clear
 from locoman.rewards import ContactTimeline
 from locoman.sampling import LocomotionCommand, make_rng
 from locoman.scenario import load_scenario, scenario_from_dict
@@ -253,15 +254,15 @@ class TestWorldStep:
     def test_attachment_follows_carrier(self):
         s = self._scenario()
         w = make_world(s)
-        rel = w.ee_pose.inverse().compose(w.object_poses["marker"])
+        rel = w.ee_pose.inverse().transform(w.object_positions["marker"])
         w.attachments["marker"] = ("ee", rel)
         target = Pose(vec3(0.5, 0.5, 0.9))
         for _ in range(200):
             step(w, LocomotionCommand(0, 0, 0), target, 0.02,
                  TrackingConfig(), make_rng(0), s)
-        carried = w.object_poses["marker"]
-        expected = w.ee_pose.compose(rel)
-        assert np.allclose(carried.position, expected.position, atol=1e-9)
+        carried = w.object_positions["marker"]
+        expected = w.ee_pose.transform(rel)
+        assert np.allclose(carried, expected, atol=1e-9)
 
     @staticmethod
     def _drive_forward(s, grid, ticks=500):
@@ -405,6 +406,66 @@ class TestEpisode:
         for (i, j), t in runner.latched.items():
             m = runner.scenario.plan[i].monitors[j]
             assert (t, i) in ticks, f"{m.name} latched at t={t}, outside step {i}"
+
+    # every final object position, the attached ids, and a digest of every
+    # object position after every tick
+    @pytest.mark.parametrize("name, tracking, final, attached, digest", [
+        ("cart_delivery", "noise_free",
+         {"apple": [2.0, 2.0, 0.55], "cart": [-2.0862903711358016, 2.2173000554969007, 0.25]},
+         [], "85963bc29f1a8775db5a529c74fa7cd39f4100b5fcb03a76392d287bd1dbc42f"),
+        ("cart_delivery", "noisy",
+         {"apple": [2.0, 2.0, 0.55], "cart": [-2.0151576473350366, 2.1401762825784862, 0.25]},
+         [], "fddf087c903062318791e0a4fd19cc8a2b79a70aeaa9dbca4c167b794e7a2ce0"),
+        ("drawer_and_crate", "noise_free",
+         {"drawer": [1.0, 0.0, 0.4],
+          "crate": [-0.9010267401080245, 1.413942204692904, 0.19999999999999993]},
+         [], "3594afeebf5e570193b598706639d9396b69ae9a6b2cbc1a82ef1ce59d2bb31e"),
+        ("drawer_and_crate", "noisy",
+         {"drawer": [1.0, 0.0, 0.4],
+          "crate": [-0.907042324860521, 1.3933684715672279, 0.20000000000000007]},
+         [], "e7c3132dbf9649d2e6017e7c9d0a5bbd3da3b8299378c2ec1d404a1c09ff989b"),
+        ("missed_grasp", "noise_free", {"apple": [0.6, 0.0, 0.1], "drawer": [0.6, -0.6, 0.4]},
+         [], "d4cde60f1e8422e7b99526e78e7ddfbe08e402d3f5e3336c5e826a038c51c25b"),
+        ("missed_grasp", "noisy", {"apple": [0.6, 0.0, 0.1], "drawer": [0.6, -0.6, 0.4]},
+         [], "d4cde60f1e8422e7b99526e78e7ddfbe08e402d3f5e3336c5e826a038c51c25b"),
+    ])
+    def test_object_positions_pinned(self, name, tracking, final, attached, digest):
+        tracking = {"noise_free": TrackingConfig(),
+                    "noisy": TrackingConfig(tau_base=0.1, noise_pos=0.002,
+                                            noise_ori=0.01)}[tracking]
+        runner = EpisodeRunner(load_scenario(SCENARIO_DIR / f"{name}.yaml"),
+                               master_seed=0, config=Config(tracking=tracking))
+        positions = runner.world.object_positions
+        hashed, tick = hashlib.sha256(), runner.tick
+
+        def recording_tick(*args):
+            tick(*args)
+            hashed.update(repr({oid: p.tolist() for oid, p in positions.items()}).encode())
+
+        runner.tick = recording_tick
+        runner.run()
+        # a float's repr round-trips, so list equality pins every repr
+        assert {oid: p.tolist() for oid, p in positions.items()} == final
+        assert sorted(runner.world.attachments) == attached
+        assert hashed.hexdigest() == digest
+
+    def test_collision_halt_inside_episode(self):
+        # the follower cuts the wall's lower corner into the footprint; the
+        # step refuses the move and zeroes the base velocity. Where the episode
+        # ends is not pinned: the robot stalls there (see ROADMAP item 2)
+        s = scenario_from_dict(minimal_scenario_dict(
+            objects=[], static_obstacles=[{"min": [1.0, 0.4, 0.0], "max": [1.4, 3.4, 1.0]}],
+            plan=_navigate([2.5, 1.0, 0.0])))
+        trace = run_episode(s, master_seed=0).trace
+        col = {name: i for i, name in enumerate(TRACE_COLUMNS)}
+        cmd = [col[c] for c in ("cmd_vx", "cmd_vy", "cmd_w")]
+        act = [col[c] for c in ("act_vx", "act_vy", "act_w")]
+        # with tau_base 0 the base velocity is the command, unless halted
+        assert any(any(row[i] != 0.0 for i in cmd) and all(row[i] == 0.0 for i in act)
+                   for row in trace)
+        grid = build_occupancy_grid(s)
+        assert all(footprint_clear(grid, row[col["base_x"]], row[col["base_y"]], 0.30)
+                   for row in trace)
 
     def test_aggregate_pools_counts(self):
         s = scenario_from_dict(minimal_scenario_dict())

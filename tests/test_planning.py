@@ -25,7 +25,7 @@ def _graph_with_nodes(n):
 class FakeWorld:
     def __init__(self):
         self.base_pose = Pose(vec3(0, 0, 0.35))
-        self.object_poses = {}
+        self.object_positions = {}
         self.attachments = {}
         self.joint_values = {}
 
@@ -182,15 +182,15 @@ class TestConditions:
 
     def test_object_near(self):
         w = FakeWorld()
-        w.object_poses["cup"] = Pose(vec3(2.0, 0, 0))
+        w.object_positions["cup"] = vec3(2.0, 0, 0)
         cond = _cond(ConditionKind.OBJECT_NEAR, object="cup",
                      point=(2.1, 0.0, 0.0), threshold=0.2)
         assert condition_holds(cond, w)
 
     def test_relative_pose_is_3d(self):
         w = FakeWorld()
-        w.object_poses["a"] = Pose(vec3(0, 0, 0))
-        w.object_poses["b"] = Pose(vec3(0, 0, 0.5))
+        w.object_positions["a"] = vec3(0, 0, 0)
+        w.object_positions["b"] = vec3(0, 0, 0.5)
         cond = _cond(ConditionKind.RELATIVE_POSE, object="a", other="b",
                      threshold=0.4)
         assert not condition_holds(cond, w)  # xy coincide but z separates them
@@ -201,7 +201,7 @@ class TestConditions:
         det = _cond(ConditionKind.DETACHED, object="cup")
         assert not condition_holds(att, w)
         assert condition_holds(det, w)
-        w.attachments["cup"] = ("ee", Pose())
+        w.attachments["cup"] = ("ee", vec3(0, 0, 0))
         assert condition_holds(att, w)
         assert not condition_holds(det, w)
 
