@@ -12,7 +12,7 @@ from .geometry import (EulerAngles, Pose, SphericalTarget,
 from .grounding import CameraModel, DepthImage, GroundingResult, ground_action
 from .harness import EpisodeRunner, aggregate, run_episode
 from .navgrid import GoalSearchConfig, OccupancyGrid, find_goal_pose, plan_path
-from .planning import ActionKind, AtomicAction, ScriptedPlanner, TaskPlan
+from .planning import ActionKind, AtomicAction, ScriptedPlanner
 from .rewards import PdGains, RewardWeights, total_reward
 from .sampling import (CommandRanges, RandomizationConfig, make_rng,
                        sample_ee_target, sample_locomotion_command)

@@ -125,9 +125,9 @@ class InstanceGraph:
     def __init__(self, descriptor_dim: int, cfg: FusionConfig | None = None):
         self.d = int(descriptor_dim)
         self.cfg = cfg or FusionConfig()
-        # ids only increase and no node is removed: insertion order is id order
+        # no node is removed: a new node's id is the node count, and insertion
+        # order is id order
         self.nodes: dict[int, InstanceNode] = {}
-        self._next_id = 0
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -150,8 +150,7 @@ class InstanceGraph:
         return best.id
 
     def _add_node(self, det: Detection) -> int:
-        nid = self._next_id
-        self._next_id += 1
+        nid = len(self.nodes)
         desc = unit(det.descriptor)
         pts = voxel_downsample(det.points, self.cfg.downsample_voxel)
         self.nodes[nid] = InstanceNode(

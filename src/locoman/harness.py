@@ -28,10 +28,10 @@ from .grounding import (CameraModel, DepthImage, GroundingResult, ground_action,
 from .navgrid import (GoalSearchConfig, OccupancyGrid, OCCUPIED, find_goal_pose,
                       footprint_clear, plan_path)
 from .planning import (ActionKind, ActionReport, AtomicAction, ScriptedPlanner,
-                       TaskPlan, decompose, monitor_step, report)
+                       decompose, monitor_step, report)
 from .rewards import (ContactTimeline, r_freq, r_gait,
                       r_track_xy, r_track_yaw, total_reward)
-from .sampling import LocomotionCommand, episode_rng
+from .sampling import LocomotionCommand, episode_rng, make_rng
 from .scenario import GroundingFixture, Scenario, SceneObject
 from .scenario import load_scenario  # noqa: F401  callers use harness.load_scenario
 
@@ -58,6 +58,7 @@ class WorldState:
     ee_pose: Pose
     attachments: dict = field(default_factory=dict)  # obj id -> (carrier, point in its frame)
     object_positions: dict[str, np.ndarray] = field(default_factory=dict)
+    contents: dict = field(default_factory=dict)  # obj id -> (container id, offset)
     joint_values: dict = field(default_factory=dict)
 
 
@@ -114,6 +115,8 @@ def step(world: WorldState, base_cmd: LocomotionCommand,
     for oid, (carrier, rel) in world.attachments.items():
         anchor = world.ee_pose if carrier == "ee" else world.base_pose
         world.object_positions[oid] = anchor.transform(rel)
+    for oid, (container, offset) in world.contents.items():
+        world.object_positions[oid] = world.object_positions[container] + offset
 
     world.t += dt
 
@@ -135,9 +138,7 @@ class ScriptedGrounding:
 def _label_descriptor(label: str, dim: int = 16) -> np.ndarray:
     """Deterministic unit descriptor derived from the label text."""
     seed = int.from_bytes(hashlib.sha256(label.encode()).digest()[:8], "big")
-    g = np.random.Generator(np.random.PCG64(seed))
-    v = g.normal(size=dim)
-    return unit(v)
+    return unit(make_rng(seed).normal(size=dim))
 
 
 def build_instance_graph(scenario: Scenario,
@@ -260,14 +261,13 @@ class EpisodeRunner:
 
     # -- plan ------------------------------------------------------------
 
-    def build_plan(self) -> TaskPlan:
+    def build_plan(self) -> list[AtomicAction]:
         instruction = self.scenario.instruction
         actions = [AtomicAction(step.kind, step.description,
                                 None if step.target is None else self.node_of[step.target],
                                 step.waypoint)
                    for step in self.scenario.plan]
-        planner = ScriptedPlanner({instruction: TaskPlan(instruction, actions)})
-        return decompose(planner, instruction, self.graph)
+        return decompose(ScriptedPlanner({instruction: actions}), instruction, self.graph)
 
     # -- stepping --------------------------------------------------------
 
@@ -425,6 +425,7 @@ class EpisodeRunner:
             raise ActionFailed(f"grasp missed: pos_err={pos_err:.3f} ori_err={ori_err:.3f}")
         rel = self.world.ee_pose.inverse().transform(self.world.object_positions[obj.id])
         self.world.attachments[obj.id] = ("ee", rel)
+        self.world.contents.pop(obj.id, None)
         self.tick(LocomotionCommand(0, 0, 0), self.world.ee_pose)
 
     def _do_place(self, action: AtomicAction) -> None:
@@ -439,9 +440,9 @@ class EpisodeRunner:
         drop_point = self.world.object_positions[container.id] + offset
         hover = Pose(drop_point + vec3(0, 0, 0.15), self.world.ee_pose.orientation)
         self._move_ee_to(hover, deadline, "hover timeout", pos_tol=0.02)
-        for oid in carried:
+        for oid in carried:  # the next tick drops each at `drop_point`, then it rides along
             del self.world.attachments[oid]
-            self.world.object_positions[oid] = drop_point.copy()
+            self.world.contents[oid] = (container.id, offset)
         self.tick(LocomotionCommand(0, 0, 0), None)
 
     def _do_push_pull(self, action: AtomicAction) -> None:
@@ -499,7 +500,7 @@ class EpisodeRunner:
 
     def run(self) -> EpisodeResult:
         outcomes = [self.execute_action(i, action)
-                    for i, action in enumerate(self.build_plan().actions)]
+                    for i, action in enumerate(self.build_plan())]
         return EpisodeResult(trace=self.trace, outcomes=outcomes, metrics=self._metrics())
 
     def _metrics(self) -> MetricsReport:

@@ -42,32 +42,18 @@ class AtomicAction:
             self.waypoint = np.asarray(self.waypoint, dtype=float)
 
 
-@dataclass
-class TaskPlan:
-    instruction: str
-    actions: list[AtomicAction]
-
-
-@dataclass(frozen=True)
-class InvalidPlan:
-    action_index: int
-    reason: str
-
-    def __str__(self):
-        return f"action {self.action_index}: {self.reason}"
-
-
 class PlannerOracle(Protocol):
-    def plan(self, instruction: str, graph_summary: list[dict]) -> Optional[TaskPlan]: ...
+    def plan(self, instruction: str,
+             graph_summary: list[dict]) -> Optional[list[AtomicAction]]: ...
 
 
 class ScriptedPlanner:
-    """Planner oracle backed by a fixture mapping instructions to plans."""
+    """Planner oracle backed by a fixture mapping instructions to action lists."""
 
-    def __init__(self, fixtures: dict[str, TaskPlan]):
+    def __init__(self, fixtures: dict[str, list[AtomicAction]]):
         self.fixtures = fixtures
 
-    def plan(self, instruction: str, graph_summary: list[dict]) -> Optional[TaskPlan]:
+    def plan(self, instruction: str, graph_summary: list[dict]) -> Optional[list[AtomicAction]]:
         return self.fixtures.get(instruction)
 
 
@@ -110,35 +96,40 @@ def bound_fault(p: np.ndarray) -> Optional[str]:
     return f"|x| and |y| must be <= {SCENE_BOUND:g} m, got {p.tolist()}"
 
 
-def validate_plan(plan: TaskPlan, graph: InstanceGraph) -> Optional[InvalidPlan]:
-    """None when valid, else the first violation with its action index."""
-    if not plan.actions:
-        return InvalidPlan(0, "plan is empty")
-    for i, a in enumerate(plan.actions):
-        if not a.description.strip():
-            return InvalidPlan(i, "description: must be a non-empty string")
-        if fault := reads_fault(a.kind, *STEP_READS[a.kind],  # `target_instance` as `target`
-                                {"target": a.target_instance, "waypoint": a.waypoint}):
-            name = "target_instance" if fault[0] == "target" else fault[0]
-            return InvalidPlan(i, f"{name}: {fault[1]}")
-        if a.target_instance is not None and a.target_instance not in graph.nodes:
-            return InvalidPlan(i, f"unknown instance {a.target_instance}")
-        if a.waypoint is not None and not np.isfinite(a.waypoint).all():
-            return InvalidPlan(i, f"waypoint: must be finite, got {a.waypoint.tolist()}")
-        if a.waypoint is not None and (fault := bound_fault(a.waypoint)):
-            return InvalidPlan(i, f"waypoint: {fault}")
+def _action_fault(a: AtomicAction, graph: InstanceGraph) -> Optional[str]:
+    """Why one planner action is invalid, else None."""
+    if not a.description.strip():
+        return "description: must be a non-empty string"
+    if fault := reads_fault(a.kind, *STEP_READS[a.kind],  # `target_instance` as `target`
+                            {"target": a.target_instance, "waypoint": a.waypoint}):
+        return f"{'target_instance' if fault[0] == 'target' else fault[0]}: {fault[1]}"
+    if a.target_instance is not None and a.target_instance not in graph.nodes:
+        return f"unknown instance {a.target_instance}"
+    if a.waypoint is not None and not np.isfinite(a.waypoint).all():
+        return f"waypoint: must be finite, got {a.waypoint.tolist()}"
+    if a.waypoint is not None and (fault := bound_fault(a.waypoint)):
+        return f"waypoint: {fault}"
     return None
 
 
-def decompose(oracle: PlannerOracle, instruction: str, graph: InstanceGraph) -> TaskPlan:
+def validate_plan(actions: list[AtomicAction], graph: InstanceGraph) -> None:
+    """Raise OracleFailure at the first invalid action, naming its index."""
+    if not actions:
+        raise OracleFailure("invalid plan: action 0: plan is empty")
+    for i, a in enumerate(actions):
+        if fault := _action_fault(a, graph):
+            raise OracleFailure(f"invalid plan: action {i}: {fault}")
+
+
+def decompose(oracle: PlannerOracle, instruction: str,
+              graph: InstanceGraph) -> list[AtomicAction]:
     if not instruction.strip():
         raise OracleFailure("empty instruction")
-    plan = oracle.plan(instruction, graph.graph_summary())
-    if plan is None:
+    actions = oracle.plan(instruction, graph.graph_summary())
+    if actions is None:
         raise OracleFailure(f"planner produced no plan for {instruction!r}")
-    if problem := validate_plan(plan, graph):
-        raise OracleFailure(f"invalid plan: {problem}")
-    return plan
+    validate_plan(actions, graph)
+    return actions
 
 
 # ---------------------------------------------------------------------------

@@ -264,6 +264,29 @@ class TestWorldStep:
         expected = w.ee_pose.transform(rel)
         assert np.allclose(carried, expected, atol=1e-9)
 
+    def test_content_rides_with_its_container(self):
+        s = scenario_from_dict(minimal_scenario_dict(objects=[
+            {"id": "marker", "label": "marker", "type": "rigid",
+             "position": [1.5, 0.0, 0.05], "size": [0.05, 0.05, 0.05]},
+            {"id": "crate", "label": "crate", "type": "draggable",
+             "position": [0.6, 0.0, 0.2], "size": [0.4, 0.4, 0.4]}]))
+        w = make_world(s)
+        w.attachments["crate"] = ("base", w.base_pose.inverse().transform(vec3(0.6, 0.0, 0.2)))
+        offset = vec3(0.0, 0.0, 0.25)
+        w.contents["marker"] = ("crate", offset)
+        for _ in range(50):
+            step(w, LocomotionCommand(0.5, 0.0, 0.3), None, 0.02,
+                 TrackingConfig(), make_rng(0), s)
+            assert np.array_equal(w.object_positions["marker"],
+                                  w.object_positions["crate"] + offset)
+        left = w.object_positions["marker"].copy()
+        del w.contents["marker"]
+        for _ in range(50):
+            step(w, LocomotionCommand(0.5, 0.0, 0.3), None, 0.02,
+                 TrackingConfig(), make_rng(0), s)
+        assert np.array_equal(w.object_positions["marker"], left)
+        assert not np.allclose(w.object_positions["crate"][:2], left[:2])
+
     @staticmethod
     def _drive_forward(s, grid, ticks=500):
         """Command 1 m/s forward; returns the world and the first tick the
@@ -411,11 +434,13 @@ class TestEpisode:
     # object position after every tick
     @pytest.mark.parametrize("name, tracking, final, attached, digest", [
         ("cart_delivery", "noise_free",
-         {"apple": [2.0, 2.0, 0.55], "cart": [-2.0862903711358016, 2.2173000554969007, 0.25]},
-         [], "85963bc29f1a8775db5a529c74fa7cd39f4100b5fcb03a76392d287bd1dbc42f"),
+         {"apple": [-2.0862903711358016, 2.2173000554969007, 0.55],
+          "cart": [-2.0862903711358016, 2.2173000554969007, 0.25]},
+         [], "4e9368c1eb75afe50deb09e54592795d062a2b25519a648209fef4f76521d1a2"),
         ("cart_delivery", "noisy",
-         {"apple": [2.0, 2.0, 0.55], "cart": [-2.0151576473350366, 2.1401762825784862, 0.25]},
-         [], "fddf087c903062318791e0a4fd19cc8a2b79a70aeaa9dbca4c167b794e7a2ce0"),
+         {"apple": [-2.0151576473350366, 2.1401762825784862, 0.55],
+          "cart": [-2.0151576473350366, 2.1401762825784862, 0.25]},
+         [], "72ade04a28ed9cf41d6505071feccc494a7d5213f575eb67838a50f96aa82578"),
         ("drawer_and_crate", "noise_free",
          {"drawer": [1.0, 0.0, 0.4],
           "crate": [-0.9010267401080245, 1.413942204692904, 0.19999999999999993]},
@@ -448,6 +473,23 @@ class TestEpisode:
         assert {oid: p.tolist() for oid, p in positions.items()} == final
         assert sorted(runner.world.attachments) == attached
         assert hashed.hexdigest() == digest
+
+    def test_placed_object_rides_until_picked_again(self):
+        # pick the apple back out of the cart, then haul the cart away: the
+        # apple stays with the gripper, not with the cart
+        data = _bundled("cart_delivery")
+        pick, drag = data["plan"][1], data["plan"][4]
+        data["plan"] = data["plan"][:4] + [{**pick, "monitors": []}, {**drag, "monitors": []}]
+        runner = EpisodeRunner(scenario_from_dict(data), master_seed=0)
+        outcomes = runner.run().outcomes
+        w = runner.world
+        assert [o.success for o in outcomes] == [True] * 6
+        assert list(w.attachments) == ["apple"] and w.contents == {}
+        carrier, rel = w.attachments["apple"]
+        assert carrier == "ee"
+        assert np.array_equal(w.object_positions["apple"], w.ee_pose.transform(rel))
+        cart_load = w.object_positions["cart"] + vec3(0.0, 0.0, 0.30)  # its container_offset
+        assert not np.allclose(w.object_positions["apple"], cart_load, atol=0.1)
 
     def test_collision_halt_inside_episode(self):
         # the follower cuts the wall's lower corner into the footprint; the

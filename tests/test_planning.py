@@ -6,7 +6,7 @@ from locoman.fusion import Detection, InstanceGraph
 from locoman.geometry import Pose, vec3
 from locoman.harness import EpisodeRunner
 from locoman.planning import (ActionKind, AtomicAction, ConditionKind,
-                              ScriptedPlanner, SubtaskMonitor, TaskPlan,
+                              ScriptedPlanner, SubtaskMonitor,
                               condition_holds, decompose, monitor_step, report,
                               validate_plan)
 from locoman.scenario import PlanStep, scenario_from_dict
@@ -33,65 +33,67 @@ class FakeWorld:
 class TestValidatePlan:
     def test_valid_plan_passes(self):
         g = _graph_with_nodes(2)
-        plan = TaskPlan("do it", [
+        plan = [
             AtomicAction(ActionKind.NAVIGATE, "go", waypoint=[0, 0, 0]),
             AtomicAction(ActionKind.PICK, "pick", target_instance=0),
             AtomicAction(ActionKind.PLACE, "place", target_instance=1),
-        ])
+        ]
         assert validate_plan(plan, g) is None
 
     def test_empty_plan(self):
-        problem = validate_plan(TaskPlan("x", []), _graph_with_nodes(1))
-        assert problem is not None
-        assert "empty" in problem.reason
+        with pytest.raises(OracleFailure, match="^invalid plan: action 0: plan is empty$"):
+            validate_plan([], _graph_with_nodes(1))
 
     def test_navigate_needs_waypoint(self):
-        plan = TaskPlan("x", [AtomicAction(ActionKind.NAVIGATE, "go")])
-        problem = validate_plan(plan, _graph_with_nodes(1))
-        assert problem.action_index == 0
-        assert "waypoint" in problem.reason
+        plan = [AtomicAction(ActionKind.NAVIGATE, "go")]
+        with pytest.raises(OracleFailure,
+                           match="^invalid plan: action 0: waypoint: navigate needs a waypoint$"):
+            validate_plan(plan, _graph_with_nodes(1))
 
     def test_drag_needs_waypoint(self):
-        plan = TaskPlan("x", [AtomicAction(ActionKind.DRAG, "drag")])
-        assert "waypoint" in validate_plan(plan, _graph_with_nodes(1)).reason
+        plan = [AtomicAction(ActionKind.DRAG, "drag")]
+        with pytest.raises(OracleFailure,
+                           match="^invalid plan: action 0: waypoint: drag needs a waypoint$"):
+            validate_plan(plan, _graph_with_nodes(1))
 
     def test_pick_needs_target(self):
-        plan = TaskPlan("x", [AtomicAction(ActionKind.PICK, "pick")])
-        assert "target" in validate_plan(plan, _graph_with_nodes(1)).reason
+        plan = [AtomicAction(ActionKind.PICK, "pick")]
+        with pytest.raises(OracleFailure,
+                           match="^invalid plan: action 0: target_instance: pick needs a target$"):
+            validate_plan(plan, _graph_with_nodes(1))
 
     def test_unknown_instance(self):
-        plan = TaskPlan("x", [AtomicAction(ActionKind.PICK, "pick",
-                                           target_instance=99)])
-        problem = validate_plan(plan, _graph_with_nodes(1))
-        assert "99" in problem.reason
+        plan = [AtomicAction(ActionKind.PICK, "pick", target_instance=99)]
+        with pytest.raises(OracleFailure, match="^invalid plan: action 0: unknown instance 99$"):
+            validate_plan(plan, _graph_with_nodes(1))
 
     def test_reports_first_violation(self):
-        plan = TaskPlan("x", [
+        plan = [
             AtomicAction(ActionKind.NAVIGATE, "go", waypoint=[0, 0, 0]),
             AtomicAction(ActionKind.PICK, "pick"),
             AtomicAction(ActionKind.PLACE, "place"),
-        ])
-        assert validate_plan(plan, _graph_with_nodes(1)).action_index == 1
+        ]
+        with pytest.raises(OracleFailure, match="^invalid plan: action 1: "):
+            validate_plan(plan, _graph_with_nodes(1))
 
     def test_nonfinite_waypoint(self):
         for bad in (np.nan, np.inf, -np.inf):
-            plan = TaskPlan("x", [AtomicAction(ActionKind.NAVIGATE, "go",
-                                               waypoint=[1.0, bad, 0.0])])
-            problem = validate_plan(plan, _graph_with_nodes(1))
-            assert problem.action_index == 0
-            assert problem.reason.startswith("waypoint: must be finite")
+            plan = [AtomicAction(ActionKind.NAVIGATE, "go", waypoint=[1.0, bad, 0.0])]
+            with pytest.raises(OracleFailure) as exc:
+                validate_plan(plan, _graph_with_nodes(1))
+            assert str(exc.value) == (f"invalid plan: action 0: waypoint: must be finite, "
+                                      f"got {[1.0, bad, 0.0]}")
 
     def test_waypoint_past_scene_bound(self):
         def plan(x, y):
-            return TaskPlan("x", [
-                AtomicAction(ActionKind.NAVIGATE, "go", waypoint=[0.0, 0.0, 0.0]),
-                AtomicAction(ActionKind.DRAG, "drag", waypoint=[x, y, 0.0])])
+            return [AtomicAction(ActionKind.NAVIGATE, "go", waypoint=[0.0, 0.0, 0.0]),
+                    AtomicAction(ActionKind.DRAG, "drag", waypoint=[x, y, 0.0])]
         assert validate_plan(plan(100.0, -100.0), _graph_with_nodes(1)) is None
         for x, y in ((100.5, 0.0), (0.0, -100.5), (1e6, 0.0)):
-            problem = validate_plan(plan(x, y), _graph_with_nodes(1))
-            assert problem.action_index == 1
-            assert problem.reason == (f"waypoint: |x| and |y| must be <= 100 m, "
-                                      f"got {[x, y, 0.0]}")
+            with pytest.raises(OracleFailure) as exc:
+                validate_plan(plan(x, y), _graph_with_nodes(1))
+            assert str(exc.value) == (f"invalid plan: action 1: waypoint: |x| and |y| "
+                                      f"must be <= 100 m, got {[x, y, 0.0]}")
 
 
 # the subsets of {target, waypoint} each action kind accepts
@@ -118,24 +120,28 @@ def test_step_and_action_share_reads_rule(kind, fields):
         step_fault = exc.args
     action = AtomicAction(kind, "do it", target_instance=0 if "target" in fields else None,
                           waypoint=[1.0, 0.0, 0.0] if "waypoint" in fields else None)
-    problem = validate_plan(TaskPlan("x", [action]), _graph_with_nodes(1))
+    try:
+        validate_plan([action], _graph_with_nodes(1))
+        problem = None
+    except OracleFailure as exc:
+        problem = str(exc)
     assert (step_fault is None) == (set(fields) in ACCEPTED_FIELDS[kind])
     assert (problem is None) == (step_fault is None)
     if step_fault is not None:
         name, message = step_fault
-        assert problem.action_index == 0
-        assert problem.reason == f"{'target_instance' if name == 'target' else name}: {message}"
+        name = "target_instance" if name == "target" else name
+        assert problem == f"invalid plan: action 0: {name}: {message}"
 
 
 class TestDecompose:
     def test_fixture_lookup(self):
         g = _graph_with_nodes(1)
-        planner = ScriptedPlanner({"fetch the cup": TaskPlan("fetch the cup", [
+        planner = ScriptedPlanner({"fetch the cup": [
             AtomicAction(ActionKind.NAVIGATE, "approach", waypoint=[1, 0, 0]),
             AtomicAction(ActionKind.PICK, "grasp", target_instance=0),
-        ])})
+        ]})
         plan = decompose(planner, "fetch the cup", g)
-        assert [a.kind for a in plan.actions] == [ActionKind.NAVIGATE, ActionKind.PICK]
+        assert [a.kind for a in plan] == [ActionKind.NAVIGATE, ActionKind.PICK]
 
     def test_unknown_instruction_raises(self):
         with pytest.raises(OracleFailure):
@@ -146,23 +152,40 @@ class TestDecompose:
             decompose(ScriptedPlanner({}), "   ", _graph_with_nodes(1))
 
     def test_invalid_fixture_plan_raises(self):
-        planner = ScriptedPlanner({"x": TaskPlan("x", [
-            AtomicAction(ActionKind.PICK, "grasp")])})
+        planner = ScriptedPlanner({"x": [AtomicAction(ActionKind.PICK, "grasp")]})
         with pytest.raises(OracleFailure):
             decompose(planner, "x", _graph_with_nodes(1))
 
     def test_field_its_kind_never_reads_raises(self):
         # a planner's navigate that names a target, and pick that names a waypoint
-        planner = ScriptedPlanner({"x": TaskPlan("x", [
+        planner = ScriptedPlanner({"x": [
             AtomicAction(ActionKind.NAVIGATE, "go", target_instance=0, waypoint=[1, 0, 0]),
-            AtomicAction(ActionKind.PICK, "p", target_instance=0, waypoint=[5, 5, 0])])})
+            AtomicAction(ActionKind.PICK, "p", target_instance=0, waypoint=[5, 5, 0])]})
         with pytest.raises(OracleFailure,
                            match="^invalid plan: action 0: target_instance: navigate never reads"):
             decompose(planner, "x", _graph_with_nodes(1))
 
+    @pytest.mark.parametrize("actions, message", [
+        ([], "invalid plan: action 0: plan is empty"),
+        ([AtomicAction(ActionKind.NAVIGATE, "go", target_instance=0, waypoint=[1, 0, 0])],
+         "invalid plan: action 0: target_instance: navigate never reads it"),
+        ([AtomicAction(ActionKind.NAVIGATE, "go", waypoint=[1, 0, 0]),
+          AtomicAction(ActionKind.PICK, "grasp", target_instance=7)],
+         "invalid plan: action 1: unknown instance 7"),
+    ], ids=["empty", "navigate_target", "unknown_instance"])
+    def test_any_planner_returns_a_list(self, actions, message):
+        # a planner is any object whose `plan` returns a list of actions
+        class ListPlanner:
+            def plan(self, instruction, graph_summary):
+                return actions
+
+        with pytest.raises(OracleFailure) as exc:
+            decompose(ListPlanner(), "x", _graph_with_nodes(1))
+        assert str(exc.value) == message
+
     def test_missing_description_raises(self):
-        planner = ScriptedPlanner({"x": TaskPlan("x", [
-            AtomicAction(ActionKind.NAVIGATE, "", waypoint=[0, 0, 0])])})
+        planner = ScriptedPlanner({"x": [
+            AtomicAction(ActionKind.NAVIGATE, "", waypoint=[0, 0, 0])]})
         with pytest.raises(OracleFailure):
             decompose(planner, "x", _graph_with_nodes(1))
 

@@ -34,8 +34,6 @@ LIBRARY_ONLY = {
     "bresenham": "the integer ray of scan integration, one ray at a time; the "
                  "oracle of integrate_scan's lockstep rays",
     "PdGains": "PD gains table (kp, kd per leg and arm joint) that pd_torque takes",
-    "make_rng": "the seeded stream the command and end-effector sampling criteria "
-                "draw from",
     "sample_locomotion_command": "base velocity command sampling over the "
                                  "command-range table (sampling.COMMAND_RANGES)",
     "sample_ee_target": "6-D end-effector target sampling over the command-range "
