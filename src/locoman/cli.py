@@ -17,14 +17,13 @@ import threading
 from pathlib import Path
 
 import click
-import numpy as np
 
 from .config import Config, read_file, to_dict
 from .errors import LocomanError, ValidationError
 from .harness import (MetricsReport, aggregate, build_instance_graph,
                       build_occupancy_grid, run_episode, stage1_terms, write_csv,
                       write_json, write_report, write_trace_csv)
-from .rewards import ContactTimeline, total_reward
+from .rewards import LEGS, ContactTimeline, total_reward
 from .scenario import Scenario, load_scenario
 
 EXIT_CONFIG = 3
@@ -180,9 +179,10 @@ _TIMELINE_TERMS = ("ee_pos", "ee_ori", "torque_base", "acc_base", "power_base",
 _VELOCITY_COLUMNS = ("cmd_vx", "cmd_vy", "cmd_w", "act_vx", "act_vy", "act_w")
 
 
-def _timeline_row(row: dict) -> tuple[dict[str, float], dict[str, bool]]:
-    """Numbers and contact flags of one timeline row. `t` and the contact
-    columns are required; an empty or absent optional column reads 0."""
+def _timeline_row(row: dict) -> tuple[dict[str, float], tuple[bool, ...]]:
+    """Numbers and contact flags (in LEGS order) of one timeline row. `t` and
+    the contact columns are required; an empty or absent optional column
+    reads 0."""
     values = {}
     for name in ("t",) + _VELOCITY_COLUMNS + _TIMELINE_TERMS:
         text = row.get(name)
@@ -195,8 +195,8 @@ def _timeline_row(row: dict) -> tuple[dict[str, float], dict[str, bool]]:
         if not math.isfinite(value):
             raise ValueError(f"column {name}: expected a number, got {text!r}")
         values[name] = value
-    contacts = {}
-    for leg in ("FL", "FR", "RL", "RR"):
+    contacts = []
+    for leg in LEGS:
         text = row.get(f"contact_{leg}")
         if text is None:
             raise ValueError(f"column contact_{leg}: missing")
@@ -204,8 +204,8 @@ def _timeline_row(row: dict) -> tuple[dict[str, float], dict[str, bool]]:
         if flag not in ("0", "1", "false", "true", "False", "True"):
             raise ValueError(f"column contact_{leg}: expected 0, 1, false or true, "
                              f"got {text!r}")
-        contacts[leg] = flag in ("1", "true", "True")
-    return values, contacts
+        contacts.append(flag in ("1", "true", "True"))
+    return values, tuple(contacts)
 
 
 @main.command()
@@ -237,8 +237,8 @@ def rewards(timeline, out, config_path):
         dt = (t - prev_t) if prev_t is not None else 0.02
         prev_t = t
         tl.update(contacts, dt, t)
-        cmd = np.array([values["cmd_vx"], values["cmd_vy"], values["cmd_w"]])
-        act = np.array([values["act_vx"], values["act_vy"], values["act_w"]])
+        cmd = (values["cmd_vx"], values["cmd_vy"], values["cmd_w"])
+        act = (values["act_vx"], values["act_vy"], values["act_w"])
         terms = stage1_terms(cfg, cmd, act, tl)
         terms.update((name, values[name]) for name in _TIMELINE_TERMS)
         terms.update(total_stage1=total_reward(1, terms, weights),

@@ -191,9 +191,6 @@ class EulerAngles:
     pitch: float
     yaw: float
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.roll, self.pitch, self.yaw])
-
 
 # ---------------------------------------------------------------------------
 # poses

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -22,7 +23,7 @@ from .errors import ActionFailed, LocomanError, OracleFailure, ValidationError
 from .fusion import Detection, FusionConfig, InstanceGraph
 from .geometry import (Pose, norm, quat_from_axis_angle, quat_geodesic_distance,
                        quat_mul, quat_normalize, quat_slerp, matrix_to_quat,
-                       quat_to_matrix, unit, vec3, wrap_angle)
+                       quat_to_matrix, unit, vec3)
 from .grounding import (CameraModel, DepthImage, GroundingResult, ground_action,
                         solve_orientation)
 from .navgrid import (GoalSearchConfig, OccupancyGrid, OCCUPIED, find_goal_pose,
@@ -54,7 +55,9 @@ GRID_RESOLUTION = 0.1
 class WorldState:
     t: float
     base_pose: Pose
-    base_vel: np.ndarray              # (vx, vy) base frame + (omega,)
+    base_xy: tuple[float, float]      # base_pose.position[:2], as floats
+    base_yaw: float                   # base_pose.yaw()
+    base_vel: tuple[float, float, float]  # (vx, vy) base frame + (omega,)
     ee_pose: Pose
     attachments: dict = field(default_factory=dict)  # obj id -> (carrier, point in its frame)
     object_positions: dict[str, np.ndarray] = field(default_factory=dict)
@@ -70,8 +73,15 @@ def make_world(scenario: Scenario) -> WorldState:
     object_positions = {obj.id: obj.position.copy() for obj in scenario.objects}
     joint_values = {obj.id: obj.joint.value
                     for obj in scenario.objects if obj.joint is not None}
-    return WorldState(t=0.0, base_pose=base, base_vel=np.zeros(3), ee_pose=ee,
+    return WorldState(t=0.0, base_pose=base, base_xy=(float(x), float(y)),
+                      base_yaw=base.yaw(), base_vel=(0.0, 0.0, 0.0), ee_pose=ee,
                       object_positions=object_positions, joint_values=joint_values)
+
+
+def _wrap(a: float) -> float:
+    """geometry.wrap_angle of one float, bit for bit: Python's float `%`
+    takes numpy's `np.mod` steps, signed zeros included."""
+    return (a - math.pi) % (-2.0 * math.pi) + math.pi
 
 
 def step(world: WorldState, base_cmd: LocomotionCommand,
@@ -79,26 +89,31 @@ def step(world: WorldState, base_cmd: LocomotionCommand,
          rng: np.random.Generator, scenario: Scenario,
          grid: Optional[OccupancyGrid] = None) -> None:
     """Advance the world one tick in place."""
-    cmd = base_cmd.as_array()
+    cx, cy, cw = float(base_cmd.x), float(base_cmd.y), float(base_cmd.w)
     if tracking.tau_base <= 0.0:
-        world.base_vel = cmd.copy()
+        vx, vy, w = cx, cy, cw
     else:
-        alpha = 1.0 - np.exp(-dt / tracking.tau_base)
-        world.base_vel = world.base_vel + alpha * (cmd - world.base_vel)
+        alpha = float(1.0 - np.exp(-dt / tracking.tau_base))
+        vx, vy, w = world.base_vel
+        vx, vy, w = vx + alpha * (cx - vx), vy + alpha * (cy - vy), w + alpha * (cw - w)
+    world.base_vel = (vx, vy, w)
 
-    vx, vy, w = world.base_vel
-    yaw = world.base_pose.yaw()
-    nx = world.base_pose.position[0] + (vx * np.cos(yaw) - vy * np.sin(yaw)) * dt
-    ny = world.base_pose.position[1] + (vx * np.sin(yaw) + vy * np.cos(yaw)) * dt
-    new_yaw = float(wrap_angle(yaw + w * dt))
+    x, y = world.base_xy
+    yaw = world.base_yaw
+    c, s = math.cos(yaw), math.sin(yaw)
+    nx = x + (vx * c - vy * s) * dt
+    ny = y + (vx * s + vy * c) * dt
     collided = grid is not None and not footprint_clear(grid, nx, ny,
                                                        BASE_FOOTPRINT_RADIUS)
     if collided:
         # terrain contact halts base motion for this tick
-        world.base_vel = np.zeros(3)
+        world.base_vel = (0.0, 0.0, 0.0)
     else:
-        world.base_pose = Pose.from_xy_yaw(nx, ny, new_yaw,
-                                           z=scenario.terrain_height + BASE_STAND_HEIGHT)
+        # the yaw is read back from the new pose: the quaternion round trip
+        # does not always return the yaw it was built from
+        pose = Pose.from_xy_yaw(nx, ny, _wrap(yaw + w * dt),
+                                z=scenario.terrain_height + BASE_STAND_HEIGHT)
+        world.base_pose, world.base_xy, world.base_yaw = pose, (nx, ny), pose.yaw()
 
     if ee_cmd is not None:
         decay = float(np.exp(-tracking.ee_rate * dt))
@@ -214,7 +229,8 @@ class EpisodeResult:
     metrics: MetricsReport
 
 
-def stage1_terms(cfg: Config, cmd: np.ndarray, act: np.ndarray,
+def stage1_terms(cfg: Config, cmd: tuple[float, float, float],
+                 act: tuple[float, float, float],
                  timeline: ContactTimeline) -> dict[str, float]:
     """The stage-1 reward terms of one tick: base velocity tracking of the
     command `(vx, vy, w)` by `act`, and the gait and frequency of the timeline."""
@@ -225,6 +241,11 @@ def stage1_terms(cfg: Config, cmd: np.ndarray, act: np.ndarray,
         "freq": r_freq(timeline, cfg.f_target),
     }
 
+
+# the synthetic gait's contact flags, in rewards.LEGS order (FL, FR, RL, RR)
+TROT_PHASE_A = (True, False, False, True)  # FL and RR down
+TROT_PHASE_B = (False, True, True, False)  # FR and RL down
+STANCE = (True, True, True, True)
 
 TRACE_COLUMNS = [
     "t", "action_index", "base_x", "base_y", "base_yaw",
@@ -253,9 +274,9 @@ class EpisodeRunner:
         self.latched: dict[tuple[int, int], float] = {}  # (step, monitor) -> latch time
         self.trace: list[tuple] = []
         self.timeline = ContactTimeline()
-        self._err_sums = np.zeros(3)
+        self._err_sums = (0.0, 0.0, 0.0)
         self._err_ticks = 0
-        self._ee_err_sums = np.zeros(2)
+        self._ee_err_sums = (0.0, 0.0)
         self._ee_ticks = 0
         self._action_index = -1
 
@@ -281,35 +302,33 @@ class EpisodeRunner:
 
     def _record(self, base_cmd: LocomotionCommand, ee_cmd: Optional[Pose]) -> None:
         w = self.world
-        cmd = base_cmd.as_array()
-        err = np.abs(cmd - w.base_vel)
-        command_active = bool(np.any(cmd != 0.0))
-        if command_active:
-            self._err_sums += err
+        cmd = (float(base_cmd.x), float(base_cmd.y), float(base_cmd.w))
+        vel = w.base_vel
+        if cmd != (0.0, 0.0, 0.0):  # any component non-zero
+            self._err_sums = tuple(s + abs(c - v)
+                                   for s, c, v in zip(self._err_sums, cmd, vel))
             self._err_ticks += 1
         if ee_cmd is not None:
             ee_pos_err = norm(w.ee_pose.position - ee_cmd.position)
-            ee_ori_err = quat_geodesic_distance(w.ee_pose.orientation,
-                                                ee_cmd.orientation)
-            self._ee_err_sums += (ee_pos_err, ee_ori_err)
+            ee_ori_err = float(quat_geodesic_distance(w.ee_pose.orientation,
+                                                      ee_cmd.orientation))
+            pos_sum, ori_sum = self._ee_err_sums
+            self._ee_err_sums = (pos_sum + ee_pos_err, ori_sum + ee_ori_err)
             self._ee_ticks += 1
         else:
             ee_pos_err = ee_ori_err = 0.0
 
         # synthetic trot clocked at 2 Hz while the base moves, stance otherwise
-        moving = float(np.hypot(w.base_vel[0], w.base_vel[1])) > 0.05
-        if moving:
-            phase = (w.t * 2.0) % 1.0
-            diag_a = phase < 0.5
-            contacts = {"FL": diag_a, "RR": diag_a, "FR": not diag_a, "RL": not diag_a}
+        if float(np.hypot(vel[0], vel[1])) > 0.05:
+            contacts = TROT_PHASE_A if (w.t * 2.0) % 1.0 < 0.5 else TROT_PHASE_B
         else:
-            contacts = {leg: True for leg in ("FL", "FR", "RL", "RR")}
+            contacts = STANCE
         self.timeline.update(contacts, self.dt, w.t)
 
-        terms = stage1_terms(self.config, cmd, w.base_vel, self.timeline)
-        pos, vel = w.base_pose.position, w.base_vel
+        terms = stage1_terms(self.config, cmd, vel, self.timeline)
+        x, y = w.base_xy
         self.trace.append((
-            w.t, self._action_index, pos[0], pos[1], w.base_pose.yaw(),
+            w.t, self._action_index, x, y, w.base_yaw,
             cmd[0], vel[0], cmd[1], vel[1], cmd[2], vel[2], ee_pos_err, ee_ori_err,
             *terms.values(), total_reward(1, terms, self.config.reward_weights)))
 
@@ -329,10 +348,9 @@ class EpisodeRunner:
             while (idx < len(path_points) - 1
                    and norm(path_points[idx] - pos) < 0.3):
                 idx += 1
-            target = path_points[idx]
-            yaw = self.world.base_pose.yaw()
-            heading = np.arctan2(target[1] - pos[1], target[0] - pos[0])
-            err = float(wrap_angle(heading - yaw))
+            tx, ty = path_points[idx].tolist()
+            x, y = self.world.base_xy
+            err = _wrap(float(np.arctan2(ty - y, tx - x)) - self.world.base_yaw)
             w_cmd = min(max(2.0 * err, -1.0), 1.0)
             vx = 0.8 if abs(err) < 0.5 else 0.0
             self.tick(LocomotionCommand(vx, 0.0, w_cmd), None)
@@ -505,11 +523,10 @@ class EpisodeRunner:
 
     def _metrics(self) -> MetricsReport:
         per_action, overall = report(self.scenario.plan, self.latched)
-        err = (self._err_sums / self._err_ticks) if self._err_ticks else np.zeros(3)
-        ee = (self._ee_err_sums / self._ee_ticks) if self._ee_ticks else np.zeros(2)
+        err = [s / self._err_ticks for s in self._err_sums] if self._err_ticks else [0.0] * 3
+        ee = [s / self._ee_ticks for s in self._ee_err_sums] if self._ee_ticks else [0.0] * 2
         return MetricsReport(
-            e_x=float(err[0]), e_y=float(err[1]), e_w=float(err[2]),
-            d_pos=float(ee[0]), d_ori=float(ee[1]),
+            e_x=err[0], e_y=err[1], e_w=err[2], d_pos=ee[0], d_ori=ee[1],
             per_action=dict(sorted(per_action.items())), overall=overall, episodes=1)
 
 
@@ -553,7 +570,8 @@ def write_csv(path, columns, rows) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(",".join(columns) + "\r\n")
         for row in rows:
-            fh.write(",".join([str(v) if isinstance(v, int) else repr(float(v))
+            fh.write(",".join([repr(v) if type(v) is float
+                               else str(v) if isinstance(v, int) else repr(float(v))
                                for v in row]) + "\r\n")
 
 

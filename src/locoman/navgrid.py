@@ -7,6 +7,7 @@ reverts to Free. The grid grows by doubling when points land outside.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,8 +78,8 @@ class OccupancyGrid:
 
     def world_to_cell(self, x: float, y: float) -> tuple[int, int]:
         """Floor convention: boundary coordinates fall in the lower cell."""
-        cx = int(np.floor((x - self.origin[0]) / self.resolution))
-        cy = int(np.floor((y - self.origin[1]) / self.resolution))
+        cx = math.floor((x - self.origin[0]) / self.resolution)
+        cy = math.floor((y - self.origin[1]) / self.resolution)
         return cx, cy
 
     def cell_center(self, cx: int, cy: int) -> np.ndarray:
@@ -258,13 +259,14 @@ def footprint_clear(grid: OccupancyGrid, x: float, y: float, radius: float) -> b
     Cells outside the grid count as Unknown, never Occupied.
     """
     cx, cy = grid.world_to_cell(x, y)
-    r_cells = int(np.ceil(radius / grid.resolution)) + 1
+    r_cells = math.ceil(radius / grid.resolution) + 1
     # clip to the grid; a negative stop would wrap around in a slice
     x0, y0 = max(cx - r_cells, 0), max(cy - r_cells, 0)
     x1, y1 = max(cx + r_cells + 1, 0), max(cy + r_cells + 1, 0)
-    iy, ix = np.nonzero(grid.cells[y0:y1, x0:x1] == OCCUPIED)
-    if not ix.size:
+    window = grid.cells[y0:y1, x0:x1]
+    if OCCUPIED not in window.tobytes():  # one byte per cell; empty off the grid
         return True
+    iy, ix = np.nonzero(window == OCCUPIED)
     # same operation order as cell_center, so boundary cells compare alike
     res = grid.resolution
     centers_x = grid.origin[0] + (ix + x0 + 0.5) * res

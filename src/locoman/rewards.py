@@ -58,9 +58,10 @@ class ContactTimeline:
     legs: dict[str, LegTimeline] = field(
         default_factory=lambda: {leg: LegTimeline() for leg in LEGS})
 
-    def update(self, contacts: dict[str, bool], dt: float, t: float) -> None:
-        for leg in LEGS:
-            self.legs[leg].update(contacts[leg], dt, t)
+    def update(self, contacts: tuple[bool, bool, bool, bool], dt: float, t: float) -> None:
+        """`contacts` holds one flag per leg, in LEGS order."""
+        for leg, in_contact in zip(LEGS, contacts):
+            self.legs[leg].update(in_contact, dt, t)
 
 
 def leg_frequency(leg: LegTimeline) -> float | None:
@@ -79,7 +80,7 @@ def leg_frequency(leg: LegTimeline) -> float | None:
 # ---------------------------------------------------------------------------
 
 def r_track_xy(cmd_xy: np.ndarray, actual_xy: np.ndarray, gamma_xy: float = 0.25) -> float:
-    err = np.asarray(cmd_xy, dtype=float) - np.asarray(actual_xy, dtype=float)
+    err = np.array((cmd_xy[0] - actual_xy[0], cmd_xy[1] - actual_xy[1]), dtype=float)
     return float(np.exp(-dot(err, err) / gamma_xy))
 
 

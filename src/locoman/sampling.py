@@ -36,9 +36,6 @@ class LocomotionCommand:
     y: float
     w: float
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.w])
-
 
 @dataclass(frozen=True)
 class EETarget:
@@ -46,9 +43,6 @@ class EETarget:
 
     position: np.ndarray
     orientation: EulerAngles
-
-    def as_array(self) -> np.ndarray:
-        return np.concatenate([self.position, self.orientation.as_array()])
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from locoman.geometry import (EulerAngles, Pose, SphericalTarget,
+from locoman.geometry import (Pose, SphericalTarget,
                               dot, matrix_to_quat, norm,
                               quat_from_axis_angle, quat_from_euler,
                               quat_from_yaw, quat_geodesic_distance, quat_mul,
@@ -305,7 +305,3 @@ class TestMisc:
                 assert norm(v[:2]) == float(np.linalg.norm(v[:2]))
                 assert type(dot(v, w)) is float
                 assert dot(v, w) == float(np.dot(v, w)), (v, w)
-
-    def test_euler_angles_as_array(self):
-        e = EulerAngles(0.1, 0.2, 0.3)
-        assert np.allclose(e.as_array(), [0.1, 0.2, 0.3])

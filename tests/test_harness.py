@@ -15,7 +15,7 @@ from locoman import harness
 from locoman.cli import _load_runnable
 from locoman.config import Config, TrackingConfig, to_dict
 from locoman.errors import LocomanError, ParseError, ValidationError
-from locoman.geometry import Pose, quat_geodesic_distance, vec3
+from locoman.geometry import Pose, quat_geodesic_distance, vec3, wrap_angle
 from locoman.harness import (BASE_STAND_HEIGHT, TRACE_COLUMNS, EpisodeRunner,
                              aggregate, build_instance_graph, build_occupancy_grid,
                              make_world, run_episode, stage1_terms, step,
@@ -196,6 +196,16 @@ class TestScenarioProperty:
             run_episode(scenario, master_seed=0)
         except LocomanError:
             pass
+
+
+def test_wrap_matches_wrap_angle():
+    # geometry.wrap_angle is the reference: the same value and sign of zero
+    values = [np.pi, -np.pi, 3 * np.pi, -3 * np.pi, 0.0, -0.0, 1e-300, -1e-300,
+              *np.random.default_rng(4).uniform(-20.0, 20.0, 20_000).tolist()]
+    for a in values:
+        got, want = harness._wrap(a), float(wrap_angle(a))
+        assert type(got) is float
+        assert (got, np.copysign(1.0, got)) == (want, np.copysign(1.0, want)), a
 
 
 class TestWorldStep:
@@ -473,6 +483,29 @@ class TestEpisode:
         assert {oid: p.tolist() for oid, p in positions.items()} == final
         assert sorted(runner.world.attachments) == attached
         assert hashed.hexdigest() == digest
+
+    # the float caches beside base_pose, and the trace's cell types
+    @pytest.mark.parametrize("tracking", [
+        TrackingConfig(), TrackingConfig(tau_base=0.1, noise_pos=0.002, noise_ori=0.01)],
+        ids=["noise_free", "noisy"])
+    @pytest.mark.parametrize("name", [p.stem for p in sorted(SCENARIO_DIR.glob("*.yaml"))])
+    def test_base_caches_follow_base_pose(self, name, tracking):
+        runner = EpisodeRunner(load_scenario(SCENARIO_DIR / f"{name}.yaml"),
+                               master_seed=0, config=Config(tracking=tracking))
+        w, tick, ticks = runner.world, runner.tick, []
+
+        def checking_tick(*args):
+            tick(*args)
+            assert w.base_yaw == w.base_pose.yaw()
+            assert w.base_xy == tuple(w.base_pose.position[:2])
+            assert {type(v) for v in (*w.base_xy, w.base_yaw, *w.base_vel)} == {float}
+            ticks.append(w.t)
+
+        runner.tick = checking_tick
+        trace = runner.run().trace
+        assert len(ticks) == len(trace) > 0
+        # no numpy scalar reaches write_csv
+        assert {type(v) for row in trace for v in row} == {int, float}
 
     def test_placed_object_rides_until_picked_again(self):
         # pick the apple back out of the cart, then haul the cart away: the

@@ -151,6 +151,24 @@ class TestGridBasics:
         assert g.world_to_cell(0.1, 0.0) == (1, 0)
         assert g.world_to_cell(-0.0001, 0.0) == (-1, 0)
 
+    def test_world_to_cell_matches_numpy_floor(self):
+        # the numpy expression world_to_cell replaced, as the reference: the
+        # same ints, and the same exception and text for a non-finite index
+        g = OccupancyGrid(resolution=0.1, origin_xy=(-3.2, 1.7))
+
+        def reference(x, y):
+            return (int(np.floor((x - g.origin[0]) / g.resolution)),
+                    int(np.floor((y - g.origin[1]) / g.resolution)))
+
+        for x, y in np.random.default_rng(8).uniform(-40.0, 40.0, (5_000, 2)).tolist():
+            assert g.world_to_cell(x, y) == reference(x, y)
+        for bad in (np.nan, np.inf, -np.inf, 1e308):
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises((ValueError, OverflowError)) as want:
+                    reference(bad, 0.0)
+                with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
+                    g.world_to_cell(bad, 0.0)
+
     def test_cell_center_round_trip(self):
         g = OccupancyGrid(resolution=0.25, origin_xy=(-1.0, 2.0))
         c = g.cell_center(3, 5)

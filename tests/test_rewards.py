@@ -17,8 +17,8 @@ def run_trot(timeline, duration, dt=0.005, period=0.5):
     for k in range(steps):
         t = (k + 1) * dt
         diag_a = (t % period) < (period / 2)
-        timeline.update({"FL": diag_a, "RR": diag_a,
-                         "FR": not diag_a, "RL": not diag_a}, dt, t)
+        # FL, FR, RL, RR: the FL-RR diagonal is down while diag_a
+        timeline.update((diag_a, not diag_a, not diag_a, diag_a), dt, t)
 
 
 class TestTracking:
@@ -88,7 +88,7 @@ class TestGait:
         rng = np.random.Generator(np.random.PCG64(0))
         tl = ContactTimeline()
         for k in range(500):
-            contacts = {leg: bool(rng.random() < 0.5) for leg in LEGS}
+            contacts = tuple(bool(rng.random() < 0.5) for leg in LEGS)
             tl.update(contacts, 0.02, 0.02 * (k + 1))
             assert 0.0 < r_gait(tl) <= 1.0
 
