@@ -364,8 +364,12 @@ class EpisodeRunner:
                 continue
             obstacles.append(obj.bbox(self.world.object_positions[obj.id]))
         goal = find_goal_pose(self.grid, waypoint, obstacles, GOAL_SEARCH, waypoint)
-        start_cell = self.grid.ensure_contains(*self.world.base_pose.position[:2])
-        goal_cell = self.grid.ensure_contains(*goal.position[:2])
+        ends = (self.world.base_xy, goal.position[:2])
+        # grow for both ends before indexing either: growing west or south
+        # moves the origin, and a cell indexed before that would be stale
+        for x, y in ends:
+            self.grid.ensure_contains(x, y)
+        start_cell, goal_cell = (self.grid.world_to_cell(x, y) for x, y in ends)
         cells = plan_path(self.grid, start_cell, goal_cell,
                           inflation=GOAL_SEARCH.robot_inflation)
         points = [self.grid.cell_center(cx, cy) for cx, cy in cells]

@@ -20,7 +20,7 @@ from locoman.harness import (BASE_STAND_HEIGHT, TRACE_COLUMNS, EpisodeRunner,
                              aggregate, build_instance_graph, build_occupancy_grid,
                              make_world, run_episode, stage1_terms, step,
                              write_report, write_trace_csv)
-from locoman.navgrid import FREE, OCCUPIED, OccupancyGrid, footprint_clear
+from locoman.navgrid import FREE, OCCUPIED, OccupancyGrid, footprint_clear, plan_path
 from locoman.rewards import ContactTimeline
 from locoman.sampling import LocomotionCommand, make_rng
 from locoman.scenario import load_scenario, scenario_from_dict
@@ -541,6 +541,26 @@ class TestEpisode:
         grid = build_occupancy_grid(s)
         assert all(footprint_clear(grid, row[col["base_x"]], row[col["base_y"]], 0.30)
                    for row in trace)
+
+    def test_navigate_plans_from_base_cell_when_goal_grows_grid(self, monkeypatch):
+        # the goal lies west of the grid, so indexing it grows the grid west
+        # and moves the origin; the start cell must be indexed after that
+        s = scenario_from_dict(minimal_scenario_dict(
+            objects=[], horizon=60.0,
+            static_obstacles=[{"min": [-1.5, -3.0, 0.0], "max": [-1.2, 0.5, 1.0]}],
+            plan=_navigate([-12.0, 0.0, 0.0])))
+        starts = []
+
+        def recording_plan_path(grid, start, goal, **kwargs):
+            path = plan_path(grid, start, goal, **kwargs)
+            starts.append((path[0], grid.world_to_cell(0.0, 0.0)))
+            return path
+
+        monkeypatch.setattr(harness, "plan_path", recording_plan_path)
+        result = run_episode(s, master_seed=0)
+        [(path_start, base_cell)] = starts
+        assert path_start == base_cell
+        assert [(o.success, o.detail) for o in result.outcomes] == [(True, "")]
 
     def test_aggregate_pools_counts(self):
         s = scenario_from_dict(minimal_scenario_dict())

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from locoman import navgrid
 from locoman.errors import NoFeasibleGoal, NoPath
 from locoman.geometry import Pose, quat_from_yaw, vec3
 from locoman.navgrid import (FREE, OCCUPIED, SQRT2, UNKNOWN, GoalSearchConfig,
@@ -627,6 +628,41 @@ class TestPlanPathOracle:
         assert _assert_same_plan(g, (0, 0), (0, 0), 0.3) == [(0, 0)]
         g.cells[:] = OCCUPIED
         assert _assert_same_plan(g, (0, 0), (0, 0), 0.3) is None
+
+    @pytest.mark.parametrize("change", ["occupy_path_cell", "grow", "inflation",
+                                        "resolution"])
+    def test_reused_walls_follow_grid_changes(self, change, monkeypatch):
+        # plan_path reuses its wall bytes while the grid is unchanged; each
+        # change here must make it build them again from the changed grid
+        masks = []
+
+        def counting_blocked_mask(grid, inflation):
+            masks.append(inflation)
+            return blocked_mask(grid, inflation)
+
+        monkeypatch.setattr(navgrid, "blocked_mask", counting_blocked_mask)
+        g = OccupancyGrid(resolution=0.1, width=30, height=20, origin_xy=(-1.3, 0.7))
+        g.cells[:] = FREE
+        g.cells[:14, 15] = OCCUPIED  # a wall the path goes round
+        start, goal, inflation = (2, 3), (27, 5), 0.12
+        first = _assert_same_plan(g, start, goal, inflation)
+        assert first is not None
+        assert _assert_same_plan(g, start, goal, inflation) == first
+        assert plan_path(g, start, goal, inflation=inflation) == first
+        assert len(masks) == 1  # the reference builds its own mask
+        if change == "occupy_path_cell":
+            cx, cy = first[len(first) // 2]
+            g.cells[cy, cx] = OCCUPIED
+        elif change == "grow":
+            ends = [g.cell_center(*cell) for cell in (start, goal)]
+            g.ensure_contains(g.origin[0] - 0.5, g.origin[1] - 0.5)
+            start, goal = (g.world_to_cell(*p) for p in ends)
+        elif change == "inflation":
+            inflation = 0.3
+        else:
+            g.resolution = 0.05
+        assert _assert_same_plan(g, start, goal, inflation) != first
+        assert len(masks) == 2
 
     def test_no_path_texts(self):
         g = OccupancyGrid(resolution=0.1, width=16, height=10, origin_xy=(0, 0))
