@@ -1,4 +1,4 @@
-"""3D math primitives: quaternions, rotations, poses, spherical targets.
+"""3D math primitives: small vectors, quaternions, rotations, poses.
 
 Conventions (fixed project-wide):
   - quaternions are (w, x, y, z), unit norm
@@ -13,11 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-
-def wrap_angle(a):
-    """Normalize angle(s) to (-pi, pi]; -pi maps to +pi."""
-    return np.mod(np.asarray(a, dtype=float) - np.pi, -2.0 * np.pi) + np.pi
 
 
 def vec3(x, y, z) -> np.ndarray:
@@ -108,14 +103,6 @@ def quat_geodesic_distance(a: np.ndarray, b: np.ndarray) -> float:
     return 2.0 * np.arccos(min(d, 1.0))
 
 
-def quat_from_euler(roll: float, pitch: float, yaw: float) -> np.ndarray:
-    """Extrinsic X-Y-Z Euler angles to quaternion (q = qz * qy * qx)."""
-    qx = quat_from_axis_angle(np.array([1.0, 0, 0]), roll)
-    qy = quat_from_axis_angle(np.array([0, 1.0, 0]), pitch)
-    qz = quat_from_yaw(yaw)
-    return quat_mul(qz, quat_mul(qy, qx))
-
-
 def quat_to_matrix(q: np.ndarray) -> np.ndarray:
     w, x, y, z = q
     return np.array([
@@ -161,38 +148,6 @@ def quat_slerp(a: np.ndarray, b: np.ndarray, t: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# spherical targets
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SphericalTarget:
-    """End-effector position target: radius, pitch, yaw (radians)."""
-
-    radius: float
-    pitch: float
-    yaw: float
-
-    def __post_init__(self):
-        if self.radius < 0:
-            raise ValueError("radius must be >= 0")
-
-
-def spherical_to_cartesian(s: SphericalTarget) -> np.ndarray:
-    """Radius/pitch/yaw to xyz: pitch positive raises +z, yaw rotates about z."""
-    cp = np.cos(s.pitch)
-    return s.radius * np.array([cp * np.cos(s.yaw), cp * np.sin(s.yaw), np.sin(s.pitch)])
-
-
-@dataclass(frozen=True)
-class EulerAngles:
-    """Extrinsic X-Y-Z orientation target (radians)."""
-
-    roll: float
-    pitch: float
-    yaw: float
-
-
-# ---------------------------------------------------------------------------
 # poses
 # ---------------------------------------------------------------------------
 
@@ -234,7 +189,7 @@ class Pose:
         return Pose(quat_rotate(qi, -self.position), qi)
 
     def yaw(self) -> float:
-        """Yaw of the extrinsic X-Y-Z Euler angles (quat_from_euler's), with
+        """Yaw of the extrinsic X-Y-Z Euler angles (training.quat_from_euler's), with
         roll pinned to 0 at gimbal lock. It reads only the three entries of
         quat_to_matrix(orientation) that the yaw needs, by the same
         expressions, and matches the tests' full-matrix oracle bit for bit."""

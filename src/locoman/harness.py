@@ -32,7 +32,6 @@ from .planning import (ActionKind, ActionReport, AtomicAction, ScriptedPlanner,
                        decompose, monitor_step, report)
 from .rewards import (ContactTimeline, r_freq, r_gait,
                       r_track_xy, r_track_yaw, total_reward)
-from .sampling import LocomotionCommand, episode_rng, make_rng
 from .scenario import GroundingFixture, Scenario, SceneObject
 from .scenario import load_scenario  # noqa: F401  callers use harness.load_scenario
 
@@ -46,6 +45,26 @@ NAV_TIMEOUT = 60.0
 MANIP_TIMEOUT = 20.0
 GOAL_SEARCH = GoalSearchConfig(robot_inflation=BASE_FOOTPRINT_RADIUS)
 GRID_RESOLUTION = 0.1
+
+
+def make_rng(seed: int) -> np.random.Generator:
+    """Counter-based deterministic stream; same seed, same sequence everywhere."""
+    return np.random.Generator(np.random.PCG64(seed))
+
+
+def episode_rng(master_seed: int, episode_index: int) -> np.random.Generator:
+    """Episode `episode_index`'s stream: the child that `spawn` would give at
+    that index, built directly in O(1)."""
+    seq = np.random.SeedSequence(master_seed, spawn_key=(episode_index,))
+    return np.random.Generator(np.random.PCG64(seq))
+
+
+@dataclass(frozen=True)
+class LocomotionCommand:
+    x: float
+    y: float
+    w: float
+
 
 # ---------------------------------------------------------------------------
 # world state
@@ -79,7 +98,7 @@ def make_world(scenario: Scenario) -> WorldState:
 
 
 def _wrap(a: float) -> float:
-    """geometry.wrap_angle of one float, bit for bit: Python's float `%`
+    """training.wrap_angle of one float, bit for bit: Python's float `%`
     takes numpy's `np.mod` steps, signed zeros included."""
     return (a - math.pi) % (-2.0 * math.pi) + math.pi
 

@@ -7,7 +7,8 @@ it bit for bit or to a stated tolerance.
 
 import numpy as np
 
-from locoman.geometry import SphericalTarget, quat_to_matrix
+from locoman.geometry import quat_to_matrix
+from locoman.training import SphericalTarget
 from locoman.navgrid import SQRT2
 
 _UNIT_TOL = 1e-9

@@ -14,19 +14,18 @@ from click.testing import CliRunner
 from locoman.cli import main as cli_main
 from locoman.config import Config
 from locoman.fusion import geometric_similarity
-from locoman.geometry import (Pose, quat_from_axis_angle,
-                              quat_from_euler, quat_geodesic_distance,
+from locoman.geometry import (Pose, quat_from_axis_angle, quat_geodesic_distance,
                               quat_mul, quat_normalize, unit, vec3)
 from locoman.grounding import solve_orientation
 from locoman.errors import DegenerateConstraints, NoPath
-from locoman.harness import run_episode
+from locoman.harness import make_rng, run_episode
 from locoman.scenario import scenario_from_dict
 from locoman.navgrid import (FREE, OCCUPIED, SQRT2, GoalSearchConfig,
                              OccupancyGrid, blocked_mask, find_goal_pose,
                              plan_path)
 from locoman.rewards import (ContactTimeline, LegTimeline, r_freq, r_gait,
                              sync_term, total_reward)
-from locoman.sampling import (COMMAND_RANGES, RandomizationConfig, make_rng,
+from locoman.training import (COMMAND_RANGES, RandomizationConfig, quat_from_euler,
                               sample_ee_target, sample_locomotion_command)
 from oracles import cartesian_to_spherical, is_rotation_matrix, path_cost
 

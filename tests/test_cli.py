@@ -14,7 +14,7 @@ from click.testing import CliRunner
 from locoman import cli
 from locoman.cli import main
 from locoman.config import Config, TrackingConfig, to_dict
-from locoman.sampling import COMMAND_RANGES
+from locoman.training import COMMAND_RANGES
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIO = ROOT / "scenarios" / "cart_delivery.yaml"

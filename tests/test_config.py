@@ -9,8 +9,8 @@ from locoman.config import (YAML_LOADER, Config, TrackingConfig, from_dict, read
                             to_dict)
 from locoman.errors import ParseError, ValidationError
 from locoman.planning import ActionKind
-from locoman.rewards import PdGains, RewardWeights
-from locoman.sampling import COMMAND_RANGES, RandomizationConfig
+from locoman.rewards import RewardWeights
+from locoman.training import COMMAND_RANGES, PdGains, RandomizationConfig
 
 PI = np.pi
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"

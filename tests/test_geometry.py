@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from locoman.geometry import (Pose, SphericalTarget,
-                              dot, matrix_to_quat, norm,
-                              quat_from_axis_angle, quat_from_euler,
-                              quat_from_yaw, quat_geodesic_distance, quat_mul,
-                              quat_normalize, quat_rotate, quat_slerp,
-                              quat_to_matrix, spherical_to_cartesian, unit,
-                              wrap_angle)
+from locoman.geometry import (Pose, dot, matrix_to_quat, norm,
+                              quat_from_axis_angle, quat_from_yaw,
+                              quat_geodesic_distance, quat_mul, quat_normalize,
+                              quat_rotate, quat_slerp, quat_to_matrix, unit)
+from locoman.training import (SphericalTarget, quat_from_euler,
+                              spherical_to_cartesian, wrap_angle)
 from oracles import cartesian_to_spherical, euler_from_quat, is_rotation_matrix
 
 

@@ -3,7 +3,8 @@ import pytest
 
 from locoman.errors import (DegenerateConstraints, InvalidDepth, OracleFailure,
                             UsageError)
-from locoman.geometry import Pose, quat_from_euler, unit
+from locoman.geometry import Pose, unit
+from locoman.training import quat_from_euler
 from locoman.grounding import (CameraModel, DepthImage, GroundingResult,
                                ground_action, pixel_to_point, solve_orientation)
 from oracles import is_rotation_matrix

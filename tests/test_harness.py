@@ -15,15 +15,15 @@ from locoman import harness
 from locoman.cli import _load_runnable
 from locoman.config import Config, TrackingConfig, to_dict
 from locoman.errors import LocomanError, ParseError, ValidationError
-from locoman.geometry import Pose, quat_geodesic_distance, vec3, wrap_angle
+from locoman.geometry import Pose, quat_geodesic_distance, vec3
 from locoman.harness import (BASE_STAND_HEIGHT, TRACE_COLUMNS, EpisodeRunner,
-                             aggregate, build_instance_graph, build_occupancy_grid,
-                             make_world, run_episode, stage1_terms, step,
-                             write_report, write_trace_csv)
+                             LocomotionCommand, aggregate, build_instance_graph,
+                             build_occupancy_grid, make_rng, make_world, run_episode,
+                             stage1_terms, step, write_report, write_trace_csv)
 from locoman.navgrid import FREE, OCCUPIED, OccupancyGrid, footprint_clear, plan_path
 from locoman.rewards import ContactTimeline
-from locoman.sampling import LocomotionCommand, make_rng
 from locoman.scenario import load_scenario, scenario_from_dict
+from locoman.training import wrap_angle
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -199,7 +199,7 @@ class TestScenarioProperty:
 
 
 def test_wrap_matches_wrap_angle():
-    # geometry.wrap_angle is the reference: the same value and sign of zero
+    # training.wrap_angle is the reference: the same value and sign of zero
     values = [np.pi, -np.pi, 3 * np.pi, -3 * np.pi, 0.0, -0.0, 1e-300, -1e-300,
               *np.random.default_rng(4).uniform(-20.0, 20.0, 20_000).tolist()]
     for a in values:

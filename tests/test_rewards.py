@@ -3,12 +3,13 @@ import pytest
 
 from locoman.errors import UsageError
 from locoman.rewards import (ASYNC_PAIRS, GAIT_CLIP, LEGS, SYNC_PAIRS,
-                             ContactTimeline, _clip_sq, HeightmapSpec, LegTimeline,
-                             PdGains, RewardWeights, apply_action,
-                             assemble_observation, async_term, leg_frequency,
-                             pd_torque, r_acc, r_ee_ori, r_ee_pos, r_freq,
-                             r_gait, r_power, r_smooth, r_torque, r_track_xy,
-                             r_track_yaw, sync_term, total_reward)
+                             ContactTimeline, _clip_sq, LegTimeline,
+                             RewardWeights, async_term, leg_frequency, r_freq,
+                             r_gait, r_track_xy, r_track_yaw, sync_term,
+                             total_reward)
+from locoman.training import (HeightmapSpec, PdGains, apply_action,
+                              assemble_observation, pd_torque, r_acc, r_ee_ori,
+                              r_ee_pos, r_power, r_smooth, r_torque)
 
 
 def run_trot(timeline, duration, dt=0.005, period=0.5):

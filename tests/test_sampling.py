@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from locoman.geometry import Pose, quat_from_euler, vec3
-from locoman.sampling import (COMMAND_RANGES, CommandRanges, PushEvent,
+from locoman.geometry import Pose, vec3
+from locoman.harness import episode_rng, make_rng
+from locoman.training import (COMMAND_RANGES, CommandRanges, PushEvent,
                               RandomizationConfig, RandomizationEntry,
-                              default_randomization, episode_rng, make_rng,
+                              default_randomization, quat_from_euler,
                               sample_episode_randomization, sample_ee_target,
                               sample_locomotion_command)
 
@@ -33,6 +34,17 @@ class TestCommandRanges:
             CommandRanges(x=(1.0, -1.0), y=(0, 0), w=(0, 0), l_ee=(0.3, 0.6),
                           p_ee=(0, 0), y_ee=(0, 0), alpha_ee=(0, 0),
                           beta_ee=(0, 0), gamma_ee=(0, 0))
+
+    @pytest.mark.parametrize("name, bounds", [
+        ("x", (float("nan"), 1.0)), ("w", (-1.0, float("inf"))),
+        ("gamma_ee", (float("-inf"), 0.0))])
+    def test_non_finite_bound_rejected_at_its_field(self, name, bounds):
+        # a NaN bound passes `lo > hi`, and `_uniform` would then draw NaN
+        ranges = dict(x=(0, 0), y=(0, 0), w=(0, 0), l_ee=(0.3, 0.6), p_ee=(0, 0),
+                      y_ee=(0, 0), alpha_ee=(0, 0), beta_ee=(0, 0), gamma_ee=(0, 0))
+        with pytest.raises(ValueError) as exc:
+            CommandRanges(**dict(ranges, **{name: bounds}))
+        assert exc.value.args[0] == name
 
 
 class TestCommandSampling:
@@ -136,6 +148,46 @@ class TestRandomizationTable:
             RandomizationEntry("x", (1.0, 0.0), "add")
         with pytest.raises(ValueError):
             RandomizationEntry("x", (0.0, 1.0), "multiply")
+
+    @pytest.mark.parametrize("bounds", [(float("nan"), 1.0), (0.0, float("inf"))])
+    def test_non_finite_range_rejected_at_its_field(self, bounds):
+        with pytest.raises(ValueError) as exc:
+            RandomizationEntry("mass", bounds, "add")
+        assert exc.value.args[0] == "range"
+
+
+def _interval(name):
+    return RandomizationEntry(name, (-0.5, 0.5), "interval")
+
+
+class TestPushSchedule:
+    """A push schedule that does not move forward is rejected when the
+    config is built; these tests never call the sampler on such a config,
+    which could loop forever on it."""
+
+    @pytest.mark.parametrize("kwargs, name", [
+        (dict(push_spacing=0.0, push_jitter=0.0), "push_spacing"),
+        (dict(push_spacing=1.0, push_jitter=2.0), "push_spacing"),
+        (dict(push_spacing=1.0, push_jitter=1.0), "push_spacing"),
+        (dict(push_spacing=float("nan")), "push_spacing"),
+        (dict(push_spacing=float("inf")), "push_spacing"),
+        (dict(push_jitter=-0.1), "push_jitter"),
+        (dict(push_jitter=float("nan")), "push_jitter"),
+        (dict(push_duration=-0.5), "push_duration"),
+        (dict(push_duration=float("inf")), "push_duration"),
+        (dict(entries=tuple(_interval(n) for n in "xyz")), "entries")])
+    def test_rejected_at_its_field(self, kwargs, name):
+        with pytest.raises(ValueError) as exc:
+            RandomizationConfig(**kwargs)
+        assert exc.value.args[0] == name
+
+    @pytest.mark.parametrize("spacing, jitter", [(0.5, 0.0), (1.0, 0.999)])
+    def test_tightest_accepted_schedule_moves_forward(self, spacing, jitter):
+        cfg = RandomizationConfig(entries=(_interval("x"),), push_spacing=spacing,
+                                  push_jitter=jitter, push_duration=0.0)
+        times = [e.time for e in sample_episode_randomization(
+            make_rng(3), cfg, horizon=30.0)["push_events"]]
+        assert times and all(b > a for a, b in zip(times, times[1:]))
 
 
 class TestEpisodeRandomization:

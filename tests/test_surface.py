@@ -1,44 +1,27 @@
-"""Dead-surface guard: every module-level function and class in
-`src/locoman/` is reached from `src/` or `benchmarks/` (a re-export in the
-package `__init__.py` does not count), or is library-only
-with a paper role named in LIBRARY_ONLY; every method of a `src/locoman/`
-class is reached; every function the benchmark tracer wraps exists; and
-small-vector arithmetic has one implementation, in `geometry`."""
+"""Dead-surface guard. The run path is `src/locoman/` outside `training.py`
+(a re-export in the package `__init__.py` is not a use) plus `benchmarks/`;
+`training` holds the paper's training setup that `run` never reaches. No
+run-path statement names a `training` definition; every module-level
+function and class of the run path is reached from the run path or wrapped
+by a benchmark tracer target; every method of a `src/locoman/` class is
+reached (a run-path class's from the run path); every function the benchmark
+tracer wraps exists; and small-vector arithmetic has one implementation, in
+`geometry`."""
 
 import ast
 import importlib.util
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 # a package re-export is not a use: `__init__.py` imports every public name
 SRC = sorted(p for p in (ROOT / "src" / "locoman").glob("*.py") if p.name != "__init__.py")
+TRAINING = ROOT / "src" / "locoman" / "training.py"
+RUN_PATH = [p for p in SRC if p != TRAINING]
 BENCHMARKS = sorted((ROOT / "benchmarks").glob("*.py"))
-
-# names `run` never reaches, kept for the paper table or criterion they transcribe
-LIBRARY_ONLY = {
-    "r_ee_pos": "reward weight table: end-effector position tracking (stage 2)",
-    "r_ee_ori": "reward weight table: end-effector orientation tracking (stage 2)",
-    "r_torque": "reward weight table: torque regularization, base and arm",
-    "r_acc": "reward weight table: joint acceleration regularization, base and arm",
-    "r_power": "reward weight table: mechanical power regularization, base and arm",
-    "r_smooth": "reward weight table: action smoothness",
-    "pd_torque": "PD joint control with the paper's gains (rewards.PdGains)",
-    "apply_action": "policy action as an offset from the default joint configuration",
-    "assemble_observation": "the whole-body policy's observation layout",
-    "HeightmapSpec": "the terrain heightmap block of the observation",
-    "sample_episode_randomization": "domain randomization table "
-                                    "(sampling.RandomizationConfig)",
-    "quat_from_euler": "end-effector orientation commands (alpha, beta, gamma); "
-                       "criterion 5 tilts the base with it",
-    "bresenham": "the integer ray of scan integration, one ray at a time; the "
-                 "oracle of integrate_scan's lockstep rays",
-    "PdGains": "PD gains table (kp, kd per leg and arm joint) that pd_torque takes",
-    "sample_locomotion_command": "base velocity command sampling over the "
-                                 "command-range table (sampling.COMMAND_RANGES)",
-    "sample_ee_target": "6-D end-effector target sampling over the command-range "
-                        "table, terrain-invariant in height",
-}
 
 
 def _names(node) -> Counter:
@@ -59,46 +42,87 @@ def _is_command(node) -> bool:
     return any(".command" in ast.unparse(d) for d in node.decorator_list)
 
 
-def definitions_and_unreached():
-    """All module-level functions and classes of `src/locoman/`, and those of
-    them that no other top-level statement in `src/` or `benchmarks/` names.
-    A definition naming itself does not count, nor does a `benchmarks/`
-    mention of a name that `benchmarks/` defines too (a call of `ref.f`
-    reaches the benchmarks' own `f`, not a `src/` function of that name)."""
-    trees = {path: ast.parse(path.read_text()) for path in SRC + BENCHMARKS}
+def _trees() -> dict:
+    return {path: ast.parse(path.read_text()) for path in SRC + BENCHMARKS}
+
+
+def _tracer():
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "benchmarks" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
+
+
+def training_names_on_run_path():
+    """`file:line: name` for every top-level run-path statement that names a
+    module-level definition of `training` (function, class or constant) or
+    imports from the `training` module."""
+    trees = _trees()
+    training = {"training"}
+    for node in trees[TRAINING].body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            training.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            training |= {t.id for t in ast.walk(node) if isinstance(t, ast.Name)
+                         and isinstance(t.ctx, ast.Store)}
+    out = []
+    for path in RUN_PATH + BENCHMARKS:
+        for node in trees[path].body:
+            names = set(_names(node))
+            names |= {n.module.rsplit(".", 1)[-1] for n in ast.walk(node)
+                      if isinstance(n, ast.ImportFrom) and n.module}
+            out += [f"{path.name}:{node.lineno}: {name}" for name in sorted(names & training)]
+    return out
+
+
+def test_run_path_names_no_training_definition():
+    assert training_names_on_run_path() == []
+
+
+def unreached_run_path_definitions():
+    """Module-level functions and classes of the run path's `src/` modules
+    that no other top-level run-path statement names and no tracer target
+    wraps in their own module. A definition naming itself does not count,
+    nor does a `benchmarks/` mention of a name that `benchmarks/` defines too
+    (a call of `ref.f` reaches the benchmarks' own `f`, not a `src/` function
+    of that name), nor a `training` statement."""
+    trees = _trees()
     own = {n.name for path in BENCHMARKS for n in ast.walk(trees[path])
            if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
-    statements, defined = [], []
-    for path, tree in trees.items():
-        for node in tree.body:
-            names = _names(node).keys() - (own if path in BENCHMARKS else set())
-            statements.append((node, names))
-            is_def = isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            if path in SRC and is_def:
-                defined.append(node)
-    unreached = {d.name for d in defined if not _is_command(d)
-                 and not any(d.name in names for node, names in statements if node is not d)}
-    return {d.name for d in defined}, unreached
+    wrapped = {(path, attr) for path, attr, _, _ in _tracer().TARGETS}
+    statements = [(node, _names(node).keys() - (own if path in BENCHMARKS else set()))
+                  for path in RUN_PATH + BENCHMARKS for node in trees[path].body]
+    return sorted(f"{path.stem}.{d.name}" for path in RUN_PATH for d in trees[path].body
+                  if isinstance(d, (ast.FunctionDef, ast.ClassDef)) and not _is_command(d)
+                  and (f"locoman.{path.stem}", d.name) not in wrapped
+                  and not any(d.name in names for node, names in statements if node is not d))
 
 
-def test_every_definition_is_reached_or_library_only():
-    _, unreached = definitions_and_unreached()
-    assert sorted(unreached - LIBRARY_ONLY.keys()) == []
+def test_every_run_path_definition_is_reached():
+    assert unreached_run_path_definitions() == []
 
 
-def test_library_only_names_exist_and_are_unreached():
-    defined, unreached = definitions_and_unreached()
-    assert sorted(LIBRARY_ONLY.keys() - defined) == []
-    assert sorted(LIBRARY_ONLY.keys() - unreached) == []
+def test_cli_import_loads_no_training():
+    """`locoman run` loads the run path only: a fresh `import locoman.cli`
+    imports neither `locoman.training` nor a `locoman.sampling` module."""
+    code = ("import sys, locoman.cli; print([m for m in ('locoman.training', "
+            "'locoman.sampling') if m in sys.modules])")
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=path), check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def unreached_methods():
     """`Class.method` for every method of a `src/locoman/` class, dunders
-    aside, that nothing in `src/` or `benchmarks/` names outside its own body."""
-    trees = [(path, ast.parse(path.read_text())) for path in SRC + BENCHMARKS]
-    mentioned = sum((_names(tree) for _, tree in trees), Counter())
-    return sorted(f"{cls.name}.{m.name}" for path, tree in trees if path in SRC
-                  for cls in tree.body if isinstance(cls, ast.ClassDef)
+    aside, that nothing names outside its own body: the run path for a
+    run-path class, the run path or `training` for a `training` class."""
+    trees = _trees()
+    run_path = sum((_names(trees[p]) for p in RUN_PATH + BENCHMARKS), Counter())
+    everywhere = run_path + _names(trees[TRAINING])
+    return sorted(f"{cls.name}.{m.name}" for path in SRC
+                  for mentioned in [everywhere if path == TRAINING else run_path]
+                  for cls in trees[path].body if isinstance(cls, ast.ClassDef)
                   for m in cls.body if isinstance(m, ast.FunctionDef)
                   and not m.name.startswith("__")
                   and mentioned[m.name] == _names(m)[m.name])
@@ -111,9 +135,7 @@ def test_every_method_is_reached():
 def test_tracer_targets_resolve():
     """A function the benchmark tracer cannot find leaves its per-layer span
     at 0 with only a warning, so a move or rename must fail here instead."""
-    spec = importlib.util.spec_from_file_location("tracer", ROOT / "benchmarks" / "tracer.py")
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = _tracer()
     missing = [f"{path}.{attr}" for path, attr, _, _ in tracer.TARGETS
                if vars(tracer._resolve(path)).get(attr) is None]
     assert missing == []
