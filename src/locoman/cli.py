@@ -17,6 +17,7 @@ import threading
 from pathlib import Path
 
 import click
+import numpy as np
 
 from .config import Config, read_file, to_dict
 from .errors import LocomanError, ValidationError
@@ -223,28 +224,33 @@ def rewards(timeline, out, config_path):
     weights = cfg.reward_weights
     rows = read_file(timeline, lambda fh: list(csv.DictReader(fh)))
 
-    tl = ContactTimeline()
-    columns, out_rows = ["t"], []
+    ticks, contacts, dts = [], [], []
     prev_t = None
     for i, row in enumerate(rows, start=1):
         try:
-            values, contacts = _timeline_row(row)
+            values, flags = _timeline_row(row)
             t = values["t"]
             if prev_t is not None and t <= prev_t:
                 raise ValueError(f"column t: {t!r} does not increase on {prev_t!r}")
         except ValueError as exc:
             raise ValidationError(f"{timeline} row {i}: {exc}") from None
-        dt = (t - prev_t) if prev_t is not None else 0.02
+        dts.append((t - prev_t) if prev_t is not None else 0.02)
         prev_t = t
-        tl.update(contacts, dt, t)
-        cmd = (values["cmd_vx"], values["cmd_vy"], values["cmd_w"])
-        act = (values["act_vx"], values["act_vy"], values["act_w"])
-        terms = stage1_terms(cfg, cmd, act, tl)
-        terms.update((name, values[name]) for name in _TIMELINE_TERMS)
-        terms.update(total_stage1=total_reward(1, terms, weights),
-                     total_stage2=total_reward(2, terms, weights))
-        columns = ["t", *sorted(terms)]
-        out_rows.append((t, *(terms[name] for name in columns[1:])))
+        ticks.append(values)
+        contacts.append(flags)
+
+    t = np.array([v["t"] for v in ticks], dtype=float)
+    velocity = np.array([[v[name] for name in _VELOCITY_COLUMNS] for v in ticks],
+                        dtype=float).reshape(-1, len(_VELOCITY_COLUMNS))
+    tl = ContactTimeline()
+    tl.update(contacts, dts, t)
+    terms = stage1_terms(cfg, velocity[:, :3], velocity[:, 3:], tl)
+    terms.update((name, np.array([v[name] for v in ticks], dtype=float))
+                 for name in _TIMELINE_TERMS)
+    terms.update(total_stage1=total_reward(1, terms, weights),
+                 total_stage2=total_reward(2, terms, weights))
+    columns = ["t", *sorted(terms)] if ticks else ["t"]
+    out_rows = zip(t.tolist(), *(terms[name].tolist() for name in columns[1:]))
 
     with _writing(out):
         write_csv(out, columns, out_rows)

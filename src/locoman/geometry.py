@@ -25,6 +25,13 @@ def dot(a, b) -> float:
     return float(np.dot(a, b))
 
 
+def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`dot` of each row pair of two (n, k) arrays, bit for bit: np.vecdot
+    runs np.dot's BLAS kernel per row, whose fused multiply-adds a
+    written-out `x * x + y * y` does not make."""
+    return np.vecdot(a, b)
+
+
 def norm(v: np.ndarray) -> float:
     """np.linalg.norm of a 1-D float array, bit for bit (numpy computes the
     same sqrt of v.dot(v)), without its per-call overhead."""

@@ -248,14 +248,14 @@ class EpisodeResult:
     metrics: MetricsReport
 
 
-def stage1_terms(cfg: Config, cmd: tuple[float, float, float],
-                 act: tuple[float, float, float],
-                 timeline: ContactTimeline) -> dict[str, float]:
-    """The stage-1 reward terms of one tick: base velocity tracking of the
-    command `(vx, vy, w)` by `act`, and the gait and frequency of the timeline."""
+def stage1_terms(cfg: Config, cmd: np.ndarray, act: np.ndarray,
+                 timeline: ContactTimeline) -> dict[str, np.ndarray]:
+    """The stage-1 reward terms, one column each: base velocity tracking of
+    the commanded `(vx, vy, w)` rows `cmd` (n×3) by the rows `act`, and the
+    gait and frequency of the n-tick timeline."""
     return {
-        "track_xy": r_track_xy(cmd[:2], act[:2], cfg.gamma_xy),
-        "track_yaw": r_track_yaw(cmd[2], act[2], cfg.gamma_w),
+        "track_xy": r_track_xy(cmd[:, :2], act[:, :2], cfg.gamma_xy),
+        "track_yaw": r_track_yaw(cmd[:, 2], act[:, 2], cfg.gamma_w),
         "gait": r_gait(timeline),
         "freq": r_freq(timeline, cfg.f_target),
     }
@@ -265,6 +265,16 @@ def stage1_terms(cfg: Config, cmd: tuple[float, float, float],
 TROT_PHASE_A = (True, False, False, True)  # FL and RR down
 TROT_PHASE_B = (False, True, True, False)  # FR and RL down
 STANCE = (True, True, True, True)
+
+
+def trot_contacts(t: np.ndarray, vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
+    """The synthetic gait's flags per tick: a trot clocked at 2 Hz while the
+    base moves, stance otherwise."""
+    moving = np.hypot(vx, vy) > 0.05
+    phase_a = (t * 2.0) % 1.0 < 0.5
+    trot = np.where(phase_a[:, None], TROT_PHASE_A, TROT_PHASE_B)
+    return np.where(moving[:, None], trot, STANCE)
+
 
 TRACE_COLUMNS = [
     "t", "action_index", "base_x", "base_y", "base_yaw",
@@ -291,8 +301,7 @@ class EpisodeRunner:
         self.graph, self.node_of = build_instance_graph(scenario)
         self.target_of = {self.node_of[obj.id]: obj for obj in scenario.objects}
         self.latched: dict[tuple[int, int], float] = {}  # (step, monitor) -> latch time
-        self.trace: list[tuple] = []
-        self.timeline = ContactTimeline()
+        self.ticks: list[tuple] = []  # per tick, TRACE_COLUMNS up to ee_err_ori
         self._err_sums = (0.0, 0.0, 0.0)
         self._err_ticks = 0
         self._ee_err_sums = (0.0, 0.0)
@@ -337,19 +346,9 @@ class EpisodeRunner:
         else:
             ee_pos_err = ee_ori_err = 0.0
 
-        # synthetic trot clocked at 2 Hz while the base moves, stance otherwise
-        if float(np.hypot(vel[0], vel[1])) > 0.05:
-            contacts = TROT_PHASE_A if (w.t * 2.0) % 1.0 < 0.5 else TROT_PHASE_B
-        else:
-            contacts = STANCE
-        self.timeline.update(contacts, self.dt, w.t)
-
-        terms = stage1_terms(self.config, cmd, vel, self.timeline)
         x, y = w.base_xy
-        self.trace.append((
-            w.t, self._action_index, x, y, w.base_yaw,
-            cmd[0], vel[0], cmd[1], vel[1], cmd[2], vel[2], ee_pos_err, ee_ori_err,
-            *terms.values(), total_reward(1, terms, self.config.reward_weights)))
+        self.ticks.append((w.t, self._action_index, x, y, w.base_yaw, cmd[0], vel[0],
+                           cmd[1], vel[1], cmd[2], vel[2], ee_pos_err, ee_ori_err))
 
     # -- primitive controllers -------------------------------------------
     # Each returns once it reaches its goal, or raises: `ActionFailed` when it
@@ -542,7 +541,21 @@ class EpisodeRunner:
     def run(self) -> EpisodeResult:
         outcomes = [self.execute_action(i, action)
                     for i, action in enumerate(self.build_plan())]
-        return EpisodeResult(trace=self.trace, outcomes=outcomes, metrics=self._metrics())
+        return EpisodeResult(trace=self._trace(), outcomes=outcomes, metrics=self._metrics())
+
+    def _trace(self) -> list[tuple]:
+        """Each tick's row followed by its stage-1 reward terms and their
+        total, all scored at once over the episode's columns."""
+        ticks = np.array(self.ticks, dtype=float).reshape(
+            -1, TRACE_COLUMNS.index("r_track_xy"))
+        # cmd_vx, act_vx, cmd_vy, act_vy, cmd_w, act_w are columns 5 to 10
+        t, cmd, act = ticks[:, 0], ticks[:, 5:11:2], ticks[:, 6:11:2]
+        timeline = ContactTimeline()
+        timeline.update(trot_contacts(t, act[:, 0], act[:, 1]), self.dt, t)
+        terms = stage1_terms(self.config, cmd, act, timeline)
+        total = total_reward(1, terms, self.config.reward_weights)
+        scored = zip(*(column.tolist() for column in (*terms.values(), total)))
+        return [row + rewards for row, rewards in zip(self.ticks, scored)]
 
     def _metrics(self) -> MetricsReport:
         per_action, overall = report(self.scenario.plan, self.latched)

@@ -1,10 +1,16 @@
 """The rewards `run` records: tracking, gait and frequency terms over
 contact bookkeeping, and the two-stage weight table.
 
-All reward terms are pure functions; the stage-dependent weight table is
-applied only in total_reward. Leg order: FL, FR, RL, RR. The paper's other
-rows of the table (end-effector and regularization terms), PD torque and
-observation assembly are in `training`.
+Every term takes a whole timeline at once, one entry per tick, and returns
+one column. Each column holds the bits that evaluating the term tick by tick
+gives (`tests/oracles.py` keeps that per-tick form, and a test compares the
+two bit for bit). Two float rules keep that so: a square that the per-tick
+form takes as Python's `x ** 2` (C `pow`, which is not always `x * x`) stays
+one, and a row's inner product goes through `geometry.row_dot`, which gives
+`np.dot`'s bits. The stage-dependent weight table is applied only in
+total_reward. Leg order: FL, FR, RL, RR. The paper's other rows of the table
+(end-effector and regularization terms), PD torque and observation assembly
+are in `training`.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import UsageError
-from .geometry import dot
+from .geometry import row_dot
 
 LEGS = ("FL", "FR", "RL", "RR")
 SYNC_PAIRS = (("FL", "RR"), ("FR", "RL"))
@@ -27,104 +33,133 @@ GAIT_CLIP = 0.04  # squared-seconds cap on each gait error factor
 # contact bookkeeping
 # ---------------------------------------------------------------------------
 
-@dataclass
-class LegTimeline:
-    """Per-leg air/contact stint durations and the last two contact onsets."""
-
-    in_contact: bool = False
-    air_time: float = 0.0
-    contact_time: float = 0.0
-    onsets: tuple[float, ...] = ()
-
-    def update(self, in_contact: bool, dt: float, t: float) -> None:
-        if in_contact and not self.in_contact:
-            # touchdown: new contact stint begins
-            self.contact_time = 0.0
-            self.onsets = (self.onsets + (t,))[-2:]
-        elif not in_contact and self.in_contact:
-            self.air_time = 0.0
-        if in_contact:
-            self.contact_time += dt
-        else:
-            self.air_time += dt
-        self.in_contact = in_contact
+def _no_ticks() -> np.ndarray:
+    return np.zeros((0, len(LEGS)))
 
 
 @dataclass
 class ContactTimeline:
-    legs: dict[str, LegTimeline] = field(
-        default_factory=lambda: {leg: LegTimeline() for leg in LEGS})
+    """Contact bookkeeping of every tick so far, one column per leg in LEGS
+    order: the duration of the leg's current or last air stint and contact
+    stint after the tick, and per leg the (tick, time) of each contact
+    onset."""
 
-    def update(self, contacts: tuple[bool, bool, bool, bool], dt: float, t: float) -> None:
-        """`contacts` holds one flag per leg, in LEGS order."""
-        for leg, in_contact in zip(LEGS, contacts):
-            self.legs[leg].update(in_contact, dt, t)
+    air_time: np.ndarray = field(default_factory=_no_ticks)
+    contact_time: np.ndarray = field(default_factory=_no_ticks)
+    onsets: tuple[list[tuple[int, float]], ...] = field(
+        default_factory=lambda: tuple([] for _ in LEGS))
+    in_contact: tuple[bool, ...] = (False,) * len(LEGS)  # after the last tick
 
+    def __len__(self) -> int:
+        return len(self.air_time)
 
-def leg_frequency(leg: LegTimeline) -> float | None:
-    """Inverse of the interval between the last two contact onsets; None until
-    two onsets exist."""
-    if len(leg.onsets) < 2:
-        return None
-    interval = leg.onsets[1] - leg.onsets[0]
-    if interval <= 0.0:
-        return None
-    return 1.0 / interval
+    def update(self, contacts, dt, t) -> None:
+        """Append a block of ticks: `contacts` holds one row of flags per tick,
+        `t` each tick's time and `dt` its duration (one float, or one per
+        tick). A stint's duration is the running sum of its ticks' dt from
+        0.0, added left to right, as adding each tick's dt in turn does."""
+        flags = np.asarray(contacts, dtype=bool).reshape(-1, len(LEGS))
+        t = np.asarray(t, dtype=float)
+        n0, n = len(self), len(t)
+        if n == 0:
+            return
+        air0, contact0 = ((self.air_time[-1], self.contact_time[-1]) if n0
+                          else (np.zeros(len(LEGS)), np.zeros(len(LEGS))))
+        ticks, times = np.arange(n), t.tolist()
+        air, contact = np.empty((n, len(LEGS))), np.empty((n, len(LEGS)))
+        for j, down in enumerate(flags.T):
+            before = np.concatenate(([self.in_contact[j]], down[:-1]))
+            self.onsets[j].extend((n0 + k, times[k]) for k in
+                                  np.flatnonzero(down & ~before).tolist())
+            # run[k]: the sum of tick k's stint so far. buf[k + 1] is tick k's
+            # dt, and buf[s] the sum that the stint starting at s goes on from
+            buf = np.concatenate(([0.0], np.broadcast_to(dt, (n,))))
+            if down[0] == before[0]:  # the block's first stint goes on
+                buf[0] = (contact0 if down[0] else air0)[j]
+            edges = [0, *(np.flatnonzero(down[1:] != down[:-1]) + 1).tolist(), n]
+            run = np.empty(n)
+            for s, e in zip(edges, edges[1:]):
+                run[s:e] = np.add.accumulate(buf[s:e + 1])[1:]
+                buf[e] = 0.0  # the next stint starts from 0.0
+            # between its stints a duration holds its last stint's sum
+            last_down = np.maximum.accumulate(np.where(down, ticks, -1))
+            last_up = np.maximum.accumulate(np.where(down, -1, ticks))
+            contact[:, j] = np.where(last_down >= 0, run[last_down], contact0[j])
+            air[:, j] = np.where(last_up >= 0, run[last_up], air0[j])
+        self.air_time = np.concatenate((self.air_time, air))
+        self.contact_time = np.concatenate((self.contact_time, contact))
+        self.in_contact = tuple(flags[-1].tolist())
 
 
 # ---------------------------------------------------------------------------
 # tracking rewards
 # ---------------------------------------------------------------------------
 
-def r_track_xy(cmd_xy: np.ndarray, actual_xy: np.ndarray, gamma_xy: float = 0.25) -> float:
-    err = np.array((cmd_xy[0] - actual_xy[0], cmd_xy[1] - actual_xy[1]), dtype=float)
-    return float(np.exp(-dot(err, err) / gamma_xy))
+def r_track_xy(cmd_xy: np.ndarray, actual_xy: np.ndarray,
+               gamma_xy: float = 0.25) -> np.ndarray:
+    """exp(-|cmd - actual|^2 / gamma) of each row of two (n, 2) arrays."""
+    err = np.asarray(cmd_xy, dtype=float) - actual_xy
+    return np.exp(-row_dot(err, err) / gamma_xy)
 
 
-def r_track_yaw(cmd_w: float, actual_w: float, gamma_w: float = 0.25) -> float:
-    return float(np.exp(-((cmd_w - actual_w) ** 2) / gamma_w))
+def r_track_yaw(cmd_w: np.ndarray, actual_w: np.ndarray,
+                gamma_w: float = 0.25) -> np.ndarray:
+    """exp(-(cmd - actual)^2 / gamma) of each entry; the square is Python's
+    `**`, as in the per-tick form."""
+    err = (np.asarray(cmd_w, dtype=float) - actual_w).tolist()
+    return np.exp(-np.array([e ** 2 for e in err], dtype=float) / gamma_w)
 
 
 # ---------------------------------------------------------------------------
 # gait & frequency rewards
 # ---------------------------------------------------------------------------
 
-def _clip_sq(x: float) -> float:
-    return min(max(x * x, 0.0), GAIT_CLIP)
+def _clip_sq(x: np.ndarray) -> np.ndarray:
+    return np.minimum(x * x, GAIT_CLIP)  # x * x is never below 0
 
 
-def sync_term(a: LegTimeline, b: LegTimeline) -> float:
-    """Synchrony between two legs: in [exp(-0.08), 1]."""
-    return float(np.exp(-(_clip_sq(a.air_time - b.air_time)
-                          + _clip_sq(a.contact_time - b.contact_time))))
+def _stints(timeline: ContactTimeline, leg: str) -> tuple[np.ndarray, np.ndarray]:
+    j = LEGS.index(leg)
+    return timeline.air_time[:, j], timeline.contact_time[:, j]
 
 
-def async_term(a: LegTimeline, b: LegTimeline) -> float:
+def sync_term(timeline: ContactTimeline, a: str, b: str) -> np.ndarray:
+    """Synchrony between legs `a` and `b`: in [exp(-0.08), 1]."""
+    (air_a, contact_a), (air_b, contact_b) = _stints(timeline, a), _stints(timeline, b)
+    return np.exp(-(_clip_sq(air_a - air_b) + _clip_sq(contact_a - contact_b)))
+
+
+def async_term(timeline: ContactTimeline, a: str, b: str) -> np.ndarray:
     """Asynchrony (crossed air/contact comparison): in [exp(-0.08), 1]."""
-    return float(np.exp(-(_clip_sq(a.air_time - b.contact_time)
-                          + _clip_sq(a.contact_time - b.air_time))))
+    (air_a, contact_a), (air_b, contact_b) = _stints(timeline, a), _stints(timeline, b)
+    return np.exp(-(_clip_sq(air_a - contact_b) + _clip_sq(contact_a - air_b)))
 
 
-def r_gait(timeline: ContactTimeline) -> float:
+def r_gait(timeline: ContactTimeline) -> np.ndarray:
     """Product of diagonal synchrony terms and lateral/longitudinal asynchrony
     terms; exactly 1 for an ideal trot."""
-    value = 1.0
+    value = np.ones(len(timeline))
     for i, j in SYNC_PAIRS:
-        value *= sync_term(timeline.legs[i], timeline.legs[j])
+        value *= sync_term(timeline, i, j)
     for k, l in ASYNC_PAIRS:
-        value *= async_term(timeline.legs[k], timeline.legs[l])
+        value *= async_term(timeline, k, l)
     return value
 
 
-def r_freq(timeline: ContactTimeline, f_target: float = 2.0) -> float:
-    """Product over legs of exp(-0.5 * (f - f_target)^2); legs without two
-    recorded onsets contribute 1 (no evidence, no penalty)."""
-    value = 1.0
-    for leg in LEGS:
-        f = leg_frequency(timeline.legs[leg])
-        if f is None:
-            continue
-        value *= float(np.exp(-0.5 * (f - f_target) ** 2))
+def r_freq(timeline: ContactTimeline, f_target: float = 2.0) -> np.ndarray:
+    """Product over legs of exp(-0.5 * (f - f_target)^2), f the inverse of the
+    interval between the leg's last two contact onsets; a leg before its
+    second onset, or after a non-positive interval, contributes 1 (no
+    evidence, no penalty). A leg's factor changes only at its onsets, so it
+    is computed there, one float each."""
+    value = np.ones(len(timeline))
+    for onsets in timeline.onsets:
+        factor = np.ones(len(timeline))
+        for (_, t0), (k, t1) in zip(onsets, onsets[1:]):
+            interval = t1 - t0
+            factor[k:] = (1.0 if interval <= 0.0
+                          else float(np.exp(-0.5 * (1.0 / interval - f_target) ** 2)))
+        value *= factor
     return value
 
 
@@ -156,9 +191,10 @@ class RewardWeights:
         return getattr(self, term)[stage - 1]
 
 
-def total_reward(stage: int, terms: dict[str, float],
-                 weights: RewardWeights | None = None) -> float:
-    """Weighted sum of term values under the given stage's column."""
+def total_reward(stage: int, terms: dict[str, float | np.ndarray],
+                 weights: RewardWeights | None = None) -> float | np.ndarray:
+    """Weighted sum of term values under the given stage's column; a term's
+    value is one float or one column, and the sum is the same shape."""
     weights = weights or RewardWeights()
     total = 0.0
     for name, value in terms.items():

@@ -81,7 +81,7 @@ class SphericalTarget:
     yaw: float
 
     def __post_init__(self):
-        if self.radius < 0:
+        if not self.radius >= 0:  # NaN fails it too
             raise ValueError("radius must be >= 0")
 
 
@@ -260,6 +260,8 @@ class CommandRanges:
     def __post_init__(self):
         for f in fields(self):
             _check_bounds(f.name, getattr(self, f.name))
+        if self.l_ee[0] < 0:  # a radius
+            raise ValueError("l_ee", f"lo must be >= 0, got {self.l_ee[0]!r}")
 
 
 # the paper's command-range table: training, evaluation, and the RoboDuet
@@ -405,6 +407,8 @@ def sample_episode_randomization(rng: np.random.Generator,
     "add" entries return base + delta, "scale" base * factor, "abs" the raw
     sample; "interval" entries produce a push-event schedule over the horizon.
     """
+    if not math.isfinite(horizon):  # the push schedule would never end
+        raise ValueError("horizon", f"must be finite, got {horizon!r}")
     base_values = base_values or {}
     realized: dict[str, float] = {}
     interval_entries: list[RandomizationEntry] = []

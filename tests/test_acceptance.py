@@ -23,8 +23,7 @@ from locoman.scenario import scenario_from_dict
 from locoman.navgrid import (FREE, OCCUPIED, SQRT2, GoalSearchConfig,
                              OccupancyGrid, blocked_mask, find_goal_pose,
                              plan_path)
-from locoman.rewards import (ContactTimeline, LegTimeline, r_freq, r_gait,
-                             sync_term, total_reward)
+from locoman.rewards import ContactTimeline, r_freq, r_gait, sync_term, total_reward
 from locoman.training import (COMMAND_RANGES, RandomizationConfig, quat_from_euler,
                               sample_ee_target, sample_locomotion_command)
 from oracles import cartesian_to_spherical, is_rotation_matrix, path_cost
@@ -120,19 +119,19 @@ def test_criterion_3_fusion_matches_brute_force():
 # -- 4. reward fixture values -------------------------------------------------
 
 def test_criterion_4_reward_exact_values():
-    from test_rewards import UNIT_TERMS, run_trot
+    from test_rewards import UNIT_TERMS, run_trot, two_legs
 
     trot = ContactTimeline()
     run_trot(trot, 3.0)
-    assert r_gait(trot) == 1.0
+    assert r_gait(trot)[-1] == 1.0
 
-    a = LegTimeline(in_contact=False, air_time=1.0, contact_time=0.0)
-    b = LegTimeline(in_contact=True, air_time=0.0, contact_time=1.0)
-    assert sync_term(a, b) == pytest.approx(np.exp(-0.08), abs=1e-12)
+    desync = two_legs((1.0, 0.0), (0.0, 1.0))  # (air, contact) of FL and FR
+    assert sync_term(desync, "FL", "FR")[0] == pytest.approx(np.exp(-0.08), abs=1e-12)
 
     off = ContactTimeline()
-    off.legs["FL"].onsets = (0.0, 1.0)  # 1 Hz against the 2 Hz target
-    assert r_freq(off) == pytest.approx(np.exp(-0.5), abs=1e-12)
+    fl = (True, False, False, False)
+    off.update([fl, (False,) * 4, fl], 0.5, [0.0, 0.5, 1.0])  # FL at 1 Hz, target 2 Hz
+    assert r_freq(off)[-1] == pytest.approx(np.exp(-0.5), abs=1e-12)
 
     assert total_reward(1, UNIT_TERMS) == pytest.approx(17.5, abs=1e-12)
     with_arm = dict(UNIT_TERMS, torque_arm=1e6)

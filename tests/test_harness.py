@@ -637,7 +637,8 @@ class TestTraceColumns:
     def test_reward_columns_follow_stage1_terms(self):
         # rows are positional: the terms land right before total_stage1, in
         # stage1_terms' order
-        terms = stage1_terms(Config(), np.zeros(3), np.zeros(3), ContactTimeline())
+        terms = stage1_terms(Config(), np.zeros((0, 3)), np.zeros((0, 3)),
+                             ContactTimeline())
         names = [f"r_{name}" for name in terms]
         assert TRACE_COLUMNS[-len(names) - 1:] == names + ["total_stage1"]
         assert [c for c in TRACE_COLUMNS if c.startswith("r_")] == names

@@ -1,11 +1,15 @@
+import struct
+
 import numpy as np
 import pytest
 
+import oracles
+from locoman.config import Config
 from locoman.errors import UsageError
+from locoman.harness import stage1_terms
 from locoman.rewards import (ASYNC_PAIRS, GAIT_CLIP, LEGS, SYNC_PAIRS,
-                             ContactTimeline, _clip_sq, LegTimeline,
-                             RewardWeights, async_term, leg_frequency, r_freq,
-                             r_gait, r_track_xy, r_track_yaw, sync_term,
+                             ContactTimeline, _clip_sq, RewardWeights, async_term,
+                             r_freq, r_gait, r_track_xy, r_track_yaw, sync_term,
                              total_reward)
 from locoman.training import (HeightmapSpec, PdGains, apply_action,
                               assemble_observation, pd_torque, r_acc, r_ee_ori,
@@ -14,27 +18,34 @@ from locoman.training import (HeightmapSpec, PdGains, apply_action,
 
 def run_trot(timeline, duration, dt=0.005, period=0.5):
     """Ideal trot: diagonal pairs alternate contact every half period."""
-    steps = int(round(duration / dt))
-    for k in range(steps):
-        t = (k + 1) * dt
-        diag_a = (t % period) < (period / 2)
-        # FL, FR, RL, RR: the FL-RR diagonal is down while diag_a
-        timeline.update((diag_a, not diag_a, not diag_a, diag_a), dt, t)
+    t = [(k + 1) * dt for k in range(int(round(duration / dt)))]
+    # FL, FR, RL, RR: the FL-RR diagonal is down while diag_a
+    diag_a = [(tk % period) < (period / 2) for tk in t]
+    timeline.update([(a, not a, not a, a) for a in diag_a], dt, t)
+
+
+def two_legs(a, b):
+    """A one-tick timeline whose FL and FR stints are `a` and `b`, each
+    (air time, contact time)."""
+    return ContactTimeline(air_time=np.array([[a[0], b[0], 0.0, 0.0]]),
+                           contact_time=np.array([[a[1], b[1], 0.0, 0.0]]))
 
 
 class TestTracking:
     def test_perfect_tracking_is_one(self):
-        assert r_track_xy(np.array([0.5, -0.2]), np.array([0.5, -0.2])) == 1.0
-        assert r_track_yaw(0.7, 0.7) == 1.0
+        assert r_track_xy(np.array([[0.5, -0.2]]), np.array([[0.5, -0.2]])).tolist() == [1.0]
+        assert r_track_yaw(np.array([0.7]), np.array([0.7])).tolist() == [1.0]
 
     def test_squared_error_scale(self):
         # error of 0.5 in one axis: exp(-0.25 / 0.25) = 1/e
-        assert r_track_xy(np.array([0.5, 0.0]), np.zeros(2)) == pytest.approx(
+        assert r_track_xy(np.array([[0.5, 0.0]]), np.zeros((1, 2)))[0] == pytest.approx(
             np.exp(-1.0), abs=1e-12)
-        assert r_track_yaw(0.5, 0.0) == pytest.approx(np.exp(-1.0), abs=1e-12)
+        assert r_track_yaw(np.array([0.5]), np.zeros(1))[0] == pytest.approx(
+            np.exp(-1.0), abs=1e-12)
 
     def test_custom_gamma(self):
-        assert r_track_yaw(1.0, 0.0, gamma_w=1.0) == pytest.approx(np.exp(-1.0))
+        assert r_track_yaw(np.array([1.0]), np.zeros(1), gamma_w=1.0)[0] == \
+            pytest.approx(np.exp(-1.0))
 
     def test_ee_pos_is_euclidean(self):
         assert r_ee_pos(np.array([1.0, 0, 0]), np.zeros(3)) == 1.0
@@ -49,35 +60,30 @@ class TestGait:
     def test_ideal_trot_exactly_one(self):
         tl = ContactTimeline()
         run_trot(tl, 3.0)
-        assert r_gait(tl) == 1.0
+        assert r_gait(tl)[-1] == 1.0
 
     def test_saturated_desync_sync_term(self):
-        a = LegTimeline(in_contact=False, air_time=1.0, contact_time=0.0)
-        b = LegTimeline(in_contact=True, air_time=0.0, contact_time=1.0)
-        assert sync_term(a, b) == pytest.approx(np.exp(-0.08), abs=1e-12)
+        tl = two_legs((1.0, 0.0), (0.0, 1.0))
+        assert sync_term(tl, "FL", "FR")[0] == pytest.approx(np.exp(-0.08), abs=1e-12)
 
     def test_matched_async_is_one(self):
-        a = LegTimeline(air_time=0.25, contact_time=0.25)
-        b = LegTimeline(air_time=0.25, contact_time=0.25)
-        assert async_term(a, b) == 1.0
+        assert async_term(two_legs((0.25, 0.25), (0.25, 0.25)), "FL", "FR")[0] == 1.0
 
     def test_clip_caps_each_factor(self):
-        a = LegTimeline(air_time=10.0, contact_time=0.0)
-        b = LegTimeline(air_time=0.0, contact_time=10.0)
         # both squared differences exceed the cap; factor bottoms out
-        assert sync_term(a, b) == pytest.approx(np.exp(-2 * GAIT_CLIP), abs=1e-15)
+        tl = two_legs((10.0, 0.0), (0.0, 10.0))
+        assert sync_term(tl, "FL", "FR")[0] == pytest.approx(np.exp(-2 * GAIT_CLIP),
+                                                             abs=1e-15)
 
     def test_clip_sq_bitwise_equals_np_clip(self):
         rng = np.random.Generator(np.random.PCG64(3))
         xs = list(rng.normal(0.0, 0.3, 10_000)) + list(rng.uniform(-1.0, 1.0, 10_000))
         xs += [0.0, -0.0, 0.2, -0.2, 1e-170, -1e-170, 1e154, -1e160, 1e308,
                -1e308, np.inf, -np.inf, np.nan, -np.nan]
+        xs = np.array(xs)
         with np.errstate(over="ignore"):
-            for x in xs:
-                for v in (float(x), np.float64(x)):
-                    expected = float(np.clip(v * v, 0.0, GAIT_CLIP))
-                    assert np.float64(_clip_sq(v)).tobytes() == \
-                        np.float64(expected).tobytes(), v
+            expected = np.clip(xs * xs, 0.0, GAIT_CLIP)
+            assert _clip_sq(xs).tobytes() == expected.tobytes()
 
     def test_pair_structure(self):
         assert set(SYNC_PAIRS) == {("FL", "RR"), ("FR", "RL")}
@@ -88,41 +94,139 @@ class TestGait:
     def test_gait_in_unit_interval(self):
         rng = np.random.Generator(np.random.PCG64(0))
         tl = ContactTimeline()
-        for k in range(500):
-            contacts = tuple(bool(rng.random() < 0.5) for leg in LEGS)
-            tl.update(contacts, 0.02, 0.02 * (k + 1))
-            assert 0.0 < r_gait(tl) <= 1.0
+        contacts = [tuple(bool(rng.random() < 0.5) for leg in LEGS) for k in range(500)]
+        tl.update(contacts, 0.02, [0.02 * (k + 1) for k in range(500)])
+        gait = r_gait(tl)
+        assert len(gait) == 500
+        assert np.all((0.0 < gait) & (gait <= 1.0))
 
 
 class TestFrequency:
     def test_on_target_is_one(self):
         tl = ContactTimeline()
         run_trot(tl, 3.0)  # period 0.5 s -> 2 Hz per leg
-        assert r_freq(tl) == pytest.approx(1.0, abs=1e-9)
+        assert r_freq(tl)[-1] == pytest.approx(1.0, abs=1e-9)
 
     def test_one_leg_off_by_one_hz(self):
         tl = ContactTimeline()
-        tl.legs["FL"].onsets = (0.0, 1.0)  # 1 Hz vs 2 Hz target
-        assert r_freq(tl) == pytest.approx(np.exp(-0.5), abs=1e-12)
+        fl = (True, False, False, False)
+        tl.update([fl, (False,) * 4, fl], 0.5, [0.0, 0.5, 1.0])  # 1 Hz vs 2 Hz target
+        assert r_freq(tl)[-1] == pytest.approx(np.exp(-0.5), abs=1e-12)
 
     def test_unobserved_legs_contribute_one(self):
-        assert r_freq(ContactTimeline()) == 1.0
+        assert r_freq(ContactTimeline()).tolist() == []
+        tl = ContactTimeline()
+        tl.update([(True,) * 4] * 3, 0.02, [0.02, 0.04, 0.06])  # one onset per leg
+        assert r_freq(tl).tolist() == [1.0] * 3
 
     def test_leg_frequency_needs_two_onsets(self):
-        leg = LegTimeline()
-        assert leg_frequency(leg) is None
-        leg.update(True, 0.01, 0.01)
-        assert leg_frequency(leg) is None
-        leg.update(False, 0.01, 0.02)
-        leg.update(True, 0.01, 0.51)
-        assert leg_frequency(leg) == pytest.approx(2.0)
+        tl = ContactTimeline()
+        fl = (True, False, False, False)
+        tl.update([fl, (False,) * 4, fl], 0.01, [0.01, 0.02, 0.51])
+        assert tl.onsets == ([(0, 0.01), (2, 0.51)], [], [], [])
+        assert r_freq(tl)[:2].tolist() == [1.0, 1.0]  # no evidence before onset 2
+        # the onsets are 0.5 s apart: 2 Hz, one off a 3 Hz target
+        assert r_freq(tl)[2] == pytest.approx(1.0)
+        assert r_freq(tl, f_target=3.0)[2] == pytest.approx(np.exp(-0.5))
 
-    def test_onsets_keep_last_two(self):
-        leg = LegTimeline()
+    def test_last_two_onsets_set_the_frequency(self):
+        tl = ContactTimeline()
         for t in (0.0, 1.0, 1.5):
-            leg.update(True, 0.01, t)
-            leg.update(False, 0.01, t + 0.1)
-        assert leg.onsets == (1.0, 1.5)
+            tl.update([(True,) * 4, (False,) * 4], 0.01, [t, t + 0.1])
+        assert tl.onsets[0] == [(0, 0.0), (2, 1.0), (4, 1.5)]
+        # 1 Hz per leg from onset 2, 2 Hz from onset 3
+        assert r_freq(tl)[2:4] == pytest.approx([np.exp(-2.0)] * 2, abs=1e-12)
+        assert r_freq(tl)[4:] == pytest.approx([1.0, 1.0])
+
+
+def random_timeline(seed):
+    """One seeded timeline, as the column kernel takes it: (cmd, act, contacts,
+    dt, t). Even seeds use `run`'s clock (one dt, t summed tick by tick), odd
+    seeds the `rewards` clock (jittered steps, dt the difference of
+    successive t, 0.02 s for the first row); every fifth seed repeats some
+    times, so onsets can be 0 s apart. Contacts switch between stance and the
+    trot at random ticks, or some legs hold one flag throughout."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    n = int(rng.choice([0, 1, 2, 3, 17, 60, 240]))
+    t, dt, prev = [], [], None
+    for k in range(n):
+        step = 0.02 if seed % 2 == 0 else 0.02 * float(rng.uniform(0.5, 1.5))
+        if seed % 5 == 4 and k and rng.random() < 0.2:
+            step = 0.0
+        now = step if prev is None else prev + step
+        dt.append(0.02 if seed % 2 == 0 or prev is None else now - prev)
+        t.append(now)
+        prev = now
+    moving = np.cumsum(rng.random(n) < 0.05) % 2 == 1
+    contacts = []
+    for tk, move in zip(t, moving):
+        if not move:
+            contacts.append((True,) * 4)
+        else:
+            a = (tk * float(rng.choice([1.5, 2.0]))) % 1.0 < 0.5
+            contacts.append((a, not a, not a, a))
+    if seed % 3 == 0:  # per leg: as above, random flags, or one flag throughout
+        mode, held = rng.integers(0, 3, 4).tolist(), (rng.random(4) < 0.5).tolist()
+        contacts = [tuple(c if m == 0 else bool(rng.random() < 0.5) if m == 1 else h
+                          for c, m, h in zip(row, mode, held)) for row in contacts]
+    cmd = rng.normal(0.0, 0.6, (n, 3))
+    act = cmd + rng.normal(0.0, 0.2, (n, 3)) * (rng.random((n, 1)) < 0.8)
+    return cmd, act, contacts, dt, t
+
+
+def bits(values):
+    return [struct.pack("<d", v) for v in values]
+
+
+class TestColumnOracle:
+    """The column kernel against `oracles.stage1_rows`, the per-tick form,
+    bit for bit (struct-packed, so the sign of a zero counts too)."""
+
+    SEEDS = range(200)
+
+    def test_columns_equal_per_tick_terms(self):
+        cfg = Config()
+        seen = {"lengths": set(), "pow_not_mul": 0, "zero_interval": 0,
+                "under_two_onsets": 0, "switches": 0, "vy": 0}
+        for seed in self.SEEDS:
+            cmd, act, contacts, dt, t = random_timeline(seed)
+            tl = ContactTimeline()
+            tl.update(contacts, dt, t)
+            terms = stage1_terms(cfg, cmd, act, tl)
+            total = total_reward(1, terms, cfg.reward_weights)
+            columns = [c.tolist() for c in (*terms.values(), total)]
+            expected = oracles.stage1_rows(cfg, cmd, act, contacts, dt, t)
+            for k, row in enumerate(expected):
+                assert bits(row) == bits(c[k] for c in columns), (seed, k)
+            assert all(len(c) == len(t) for c in columns), seed
+
+            d = (cmd[:, 2] - act[:, 2]).tolist()
+            seen["lengths"].add(len(t))
+            seen["pow_not_mul"] += sum(x ** 2 != x * x for x in d)
+            seen["vy"] += int(np.any(cmd[:, 1] != 0) and np.any(act[:, 1] != 0))
+            seen["switches"] += sum(a != b and all(a) != all(b)
+                                    for a, b in zip(contacts, contacts[1:]))
+            for onsets in tl.onsets:
+                seen["under_two_onsets"] += len(onsets) < 2
+                seen["zero_interval"] += sum(t1 == t0 for (_, t0), (_, t1)
+                                             in zip(onsets, onsets[1:]))
+        assert {0, 1} <= seen["lengths"]
+        assert all(seen.values()), seen
+
+    def test_blocks_append(self):
+        """Updating block by block gives the columns of one update."""
+        for seed in self.SEEDS[:40]:
+            cmd, act, contacts, dt, t = random_timeline(seed)
+            whole, parts = ContactTimeline(), ContactTimeline()
+            whole.update(contacts, dt, t)
+            cuts = sorted({0, len(t), *np.random.Generator(np.random.PCG64(seed))
+                           .integers(0, len(t) + 1, 3).tolist()})
+            for a, b in zip(cuts, cuts[1:]):
+                parts.update(contacts[a:b], dt[a:b], t[a:b])
+            for column in ("air_time", "contact_time"):
+                assert getattr(whole, column).tobytes() == getattr(parts, column).tobytes()
+            assert whole.onsets == parts.onsets
+            assert r_freq(whole).tobytes() == r_freq(parts).tobytes()
 
 
 class TestRegularization:

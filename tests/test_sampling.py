@@ -4,7 +4,7 @@ import pytest
 from locoman.geometry import Pose, vec3
 from locoman.harness import episode_rng, make_rng
 from locoman.training import (COMMAND_RANGES, CommandRanges, PushEvent,
-                              RandomizationConfig, RandomizationEntry,
+                              RandomizationConfig, RandomizationEntry, SphericalTarget,
                               default_randomization, quat_from_euler,
                               sample_episode_randomization, sample_ee_target,
                               sample_locomotion_command)
@@ -45,6 +45,22 @@ class TestCommandRanges:
         with pytest.raises(ValueError) as exc:
             CommandRanges(**dict(ranges, **{name: bounds}))
         assert exc.value.args[0] == name
+
+
+    def test_negative_l_ee_lower_bound_rejected_at_its_field(self):
+        # l_ee bounds the sampled radius; a draw below 0 would fail inside
+        # SphericalTarget, naming no field
+        ranges = dict(x=(0, 0), y=(0, 0), w=(0, 0), l_ee=(-0.2, 0.1), p_ee=(0, 0),
+                      y_ee=(0, 0), alpha_ee=(0, 0), beta_ee=(0, 0), gamma_ee=(0, 0))
+        with pytest.raises(ValueError) as exc:
+            CommandRanges(**ranges)
+        assert exc.value.args[0] == "l_ee"
+        CommandRanges(**dict(ranges, l_ee=(0.0, 0.1)))  # a zero radius is a point
+
+    @pytest.mark.parametrize("radius", [-0.1, float("nan"), float("-inf")])
+    def test_spherical_target_rejects_radius(self, radius):
+        with pytest.raises(ValueError):
+            SphericalTarget(radius, 0.0, 0.0)
 
 
 class TestCommandSampling:
@@ -225,3 +241,46 @@ class TestEpisodeRandomization:
         b = sample_episode_randomization(make_rng(3), cfg, horizon=30.0)
         assert a["parameters"] == b["parameters"]
         assert a["push_events"] == b["push_events"]
+
+
+class CountingRng:
+    """Forwards `uniform` to a real generator and records each call's bounds."""
+
+    def __init__(self, rng=None):
+        self.rng, self.calls = rng, []
+
+    def uniform(self, lo, hi):
+        self.calls.append((lo, hi))
+        if len(self.calls) > 10_000:
+            raise RuntimeError("draws without end")
+        return self.rng.uniform(lo, hi) if self.rng else 0.5 * (lo + hi)
+
+
+# make_rng(3)'s push times over a 30 s horizon under the default table
+PINNED_PUSH_TIMES = [5.47567557458432, 10.77276998874397, 14.775750155761642,
+                     19.403722159830316, 24.34634149019398, 29.760271681505223]
+
+
+class TestHorizon:
+    @pytest.mark.parametrize("horizon", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_horizon_raises_before_any_draw(self, horizon):
+        rng = CountingRng()
+        with pytest.raises(ValueError) as exc:
+            sample_episode_randomization(rng, RandomizationConfig(), horizon=horizon)
+        assert exc.value.args[0] == "horizon"
+        assert rng.calls == []
+
+    def test_finite_horizon_draws_the_same_stream(self):
+        """Every non-interval entry in table order, then the first gap's
+        jitter, then per push its x and y velocity and the next gap's jitter;
+        the pinned values are those of the stream before the horizon check."""
+        cfg = RandomizationConfig()
+        rng = CountingRng(make_rng(3))
+        out = sample_episode_randomization(rng, cfg, horizon=30.0)
+        jitter = (-cfg.push_jitter, cfg.push_jitter)
+        push = [e.range for e in cfg.entries if e.method == "interval"]
+        expected = [e.range for e in cfg.entries if e.method != "interval"] + [jitter]
+        expected += (push + [jitter]) * len(out["push_events"])
+        assert rng.calls == expected
+        assert out == sample_episode_randomization(make_rng(3), cfg, horizon=30.0)
+        assert [e.time for e in out["push_events"]] == PINNED_PUSH_TIMES

@@ -141,10 +141,14 @@ def test_tracer_targets_resolve():
     assert missing == []
 
 
+INNER_PRODUCTS = ("dot", "vecdot", "einsum", "inner", "matmul")
+
+
 def small_vector_calls():
-    """`module:line: call` for every `np.linalg.norm`, `np.dot`, `.dot` or
-    `np.clip` call in `src/locoman/` outside `geometry.py`, and every import
-    of those names from numpy."""
+    """`module:line: call` for every `np.linalg.norm`, `np.clip` or inner
+    product call (`dot`, `vecdot`, `einsum`, `inner` or `matmul`, as a
+    function or a method) in `src/locoman/` outside `geometry.py`, and every
+    import of those names from numpy."""
     out = []
     for path in SRC:
         if path.name == "geometry.py":
@@ -152,17 +156,17 @@ def small_vector_calls():
         for n in ast.walk(ast.parse(path.read_text())):
             if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute):
                 call = ast.unparse(n.func)
-                if (n.func.attr == "dot" or call in ("np.clip", "numpy.clip")
+                if (n.func.attr in INNER_PRODUCTS or call in ("np.clip", "numpy.clip")
                         or call.endswith("linalg.norm")):
                     out.append(f"{path.name}:{n.lineno}: {call}")
             elif isinstance(n, ast.ImportFrom) and (n.module or "").startswith("numpy"):
                 out += [f"{path.name}:{n.lineno}: from {n.module} import {a.name}"
-                        for a in n.names if a.name in ("dot", "clip", "norm")]
+                        for a in n.names if a.name in ("clip", "norm", *INNER_PRODUCTS)]
     return out
 
 
 def test_small_vector_arithmetic_lives_in_geometry():
-    """`geometry.norm`, `dot` and `unit` and `min(max(v, lo), hi)` are the one
-    implementation of each small-vector operation: a second one elsewhere
-    is a second place to edit when the float path changes."""
+    """`geometry.norm`, `dot`, `row_dot` and `unit` and `min(max(v, lo), hi)`
+    are the one implementation of each small-vector operation: a second one
+    elsewhere is a second place to edit when the float path changes."""
     assert small_vector_calls() == []
