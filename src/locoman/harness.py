@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .config import Config, TrackingConfig, to_dict
-from .errors import ActionFailed, LocomanError, OracleFailure, ValidationError
+from .errors import ActionFailed, LocomanError, OracleFailure, UsageError, ValidationError
 from .fusion import Detection, FusionConfig, InstanceGraph
 from .geometry import (Pose, norm, quat_from_axis_angle, quat_geodesic_distance,
                        quat_mul, quat_normalize, quat_slerp, matrix_to_quat,
@@ -291,6 +291,8 @@ class EpisodeRunner:
     def __init__(self, scenario: Scenario, dt: float = 0.02,
                  master_seed: Optional[int] = None, episode_index: int = 0,
                  config: Config | None = None):
+        if not (math.isfinite(dt) and dt > 0.0):
+            raise UsageError(f"dt must be finite and > 0, got {dt!r}")
         self.scenario = scenario
         self.dt = dt
         self.config = config or Config()
@@ -302,10 +304,7 @@ class EpisodeRunner:
         self.target_of = {self.node_of[obj.id]: obj for obj in scenario.objects}
         self.latched: dict[tuple[int, int], float] = {}  # (step, monitor) -> latch time
         self.ticks: list[tuple] = []  # per tick, TRACE_COLUMNS up to ee_err_ori
-        self._err_sums = (0.0, 0.0, 0.0)
-        self._err_ticks = 0
-        self._ee_err_sums = (0.0, 0.0)
-        self._ee_ticks = 0
+        self._ee_ticks = 0  # ticks with an end-effector command
         self._action_index = -1
 
     # -- plan ------------------------------------------------------------
@@ -330,25 +329,16 @@ class EpisodeRunner:
 
     def _record(self, base_cmd: LocomotionCommand, ee_cmd: Optional[Pose]) -> None:
         w = self.world
-        cmd = (float(base_cmd.x), float(base_cmd.y), float(base_cmd.w))
-        vel = w.base_vel
-        if cmd != (0.0, 0.0, 0.0):  # any component non-zero
-            self._err_sums = tuple(s + abs(c - v)
-                                   for s, c, v in zip(self._err_sums, cmd, vel))
-            self._err_ticks += 1
         if ee_cmd is not None:
             ee_pos_err = norm(w.ee_pose.position - ee_cmd.position)
             ee_ori_err = float(quat_geodesic_distance(w.ee_pose.orientation,
                                                       ee_cmd.orientation))
-            pos_sum, ori_sum = self._ee_err_sums
-            self._ee_err_sums = (pos_sum + ee_pos_err, ori_sum + ee_ori_err)
             self._ee_ticks += 1
         else:
             ee_pos_err = ee_ori_err = 0.0
-
-        x, y = w.base_xy
-        self.ticks.append((w.t, self._action_index, x, y, w.base_yaw, cmd[0], vel[0],
-                           cmd[1], vel[1], cmd[2], vel[2], ee_pos_err, ee_ori_err))
+        (x, y), (vx, vy, vw), c = w.base_xy, w.base_vel, base_cmd
+        self.ticks.append((w.t, self._action_index, x, y, w.base_yaw, float(c.x), vx,
+                           float(c.y), vy, float(c.w), vw, ee_pos_err, ee_ori_err))
 
     # -- primitive controllers -------------------------------------------
     # Each returns once it reaches its goal, or raises: `ActionFailed` when it
@@ -541,15 +531,17 @@ class EpisodeRunner:
     def run(self) -> EpisodeResult:
         outcomes = [self.execute_action(i, action)
                     for i, action in enumerate(self.build_plan())]
-        return EpisodeResult(trace=self._trace(), outcomes=outcomes, metrics=self._metrics())
-
-    def _trace(self) -> list[tuple]:
-        """Each tick's row followed by its stage-1 reward terms and their
-        total, all scored at once over the episode's columns."""
         ticks = np.array(self.ticks, dtype=float).reshape(
             -1, TRACE_COLUMNS.index("r_track_xy"))
-        # cmd_vx, act_vx, cmd_vy, act_vy, cmd_w, act_w are columns 5 to 10
-        t, cmd, act = ticks[:, 0], ticks[:, 5:11:2], ticks[:, 6:11:2]
+        # cmd_vx, act_vx, cmd_vy, act_vy, cmd_w, act_w are columns 5 to 10,
+        # then ee_err_pos and ee_err_ori
+        cmd, act, ee_err = ticks[:, 5:11:2], ticks[:, 6:11:2], ticks[:, 11:13]
+        return EpisodeResult(trace=self._trace(ticks[:, 0], cmd, act), outcomes=outcomes,
+                             metrics=self._metrics(cmd, act, ee_err))
+
+    def _trace(self, t: np.ndarray, cmd: np.ndarray, act: np.ndarray) -> list[tuple]:
+        """Each tick's row followed by its stage-1 reward terms and their
+        total, all scored at once over the episode's columns."""
         timeline = ContactTimeline()
         timeline.update(trot_contacts(t, act[:, 0], act[:, 1]), self.dt, t)
         terms = stage1_terms(self.config, cmd, act, timeline)
@@ -557,10 +549,17 @@ class EpisodeRunner:
         scored = zip(*(column.tolist() for column in (*terms.values(), total)))
         return [row + rewards for row, rewards in zip(self.ticks, scored)]
 
-    def _metrics(self) -> MetricsReport:
+    def _metrics(self, cmd: np.ndarray, act: np.ndarray,
+                 ee_err: np.ndarray) -> MetricsReport:
+        """e_x, e_y and e_w: the mean |cmd - act| over the ticks with a
+        non-zero command; d_pos and d_ori: the mean end-effector errors over
+        the ticks with an end-effector command (any other tick records 0.0).
+        Each sum is added tick by tick in order; numpy's pairwise `sum` can
+        round otherwise."""
         per_action, overall = report(self.scenario.plan, self.latched)
-        err = [s / self._err_ticks for s in self._err_sums] if self._err_ticks else [0.0] * 3
-        ee = [s / self._ee_ticks for s in self._ee_err_sums] if self._ee_ticks else [0.0] * 2
+        e, n = np.abs(cmd - act)[np.any(cmd != 0.0, axis=1)], self._ee_ticks
+        err = (np.add.accumulate(e)[-1] / len(e)).tolist() if len(e) else [0.0] * 3
+        ee = (np.add.accumulate(ee_err)[-1] / n).tolist() if n else [0.0] * 2
         return MetricsReport(
             e_x=err[0], e_y=err[1], e_w=err[2], d_pos=ee[0], d_ori=ee[1],
             per_action=dict(sorted(per_action.items())), overall=overall, episodes=1)

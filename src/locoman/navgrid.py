@@ -60,8 +60,10 @@ class GoalSearchConfig:
 class OccupancyGrid:
     def __init__(self, resolution: float = 0.1, width: int = 64, height: int = 64,
                  origin_xy: tuple[float, float] = (0.0, 0.0)):
-        if resolution <= 0.0:
-            raise ValueError("resolution must be > 0")
+        if not (math.isfinite(resolution) and resolution > 0.0):
+            raise ValueError(f"resolution must be finite and > 0, got {resolution!r}")
+        if width < 1 or height < 1:  # growth doubles the size, so 0 never grows
+            raise ValueError(f"width and height must be >= 1, got {width} x {height}")
         self.resolution = float(resolution)
         self.origin = np.array([origin_xy[0], origin_xy[1]], dtype=float)
         self.cells = np.full((height, width), UNKNOWN, dtype=np.uint8)

@@ -39,56 +39,47 @@ def _no_ticks() -> np.ndarray:
 
 @dataclass
 class ContactTimeline:
-    """Contact bookkeeping of every tick so far, one column per leg in LEGS
+    """Contact bookkeeping of a whole timeline, one column per leg in LEGS
     order: the duration of the leg's current or last air stint and contact
-    stint after the tick, and per leg the (tick, time) of each contact
-    onset."""
+    stint after each tick, and per leg the (tick, time) of each contact
+    onset. It starts empty and `update` fills it once."""
 
     air_time: np.ndarray = field(default_factory=_no_ticks)
     contact_time: np.ndarray = field(default_factory=_no_ticks)
     onsets: tuple[list[tuple[int, float]], ...] = field(
         default_factory=lambda: tuple([] for _ in LEGS))
-    in_contact: tuple[bool, ...] = (False,) * len(LEGS)  # after the last tick
 
     def __len__(self) -> int:
         return len(self.air_time)
 
     def update(self, contacts, dt, t) -> None:
-        """Append a block of ticks: `contacts` holds one row of flags per tick,
+        """Fill the empty timeline: `contacts` holds one row of flags per tick,
         `t` each tick's time and `dt` its duration (one float, or one per
-        tick). A stint's duration is the running sum of its ticks' dt from
-        0.0, added left to right, as adding each tick's dt in turn does."""
+        tick). A stint's duration is the running sum of its ticks' dt, added
+        left to right, as adding each tick's dt in turn does. Before its first
+        stint of a kind, a leg's duration of that kind is 0.0."""
+        if len(self):
+            raise UsageError("ContactTimeline.update fills an empty timeline; "
+                             "this one already holds ticks")
         flags = np.asarray(contacts, dtype=bool).reshape(-1, len(LEGS))
-        t = np.asarray(t, dtype=float)
-        n0, n = len(self), len(t)
-        if n == 0:
-            return
-        air0, contact0 = ((self.air_time[-1], self.contact_time[-1]) if n0
-                          else (np.zeros(len(LEGS)), np.zeros(len(LEGS))))
-        ticks, times = np.arange(n), t.tolist()
-        air, contact = np.empty((n, len(LEGS))), np.empty((n, len(LEGS)))
+        n, times = len(flags), np.asarray(t, dtype=float).tolist()
+        if len(times) != n:
+            raise UsageError(f"{n} rows of contact flags but {len(times)} times")
+        dt, ticks = np.broadcast_to(np.asarray(dt, dtype=float), (n,)), np.arange(n)
+        self.air_time, self.contact_time = np.empty((n, len(LEGS))), np.empty((n, len(LEGS)))
         for j, down in enumerate(flags.T):
-            before = np.concatenate(([self.in_contact[j]], down[:-1]))
-            self.onsets[j].extend((n0 + k, times[k]) for k in
+            before = np.concatenate(([False], down[:-1]))
+            self.onsets[j].extend((k, times[k]) for k in
                                   np.flatnonzero(down & ~before).tolist())
-            # run[k]: the sum of tick k's stint so far. buf[k + 1] is tick k's
-            # dt, and buf[s] the sum that the stint starting at s goes on from
-            buf = np.concatenate(([0.0], np.broadcast_to(dt, (n,))))
-            if down[0] == before[0]:  # the block's first stint goes on
-                buf[0] = (contact0 if down[0] else air0)[j]
             edges = [0, *(np.flatnonzero(down[1:] != down[:-1]) + 1).tolist(), n]
-            run = np.empty(n)
+            run = np.empty(n)  # run[k]: the sum of tick k's stint so far
             for s, e in zip(edges, edges[1:]):
-                run[s:e] = np.add.accumulate(buf[s:e + 1])[1:]
-                buf[e] = 0.0  # the next stint starts from 0.0
+                run[s:e] = np.add.accumulate(dt[s:e])
             # between its stints a duration holds its last stint's sum
             last_down = np.maximum.accumulate(np.where(down, ticks, -1))
             last_up = np.maximum.accumulate(np.where(down, -1, ticks))
-            contact[:, j] = np.where(last_down >= 0, run[last_down], contact0[j])
-            air[:, j] = np.where(last_up >= 0, run[last_up], air0[j])
-        self.air_time = np.concatenate((self.air_time, air))
-        self.contact_time = np.concatenate((self.contact_time, contact))
-        self.in_contact = tuple(flags[-1].tolist())
+            self.contact_time[:, j] = np.where(last_down >= 0, run[last_down], 0.0)
+            self.air_time[:, j] = np.where(last_up >= 0, run[last_up], 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -659,6 +659,29 @@ class TestGoldenDigest:
         assert details[1:] == ["articulation timeout"]
 
 
+@pytest.mark.parametrize("flags", [(), NOISY], ids=["noise_free", "noisy"])
+@pytest.mark.parametrize("name", ["cart_delivery", "drawer_and_crate", "missed_grasp"])
+def test_report_errors_are_trace_means(tmp_path, name, flags):
+    """report.json's e_x, e_y and e_w are the means of |cmd - act| over the
+    trace.csv rows whose command is not all zero, added in row order."""
+    out = tmp_path / "run"
+    res = invoke("run", ROOT / "scenarios" / f"{name}.yaml", "--seed", 0, *flags,
+                 "--out", out)
+    assert res.exit_code == 0, res.output
+    episode = out / name / "episode_0"
+    with open(episode / "trace.csv", newline="") as fh:
+        rows = [{k: float(v) for k, v in row.items()} for row in csv.DictReader(fh)]
+    report = json.loads((episode / "report.json").read_text())
+    commanded = [r for r in rows if (r["cmd_vx"], r["cmd_vy"], r["cmd_w"]) != (0, 0, 0)]
+    assert bool(commanded) == (name != "missed_grasp")  # it never moves the base
+    for key, axis in (("e_x", "vx"), ("e_y", "vy"), ("e_w", "w")):
+        total = 0.0
+        for r in commanded:
+            total += abs(r[f"cmd_{axis}"] - r[f"act_{axis}"])
+        assert report[key] == (total / len(commanded) if commanded else 0.0), key
+    assert (report["e_x"] > 0.0) == bool(flags and commanded)  # only a lagged base errs
+
+
 @pytest.mark.parametrize("command, out", [
     ("run", "afile"), ("run", "afile/run"), ("run", "taken"),
     ("export-grid", "afile/map"), ("rewards", "afile/terms.csv"),

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from locoman import harness
 from locoman.cli import _load_runnable
 from locoman.config import Config, TrackingConfig, to_dict
-from locoman.errors import LocomanError, ParseError, ValidationError
+from locoman.errors import LocomanError, ParseError, UsageError, ValidationError
 from locoman.geometry import Pose, quat_geodesic_distance, vec3
 from locoman.harness import (BASE_STAND_HEIGHT, TRACE_COLUMNS, EpisodeRunner,
                              LocomotionCommand, aggregate, build_instance_graph,
@@ -404,6 +404,15 @@ class TestEpisode:
         assert m.e_x == 0.0
         assert m.e_y == 0.0
         assert m.e_w == 0.0
+
+    @pytest.mark.parametrize("dt", [0.0, -0.02, float("nan"), float("inf")])
+    def test_bad_dt_rejected(self, dt):
+        # 0 and -0.02 never reached a deadline, and nan failed in an int cast
+        s = load_scenario(SCENARIO_DIR / "cart_delivery.yaml")
+        with pytest.raises(UsageError, match=r"^dt must be finite and > 0, got "):
+            run_episode(s, dt=dt, master_seed=0)
+        with pytest.raises(UsageError, match=r"^dt must be finite and > 0, got "):
+            EpisodeRunner(s, dt=dt)
 
     def test_lagged_tracking_reports_errors(self):
         s = scenario_from_dict(minimal_scenario_dict())

@@ -175,6 +175,26 @@ class TestGridBasics:
         c = g.cell_center(3, 5)
         assert g.world_to_cell(c[0], c[1]) == (3, 5)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"width": 0}, "width and height must be >= 1"),
+        ({"height": 0}, "width and height must be >= 1"),
+        ({"width": -4, "height": 8}, "width and height must be >= 1"),
+        ({"resolution": 0.0}, "resolution must be finite and > 0"),
+        ({"resolution": -0.1}, "resolution must be finite and > 0"),
+        ({"resolution": np.nan}, "resolution must be finite and > 0"),
+        ({"resolution": np.inf}, "resolution must be finite and > 0"),
+    ])
+    def test_degenerate_grid_rejected(self, kwargs, message):
+        # a 0-cell side never grows (doubling 0 gives 0), a nan resolution
+        # fails later in an int cast, and an inf one puts every point in (0, 0)
+        with pytest.raises(ValueError, match=f"^{message}, got "):
+            OccupancyGrid(**kwargs)
+
+    def test_one_cell_grid_grows(self):
+        g = OccupancyGrid(resolution=0.1, width=1, height=1, origin_xy=(0, 0))
+        assert g.ensure_contains(1.0, 1.0) == (10, 10)
+        assert (g.width, g.height) == (16, 16)
+
     def test_starts_unknown(self):
         g = OccupancyGrid(width=8, height=8)
         assert np.all(g.cells == UNKNOWN)

@@ -131,8 +131,7 @@ class TestFrequency:
 
     def test_last_two_onsets_set_the_frequency(self):
         tl = ContactTimeline()
-        for t in (0.0, 1.0, 1.5):
-            tl.update([(True,) * 4, (False,) * 4], 0.01, [t, t + 0.1])
+        tl.update([(True,) * 4, (False,) * 4] * 3, 0.01, [0.0, 0.1, 1.0, 1.1, 1.5, 1.6])
         assert tl.onsets[0] == [(0, 0.0), (2, 1.0), (4, 1.5)]
         # 1 Hz per leg from onset 2, 2 Hz from onset 3
         assert r_freq(tl)[2:4] == pytest.approx([np.exp(-2.0)] * 2, abs=1e-12)
@@ -213,20 +212,26 @@ class TestColumnOracle:
         assert {0, 1} <= seen["lengths"]
         assert all(seen.values()), seen
 
-    def test_blocks_append(self):
-        """Updating block by block gives the columns of one update."""
-        for seed in self.SEEDS[:40]:
-            cmd, act, contacts, dt, t = random_timeline(seed)
-            whole, parts = ContactTimeline(), ContactTimeline()
-            whole.update(contacts, dt, t)
-            cuts = sorted({0, len(t), *np.random.Generator(np.random.PCG64(seed))
-                           .integers(0, len(t) + 1, 3).tolist()})
-            for a, b in zip(cuts, cuts[1:]):
-                parts.update(contacts[a:b], dt[a:b], t[a:b])
-            for column in ("air_time", "contact_time"):
-                assert getattr(whole, column).tobytes() == getattr(parts, column).tobytes()
-            assert whole.onsets == parts.onsets
-            assert r_freq(whole).tobytes() == r_freq(parts).tobytes()
+    def test_fills_once(self):
+        """A timeline is filled by one update; a second one raises."""
+        cmd, act, contacts, dt, t = random_timeline(5)
+        tl = ContactTimeline()
+        tl.update(contacts, dt, t)
+        air, contact = tl.air_time.copy(), tl.contact_time.copy()
+        onsets = tuple(list(leg) for leg in tl.onsets)
+        assert len(tl) == len(t) > 0
+        with pytest.raises(UsageError, match="fills an empty timeline"):
+            tl.update(contacts, dt, t)
+        assert tl.air_time.tobytes() == air.tobytes()
+        assert tl.contact_time.tobytes() == contact.tobytes()
+        assert tl.onsets == onsets
+        with pytest.raises(UsageError, match="fills an empty timeline"):
+            two_legs((0.1, 0.2), (0.2, 0.1)).update([(True,) * 4], 0.02, [0.02])
+
+    @pytest.mark.parametrize("rows, times", [(3, 1), (1, 3)])
+    def test_rows_and_times_must_match(self, rows, times):
+        with pytest.raises(UsageError, match=f"^{rows} rows of contact flags but {times} times$"):
+            ContactTimeline().update([(True,) * 4] * rows, 0.02, [0.02] * times)
 
 
 class TestRegularization:
