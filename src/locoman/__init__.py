@@ -8,7 +8,7 @@ from .config import Config, TrackingConfig
 from .errors import (ActionFailed, DegenerateConstraints, InvalidDepth, LocomanError,
                      NoFeasibleGoal, NoPath, OracleFailure, ParseError,
                      UnknownObject, UsageError, ValidationError)
-from .fusion import Detection, FusionConfig, InstanceGraph
+from .fusion import Detection, InstanceGraph
 from .geometry import Pose, quat_geodesic_distance
 from .grounding import CameraModel, DepthImage, GroundingResult, ground_action
 from .harness import EpisodeRunner, aggregate, make_rng, run_episode

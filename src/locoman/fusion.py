@@ -1,9 +1,10 @@
 """Instance-level semantic graph built by fusing per-frame detections.
 
 Two detections refer to the same object when their descriptors' cosine
-similarity exceeds tau_sem AND the fraction of the incoming detection's
-points with a nearest neighbor in the node within radius epsilon exceeds
-tau_geo (both strict inequalities, thresholds default 0.8).
+similarity exceeds TAU_SEM AND the fraction of the incoming detection's
+points with a nearest neighbor in the node within radius EPSILON exceeds
+TAU_GEO (both strict inequalities). The thresholds are fixed: 0.8 each, a
+5 cm radius, and node points downsampled on a 2 cm voxel grid.
 """
 
 from __future__ import annotations
@@ -16,22 +17,10 @@ from .errors import UsageError
 from .geometry import dot, norm, unit
 
 
-@dataclass(frozen=True)
-class FusionConfig:
-    tau_sem: float = 0.8
-    tau_geo: float = 0.8
-    epsilon: float = 0.05          # NN radius, meters
-    downsample_voxel: float = 0.02  # meters
-
-    def __post_init__(self):
-        # a downsample_voxel <= 0 stays valid: it means no downsampling
-        for name in ("epsilon", "downsample_voxel"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if not (0.0 < self.tau_sem <= 1.0 and 0.0 < self.tau_geo <= 1.0):
-            raise ValueError("thresholds must be in (0, 1]")
-        if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be > 0")
+TAU_SEM = 0.8
+TAU_GEO = 0.8
+EPSILON = 0.05           # NN radius, meters
+DOWNSAMPLE_VOXEL = 0.02  # meters
 
 
 @dataclass
@@ -91,17 +80,16 @@ def geometric_similarity(points_i: np.ndarray, points_j: np.ndarray,
     return float(np.count_nonzero(dists < epsilon)) / len(points_i)
 
 
-def should_merge(det, node: InstanceNode, cfg: FusionConfig) -> bool:
+def should_merge(det, node: InstanceNode) -> bool:
     """True iff both merge criteria strictly exceed their thresholds.
 
     The incoming detection is the query side of the geometric criterion so a
     partial new view of a large known object still merges.
     """
     sem = semantic_similarity(det.descriptor, node.descriptor)
-    if sem <= cfg.tau_sem:
+    if sem <= TAU_SEM:
         return False
-    geo = geometric_similarity(det.points, node.points, cfg.epsilon)
-    return geo > cfg.tau_geo
+    return geometric_similarity(det.points, node.points, EPSILON) > TAU_GEO
 
 
 def voxel_downsample(points: np.ndarray, voxel: float) -> np.ndarray:
@@ -122,9 +110,8 @@ def voxel_downsample(points: np.ndarray, voxel: float) -> np.ndarray:
 class InstanceGraph:
     """Mutable set of fused instance nodes. Single-writer: serialize ingestion."""
 
-    def __init__(self, descriptor_dim: int, cfg: FusionConfig | None = None):
+    def __init__(self, descriptor_dim: int):
         self.d = int(descriptor_dim)
-        self.cfg = cfg or FusionConfig()
         # no node is removed: a new node's id is the node count, and insertion
         # order is id order
         self.nodes: dict[int, InstanceNode] = {}
@@ -140,7 +127,7 @@ class InstanceGraph:
         if det.descriptor.shape != (self.d,):
             raise UsageError(
                 f"descriptor dimension {det.descriptor.shape[0]} != graph dimension {self.d}")
-        candidates = [n for n in self.nodes.values() if should_merge(det, n, self.cfg)]
+        candidates = [n for n in self.nodes.values() if should_merge(det, n)]
         if not candidates:
             return self._add_node(det)
         # several matches: highest semantic similarity wins, ties to lowest id
@@ -152,7 +139,7 @@ class InstanceGraph:
     def _add_node(self, det: Detection) -> int:
         nid = len(self.nodes)
         desc = unit(det.descriptor)
-        pts = voxel_downsample(det.points, self.cfg.downsample_voxel)
+        pts = voxel_downsample(det.points, DOWNSAMPLE_VOXEL)
         self.nodes[nid] = InstanceNode(
             id=nid, label=det.label, descriptor=desc, points=pts,
             bbox_min=det.points.min(axis=0), bbox_max=det.points.max(axis=0))
@@ -162,7 +149,7 @@ class InstanceGraph:
         n = node.observation_count
         node.descriptor = unit(n * node.descriptor + unit(det.descriptor))
         node.points = voxel_downsample(
-            np.vstack([node.points, det.points]), self.cfg.downsample_voxel)
+            np.vstack([node.points, det.points]), DOWNSAMPLE_VOXEL)
         # bbox grows monotonically: union with the raw detection extents
         node.bbox_min = np.minimum(node.bbox_min, det.points.min(axis=0))
         node.bbox_max = np.maximum(node.bbox_max, det.points.max(axis=0))

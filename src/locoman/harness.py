@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import Config, TrackingConfig, to_dict
 from .errors import ActionFailed, LocomanError, OracleFailure, UsageError, ValidationError
-from .fusion import Detection, FusionConfig, InstanceGraph
+from .fusion import Detection, InstanceGraph
 from .geometry import (Pose, norm, quat_from_axis_angle, quat_geodesic_distance,
                        quat_mul, quat_normalize, quat_slerp, matrix_to_quat,
                        quat_to_matrix, unit, vec3)
@@ -179,7 +179,7 @@ def build_instance_graph(scenario: Scenario,
                          where: str = "scenario") -> tuple[InstanceGraph, dict[str, int]]:
     """Synthesize detections from scenario ground truth and fuse them, one node
     per object: an object fused into another's node raises ValidationError."""
-    graph = InstanceGraph(descriptor_dim=16, cfg=FusionConfig())
+    graph = InstanceGraph(descriptor_dim=16)
     node_of: dict[str, int] = {}
     owner: dict[int, str] = {}
     for i, obj in enumerate(scenario.objects):
@@ -350,7 +350,8 @@ class EpisodeRunner:
         idx = 0
         while self.world.t < deadline:
             pos = self.world.base_pose.position[:2]
-            if norm(pos - goal_xy) <= NAV_GOAL_TOL:
+            dist = norm(pos - goal_xy)
+            if dist <= NAV_GOAL_TOL:
                 self.tick(LocomotionCommand(0, 0, 0), None)
                 return
             while (idx < len(path_points) - 1
@@ -360,7 +361,8 @@ class EpisodeRunner:
             x, y = self.world.base_xy
             err = _wrap(float(np.arctan2(ty - y, tx - x)) - self.world.base_yaw)
             w_cmd = min(max(2.0 * err, -1.0), 1.0)
-            vx = 0.8 if abs(err) < 0.5 else 0.0
+            # capped so that one tick does not carry the base past the goal
+            vx = min(0.8, dist / self.dt) if abs(err) < 0.5 else 0.0
             self.tick(LocomotionCommand(vx, 0.0, w_cmd), None)
         raise ActionFailed("navigation timeout")
 
@@ -537,7 +539,7 @@ class EpisodeRunner:
         # then ee_err_pos and ee_err_ori
         cmd, act, ee_err = ticks[:, 5:11:2], ticks[:, 6:11:2], ticks[:, 11:13]
         return EpisodeResult(trace=self._trace(ticks[:, 0], cmd, act), outcomes=outcomes,
-                             metrics=self._metrics(cmd, act, ee_err))
+                             metrics=self._metrics(outcomes, cmd, act, ee_err))
 
     def _trace(self, t: np.ndarray, cmd: np.ndarray, act: np.ndarray) -> list[tuple]:
         """Each tick's row followed by its stage-1 reward terms and their
@@ -549,14 +551,14 @@ class EpisodeRunner:
         scored = zip(*(column.tolist() for column in (*terms.values(), total)))
         return [row + rewards for row, rewards in zip(self.ticks, scored)]
 
-    def _metrics(self, cmd: np.ndarray, act: np.ndarray,
+    def _metrics(self, outcomes: list[ActionOutcome], cmd: np.ndarray, act: np.ndarray,
                  ee_err: np.ndarray) -> MetricsReport:
         """e_x, e_y and e_w: the mean |cmd - act| over the ticks with a
         non-zero command; d_pos and d_ori: the mean end-effector errors over
         the ticks with an end-effector command (any other tick records 0.0).
         Each sum is added tick by tick in order; numpy's pairwise `sum` can
         round otherwise."""
-        per_action, overall = report(self.scenario.plan, self.latched)
+        per_action, overall = report(self.scenario.plan, outcomes, self.latched)
         e, n = np.abs(cmd - act)[np.any(cmd != 0.0, axis=1)], self._ee_ticks
         err = (np.add.accumulate(e)[-1] / len(e)).tolist() if len(e) else [0.0] * 3
         ee = (np.add.accumulate(ee_err)[-1] / n).tolist() if n else [0.0] * 2

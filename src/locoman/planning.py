@@ -216,7 +216,7 @@ def monitor_step(step: int, monitors: list[SubtaskMonitor], world, t: float,
 
 @dataclass
 class ActionReport:
-    """Completed and total monitors of one action kind; `rate` follows them."""
+    """Completed and total plan steps of one action kind; `rate` follows them."""
 
     completed: int = 0
     total: int = 0
@@ -228,13 +228,15 @@ class ActionReport:
         self.rate = self.completed / self.total if self.total else 0.0
 
 
-def report(plan: list,
+def report(plan: list, outcomes: list,
            latched: dict[tuple[int, int], float]) -> tuple[dict[str, ActionReport], bool]:
-    """Success map of `plan`'s monitors by the kind of the step that holds each,
-    plus the overall conjunction; monitor `j` of step `i` succeeded when
-    `latched` holds `(i, j)`."""
+    """Completed and total steps of `plan` by kind, and whether every step
+    completed. Step `i` completed when `outcomes[i]` succeeded and each of its
+    monitors `j` latched (`latched` holds `(i, j)`), so a step without
+    monitors is scored by its outcome alone."""
     buckets: dict[str, ActionReport] = {}
-    for i, step in enumerate(plan):
-        for j in range(len(step.monitors)):
-            buckets.setdefault(step.kind.value, ActionReport()).add(int((i, j) in latched), 1)
-    return buckets, all(b.completed == b.total for b in buckets.values())
+    done = [outcome.success and all((i, j) in latched for j in range(len(step.monitors)))
+            for i, (step, outcome) in enumerate(zip(plan, outcomes, strict=True))]
+    for step, completed in zip(plan, done):
+        buckets.setdefault(step.kind.value, ActionReport()).add(int(completed), 1)
+    return buckets, all(done)

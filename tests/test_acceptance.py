@@ -98,16 +98,16 @@ def test_criterion_2_orientation_solver_residuals():
 # -- 3. fusion similarity vs brute force + merge boundary ---------------------
 
 def test_criterion_3_fusion_matches_brute_force():
-    from test_fusion import (TestMergeBoundary, brute_force_geometric)
+    from test_fusion import TestMergeBoundary, exact_geometric
 
     rng = np.random.Generator(np.random.PCG64(303))
-    for _ in range(500):
+    for case in range(500):
         ni, nj = rng.integers(1, 1001, size=2)
         scale = rng.uniform(0.05, 2.0)
         pi = rng.normal(scale=scale, size=(ni, 3))
         pj = rng.normal(scale=scale, size=(nj, 3))
         eps = rng.uniform(0.01, 0.5)
-        assert geometric_similarity(pi, pj, eps) == brute_force_geometric(pi, pj, eps)
+        assert geometric_similarity(pi, pj, eps) == exact_geometric(pi, pj, eps, case)
 
     boundary = TestMergeBoundary()
     boundary.test_semantic_boundary_strict()

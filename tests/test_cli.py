@@ -682,6 +682,26 @@ def test_report_errors_are_trace_means(tmp_path, name, flags):
     assert (report["e_x"] > 0.0) == bool(flags and commanded)  # only a lagged base errs
 
 
+def test_failed_steps_without_monitors_fail(tmp_path):
+    """A step without monitors is scored by its outcome: missed_grasp with
+    its monitors dropped fails both steps, and so the episode."""
+    data = yaml.safe_load((ROOT / "scenarios" / "missed_grasp.yaml").read_text())
+    for step in data["plan"]:
+        del step["monitors"]
+    scenario = tmp_path / "missed_grasp.yaml"
+    scenario.write_text(yaml.safe_dump(data))
+    out = tmp_path / "run"
+    res = invoke("run", scenario, "--seed", 0, "--out", out)
+    assert res.exit_code == 0, res.output
+    report = json.loads((out / "missed_grasp" / "episode_0" / "report.json").read_text())
+    assert [o["success"] for o in report["outcomes"]] == [False, False]
+    assert {kind: (entry["completed"], entry["total"])
+            for kind, entry in report["per_action"].items()} == {
+        "pick": (0, 1), "push_pull": (0, 1)}
+    assert report["overall"] is False
+    assert json.loads((out / "aggregate.json").read_text())["overall"] == 0.0
+
+
 @pytest.mark.parametrize("command, out", [
     ("run", "afile"), ("run", "afile/run"), ("run", "taken"),
     ("export-grid", "afile/map"), ("rewards", "afile/terms.csv"),

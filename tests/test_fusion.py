@@ -1,10 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from locoman.errors import UsageError
-from locoman.fusion import (Detection, FusionConfig, InstanceGraph,
-                            geometric_similarity, semantic_similarity,
-                            should_merge, voxel_downsample)
+from locoman.fusion import (Detection, InstanceGraph, geometric_similarity,
+                            semantic_similarity, should_merge, voxel_downsample)
 
 
 def brute_force_geometric(points_i, points_j, epsilon):
@@ -15,6 +16,45 @@ def brute_force_geometric(points_i, points_j, epsilon):
         if np.min(d) < epsilon:
             hits += 1
     return hits / len(points_i)
+
+
+def grid_hash_geometric(points_i, points_j, epsilon):
+    """brute_force_geometric's distance expression over only the pairs whose
+    grid cells are neighbours (27 cells around each query point's). A cell's
+    side exceeds epsilon, so no point closer than epsilon is further away."""
+    side = 1.0625 * epsilon
+    cell_i = np.floor(points_i / side).astype(np.int64)
+    cell_j = np.floor(points_j / side).astype(np.int64)
+    lo = np.minimum(cell_i.min(axis=0), cell_j.min(axis=0)) - 1
+    span = np.maximum(cell_i.max(axis=0), cell_j.max(axis=0)) + 2 - lo
+
+    def flat(cells):  # one int64 key per cell, linear in the cell's coordinates
+        return (cells[:, 0] * span[1] + cells[:, 1]) * span[2] + cells[:, 2]
+
+    key_j = flat(cell_j - lo)
+    order = np.argsort(key_j, kind="stable")
+    occupied, first, count = np.unique(key_j[order], return_index=True, return_counts=True)
+    steps = np.array(list(itertools.product((-1, 0, 1), repeat=3)))
+    keys = (flat(steps)[:, None] + flat(cell_i - lo)[None, :]).ravel()
+    at = np.minimum(np.searchsorted(occupied, keys), len(occupied) - 1)
+    found = occupied[at] == keys
+    start, n = first[at[found]], count[at[found]]
+    # each found cell's run start..start+n-1 of the sorted points_j
+    query = np.repeat(np.tile(np.arange(len(points_i)), len(steps))[found], n)
+    near = order[np.arange(n.sum()) + np.repeat(start - np.cumsum(n) + n, n)]
+    d = np.sqrt(np.sum((points_j[near] - points_i[query]) ** 2, axis=1))
+    hit = np.zeros(len(points_i), dtype=bool)
+    hit[query[d < epsilon]] = True
+    return np.count_nonzero(hit) / len(points_i)
+
+
+def exact_geometric(points_i, points_j, epsilon, case):
+    """grid_hash_geometric, checked against brute_force_geometric on every
+    10th case."""
+    want = grid_hash_geometric(points_i, points_j, epsilon)
+    if case % 10 == 0:
+        assert want == brute_force_geometric(points_i, points_j, epsilon)
+    return want
 
 
 class TestSemanticSimilarity:
@@ -38,15 +78,14 @@ class TestSemanticSimilarity:
 class TestGeometricSimilarity:
     def test_matches_brute_force_oracle(self):
         rng = np.random.Generator(np.random.PCG64(42))
-        for _ in range(500):
+        for case in range(500):
             ni = rng.integers(1, 1000)
             nj = rng.integers(1, 1000)
             scale = rng.uniform(0.05, 2.0)
             pi = rng.normal(scale=scale, size=(ni, 3))
             pj = rng.normal(scale=scale, size=(nj, 3))
             eps = rng.uniform(0.01, 0.5)
-            assert geometric_similarity(pi, pj, eps) == brute_force_geometric(
-                pi, pj, eps)
+            assert geometric_similarity(pi, pj, eps) == exact_geometric(pi, pj, eps, case)
 
     def test_asymmetric(self):
         # small cluster fully inside a big one: query side decides the score
@@ -71,8 +110,8 @@ def _det(descriptor, points):
                      points=np.asarray(points, dtype=float))
 
 
-def _node_from(det, cfg=None):
-    g = InstanceGraph(descriptor_dim=len(det.descriptor), cfg=cfg)
+def _node_from(det):
+    g = InstanceGraph(descriptor_dim=len(det.descriptor))
     nid = g.ingest_detection(det)
     return g.nodes[nid]
 
@@ -89,51 +128,38 @@ def _descriptor_at_cosine(base, c):
 
 class TestMergeBoundary:
     def test_semantic_boundary_strict(self):
-        cfg = FusionConfig(downsample_voxel=0.0)
         pts = np.array([[0.0, 0.0, 0.0]])
         base = np.zeros(8)
         base[0] = 1.0
-        node = _node_from(_det(base, pts), cfg)
+        node = _node_from(_det(base, pts))
 
         at = _det(_descriptor_at_cosine(base, 0.8), pts)
         above = _det(_descriptor_at_cosine(base, 0.8 + 1e-9), pts)
-        assert not should_merge(at, node, cfg)       # exactly 0.8 is not > 0.8
-        assert should_merge(above, node, cfg)
+        assert not should_merge(at, node)  # exactly 0.8 is not > 0.8
+        assert should_merge(above, node)
 
     def test_geometric_boundary_strict(self):
-        cfg = FusionConfig(downsample_voxel=0.0)
         desc = np.ones(4)
         # 5 query points, node covers k of them exactly: geo = k/5
         node_pts = np.array([[float(i), 0.0, 0.0] for i in range(4)])
-        node = _node_from(_det(desc, node_pts), cfg)
+        node = _node_from(_det(desc, node_pts))
         det_at = _det(desc, [[0, 0, 0], [1, 0, 0], [2, 0, 0], [3, 0, 0],
                              [99, 0, 0]])  # geo = 4/5 = 0.8 exactly
-        assert not should_merge(det_at, node, cfg)
+        assert not should_merge(det_at, node)
         det_above = _det(desc, np.vstack([node_pts, [0.001, 0, 0]]))  # geo = 1.0
-        assert should_merge(det_above, node, cfg)
+        assert should_merge(det_above, node)
 
     def test_both_criteria_required(self):
-        cfg = FusionConfig(downsample_voxel=0.0)
         base = np.zeros(8)
         base[0] = 1.0
         pts = np.array([[0.0, 0.0, 0.0]])
-        node = _node_from(_det(base, pts), cfg)
+        node = _node_from(_det(base, pts))
         sem_only = _det(base, [[5.0, 0, 0]])
         geo_only = _det(_descriptor_at_cosine(base, 0.5), pts)
-        assert not should_merge(sem_only, node, cfg)
-        assert not should_merge(geo_only, node, cfg)
+        assert not should_merge(sem_only, node)
+        assert not should_merge(geo_only, node)
         both = _det(base, pts)
-        assert should_merge(both, node, cfg)
-
-
-class TestFusionConfig:
-    # a NaN voxel turned [[0,0,0],[1,1,1],[5,5,5]] into the one point [2,2,2]
-    @pytest.mark.parametrize("field, value", [
-        ("epsilon", float("nan")), ("epsilon", float("inf")),
-        ("downsample_voxel", float("nan"))])
-    def test_non_finite_rejected(self, field, value):
-        with pytest.raises(ValueError, match=f"{field} must be finite"):
-            FusionConfig(**{field: value})
+        assert should_merge(both, node)
 
 
 class TestVoxelDownsample:
@@ -208,7 +234,7 @@ class TestInstanceGraph:
         assert len(g) == 2
 
     def test_repeat_detection_fuses(self):
-        g = InstanceGraph(descriptor_dim=4, cfg=FusionConfig(downsample_voxel=0.0))
+        g = InstanceGraph(descriptor_dim=4)
         a = g.ingest_detection(_det([1, 0, 0, 0], [[0, 0, 0], [0.01, 0, 0]]))
         b = g.ingest_detection(_det([1, 0, 0, 0], [[0.005, 0, 0]]))
         assert a == b
@@ -216,7 +242,7 @@ class TestInstanceGraph:
         assert g.nodes[a].observation_count == 2
 
     def test_descriptor_count_weighted_and_unit(self):
-        g = InstanceGraph(descriptor_dim=2, cfg=FusionConfig(downsample_voxel=0.0))
+        g = InstanceGraph(descriptor_dim=2)
         nid = g.ingest_detection(_det([1, 0], [[0, 0, 0]]))
         g.ingest_detection(_det([np.cos(0.3), np.sin(0.3)], [[0, 0, 0]]))
         node = g.nodes[nid]
@@ -226,7 +252,7 @@ class TestInstanceGraph:
         assert np.allclose(node.descriptor, expected, atol=1e-12)
 
     def test_bbox_union_monotone(self):
-        g = InstanceGraph(descriptor_dim=2, cfg=FusionConfig(downsample_voxel=0.0))
+        g = InstanceGraph(descriptor_dim=2)
         nid = g.ingest_detection(_det([1, 0], [[0, 0, 0], [1, 1, 1]]))
         # 5 of 6 points near the node (geo > 0.8), one outlier stretches the box
         second = _det([1, 0], [[0, 0, 0], [0.001, 0, 0], [0.002, 0, 0],

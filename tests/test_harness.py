@@ -414,6 +414,14 @@ class TestEpisode:
         with pytest.raises(UsageError, match=r"^dt must be finite and > 0, got "):
             EpisodeRunner(s, dt=dt)
 
+    @pytest.mark.parametrize("dt", [0.3, 0.45, 0.5, 0.6])
+    def test_follower_does_not_overshoot_at_large_dt(self, dt):
+        # at a flat 0.8 m/s one tick could carry the base across the 0.15 m
+        # goal disk, and navigate and drag ended in a navigation timeout
+        s = load_scenario(SCENARIO_DIR / "cart_delivery.yaml")
+        outcomes = run_episode(s, dt=dt, master_seed=0).outcomes
+        assert [(o.success, o.detail) for o in outcomes] == [(True, "")] * 6
+
     def test_lagged_tracking_reports_errors(self):
         s = scenario_from_dict(minimal_scenario_dict())
         m = run_episode(s, config=Config(tracking=TrackingConfig(tau_base=0.3)),

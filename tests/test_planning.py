@@ -4,7 +4,7 @@ import pytest
 from locoman.errors import OracleFailure, UnknownObject
 from locoman.fusion import Detection, InstanceGraph
 from locoman.geometry import Pose, vec3
-from locoman.harness import EpisodeRunner
+from locoman.harness import ActionOutcome, EpisodeRunner
 from locoman.planning import (ActionKind, AtomicAction, ConditionKind,
                               ScriptedPlanner, SubtaskMonitor,
                               condition_holds, decompose, monitor_step, report,
@@ -309,7 +309,8 @@ class TestMonitors:
         plan = [self._walk(self._monitor()),
                 PlanStep(ActionKind.PICK, "grab", target="cup", monitors=[pick]),
                 self._walk(self._monitor())]
-        buckets, overall = report(plan, {(0, 0): 1.0, (1, 0): 1.0})
+        buckets, overall = report(plan, self._outcomes(True, True, True),
+                                  {(0, 0): 1.0, (1, 0): 1.0})
         assert buckets["navigate"].completed == 1
         assert buckets["navigate"].total == 2
         assert buckets["navigate"].rate == 0.5
@@ -317,5 +318,27 @@ class TestMonitors:
         assert overall is False
 
     def test_overall_conjunction(self):
-        _, overall = report([self._walk(self._monitor())], {(0, 0): 1.0})
+        _, overall = report([self._walk(self._monitor())], self._outcomes(True),
+                            {(0, 0): 1.0})
         assert overall is True
+
+    @staticmethod
+    def _outcomes(*success):
+        return [ActionOutcome(i, "navigate", ok) for i, ok in enumerate(success)]
+
+    @pytest.mark.parametrize("monitors, success, latched, completed", [
+        ([0, 0], [False, False], {}, 0),   # no monitors, failed actions
+        ([1], [False], {(0, 0): 1.0}, 0),  # failed action, its monitor latched
+        ([1], [True], {}, 0),              # succeeded action, monitor unlatched
+        ([0], [True], {}, 1),              # succeeded action, no monitors
+        ([2, 1], [True, True], {(0, 0): 1.0, (1, 0): 1.0}, 1),  # one of two unlatched
+        ([2], [True], {(0, 0): 1.0, (0, 1): 1.0}, 1),
+    ], ids=["failed_no_monitors", "failed_latched", "unlatched", "no_monitors",
+            "one_of_two_unlatched", "all_latched"])
+    def test_report_scores_outcome_and_monitors(self, monitors, success, latched,
+                                                completed):
+        plan = [self._walk(*[self._monitor()] * k) for k in monitors]
+        buckets, overall = report(plan, self._outcomes(*success), latched)
+        assert (buckets["navigate"].completed, buckets["navigate"].total) == (
+            completed, len(plan))
+        assert overall is (completed == len(plan))
