@@ -54,19 +54,21 @@ class Config:
 
     def dump(self, path) -> None:
         with open(path, "w") as fh:
-            yaml.safe_dump(to_dict(self), fh, sort_keys=True)
+            yaml.dump(to_dict(self), fh, Dumper=YAML_DUMPER, sort_keys=True)
 
     @staticmethod
     def load(path) -> "Config":
         return from_dict(Config, read_file(path))
 
     def digest(self) -> str:
-        text = yaml.safe_dump(to_dict(self), sort_keys=True)
+        text = yaml.dump(to_dict(self), Dumper=YAML_DUMPER, sort_keys=True)
         return hashlib.sha256(text.encode()).hexdigest()
 
 
-# libyaml's parser where PyYAML has it; it resolves scalars as SafeLoader does
+# libyaml's parser and emitter where PyYAML has them; they resolve and
+# represent scalars as SafeLoader and SafeDumper do
 YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+YAML_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 
 def read_file(path, parse=functools.partial(yaml.load, Loader=YAML_LOADER)):

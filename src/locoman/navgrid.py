@@ -6,6 +6,7 @@ reverts to Free. The grid grows by doubling when points land outside.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -122,7 +123,10 @@ class OccupancyGrid:
 
         Points outside the z band are dropped entirely (no free-space carving).
         Each kept point casts a `bresenham` ray from the sensor cell to its
-        endpoint cell, the endpoint excluded.
+        endpoint cell, the endpoint excluded. The rays are not stepped:
+        `_ray_cells` computes every ray's cells at once in closed form, cell t
+        of a ray at t*minor/major rounded half toward the start on its minor
+        axis, which is where bresenham's err/e2 recurrence puts it.
 
         The whole scan is done at once, and it writes the bytes that
         integrating the points one at a time writes, for two reasons:
@@ -217,43 +221,74 @@ def bresenham(x0: int, y0: int, x1: int, y1: int) -> list[tuple[int, int]]:
 
 def _carve_rays(cells: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> None:
     """`bresenham(start, end)[:-1]` of every ray turns Free unless Occupied,
-    then every end turns Occupied. The rays step in lockstep through
-    bresenham's integer err/e2 recurrence, so every tie breaks alike; a ray
-    has max(|dx|, |dy|) cells before its end. Sorted longest first, the rays
-    still stepping at step t are a prefix."""
-    steps = np.maximum(np.abs(ends[0] - starts[0]), np.abs(ends[1] - starts[1]))
-    order = np.argsort(-steps, kind="stable")
-    (x, y), (x1, y1), steps = starts[:, order], ends[:, order], steps[order]
-    dx, dy = np.abs(x1 - x), np.abs(y1 - y)
-    sx, sy = np.where(x < x1, 1, -1), np.where(y < y1, 1, -1)
-    err = dx - dy
-    ray = np.zeros(cells.shape, dtype=bool)
-    # number of rays with more than t cells, for t = 0, 1, ...
-    active = np.searchsorted(-steps, -np.arange(steps[0] if steps.size else 0))
-    for k in active.tolist():
-        ray[y[:k], x[:k]] = True
-        e2 = 2 * err[:k]
-        mx, my = e2 > -dy[:k], e2 < dx[:k]
-        err[:k] += dx[:k] * my - dy[:k] * mx
-        x[:k] += sx[:k] * mx
-        y[:k] += sy[:k] * my
-    cells[ray & (cells != OCCUPIED)] = FREE
+    then every end turns Occupied. Every ray's cells come from `_ray_cells`,
+    in closed form and in one set of array operations with no loop over
+    steps, and are marked in one bool mask."""
+    ray = np.zeros(cells.size, dtype=bool)
+    ray[_ray_cells(starts, ends, cells.shape)] = True
+    cells[ray.reshape(cells.shape) & (cells != OCCUPIED)] = FREE
     cells[ends[1], ends[0]] = OCCUPIED
+
+
+def _ray_cells(starts: np.ndarray, ends: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """Flat indices y*w + x, in a grid of that (h, w) shape, of the cells of
+    `bresenham(start, end)[:-1]` for every ray, ray after ray.
+
+    A ray with major = max(|dx|, |dy|) and minor = min(|dx|, |dy|) has major
+    cells before its end. Its cell t (0 <= t < major) lies t cells along the
+    major axis and k = (2*t*minor + major - 1) // (2*major) along the minor
+    one, each axis stepping in the sign of its d. That is t*minor/major
+    rounded to nearest, a half rounded toward the start, which is what
+    bresenham's recurrence does: after t major and k minor steps its err is
+    major - minor*(t+1) + major*k, so it takes the minor step exactly when
+    (2k+1)*major < 2*minor*(t+1), and its major step always (2*err > -minor).
+    A zero-length ray has no cell, so its 2*major = 0 never divides.
+
+    Indices and the numerator are int32 when every value fits (the
+    numerator is below 2*h*w + h + w), which halves the per-cell
+    temporaries; otherwise int64.
+    """
+    h, w = shape
+    d = ends - starts
+    ad = np.abs(d)
+    major, minor = ad.max(axis=0), ad.min(axis=0)
+    total = int(major.sum())
+    itype = np.int32 if max(2 * h * w + h + w, total) < 2**31 else np.int64
+    # flat step of each axis, in the sign of its d as bresenham steps
+    step = np.where(d > 0, 1, -1) * np.array([[1], [w]])
+    x_major = ad[0] >= ad[1]
+    first = np.cumsum(major) - major  # each ray's first cell in the output
+
+    def per_cell(a):
+        return np.repeat(a.astype(itype), major)
+
+    t = np.arange(total, dtype=itype) - per_cell(first)
+    k = t * per_cell(2 * minor)
+    k += per_cell(major - 1)
+    k //= per_cell(2 * major)
+    flat = t * per_cell(np.where(x_major, step[0], step[1]))
+    flat += k * per_cell(np.where(x_major, step[1], step[0]))
+    flat += per_cell(starts[1] * w + starts[0])
+    return flat
 
 
 # ---------------------------------------------------------------------------
 # footprint / inflation helpers
 # ---------------------------------------------------------------------------
 
-def _disk_offsets(radius: float, resolution: float) -> np.ndarray:
-    """Cell offsets whose center distance is within radius."""
+@functools.lru_cache(maxsize=64)
+def _disk_offsets(radius: float, resolution: float) -> tuple[tuple[int, int], ...]:
+    """Cell offsets (dx, dy) whose center distance is within radius, row by
+    row from the lowest dy. Memoized per (radius, resolution), since
+    `blocked_mask` asks for the same disk on every call; the tuple is
+    immutable, so every caller can share it."""
     r_cells = int(np.floor(radius / resolution)) + 1
     offs = []
     for dy in range(-r_cells, r_cells + 1):
         for dx in range(-r_cells, r_cells + 1):
             if np.hypot(dx, dy) * resolution <= radius:
                 offs.append((dx, dy))
-    return np.array(offs, dtype=int)
+    return tuple(offs)
 
 
 def footprint_clear(grid: OccupancyGrid, x: float, y: float, radius: float) -> bool:
@@ -377,7 +412,7 @@ def blocked_mask(grid: OccupancyGrid, inflation: float) -> np.ndarray:
         return occ
     mask = np.zeros_like(occ)
     h, w = occ.shape
-    for dx, dy in _disk_offsets(inflation, grid.resolution).tolist():
+    for dx, dy in _disk_offsets(inflation, grid.resolution):
         # an offset as long as the grid reaches no cell; past that a
         # negative slice stop would wrap around
         if abs(dx) >= w or abs(dy) >= h:

@@ -1,3 +1,4 @@
+import hashlib
 from pathlib import Path
 from typing import Optional
 
@@ -5,8 +6,8 @@ import numpy as np
 import pytest
 import yaml
 
-from locoman.config import (YAML_LOADER, Config, TrackingConfig, from_dict, read_file,
-                            to_dict)
+from locoman.config import (YAML_DUMPER, YAML_LOADER, Config, TrackingConfig, from_dict,
+                            read_file, to_dict)
 from locoman.errors import ParseError, ValidationError
 from locoman.planning import ActionKind
 from locoman.rewards import RewardWeights
@@ -64,6 +65,26 @@ class TestYamlLoader:
         slow = yaml.load(path.read_text(encoding="utf-8"), Loader=yaml.SafeLoader)
         # repr tells 1 from 1.0 and -0.0 from 0.0, and keeps key order
         assert repr(read_file(path)) == repr(slow)
+
+
+class TestYamlDumper:
+    def test_libyaml_used_when_built_in(self):
+        assert YAML_DUMPER is (yaml.CSafeDumper if yaml.__with_libyaml__ else yaml.SafeDumper)
+
+    @pytest.mark.parametrize("cfg", [
+        Config(),
+        Config(gamma_xy=1e308, gamma_w=5e-324, f_target=-0.0,
+               tracking=TrackingConfig(tau_base=1 / 3, ee_rate=2.0**-1074 * 3,
+                                       noise_pos=1e22, noise_ori=0.1 + 0.2)),
+        Config(reward_weights=RewardWeights(track_xy=(np.inf, -np.inf), gait=(np.nan, -1e-300),
+                                            smooth=(123456789.125, -2.5e-7))),
+    ], ids=["default", "extreme", "non_finite"])
+    def test_same_text_as_pure_python_emitter(self, tmp_path, cfg):
+        slow = yaml.safe_dump(to_dict(cfg), sort_keys=True)
+        path = tmp_path / "config.yaml"
+        cfg.dump(path)
+        assert path.read_text() == slow
+        assert cfg.digest() == hashlib.sha256(slow.encode()).hexdigest()
 
 
 class TestLoad:

@@ -9,7 +9,7 @@ from locoman.errors import NoFeasibleGoal, NoPath
 from locoman.geometry import Pose, quat_from_yaw, vec3
 from locoman.navgrid import (FREE, OCCUPIED, SQRT2, UNKNOWN, GoalSearchConfig,
                              OccupancyGrid, Scan, _disk_offsets, _first_clear,
-                             blocked_mask, bresenham, find_goal_pose,
+                             _ray_cells, blocked_mask, bresenham, find_goal_pose,
                              footprint_clear, plan_path)
 from oracles import disk_overlaps_bbox, path_cost
 
@@ -234,6 +234,37 @@ class TestBresenham:
         assert len(a) == len(b)
 
 
+class TestRayCells:
+    """The closed-form ray cells against `bresenham(start, end)[:-1]`."""
+
+    @staticmethod
+    def _assert_bresenham(starts, ends, shape):
+        flat = _ray_cells(np.array(starts).T, np.array(ends).T, shape)
+        expected = [y * shape[1] + x for (x0, y0), (x1, y1) in zip(starts, ends)
+                    for x, y in bresenham(x0, y0, x1, y1)[:-1]]
+        assert flat.tolist() == expected
+
+    def test_every_short_ray_both_ways(self):
+        r = 48
+        ends = [(r + dx, r + dy) for dx in range(-r, r + 1) for dy in range(-r, r + 1)]
+        starts = [(r, r)] * len(ends)
+        shape = (2 * r + 1, 2 * r + 1)
+        self._assert_bresenham(starts, ends, shape)
+        self._assert_bresenham(ends, starts, shape)
+
+    def test_zero_length_ray_has_no_cell(self):
+        with np.errstate(all="raise"):  # an integer division by zero would raise
+            assert _ray_cells(np.array([[3], [4]]), np.array([[3], [4]]), (8, 8)).size == 0
+            self._assert_bresenham([(3, 4), (3, 4), (3, 4)], [(6, 5), (3, 4), (0, 7)], (8, 8))
+
+    def test_long_ray_exact_past_int32(self):
+        # a 40000 x 40000 grid's flat indices fit in int32, but this ray's
+        # 2*t*minor reaches about 3.2e9 and would wrap in it
+        n = 40000
+        assert 2 * (n - 2) * (n - 2) >= 2**31
+        self._assert_bresenham([(0, 0), (n - 1, n - 2)], [(n - 1, n - 2), (0, 0)], (n, n))
+
+
 class TestScanIntegration:
     def _scan(self, points, sensor_xy=(0.0, 0.0)):
         pose = Pose(vec3(sensor_xy[0], sensor_xy[1], 0.3), np.array([1.0, 0, 0, 0]))
@@ -430,6 +461,18 @@ class TestScanOracle:
                           np.cos(roll / 2) * np.sin(pitch / 2), -np.sin(roll / 2) * np.sin(pitch / 2)])
             scans.append(Scan(sensor_pose=Pose(vec3(0.1, -0.2, 0.3), q), points=pts))
         self._assert_same((0.1, 20, 20, (-1.0, -1.0)), scans)
+
+    def test_keyframe_sweep_grows_mid_scan(self):
+        # 1440 beams of 12 m from inside a 6.4 m grid: the rays start longer
+        # than the grid, which grows east and north, then west and south
+        # half-way through the sweep
+        angles = np.arange(1440) * (2.0 * np.pi / 1440)
+        pts = np.stack([12.0 * np.cos(angles), 12.0 * np.sin(angles), np.zeros(1440)], 1)
+        scans = [Scan(sensor_pose=_yaw_pose(3.2, 3.2, 0.0), points=pts),
+                 Scan(sensor_pose=_yaw_pose(1.0, 5.5, 0.6), points=pts)]
+        g = self._assert_same((0.1, 64, 64, (0.0, 0.0)), scans)
+        assert g.cells.shape == (512, 512)
+        assert g.origin.tolist() == pytest.approx([-25.6, -25.6])
 
     def test_rays_cross_earlier_endpoints(self):
         # near then far on one bearing, and far then near: the near endpoint
@@ -960,6 +1003,12 @@ class TestHelpers:
         assert mask[10, 10]
         assert mask[10, 12]  # 0.2 m away
         assert not mask[10, 13]  # 0.3 m away
+
+    def test_disk_offsets_memoized(self):
+        # one cell of radius: the centre and its four neighbours, row by row
+        offs = _disk_offsets(0.1, 0.1)
+        assert offs == ((0, -1), (-1, 0), (0, 0), (1, 0), (0, 1))
+        assert _disk_offsets(0.1, 0.1) is offs
 
     def test_disk_overlaps_bbox(self):
         assert disk_overlaps_bbox(0.0, 0.0, 0.5, (0.4, -1), (2, 1))
