@@ -9,6 +9,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from locoman.errors import UsageError
+from locoman.fusion import semantic_similarity, should_merge
 from locoman.geometry import dot, quat_to_matrix
 from locoman.rewards import ASYNC_PAIRS, GAIT_CLIP, LEGS, SYNC_PAIRS
 from locoman.training import SphericalTarget
@@ -52,6 +54,22 @@ def disk_overlaps_bbox(x: float, y: float, radius: float, bbox_min, bbox_max) ->
     nx = min(max(x, bbox_min[0]), bbox_max[0])
     ny = min(max(y, bbox_min[1]), bbox_max[1])
     return np.hypot(nx - x, ny - y) < radius
+
+
+def ingest_detection_loop(graph, det) -> int:
+    """`InstanceGraph.ingest_detection` one node at a time: `should_merge`
+    over every node, then the highest `semantic_similarity`, ties to the
+    lowest id. Fuses into (or adds to) `graph` through its own node
+    updates, so two graphs fed the same stream hold the same bytes."""
+    if det.descriptor.shape != (graph.d,):
+        raise UsageError(f"descriptor dimension {det.descriptor.shape[0]} != {graph.d}")
+    candidates = [n for n in graph.nodes.values() if should_merge(det, n)]
+    if not candidates:
+        return graph._add_node(det)
+    best = max(candidates,
+               key=lambda n: (semantic_similarity(det.descriptor, n.descriptor), -n.id))
+    graph._fuse(best, det)
+    return best.id
 
 
 def path_cost(path: list[tuple[int, int]]) -> float:

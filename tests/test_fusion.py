@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from locoman.errors import UsageError
-from locoman.fusion import (Detection, InstanceGraph, geometric_similarity,
-                            semantic_similarity, should_merge, voxel_downsample)
+from locoman.fusion import (TAU_SEM, Detection, InstanceGraph, geometric_similarity,
+                            semantic_similarities, semantic_similarity, should_merge,
+                            voxel_downsample)
+from oracles import ingest_detection_loop
 
 
 def brute_force_geometric(points_i, points_j, epsilon):
@@ -75,6 +77,24 @@ class TestSemanticSimilarity:
             semantic_similarity(np.zeros(3), np.ones(3))
 
 
+class TestSemanticSimilarities:
+    def test_bit_for_bit_semantic_similarity(self):
+        rng = np.random.Generator(np.random.PCG64(330))
+        for case in range(2000):
+            dim, n = int(rng.integers(1, 40)), int(rng.integers(1, 20))
+            rows = rng.normal(size=(n, dim)) * rng.uniform(1e-3, 1e3)
+            if case % 2:
+                rows /= np.sqrt((rows * rows).sum(axis=1))[:, None]  # unit, as nodes are
+            f = rng.normal(size=dim)
+            if case % 3 == 0:
+                f = rows[rng.integers(n)] + rng.normal(scale=1e-3, size=dim)
+            want = np.array([semantic_similarity(f, r) for r in rows])
+            assert semantic_similarities(rows, f).tobytes() == want.tobytes()
+
+    def test_no_rows(self):
+        assert semantic_similarities(np.empty((0, 3)), np.ones(3)).shape == (0,)
+
+
 class TestGeometricSimilarity:
     def test_matches_brute_force_oracle(self):
         rng = np.random.Generator(np.random.PCG64(42))
@@ -103,6 +123,31 @@ class TestGeometricSimilarity:
     def test_empty_rejected(self):
         with pytest.raises(UsageError):
             geometric_similarity(np.zeros((0, 3)), np.ones((1, 3)), 0.1)
+
+    def test_neighbours_one_ulp_from_epsilon(self):
+        """A neighbour at nextafter(eps, +-inf) or eps along the axes and the
+        diagonals, about the origin and an offset centre, either side of the
+        query: each point decides alone, so no miss is averaged away."""
+        dirs = np.array([d for d in itertools.product((-1, 0, 1), repeat=3) if any(d)],
+                        dtype=float)
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        case = 0
+        for eps in (0.05, 0.01, 0.3, 1e-3):
+            radii = [np.nextafter(eps, -np.inf), eps, np.nextafter(eps, np.inf),
+                     eps * (1 + 1e-9), np.nextafter(eps * (1 + 1e-9), np.inf)]
+            for centre in (np.zeros(3), np.array([1.3, -0.7, 2.1])):
+                for r in radii:
+                    ring = centre + r * dirs
+                    for p in ring:
+                        p = p[None]
+                        assert geometric_similarity(p, centre[None], eps) == \
+                            exact_geometric(p, centre[None], eps, case)
+                        assert geometric_similarity(centre[None], p, eps) == \
+                            exact_geometric(centre[None], p, eps, case + 1)
+                        case += 2
+                    # the whole ring as one tree: the nearest of 26 decides
+                    assert geometric_similarity(centre[None], ring, eps) == \
+                        exact_geometric(centre[None], ring, eps, 0)
 
 
 def _det(descriptor, points):
@@ -224,6 +269,51 @@ class TestVoxelDownsampleOracle:
         self._same(pts, -0.1)
         self._same(np.empty((0, 3)), 0.05)
 
+    def test_large_offsets(self):
+        rng = np.random.Generator(np.random.PCG64(33))
+        for offset in (1e3, -1e6, 1e9, 3e12):
+            for _ in range(20):
+                n = int(rng.integers(1, 300))
+                pts = rng.normal(0.0, rng.uniform(0.01, 1.0), (n, 3)) + offset * rng.choice(
+                    [-1.0, 1.0], size=3)
+                self._same(pts, float(rng.choice([0.02, 0.1, 1.0])))
+
+    def test_wide_spans(self):
+        rng = np.random.Generator(np.random.PCG64(34))
+        for lo, hi, voxel in ((-1e16, 1e16, 1.0), (-2e6, 3e6, 0.02), (-1e4, 1e4, 1e-4)):
+            # x spans up to 2e16 voxels; y and z keep the product in int64
+            pts = np.column_stack([rng.uniform(lo, hi, 200), rng.uniform(-50, 50, 200),
+                                   rng.uniform(0.0, 0.5, 200)])
+            self._same(pts, voxel)
+        # one axis alone spans nearly 2**63 voxels
+        self._same(np.array([[-2.0**62, 0, 0], [2.0**62 - 1024, 0, 0], [0, 0, 0]]), 1.0)
+        # the three spans' product is 2**63 - 1 = (7*73*127*337) * (7*92737) * 649657
+        self._same(np.array([[0.0, 0, 0], [21870288, 649158, 649656], [5, 5, 5]]), 1.0)
+
+
+class TestVoxelKeyBound:
+    """The packed voxel key must fit in int64: the product of the three
+    spans, in voxels, stays below 2**63 and every index is an int64."""
+
+    def test_product_below_bound_accepted(self):
+        pts = np.array([[0.0, 0, 0], [21870288, 649158, 649656]])  # product 2**63 - 1
+        assert len(voxel_downsample(pts, 1.0)) == 2
+
+    def test_product_at_bound_rejected(self):
+        pts = np.array([[0.0, 0, 0], [2**21 - 1] * 3])  # product (2**21)**3 = 2**63
+        with pytest.raises(UsageError):
+            voxel_downsample(pts, 1.0)
+
+    def test_far_points_not_merged(self):
+        # cast to int64, both indices used to wrap to one voxel at the origin
+        with pytest.raises(UsageError):
+            voxel_downsample(np.array([[1e19, 0, 0], [-1e19, 0, 0]]), 0.02)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 2.0**63])
+    def test_non_int64_index_rejected(self, bad):
+        with pytest.raises(UsageError):
+            voxel_downsample(np.array([[0.0, 0, 0], [bad, 0, 0]]), 1.0)
+
 
 class TestInstanceGraph:
     def test_new_node_per_distinct_object(self):
@@ -274,3 +364,92 @@ class TestInstanceGraph:
         g = InstanceGraph(descriptor_dim=4)
         with pytest.raises(UsageError):
             g.ingest_detection(_det([1, 0], [[0, 0, 0]]))
+
+
+class TestDetectionValidation:
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("descriptor", [[np.nan, 1.0], [np.inf, 1.0], [1e200, 1e200]])
+    def test_non_finite_descriptor_rejected(self, descriptor):
+        with pytest.raises(UsageError):
+            _det(descriptor, [[0, 0, 0]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_rejected(self, bad):
+        with pytest.raises(UsageError):
+            _det([1, 0], [[0, 0, 0], [0, bad, 0]])
+
+    def test_nan_point_never_reaches_a_node(self):
+        # it used to join a node, and the next matching detection then
+        # failed in scipy's KD-tree with a raw ValueError
+        g = InstanceGraph(descriptor_dim=2)
+        g.ingest_detection(_det([1, 0], [[0, 0, 0]]))
+        with pytest.raises(UsageError):
+            g.ingest_detection(_det([1, 0], [[np.nan, 0, 0]]))
+        assert g.ingest_detection(_det([1, 0], [[0.001, 0, 0]])) == 0
+
+
+def _ingest_stream(seed, steps, graph):
+    """Detections of 5 overlapping objects: noisy views; descriptors one ulp
+    either side of TAU_SEM, or at it, against a node of `graph` as it stands
+    when the detection is drawn; and twin nodes, made from one raw descriptor
+    with geo exactly 0.8, then matched both at once."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    dim = 8
+    bases = rng.normal(size=(5, dim))
+    clouds = rng.uniform(-0.3, 0.3, (5, 1, 3)) + rng.uniform(-0.1, 0.1, (5, 60, 3))
+    for _ in range(steps):
+        kind = rng.choice(["view", "boundary", "twin"], p=[0.5, 0.3, 0.2])
+        o = int(rng.integers(5))
+        pts = clouds[o][rng.choice(60, size=int(rng.integers(5, 40)), replace=False)]
+        if kind == "view" or not graph.nodes:
+            desc = bases[o] + rng.normal(0, 0.15, dim)
+            yield _det(desc, pts + rng.normal(0, 0.004, pts.shape))
+        elif kind == "boundary":
+            node = graph.nodes[int(rng.integers(len(graph.nodes)))]
+            c = rng.choice([np.nextafter(TAU_SEM, 0), TAU_SEM, np.nextafter(TAU_SEM, 1)])
+            yield _det(_descriptor_at_cosine(node.descriptor, c), node.points[:20])
+        else:
+            desc = bases[o] + rng.normal(0, 0.15, dim)
+            near = pts[:8]
+            yield _det(desc, near)
+            yield _det(desc, np.vstack([near, near[:2] + 1.0]))  # geo = 8/10
+            yield _det(desc, near[:4] + rng.normal(0, 0.002, (4, 3)))
+
+
+class TestIngestOracle:
+    """ingest_detection's vector semantic gate against the node-at-a-time
+    loop in `tests/oracles.py`: the same ids and the same node bytes."""
+
+    @staticmethod
+    def _node_bytes(graph):
+        return [(n.id, n.label, n.points.tobytes(), n.descriptor.tobytes(),
+                 n.bbox_min.tobytes(), n.bbox_max.tobytes(), n.observation_count)
+                for n in graph.nodes.values()]
+
+    def test_streams_match_loop(self):
+        ties, above, at_or_below = 0, 0, 0
+        for seed in (331, 332, 333):
+            got, want = InstanceGraph(descriptor_dim=8), InstanceGraph(descriptor_dim=8)
+            for det in _ingest_stream(seed, 60, want):
+                sems = [semantic_similarity(det.descriptor, n.descriptor)
+                        for n in want.nodes.values() if should_merge(det, n)]
+                ties += len(sems) > 1 and sems.count(max(sems)) > 1
+                for n in want.nodes.values():
+                    s = semantic_similarity(det.descriptor, n.descriptor)
+                    if abs(s - TAU_SEM) <= np.spacing(TAU_SEM):
+                        above += s > TAU_SEM
+                        at_or_below += s <= TAU_SEM
+                assert got.ingest_detection(det) == ingest_detection_loop(want, det)
+                assert self._node_bytes(got) == self._node_bytes(want)
+        # the streams reach the tie-break and both sides of the threshold's last ulp
+        assert ties >= 3 and above >= 5 and at_or_below >= 5
+
+    def test_twin_nodes_tie_to_lowest_id(self):
+        g = InstanceGraph(descriptor_dim=4)
+        near = np.array([[0.0, 0, 0], [0.01, 0, 0], [0, 0.01, 0], [0, 0, 0.01], [0.01, 0.01, 0],
+                         [0.01, 0, 0.01], [0, 0.01, 0.01], [0.01, 0.01, 0.01]])
+        desc = [0.3, -1.2, 0.5, 2.0]
+        assert g.ingest_detection(_det(desc, near)) == 0
+        assert g.ingest_detection(_det(desc, np.vstack([near, near[:2] + 1.0]))) == 1
+        assert g.nodes[0].descriptor.tobytes() == g.nodes[1].descriptor.tobytes()
+        assert g.ingest_detection(_det(desc, near[:4])) == 0
