@@ -74,8 +74,9 @@ def _sha256(path: Path) -> str:
 
 
 def _run_one(task) -> MetricsReport:
-    """Run one episode and write its trace and report; return only the
-    metrics, so a worker process never sends a trace back."""
+    """Run one episode, in the calling process or a worker, and write its
+    trace and report; return only the metrics, so a worker sends back a
+    report and never a trace."""
     scenario, k, ep_dir, dt, seed, cfg = task
     result = run_episode(scenario, dt=dt, master_seed=seed, episode_index=k,
                          config=cfg)
@@ -88,16 +89,99 @@ def _run_one(task) -> MetricsReport:
 
 
 def _start_method() -> str:
-    """`fork` where the platform has it and the caller runs one thread:
-    forked workers inherit the imported modules, where spawned ones re-import
-    numpy and locoman (0.34-0.46 s each on a 2-core box), more than a short
-    run saves. A lock held by another thread at fork time would stay locked
-    in the child, so threaded callers get `spawn`."""
+    """How `run` starts the worker processes beside the calling one: `fork`
+    where the platform has it and the caller runs one thread, as forked
+    workers inherit the imported modules, where spawned ones re-import numpy
+    and locoman (0.34-0.46 s each on a 2-core box), more than a short run
+    saves. A lock held by another thread at fork time would stay locked in
+    the child, so threaded callers get `spawn`."""
     import multiprocessing
     if "fork" in multiprocessing.get_all_start_methods() \
             and threading.active_count() == 1:
         return "fork"
     return "spawn"
+
+
+def _claim(next_task, n: int):
+    """The index of the next task no runner has taken, or None once all
+    `n` are taken."""
+    with next_task.get_lock():
+        i = next_task.value
+        if i >= n:
+            return None
+        next_task.value = i + 1
+    return i
+
+
+def _worker(tasks, next_task, conn) -> None:
+    """A worker process: run the tasks it claims until none are left, sending
+    `(index, MetricsReport)` for each, or `(index, exception)` for the first
+    that fails and then stopping."""
+    with conn:
+        while (i := _claim(next_task, len(tasks))) is not None:
+            try:
+                conn.send((i, _run_one(tasks[i])))
+            except Exception as exc:
+                conn.send((i, exc))
+                return
+
+
+def _run_all(tasks, jobs: int) -> list[MetricsReport]:
+    """Every task's report, in task order. With `jobs` > 1, up to `jobs` - 1
+    worker processes run tasks beside this one, each runner claiming the next
+    untaken task from a shared counter, so unequal episodes stay balanced.
+    No worker outlives the call: a failure stops the hand-out, and every
+    worker is collected and joined before it propagates. A worker's error is
+    re-raised here, the lowest task's first; a worker that exits without
+    sending its reports raises ChildProcessError."""
+    workers = min(jobs, len(tasks))
+    if workers == 1:
+        return [_run_one(t) for t in tasks]
+    # imported here, as only a pool needs them: at module level they cost
+    # every `import locoman.cli` some 8 ms
+    import multiprocessing
+    from multiprocessing.connection import wait
+    ctx = multiprocessing.get_context(_start_method())
+    next_task = ctx.Value("q", 0)
+    reports, errors, conns, procs = {}, {}, [], []
+
+    def collect(timeout):
+        for conn in wait(conns, timeout):
+            try:
+                i, result = conn.recv()
+            except EOFError:  # the worker has exited
+                conns.remove(conn)
+                conn.close()
+            else:
+                (errors if isinstance(result, BaseException) else reports)[i] = result
+
+    try:
+        for _ in range(workers - 1):
+            conn, child_end = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_worker, args=(tasks, next_task, child_end),
+                               daemon=True)
+            proc.start()
+            child_end.close()
+            conns.append(conn)
+            procs.append(proc)
+        while not errors and (i := _claim(next_task, len(tasks))) is not None:
+            reports[i] = _run_one(tasks[i])
+            collect(0)
+    finally:
+        with next_task.get_lock():
+            next_task.value = len(tasks)
+        while conns:
+            collect(None)
+        for proc in procs:
+            proc.join()
+    if errors:
+        raise errors[min(errors)]
+    if len(reports) < len(tasks):
+        codes = ", ".join(str(proc.exitcode) for proc in procs if proc.exitcode)
+        raise ChildProcessError(f"a worker process ended (exit code {codes}) before "
+                                f"sending the reports of {len(tasks) - len(reports)} "
+                                f"episode(s)")
+    return [reports[i] for i in range(len(tasks))]
 
 
 @main.command()
@@ -152,7 +236,6 @@ def run(scenarios, episodes, seed, dt, jobs, out, config_path,
 
     tasks = [(scenario, k, out / scenario.name / f"episode_{k}", dt, seed, cfg)
              for _, scenario in loaded for k in range(episodes)]
-    workers = min(jobs, len(tasks))
     manifest = {
         "scenarios": [{"path": str(p), "sha256": _sha256(p)} for p, _ in loaded],
         "episodes": episodes, "seed": seed, "dt": dt,
@@ -161,17 +244,7 @@ def run(scenarios, episodes, seed, dt, jobs, out, config_path,
     }
     with _writing(out):
         out.mkdir(parents=True, exist_ok=True)
-        if workers > 1:
-            # imported here, as only a pool needs them: at module level they
-            # cost every `import locoman.cli` some 20 ms
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-            ctx = multiprocessing.get_context(_start_method())
-            with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-                reports = list(pool.map(_run_one, tasks))
-        else:
-            reports = [_run_one(t) for t in tasks]
-        write_report(aggregate(reports), out / "aggregate.json")
+        write_report(aggregate(_run_all(tasks, jobs)), out / "aggregate.json")
         write_json(manifest, out / "manifest.json")
 
 

@@ -10,6 +10,7 @@ bit-reproducible on one numpy and BLAS code path (the README says which).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -103,6 +104,13 @@ def _wrap(a: float) -> float:
     return (a - math.pi) % (-2.0 * math.pi) + math.pi
 
 
+@functools.lru_cache(maxsize=64)
+def _exp(x: float) -> float:
+    """np.exp of one of `step`'s per-episode exponents, computed once per
+    value (`math.exp` differs from it in the last bit)."""
+    return float(np.exp(x))
+
+
 def step(world: WorldState, base_cmd: LocomotionCommand,
          ee_cmd: Optional[Pose], dt: float, tracking: TrackingConfig,
          rng: np.random.Generator, scenario: Scenario,
@@ -112,7 +120,7 @@ def step(world: WorldState, base_cmd: LocomotionCommand,
     if tracking.tau_base <= 0.0:
         vx, vy, w = cx, cy, cw
     else:
-        alpha = float(1.0 - np.exp(-dt / tracking.tau_base))
+        alpha = 1.0 - _exp(-dt / tracking.tau_base)
         vx, vy, w = world.base_vel
         vx, vy, w = vx + alpha * (cx - vx), vy + alpha * (cy - vy), w + alpha * (cw - w)
     world.base_vel = (vx, vy, w)
@@ -135,7 +143,7 @@ def step(world: WorldState, base_cmd: LocomotionCommand,
         world.base_pose, world.base_xy, world.base_yaw = pose, (nx, ny), pose.yaw()
 
     if ee_cmd is not None:
-        decay = float(np.exp(-tracking.ee_rate * dt))
+        decay = _exp(-tracking.ee_rate * dt)
         pos = ee_cmd.position + (world.ee_pose.position - ee_cmd.position) * decay
         ori = quat_slerp(world.ee_pose.orientation, ee_cmd.orientation, 1.0 - decay)
         if tracking.noise_pos > 0.0:

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -30,11 +31,11 @@ def files_of(run_dir):
     return sorted(p.relative_to(run_dir) for p in run_dir.rglob("*") if p.is_file())
 
 
-def assert_matches_serial(tmp_path, target, jobs=2):
+def assert_matches_serial(tmp_path, target, jobs=2, episodes=2):
     a, b = tmp_path / "serial", tmp_path / "parallel"
-    res = invoke("run", target, "--seed", 4, "--episodes", 2, "--out", a)
+    res = invoke("run", target, "--seed", 4, "--episodes", episodes, "--out", a)
     assert res.exit_code == 0, res.output
-    res = invoke("run", target, "--seed", 4, "--episodes", 2, "--jobs", jobs,
+    res = invoke("run", target, "--seed", 4, "--episodes", episodes, "--jobs", jobs,
                  "--out", b)
     assert res.exit_code == 0, res.output
     assert files_of(a) == files_of(b)
@@ -137,6 +138,9 @@ class TestRun:
     def test_more_jobs_than_episodes_matches_serial(self, tmp_path):
         assert_matches_serial(tmp_path, SCENARIO, jobs=3)
 
+    def test_more_episodes_than_jobs_matches_serial(self, tmp_path):
+        assert_matches_serial(tmp_path, SCENARIO, jobs=3, episodes=5)
+
     def test_threaded_caller_jobs_matches_serial(self, tmp_path):
         release = threading.Event()
         waiter = threading.Thread(target=release.wait, args=(60,))
@@ -159,6 +163,14 @@ class TestRun:
         assert_matches_serial(tmp_path, suite)
         assert {p.name for p in (tmp_path / "parallel").iterdir()} == {
             "alpha", "beta", "aggregate.json", "manifest.json"}
+
+    def test_unequal_scenarios_jobs_matches_serial(self, tmp_path):
+        # a missed grasp ends its episode long before a full delivery does
+        suite = tmp_path / "suite"
+        suite.mkdir()
+        for name in ("cart_delivery", "missed_grasp"):
+            (suite / f"{name}.yaml").write_bytes((ROOT / "scenarios" / f"{name}.yaml").read_bytes())
+        assert_matches_serial(tmp_path, suite)
 
     def test_empty_scenario_directory_usage_exit(self, tmp_path):
         res = invoke("run", tmp_path, "--out", tmp_path / "o")
@@ -720,6 +732,67 @@ def test_unwritable_out_io_exit(tmp_path, command, out):
     assert "Traceback" not in res.output
 
 
+@pytest.mark.parametrize("failing", ["episode_1", "episode_0"])
+def test_episode_write_error_jobs_io_exit(tmp_path, monkeypatch, failing):
+    # the episode may run in this process or in the forked worker, which
+    # inherits the patch; either way the error reaches the one boundary
+    assert cli._start_method() == "fork"
+    write = cli.write_trace_csv
+
+    def write_or_fail(trace, path):
+        if path.parent.name == failing:
+            raise OSError("disk full")
+        write(trace, path)
+
+    monkeypatch.setattr(cli, "write_trace_csv", write_or_fail)
+    res = invoke("run", SCENARIO, "--episodes", 2, "--jobs", 2, "--out", tmp_path / "o")
+    assert res.exit_code == 4, res.output
+    assert "error: cannot write" in res.output and "disk full" in res.output
+    assert "Traceback" not in res.output
+    assert multiprocessing.active_children() == []
+
+
+def test_lost_worker_io_exit(tmp_path, monkeypatch):
+    # this process holds one episode until the worker has claimed the other
+    # and died on it without sending a report
+    assert cli._start_method() == "fork"
+    parent, run_one = os.getpid(), cli._run_one
+
+    def run_or_die(task):
+        if os.getpid() != parent:
+            os._exit(9)
+        for child in multiprocessing.active_children():
+            child.join(timeout=60)
+        return run_one(task)
+
+    monkeypatch.setattr(cli, "_run_one", run_or_die)
+    res = invoke("run", SCENARIO, "--episodes", 2, "--jobs", 2, "--out", tmp_path / "o")
+    assert res.exit_code == 4, res.output
+    (line,) = res.output.splitlines()
+    assert line.startswith("error: ") and "(exit code 9)" in line
+    assert multiprocessing.active_children() == []
+
+
+def test_runners_claim_each_episode_once(tmp_path, monkeypatch):
+    # more runners than cores race for many short episodes; a lost update to
+    # the shared counter would run an episode twice and another never
+    assert cli._start_method() == "fork"
+    claims = tmp_path / "claims"
+    report = cli._run_one((cli._load_runnable(SCENARIO), 0, tmp_path / "one", 0.02, 4,
+                           Config()))
+
+    def claim(task):
+        with open(claims, "a") as fh:  # one short append: atomic across processes
+            fh.write(f"{task[1]}\n")
+        return report
+
+    monkeypatch.setattr(cli, "_run_one", claim)
+    res = invoke("run", SCENARIO, "--episodes", 300, "--jobs", 4, "--out", tmp_path / "o")
+    assert res.exit_code == 0, res.output
+    assert sorted(map(int, claims.read_text().split())) == list(range(300))
+    assert multiprocessing.active_children() == []
+
+
 # every command, with `{}` for the input file it reads and `{out}` for its --out
 READERS = {
     "validate": ("validate", "{}"),
@@ -764,11 +837,12 @@ def test_bad_input_exit(tmp_path, command, case):
 
 def test_import_leaves_scipy_unloaded():
     # scipy.spatial is most of a cold start, and only a detection that passes
-    # fusion's semantic test needs it; the process pool only `run --jobs N>1`
+    # fusion's semantic test needs it; the worker processes only `run --jobs N>1`,
+    # and no part of `concurrent.futures` ever
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
     code = ("import sys, locoman.cli; print([m for m in sys.modules if m.split('.')[0] "
-            "in ('scipy', 'multiprocessing') or m == 'concurrent.futures.process'])")
+            "in ('scipy', 'multiprocessing') or m.startswith('concurrent.futures')])")
     res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert res.stdout == "[]\n"
