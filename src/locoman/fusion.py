@@ -6,17 +6,26 @@ points with a nearest neighbor in the node within radius EPSILON exceeds
 TAU_GEO (both strict inequalities). The thresholds are fixed: 0.8 each, a
 5 cm radius, and node points downsampled on a 2 cm voxel grid.
 
-Ingest takes its decisions in three steps, each exact against the
+Ingest takes its decisions in four steps, each exact against the
 one-node-at-a-time form (`tests/oracles.py`):
 
 1. a semantic gate scores every node at once (`semantic_similarities`,
-   bit for bit `semantic_similarity` per node), so `> TAU_SEM` and the
-   `(cosine, -id)` tie-break choose as the scalar cosine does;
-2. `should_merge` decides each node that passed the gate. Its KD-tree query
-   stops looking past EPSILON * (1 + 1e-9): a neighbour closer than EPSILON
-   has a squared distance below EPSILON**2, so below the tree's squared
-   bound, and is still found, with the same distance;
-3. node points are downsampled by one stable sort of a packed int64 voxel
+   bit for bit `semantic_similarity` per node, and raising where it raises),
+   so `> TAU_SEM` and the `(cosine, -id)` tie-break choose as the scalar
+   cosine does;
+2. a voxel gate decides most nodes that passed it without a KD-tree. A
+   detection point whose DOWNSAMPLE_VOXEL voxel, or one of its 6 face
+   neighbours, holds a node point lies within sqrt(6) * DOWNSAMPLE_VOXEL
+   (about 0.0490 m) of that point, so closer than EPSILON. When these sure
+   hits alone make up more than TAU_GEO of the detection's points, the merge
+   is certain. The node's voxels are built from its points at each check,
+   kept nowhere, and only for a node that passed step 1; a node past
+   GATE_MAX_COORD or GATE_CELLS_PER_POINT is left to step 3;
+3. `should_merge` decides the rest. Its KD-tree query stops looking past
+   EPSILON * (1 + 1e-9): a neighbour closer than EPSILON has a squared
+   distance below EPSILON**2, so below the tree's squared bound, and is
+   still found, with the same distance;
+4. node points are downsampled by one stable sort of a packed int64 voxel
    key, (k0*s1 + k1)*s2 + k2 over the indices shifted to their minimum: a
    bijection that keeps their lexicographic order, so the voxel runs and
    their sums are those of a sort by (x, y, z) index. A point set whose
@@ -38,6 +47,15 @@ TAU_SEM = 0.8
 TAU_GEO = 0.8
 EPSILON = 0.05           # NN radius, meters
 DOWNSAMPLE_VOXEL = 0.02  # meters
+# Past this coordinate magnitude (meters) a node is left to the KD-tree.
+# Within it, rounding moves a voxel boundary of floor(p / DOWNSAMPLE_VOXEL)
+# by under 1e-9 m, a millionth of the 1.0 mm by which a face-adjacent pair's
+# bound sqrt(6) * DOWNSAMPLE_VOXEL falls short of EPSILON.
+GATE_MAX_COORD = 1e6
+# The voxel gate's box holds at most this many one-byte cells per node point,
+# so it costs a fixed multiple of the node's own 24 bytes a point; a sparser
+# node, spread over a wider box, is left to the KD-tree.
+GATE_CELLS_PER_POINT = 256
 
 
 @dataclass
@@ -81,15 +99,20 @@ def semantic_similarity(f_i: np.ndarray, f_j: np.ndarray) -> float:
     if f_i.shape != f_j.shape:
         raise UsageError(f"descriptor dimension mismatch: {f_i.shape} vs {f_j.shape}")
     ni, nj = norm(f_i), norm(f_j)
-    if ni == 0.0 or nj == 0.0:
-        raise UsageError("descriptors must be nonzero")
+    # NaN fails the comparisons too: a NaN cosine would fail the gate silently
+    if not (0.0 < ni < math.inf and 0.0 < nj < math.inf):
+        raise UsageError("descriptors must be nonzero and finite")
     return dot(f_i, f_j) / (ni * nj)
 
 
 def semantic_similarities(descriptors: np.ndarray, f: np.ndarray) -> np.ndarray:
     """semantic_similarity(f, row) for each row of an (n, d) array, bit for
-    bit: `row_dot`'s rows are `dot`'s kernel, divided in the same order."""
-    return row_dot(descriptors, f) / (norm(f) * np.sqrt(row_dot(descriptors, descriptors)))
+    bit: `row_dot`'s rows are `dot`'s kernel, divided in the same order. It
+    raises where semantic_similarity raises for any row."""
+    nf, rows = norm(f), np.sqrt(row_dot(descriptors, descriptors))
+    if not (0.0 < nf < math.inf and ((0.0 < rows) & (rows < math.inf)).all()):
+        raise UsageError("descriptors must be nonzero and finite")
+    return row_dot(descriptors, f) / (nf * rows)
 
 
 def geometric_similarity(points_i: np.ndarray, points_j: np.ndarray,
@@ -132,8 +155,10 @@ def voxel_downsample(points: np.ndarray, voxel: float) -> np.ndarray:
     points = np.asarray(points, dtype=float).reshape(-1, 3)
     if voxel <= 0.0 or len(points) == 0:
         return points.copy()
-    cells = np.floor(points / voxel)
-    lo, hi = cells.min(axis=0), cells.max(axis=0)
+    # one row per axis: a row's reductions and arithmetic run several times
+    # faster than a (n, 3) column's, on the same elements
+    cells = np.floor(np.ascontiguousarray(points.T) / voxel)
+    lo, hi = cells.min(axis=1), cells.max(axis=1)
     # NaN fails both comparisons; past them every index casts to int64 exactly
     if not ((lo >= -2.0**63).all() and (hi < 2.0**63).all()):
         raise UsageError(f"voxel indices {lo}..{hi} must be finite int64 values")
@@ -141,15 +166,59 @@ def voxel_downsample(points: np.ndarray, voxel: float) -> np.ndarray:
     if math.prod(spans) >= 2**63:
         raise UsageError(f"points span {spans} voxels: more than an int64 key can number")
     # each shifted index lies in [0, span), so int64 wrap-around leaves it exact
-    idx = cells.astype(np.int64) - lo.astype(np.int64)
-    keys = (idx[:, 0] * spans[1] + idx[:, 1]) * spans[2] + idx[:, 2]
+    idx = cells.astype(np.int64) - lo.astype(np.int64)[:, None]
+    keys = (idx[0] * spans[1] + idx[1]) * spans[2] + idx[2]
     order = np.argsort(keys, kind="stable")
     keys, points = keys[order], points[order]
     # the keys are sorted, so each voxel is one run of equal keys
-    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-    counts = np.diff(np.r_[starts, len(keys)])
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    counts = np.concatenate((starts[1:], [len(keys)])) - starts
     sums = np.add.reduceat(points, starts, axis=0)
     return sums / counts[:, None]
+
+
+def _sure_merge(points: np.ndarray, cells: np.ndarray) -> bool:
+    """True when the detection points (voxel indices `cells`, one row an
+    axis) whose voxel or a face neighbour of it holds one of `points` make up
+    more than TAU_GEO of them: each lies within sqrt(6) * DOWNSAMPLE_VOXEL <
+    EPSILON of that point, so geometric_similarity would exceed TAU_GEO too.
+    False leaves the check to should_merge, as do no points, a coordinate
+    past GATE_MAX_COORD (or NaN), and a voxel box of more than
+    GATE_CELLS_PER_POINT cells a point.
+
+    The box covers the points' voxels widened by two voxels a side, so a
+    detection index clipped into it lands on a cell no neighbour reaches.
+    Nothing is kept between calls: the box is built from the points as they
+    are now."""
+    points = np.asarray(points, dtype=float).reshape(-1, 3)
+    if len(points) == 0:
+        return False
+    by_axis = np.ascontiguousarray(points.T)
+    pmin, pmax = by_axis.min(axis=1).tolist(), by_axis.max(axis=1).tolist()
+    if not all(abs(x) <= GATE_MAX_COORD for x in pmin + pmax):  # NaN fails too
+        return False
+    lo = [math.floor(x / DOWNSAMPLE_VOXEL) - 2 for x in pmin]
+    s0, s1, s2 = [math.floor(x / DOWNSAMPLE_VOXEL) + 3 - l for x, l in zip(pmax, lo)]
+    if s0 * s1 * s2 > GATE_CELLS_PER_POINT * len(points):
+        return False
+    lo = np.array(lo, dtype=float)[:, None]
+    # flat indices are whole floats below 2**53, so exact; packed as
+    # voxel_downsample packs its keys
+    rel = np.floor(by_axis / DOWNSAMPLE_VOXEL)
+    rel -= lo
+    occupied = np.zeros(s0 * s1 * s2, dtype=bool)
+    occupied[((rel[0] * s1 + rel[1]) * s2 + rel[2]).astype(np.intp)] = True
+    # a node voxel is two cells inside the box, so a flat shift by one
+    # stride moves it to its face neighbour and never wraps to another row
+    near = occupied.copy()
+    for step in (s1 * s2, s2, 1):
+        near[step:] |= occupied[:-step]
+        near[:-step] |= occupied[step:]
+    rel = cells - lo
+    np.maximum(rel, 0.0, out=rel)
+    np.minimum(rel, [[s0 - 1.0], [s1 - 1.0], [s2 - 1.0]], out=rel)
+    flat = ((rel[0] * s1 + rel[1]) * s2 + rel[2]).astype(np.intp)
+    return np.count_nonzero(near[flat]) / cells.shape[1] > TAU_GEO
 
 
 class InstanceGraph:
@@ -172,13 +241,18 @@ class InstanceGraph:
         if det.descriptor.shape != (self.d,):
             raise UsageError(
                 f"descriptor dimension {det.descriptor.shape[0]} != graph dimension {self.d}")
-        # gate every node on its cosine at once, then let should_merge decide
-        # the few that pass; the descriptor matrix is rebuilt per call, since
-        # callers may replace a node's descriptor
+        # gate every node on its cosine at once, then decide the few that pass
+        # from their voxels, or failing that by should_merge; the descriptor
+        # matrix is rebuilt per call, since callers may replace a node's
+        # descriptor
         nodes = list(self.nodes.values())
         sem = semantic_similarities(
             np.array([n.descriptor for n in nodes]).reshape(-1, self.d), det.descriptor)
-        candidates = [i for i in np.flatnonzero(sem > TAU_SEM) if should_merge(det, nodes[i])]
+        passed = np.flatnonzero(sem > TAU_SEM)
+        cells = (np.floor(np.ascontiguousarray(det.points.T) / DOWNSAMPLE_VOXEL)
+                 if len(passed) else None)
+        candidates = [i for i in passed
+                      if _sure_merge(nodes[i].points, cells) or should_merge(det, nodes[i])]
         if not candidates:
             return self._add_node(det)
         # several matches: highest semantic similarity wins, ties to lowest id

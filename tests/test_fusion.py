@@ -1,10 +1,14 @@
 import itertools
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
+from locoman import fusion
 from locoman.errors import UsageError
-from locoman.fusion import (TAU_SEM, Detection, InstanceGraph, geometric_similarity,
+from locoman.fusion import (DOWNSAMPLE_VOXEL, EPSILON, GATE_CELLS_PER_POINT, GATE_MAX_COORD,
+                            TAU_SEM, Detection, InstanceGraph, geometric_similarity,
                             semantic_similarities, semantic_similarity, should_merge,
                             voxel_downsample)
 from oracles import ingest_detection_loop
@@ -453,3 +457,289 @@ class TestIngestOracle:
         assert g.ingest_detection(_det(desc, np.vstack([near, near[:2] + 1.0]))) == 1
         assert g.nodes[0].descriptor.tobytes() == g.nodes[1].descriptor.tobytes()
         assert g.ingest_detection(_det(desc, near[:4])) == 0
+
+
+    @pytest.mark.parametrize("bad", [np.zeros(4), np.array([np.nan, 1.0, 0, 0]),
+                                     np.array([0, -np.inf, 0, 0])],
+                             ids=["zero", "nan", "inf"])
+    def test_bad_node_descriptor_raises_as_loop(self, bad):
+        # a node descriptor a caller set to zeros used to score NaN with a
+        # RuntimeWarning, fail the vector gate and add a new node
+        errors = []
+        for ingest in (InstanceGraph.ingest_detection, ingest_detection_loop):
+            g = InstanceGraph(descriptor_dim=4)
+            g.ingest_detection(_det([1, 0, 0, 0], [[0, 0, 0]]))
+            g.nodes[0].descriptor = bad.copy()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(UsageError) as err:
+                    ingest(g, _det([1, 0, 0, 0], [[0, 0, 0]]))
+            errors.append(str(err.value))
+            assert len(g) == 1
+        assert errors[0] == errors[1]
+
+
+@pytest.fixture
+def geo_calls(monkeypatch):
+    """Counts the checks that reach geometric_similarity (the KD path)."""
+    calls = []
+    real = fusion.geometric_similarity
+
+    def counted(*args):
+        calls.append(len(args[1]))
+        return real(*args)
+
+    monkeypatch.setattr(fusion, "geometric_similarity", counted)
+    return calls
+
+
+def _voxel_span(k):
+    """The smallest and the largest float x with floor(x / DOWNSAMPLE_VOXEL) == k
+    (floor(x / voxel) never decreases as x grows)."""
+    def first(k):  # the smallest float whose voxel index is k or more
+        x = k * DOWNSAMPLE_VOXEL
+        while np.floor(x / DOWNSAMPLE_VOXEL) >= k:
+            x = np.nextafter(x, -np.inf)
+        while np.floor(x / DOWNSAMPLE_VOXEL) < k:
+            x = np.nextafter(x, np.inf)
+        return x
+
+    lo, hi = first(k), np.nextafter(first(k + 1), -np.inf)
+    assert np.floor(lo / DOWNSAMPLE_VOXEL) == k == np.floor(hi / DOWNSAMPLE_VOXEL)
+    return lo, hi
+
+
+def _corners(voxel):
+    """The 8 corners of a voxel (an index triple), its extreme members."""
+    spans = [_voxel_span(k) for k in voxel]
+    return [np.array(c) for c in itertools.product(*spans)]
+
+
+class TestVoxelGate:
+    """The voxel gate decides a check only when the KD-tree would merge: a
+    detection point in a node point's voxel or a face neighbour of it lies
+    closer than EPSILON, and no other neighbour counts."""
+
+    FACES = [d for d in itertools.product((-1, 0, 1), repeat=3) if sum(map(abs, d)) <= 1]
+    EDGES = [d for d in itertools.product((-1, 0, 1), repeat=3) if sum(map(abs, d)) == 2]
+    # about the origin, at negative indices, and just below GATE_MAX_COORD
+    BASES = [(0, 0, 0), (-7, -1, -13), (3, -4, 0),
+             tuple([int(GATE_MAX_COORD / DOWNSAMPLE_VOXEL) - 2] * 3)]
+
+    @staticmethod
+    def _ingest_pair(node_pt, det_pt):
+        """ids from the graph and the oracle loop after a one-point node and
+        a one-point detection with the same descriptor."""
+        ids = []
+        for ingest in (InstanceGraph.ingest_detection, ingest_detection_loop):
+            g = InstanceGraph(descriptor_dim=2)
+            g.ingest_detection(_det([1, 0], [node_pt]))
+            ids.append(ingest(g, _det([1, 0], [det_pt])))
+        return ids
+
+    @pytest.mark.parametrize("base", BASES)
+    def test_face_neighbour_far_corners_are_sure_hits(self, base, geo_calls):
+        for step in self.FACES:
+            near = _corners(base)
+            far = _corners(tuple(b + s for b, s in zip(base, step)))
+            for q, p in itertools.product(near, far):
+                assert np.abs(q).max() <= GATE_MAX_COORD
+                # the KD-tree reads the pair closer than EPSILON ...
+                assert geometric_similarity(p[None], q[None], EPSILON) == 1.0
+                geo_calls.clear()
+                g = InstanceGraph(descriptor_dim=2)
+                g.ingest_detection(_det([1, 0], [q]))
+                # ... and the gate merges it without the KD-tree
+                assert g.ingest_detection(_det([1, 0], [p])) == 0
+                assert geo_calls == []
+
+    def test_corners_lie_on_voxel_faces(self):
+        # the corners are the extreme floats of each voxel: k * voxel itself
+        # where it floors to k, or the next float up
+        for k in (0, 5, -5, -1):
+            lo, hi = _voxel_span(k)
+            assert lo == k * DOWNSAMPLE_VOXEL or lo == np.nextafter(k * DOWNSAMPLE_VOXEL, np.inf)
+            assert np.floor(np.nextafter(hi, np.inf) / DOWNSAMPLE_VOXEL) == k + 1
+
+    @pytest.mark.parametrize("base", BASES[:2])
+    def test_edge_neighbour_is_never_a_sure_hit(self, base, geo_calls):
+        for step in self.EDGES:
+            other = tuple(b + s for b, s in zip(base, step))
+            pairs = list(itertools.product(_corners(base), _corners(other)))
+            dists = [np.linalg.norm(p - q) for q, p in pairs]
+            (q_far, p_far), (q_near, p_near) = pairs[np.argmax(dists)], pairs[np.argmin(dists)]
+            assert max(dists) > EPSILON > min(dists)  # about 0.060 m and about 0
+            for q, p, merged in ((q_far, p_far, False), (q_near, p_near, True)):
+                geo_calls.clear()
+                got, want = self._ingest_pair(q, p)
+                assert got == want == (0 if merged else 1)
+                # the graph's check reached the KD-tree, as did the loop's
+                assert len(geo_calls) == 2
+
+    def test_points_outside_the_box_never_count(self, geo_calls):
+        # past the node's box each detection point is clipped onto its edge,
+        # which no node voxel's neighbour reaches: every check goes to the KD-tree
+        node = np.array([[0.01, 0.01, 0.01], [0.05, 0.01, 0.01]])
+        for step in itertools.product((-1, 0, 1), repeat=3):
+            if not any(step):
+                continue
+            for far in (0.09, 1.0, 1e9):
+                det = node + far * np.array(step)
+                geo_calls.clear()
+                ids = []
+                for ingest in (InstanceGraph.ingest_detection, ingest_detection_loop):
+                    g = InstanceGraph(descriptor_dim=2)
+                    g.ingest_detection(_det([1, 0], node))
+                    ids.append(ingest(g, _det([1, 0], det)))
+                assert ids == [1, 1] and len(geo_calls) == 2
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_magnitude_limit(self, sign, geo_calls):
+        at = sign * GATE_MAX_COORD
+        past = np.nextafter(at, sign * np.inf)
+        for node_x, gated in ((at, True), (past, False)):
+            q = np.array([node_x, at, 0.0])
+            # the far end of q's face neighbour away from the origin
+            k = int(np.floor(node_x / DOWNSAMPLE_VOXEL) + sign)
+            p = np.array([_voxel_span(k)[sign > 0], at, 0.004])
+            geo_calls.clear()
+            assert self._ingest_pair(q, p) == [0, 0]
+            # the loop calls geometric_similarity once, the graph only past the limit
+            assert len(geo_calls) == (1 if gated else 2)
+
+
+class TestVoxelGateState:
+    """The gate's voxels are derived from the node's points, so every check
+    answers as the oracle loop does after the points change."""
+
+    @staticmethod
+    def _pair(points):
+        graphs = []
+        for _ in range(2):
+            g = InstanceGraph(descriptor_dim=2)
+            g.ingest_detection(_det([1, 0], points))
+            graphs.append(g)
+        return graphs
+
+    @staticmethod
+    def _check(got, want, det):
+        assert got.ingest_detection(det) == ingest_detection_loop(want, det)
+        assert TestIngestOracle._node_bytes(got) == TestIngestOracle._node_bytes(want)
+
+    def _grid(self):
+        return np.array(list(itertools.product(range(4), repeat=3))) * 0.03
+
+    def test_replaced_points(self, geo_calls):
+        pts = self._grid()
+        got, want = self._pair(pts)
+        probe = _det([1, 0], pts + 0.004)
+        assert got.ingest_detection(probe) == 0 and geo_calls == []  # the gate decided
+        assert ingest_detection_loop(want, probe) == 0
+        for g in (got, want):
+            g.nodes[0].points = g.nodes[0].points + 5.0
+        self._check(got, want, probe)  # a box of the old points would merge it
+        assert len(got) == 2
+        for g in (got, want):
+            g.nodes[1].points = g.nodes[0].points.copy()
+        self._check(got, want, _det([1, 0], got.nodes[0].points[:5] + 0.002))
+
+    def test_points_written_in_place(self, geo_calls):
+        pts = self._grid()
+        got, want = self._pair(pts)
+        probe = _det([1, 0], pts + 0.004)
+        assert got.ingest_detection(probe) == 0 and geo_calls == []
+        assert ingest_detection_loop(want, probe) == 0
+        for g in (got, want):
+            g.nodes[0].points[:, 0] += 3.0
+        self._check(got, want, probe)
+        assert len(got) == 2
+        for g in (got, want):
+            g.nodes[0].points[:, 0] -= 3.0
+            g.nodes[0].points[0] = np.nan
+        with pytest.raises(ValueError):  # scipy refuses a NaN in the tree, in both
+            got.ingest_detection(probe)
+        with pytest.raises(ValueError):
+            ingest_detection_loop(want, probe)
+
+    def test_cap_boundary(self, geo_calls):
+        # two points `span` voxels apart along x: the box is (span + 5) * 5 * 5
+        # voxels; 20 * 25 = 500 cells fit the cap of two points, 21 * 25 = 525 do not
+        cap = GATE_CELLS_PER_POINT * 2
+        for span, gated in ((15, True), (16, False)):
+            assert ((span + 5) * 25 <= cap) == gated
+            pts = np.array([[0.01, 0.01, 0.01], [0.01 + span * DOWNSAMPLE_VOXEL, 0.01, 0.01]])
+            got, want = self._pair(pts)
+            geo_calls.clear()
+            self._check(got, want, _det([1, 0], pts + 0.003))
+            assert len(geo_calls) == (1 if gated else 2)
+
+    def test_box_past_cap_is_never_allocated(self, geo_calls):
+        # a 205**3-voxel box: 8.6 MB of cells, far past two points' cap
+        pts = np.array([[0.0, 0.0, 0.0], [4.0, 4.0, 4.0]])
+        g = InstanceGraph(descriptor_dim=2)
+        g.ingest_detection(_det([1, 0], pts))
+        det = _det([1, 0], pts + 0.001)
+        tracemalloc.start()
+        try:
+            assert g.ingest_detection(det) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert len(geo_calls) == 1  # the KD path decided
+
+
+def _lattice(rng):
+    """Surface points of a box standing on the floor, 5 cm apart, by face:
+    top, then y-low, y-high, x-low, x-high sides."""
+    lo = np.r_[rng.uniform(-1.0, 1.0, 2), 0.0]
+    hi = lo + np.r_[rng.uniform(0.3, 0.6, 2), rng.uniform(0.4, 0.9)]
+    xs, ys, zs = (np.linspace(a, b, max(2, int(round((b - a) / 0.05)) + 1))
+                  for a, b in zip(lo, hi))
+    faces = [np.array([(x, y, hi[2]) for x in xs for y in ys])]
+    faces += [np.array([(x, y, z) for x in xs for z in zs]) for y in (lo[1], hi[1])]
+    faces += [np.array([(x, y, z) for y in ys for z in zs]) for x in (lo[0], hi[0])]
+    return faces
+
+
+def _lattice_stream(seed, steps):
+    """Views of 4 boxes as an egocentric camera draws them: the top and one or
+    two sides, each lattice point kept with probability 0.7 and moved by
+    3 mm noise. Most views show the sides of the box's first view again; one
+    in three shows sides drawn afresh, often ones its node has not seen."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    boxes = [_lattice(rng) for _ in range(4)]
+    bases = []
+    while len(bases) < 4:
+        b = rng.normal(size=16)
+        b /= np.linalg.norm(b)
+        if all(abs(b @ u) < 0.45 for u in bases):
+            bases.append(b)
+    first = {}
+    for _ in range(steps):
+        o = int(rng.integers(4))
+        side = int(rng.integers(1, 5))
+        sides = [side] if rng.random() < 0.5 else [side, 1 + side % 4]
+        if rng.random() < 2 / 3:
+            sides = first.setdefault(o, sides)
+        pts = np.vstack([boxes[o][f] for f in [0] + sides])
+        pts = pts[rng.random(len(pts)) < 0.7]
+        desc = bases[o] + 0.04 * rng.normal(size=16)
+        yield _det(desc, pts + rng.normal(0.0, 0.003, pts.shape))
+
+
+def test_lattice_views_take_both_paths(geo_calls):
+    gated = fallbacks = 0
+    for seed in (351, 352):
+        got, want = InstanceGraph(descriptor_dim=16), InstanceGraph(descriptor_dim=16)
+        for det in _lattice_stream(seed, 40):
+            checks = sum(semantic_similarity(det.descriptor, n.descriptor) > TAU_SEM
+                         for n in got.nodes.values())
+            geo_calls.clear()
+            nid = got.ingest_detection(det)
+            gated += checks - len(geo_calls)
+            fallbacks += len(geo_calls)
+            assert nid == ingest_detection_loop(want, det)
+            assert TestIngestOracle._node_bytes(got) == TestIngestOracle._node_bytes(want)
+    # the two streams make 43 gate decisions and 112 KD fallbacks
+    assert gated >= 30 and fallbacks >= 30
