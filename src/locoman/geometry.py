@@ -32,6 +32,12 @@ def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.vecdot(a, b)
 
 
+def mat_vec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """`m @ v` for a small matrix and vector: the one `@` in the package,
+    so a change of its float path has one place to go."""
+    return m @ v
+
+
 def norm(v: np.ndarray) -> float:
     """np.linalg.norm of a 1-D float array, bit for bit (numpy computes the
     same sqrt of v.dot(v)), without its per-call overhead."""

@@ -22,7 +22,7 @@ import numpy as np
 from .config import Config, TrackingConfig, to_dict
 from .errors import ActionFailed, LocomanError, OracleFailure, UsageError, ValidationError
 from .fusion import Detection, InstanceGraph
-from .geometry import (Pose, norm, quat_from_axis_angle, quat_geodesic_distance,
+from .geometry import (Pose, mat_vec, norm, quat_from_axis_angle, quat_geodesic_distance,
                        quat_mul, quat_normalize, quat_slerp, matrix_to_quat,
                        quat_to_matrix, unit, vec3)
 from .grounding import (CameraModel, DepthImage, GroundingResult, ground_action,
@@ -436,9 +436,9 @@ class EpisodeRunner:
                   else obj.surface_normal)
         result = GroundingResult(
             contact_pixel=pixel,
-            dominant_axis=base_rot_t @ axis if axis is not None else None,
-            surface_normal=base_rot_t @ normal if normal is not None else None)
-        default_approach = base_rot_t @ np.array([0.0, 0.0, -1.0])
+            dominant_axis=mat_vec(base_rot_t, axis) if axis is not None else None,
+            surface_normal=mat_vec(base_rot_t, normal) if normal is not None else None)
+        default_approach = mat_vec(base_rot_t, np.array([0.0, 0.0, -1.0]))
         return ground_action(ScriptedGrounding(result), cam, depth, None,
                              "grounding", default_approach=default_approach)
 

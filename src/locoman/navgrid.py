@@ -9,7 +9,9 @@ from __future__ import annotations
 import functools
 import heapq
 import math
+from array import array
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,7 +70,7 @@ class OccupancyGrid:
         self.resolution = float(resolution)
         self.origin = np.array([origin_xy[0], origin_xy[1]], dtype=float)
         self.cells = np.full((height, width), UNKNOWN, dtype=np.uint8)
-        self._walls = None  # plan_path's padded wall bytes and what keyed them
+        self._walls = None  # plan_path's `_Walls` entry for the last content it saw
 
     @property
     def width(self) -> int:
@@ -422,18 +424,123 @@ def blocked_mask(grid: OccupancyGrid, inflation: float) -> np.ndarray:
     return mask
 
 
-def _wall_bytes(grid: OccupancyGrid, inflation: float) -> bytes:
-    """The blocked mask with a one-cell blocked border, one byte per cell in
-    row order, reused from the grid's last call while nothing it depends on
-    has changed."""
+# Landmark (ALT) bounds for `plan_path`. A grid of at least this many cells
+# gets 8-connected labels of its walkable cells, and each labelled region a
+# search starts in gets landmark tables. The tables cost about one flood of
+# the region per landmark, so they pay back only where many long searches
+# share one wall content, as on a static floor plan. Grids grow by doubling;
+# this is one doubling past 256x128, the largest grid of a bundled scenario
+# and of a scanned 24 m x 12 m arena whose content changes between plans.
+# So those grids never import scipy, never build tables, and keep the
+# octile search's paths.
+_LANDMARK_MIN_CELLS = 2 * 256 * 128
+_LANDMARKS = 6         # per region, placed farthest point first
+_ACTIVE_LANDMARKS = 3  # per search, those with the largest bound at the start;
+                       # `_astar` unrolls its loop over them
+# The landmark bound replaces the octile one only when larger by more than
+# this. Where both are exact they differ by rounding (up to 1.4e-12 on the
+# `nav_queries` plan), and mixing them there breaks the octile search's
+# f-ties: a 59-cell same-room path took 550 pops instead of 59. A bound at
+# most this far under max(octile, landmark) is consistent to within the
+# margin, so a path may cost about the margin per step over the optimum: a
+# relative 1e-10 at most, below the 1e-9 a path cost is checked to.
+_LANDMARK_MARGIN = 1e-10
+
+
+class _Region(NamedTuple):
+    """Where one search runs: wall bytes `width` cells a row, whose cell
+    (0, 0) is cell `origin` (y, x) of the padded grid, and one float64
+    distance table per landmark, indexed like the wall bytes."""
+
+    origin: tuple[int, int]
+    width: int
+    wall: bytes
+    tables: tuple[array, ...]
+
+
+class _Walls(NamedTuple):
+    """`plan_path`'s entry for one wall content: the padded grid as a
+    region without landmarks and, on a grid of at least _LANDMARK_MIN_CELLS
+    cells, the labels of its walkable cells (0 on a wall) and the regions
+    built so far, by label."""
+
+    key: tuple
+    padded: _Region
+    labels: np.ndarray | None
+    regions: dict
+
+
+def _moves(width: int) -> tuple[tuple[int, float], ...]:
+    """(flat step, cost) of the 8 moves in a row-major grid of that width."""
+    return ((1, 1.0), (-1, 1.0), (width, 1.0), (-width, 1.0),
+            (width + 1, SQRT2), (1 - width, SQRT2), (width - 1, SQRT2), (-width - 1, SQRT2))
+
+
+def _wall_entry(grid: OccupancyGrid, inflation: float) -> _Walls:
+    """The grid's `_Walls`, reused from its last call while nothing it
+    depends on has changed. The walls are the blocked mask with a one-cell
+    blocked border, one byte per cell in row order."""
     cells = grid.cells
     key = (cells.shape, cells.dtype.str, grid.resolution, inflation, cells.tobytes())
-    if grid._walls is None or grid._walls[0] != key:
+    if grid._walls is None or grid._walls.key != key:
         h, w = cells.shape
         padded = np.ones((h + 2, w + 2), dtype=bool)
         padded[1:-1, 1:-1] = blocked_mask(grid, inflation)
-        grid._walls = (key, padded.tobytes())
-    return grid._walls[1]
+        labels = None
+        if cells.size >= _LANDMARK_MIN_CELLS:
+            from scipy import ndimage  # here: grids below the bound never load it
+            labels = ndimage.label(~padded, structure=np.ones((3, 3), dtype=bool))[0].ravel()
+        grid._walls = _Walls(key, _Region((0, 0), w + 2, padded.tobytes(), ()), labels, {})
+    return grid._walls
+
+
+def _landmark_region(walls: _Walls, label: int) -> _Region:
+    """The labelled region cropped to its bounding box plus a one-cell
+    border, which holds only walls and other regions' cells, with its
+    landmark tables. The first landmark is the region's first cell in flat
+    order; each next one is the cell farthest from those placed, the first
+    in flat order on a tie."""
+    pw = walls.padded.width
+    inside = (walls.labels == label).reshape(-1, pw)
+    rows = np.flatnonzero(inside.any(axis=1))
+    cols = np.flatnonzero(inside.any(axis=0))
+    y0, y1, x0, x1 = int(rows[0]) - 1, int(rows[-1]) + 2, int(cols[0]) - 1, int(cols[-1]) + 2
+    padded = np.frombuffer(walls.padded.wall, dtype=bool).reshape(-1, pw)
+    wall = padded[y0:y1, x0:x1].tobytes()
+    inside = inside[y0:y1, x0:x1].ravel()
+    moves = _moves(x1 - x0)
+    tables, far = [], np.where(inside, np.inf, -1.0)  # -1: never a landmark
+    cell = int(np.argmax(inside))
+    for _ in range(_LANDMARKS):
+        tables.append(_distances(wall, moves, cell, inside.size))
+        np.minimum(far, np.frombuffer(tables[-1]), out=far)
+        cell = int(np.argmax(far))
+    return _Region((y0, x0), x1 - x0, wall, tuple(tables))
+
+
+def _distances(wall: bytes, moves, src: int, n: int) -> array:
+    """Dijkstra from `src` over the walls: each reachable cell's distance as
+    a float64 sum of the move costs in path order, as the search adds its
+    `g`, and inf elsewhere. A cell takes the least such sum over every path,
+    whatever order ties are settled in."""
+    inf = float("inf")
+    dist = array("d", [inf]) * n
+    dist[src] = 0.0
+    heap = [(0.0, src)]
+    pop, push = heapq.heappop, heapq.heappush
+    while heap:
+        d, cur = pop(heap)
+        if d > dist[cur]:
+            continue
+        for step, cost in moves:
+            nb = cur + step
+            if wall[nb]:
+                continue
+            t = d + cost
+            if t < dist[nb]:
+                dist[nb] = t
+                push(heap, (t, nb))
+    return dist
 
 
 def plan_path(grid: OccupancyGrid, start: tuple[int, int], goal: tuple[int, int],
@@ -463,27 +570,86 @@ def plan_path(grid: OccupancyGrid, start: tuple[int, int], goal: tuple[int, int]
     `cells` is a public array that callers write in place. On a 512x256
     grid (2-core Xeon) the copy and comparison of the cells take about
     12 us, a new mask about 1.2 ms.
+
+    On a grid of at least _LANDMARK_MIN_CELLS cells the entry also holds:
+    - 8-connected labels of the walkable cells (`scipy.ndimage.label`,
+      under 1 ms on 512x256). A goal in another region than the start's
+      raises the `NoPath` the search would, without a search: 0.02 ms
+      against about 250 ms for a start inside a floor plan's building and a
+      goal in the Unknown ring around it.
+    - Landmark (ALT) tables of each region a search starts in, built by its
+      first search (Goldberg & Harrelson, SODA 2005). The search then runs
+      in the region's bounding box with the larger of the octile bound and
+      |d(L, goal) - d(L, n)| over the _ACTIVE_LANDMARKS landmarks L with
+      the largest bound at the start, the latter only when it is larger by
+      more than _LANDMARK_MARGIN. By the triangle inequality each term is a
+      lower bound on d(n, goal) and consistent, so every path stays
+      cost-optimal to within that margin. It may be another optimal path than
+      the octile search finds, but the same one on every call, because the
+      branch taken and the tables depend only on the wall content.
+      A table holds what `g` would: float64 sums of the move costs in path
+      order, from `_distances`. So where a bound is exact, `g + h` mostly
+      repeats one float along a shortest path, and the (f, h) tie-break
+      follows that path instead of fanning out. Tables of exact
+      `a + b*sqrt(2)` values break those ties, and float32 tables are not
+      consistent to the 1e-9 a path cost is checked to.
+    The build is one pure-Python Dijkstra per landmark: on the `nav_queries`
+    floor plan (a 62k-cell region in a 514x258 padded grid, 2-core Xeon)
+    about 0.5 s, and 3.5 MB of tables plus 0.5 MB of labels. A round of
+    that benchmark's 80 seed-1 requests then pops 106,775 cells instead of
+    459,689, and none pops more than the octile search does. A grid past
+    the bound that is rewritten before every plan pays the build each time.
     """
     sx, sy = start
     gx, gy = goal
     if not (grid.in_bounds(sx, sy) and grid.in_bounds(gx, gy)):
         raise NoPath("start or goal out of bounds")
-    pw = grid.width + 2
-    wall = _wall_bytes(grid, inflation)
+    walls = _wall_entry(grid, inflation)
+    region = walls.padded
+    pw = region.width
     # Python ints throughout: a numpy scalar index would slow every step
     src = (int(sy) + 1) * pw + int(sx) + 1
     dst = (int(gy) + 1) * pw + int(gx) + 1
-    if wall[src] or wall[dst]:
+    if region.wall[src] or region.wall[dst]:
         raise NoPath("start or goal cell blocked")
-    ty, tx = divmod(dst, pw)
+    unreachable = f"goal {goal} unreachable from {start}"
+    if walls.labels is not None:
+        label = int(walls.labels[src])
+        if walls.labels[dst] != label:
+            raise NoPath(unreachable)
+        region = walls.regions.get(label)
+        if region is None:
+            region = walls.regions[label] = _landmark_region(walls, label)
+    (oy, ox), w = region.origin, region.width  # (0, 0) and pw for the padded grid
+    path = _astar(region, (src // pw - oy) * w + src % pw - ox,
+                  (dst // pw - oy) * w + dst % pw - ox)
+    if path is None:
+        raise NoPath(unreachable)
+    return [(p % w + ox - 1, p // w + oy - 1) for p in path]
+
+
+def _astar(region: _Region, src: int, dst: int) -> list[int] | None:
+    """`plan_path`'s search within one region, in its flat indices: the
+    path from src to dst, or None when dst is unreachable."""
+    wall, width = region.wall, region.width
+    ty, tx = divmod(dst, width)
+    sy, sx = divmod(src, width)
     diag = SQRT2 - 2.0
-    moves = ((1, 1.0), (-1, 1.0), (pw, 1.0), (-pw, 1.0),
-             (pw + 1, SQRT2), (1 - pw, SQRT2), (pw - 1, SQRT2), (-pw - 1, SQRT2))
-    inf = float("inf")
+    moves = _moves(width)
+    inf, margin = float("inf"), _LANDMARK_MARGIN
     pop, push = heapq.heappop, heapq.heappush
 
-    dx, dy = abs(sx - gx), abs(sy - gy)
+    dx, dy = abs(sx - tx), abs(sy - ty)
     h0 = (dx + dy) + diag * min(dx, dy)
+    alt = bool(region.tables)
+    if alt:
+        # stable sort: a tie keeps the landmarks' placement order
+        la, lb, lc = sorted(region.tables, key=lambda t: -abs(t[dst] - t[src]))[
+            :_ACTIVE_LANDMARKS]
+        ta, tb, tc = la[dst], lb[dst], lc[dst]
+        e = max(abs(ta - la[src]), abs(tb - lb[src]), abs(tc - lc[src]))
+        if e > h0 + margin:
+            h0 = e
     g_score = {src: 0.0}
     came = {}
     open_heap = [(h0, h0, src)]
@@ -496,7 +662,8 @@ def plan_path(grid: OccupancyGrid, start: tuple[int, int], goal: tuple[int, int]
             path = [cur]
             while path[-1] in came:
                 path.append(came[path[-1]])
-            return [(p % pw - 1, p // pw - 1) for p in reversed(path)]
+            path.reverse()
+            return path
         closed.add(cur)
         g_cur = g_score[cur]
         for d, cost in moves:
@@ -507,8 +674,18 @@ def plan_path(grid: OccupancyGrid, start: tuple[int, int], goal: tuple[int, int]
             if tentative < g_score.get(nb, inf):
                 g_score[nb] = tentative
                 came[nb] = cur
-                y, x = divmod(nb, pw)
+                y, x = divmod(nb, width)
                 dx, dy = abs(x - tx), abs(y - ty)
                 hn = (dx + dy) + diag * (dx if dx < dy else dy)
+                if alt:
+                    e = abs(ta - la[nb])
+                    e2 = abs(tb - lb[nb])
+                    if e2 > e:
+                        e = e2
+                    e2 = abs(tc - lc[nb])
+                    if e2 > e:
+                        e = e2
+                    if e > hn + margin:
+                        hn = e
                 push(open_heap, (tentative + hn, hn, nb))
-    raise NoPath(f"goal {goal} unreachable from {start}")
+    return None

@@ -227,12 +227,15 @@ class HeightmapSpec:
 
 def _check_bounds(name: str, bounds: tuple[float, float], what: str = "") -> None:
     """Raise `ValueError(name, message)` unless `bounds` is a finite
-    [lo, hi] with lo <= hi; `what` prefixes the message."""
+    [lo, hi] with lo <= hi and a finite width, which `rng.uniform` and
+    `_uniforms` need; `what` prefixes the message."""
     lo, hi = bounds
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(name, f"{what}bounds must be finite, got {[lo, hi]}")
     if lo > hi:
         raise ValueError(name, f"{what}lo {lo} > hi {hi}")
+    if not math.isfinite(hi - lo):
+        raise ValueError(name, f"{what}width {hi} - ({lo}) overflows")
 
 
 @dataclass(frozen=True)
@@ -286,16 +289,28 @@ COMMAND_RANGES: dict[str, CommandRanges] = {
 
 
 def _uniform(rng: np.random.Generator, bounds: tuple[float, float]) -> float:
+    """One `rng.uniform` draw, or lo with no draw when lo == hi. The
+    episode randomization draws through this, one call per range, which is
+    the stream its tests pin call by call."""
     lo, hi = bounds
     if lo == hi:
         return float(lo)
     return float(rng.uniform(lo, hi))
 
 
+def _uniforms(rng: np.random.Generator, ranges) -> list[float]:
+    """`_uniform` of each range in turn, with the same bits and stream: the
+    k ranges with lo != hi share one `rng.random(k)`, each formed as
+    lo + (hi - lo) * u on Python floats, the expression numpy's `uniform`
+    computes. About 2 us for six ranges against 13 us for six calls."""
+    live = [b for b in ranges if b[0] != b[1]]
+    u = iter(rng.random(len(live)).tolist())
+    return [float(lo) if lo == hi else lo + (hi - lo) * next(u) for lo, hi in ranges]
+
+
 def sample_locomotion_command(rng: np.random.Generator,
                               ranges: CommandRanges) -> LocomotionCommand:
-    return LocomotionCommand(_uniform(rng, ranges.x), _uniform(rng, ranges.y),
-                             _uniform(rng, ranges.w))
+    return LocomotionCommand(*_uniforms(rng, (ranges.x, ranges.y, ranges.w)))
 
 
 def sample_ee_target(rng: np.random.Generator, ranges: CommandRanges,
@@ -308,12 +323,11 @@ def sample_ee_target(rng: np.random.Generator, ranges: CommandRanges,
     the arm base's horizontal position at nominal_arm_base_height, fixing the
     target's world z independently of base pitch/roll and terrain height.
     """
-    spherical = SphericalTarget(_uniform(rng, ranges.l_ee),
-                                _uniform(rng, ranges.p_ee),
-                                _uniform(rng, ranges.y_ee))
-    euler = EulerAngles(_uniform(rng, ranges.alpha_ee),
-                        _uniform(rng, ranges.beta_ee),
-                        _uniform(rng, ranges.gamma_ee))
+    l_ee, p_ee, y_ee, alpha, beta, gamma = _uniforms(rng, (
+        ranges.l_ee, ranges.p_ee, ranges.y_ee,
+        ranges.alpha_ee, ranges.beta_ee, ranges.gamma_ee))
+    spherical = SphericalTarget(l_ee, p_ee, y_ee)
+    euler = EulerAngles(alpha, beta, gamma)
 
     yaw_pose = Pose(base_pose.position.copy(), quat_from_yaw(base_pose.yaw()))
     offset = np.asarray(arm_base_offset, dtype=float)

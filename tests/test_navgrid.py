@@ -570,9 +570,14 @@ def _blocked_mask_scatter(grid, inflation):
     return mask
 
 
-def _plan_path_dict(grid, start, goal, inflation=0.0):
+def _plan_path_dict(grid, start, goal, inflation=0.0, landmarks=()):
     """A* as it was, tuple-keyed with a bounds check per neighbour: the
-    reference the flat-index search must match cell for cell."""
+    reference the flat-index search must match cell for cell. With
+    landmarks, (h, w) distance tables, the heuristic is `plan_path`'s
+    landmark bound: the largest |d(L, goal) - d(L, cell)| over the three
+    landmarks with the largest bound at the start (an earlier one first on
+    a tie) where it passes the octile bound by more than 1e-10, else the
+    octile bound."""
     h, w = grid.cells.shape
     sx, sy = start
     gx, gy = goal
@@ -582,9 +587,15 @@ def _plan_path_dict(grid, start, goal, inflation=0.0):
     if blocked[sy, sx] or blocked[gy, gx]:
         raise NoPath("start or goal cell blocked")
 
+    active = sorted(landmarks, key=lambda t: -abs(t[gy, gx] - t[sy, sx]))[:3]
+
     def heuristic(x, y):
         dx, dy = abs(x - gx), abs(y - gy)
-        return (dx + dy) + (SQRT2 - 2.0) * min(dx, dy)
+        h = (dx + dy) + (SQRT2 - 2.0) * min(dx, dy)
+        if active:
+            e = max(abs(float(t[gy, gx]) - float(t[y, x])) for t in active)
+            h = e if e > h + 1e-10 else h
+        return h
 
     g_score = {start: 0.0}
     came = {}
@@ -781,6 +792,237 @@ class TestPlanPathOracle:
             mask = blocked_mask(g, inflation)
             assert mask.dtype == bool
             assert np.array_equal(mask, _blocked_mask_scatter(g, inflation)), (k, inflation)
+
+
+def _floor_plan_grid():
+    """A grid of exactly `_LANDMARK_MIN_CELLS` cells: two rows of eight
+    rooms off a corridor, each room with a doorway to the corridor and one
+    to the next room in its row, seeded furniture, and a pocket sealed
+    inside a solid block."""
+    rng = np.random.Generator(np.random.PCG64(3601))
+    g = OccupancyGrid(resolution=0.1, width=512, height=128, origin_xy=(-0.7, 2.3))
+    g.cells[:] = FREE
+    g.cells[[0, -1], :] = OCCUPIED
+    g.cells[:, [0, -1]] = OCCUPIED
+    for wall_y in (52, 76):
+        g.cells[wall_y, :] = OCCUPIED
+        for x in range(0, 512, 64):
+            g.cells[wall_y, x + 26:x + 38] = FREE
+    for x in range(64, 512, 64):
+        g.cells[:52, x] = OCCUPIED
+        g.cells[77:, x] = OCCUPIED
+        g.cells[20:32, x] = FREE
+        g.cells[96:108, x] = FREE
+    for _ in range(48):
+        x = int(rng.integers(4, 500))
+        y = int(rng.integers(6, 40)) if rng.random() < 0.5 else int(rng.integers(84, 114))
+        g.cells[y:y + int(rng.integers(3, 9)), x:x + int(rng.integers(3, 9))] = OCCUPIED
+    g.cells[88:112, 290:314] = OCCUPIED
+    g.cells[96:104, 298:306] = FREE
+    assert g.cells.size == navgrid._LANDMARK_MIN_CELLS
+    return g
+
+
+def _grid_graph(free):
+    """The 8-connected graph of a free mask, as a sparse matrix over flat
+    indices y*w + x, costs 1 and sqrt(2)."""
+    from scipy.sparse import csr_matrix
+    h, w = free.shape
+    index = np.arange(h * w).reshape(h, w)
+    rows, cols, costs = [], [], []
+    for dx, dy, cost in [(1, 0, 1.0), (0, 1, 1.0), (1, 1, SQRT2), (-1, 1, SQRT2)]:
+        a = (slice(0, h - dy), slice(max(-dx, 0), w - max(dx, 0)))
+        b = (slice(dy, h), slice(max(dx, 0), w + min(dx, 0) or None))
+        both = free[a] & free[b]
+        rows += [index[a][both], index[b][both]]
+        cols += [index[b][both], index[a][both]]
+        costs.append(np.full(2 * int(both.sum()), cost))
+    return csr_matrix((np.concatenate(costs), (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(h * w, h * w))
+
+
+class _FloorPlan:
+    """The floor-plan grid, its blocked mask at INFLATION, the oracle's
+    graph, and seeded requests between free cells."""
+
+    INFLATION = 0.3
+
+    def __init__(self):
+        self.grid = _floor_plan_grid()
+        self.blocked = _blocked_mask_scatter(self.grid, self.INFLATION)
+        self.graph = _grid_graph(~self.blocked)
+        rng = np.random.Generator(np.random.PCG64(3602))
+        free = np.argwhere(~self.blocked)
+        self.requests = [((6, 6), (505, 121)), ((505, 6), (6, 121)), ((40, 64), (470, 64)),
+                         ((6, 6), (302, 100))]  # the last goal is sealed in the block
+        self.requests += [tuple(tuple(int(v) for v in free[rng.integers(len(free))][::-1])
+                                for _ in range(2)) for _ in range(9)]
+
+    def distances(self, cells):
+        """The oracle's distances, one (h, w) array per source cell."""
+        from scipy.sparse.csgraph import dijkstra
+        out = dijkstra(self.graph, indices=[y * self.grid.width + x for x, y in cells])
+        return out.reshape(len(cells), self.grid.height, self.grid.width)
+
+    def region_tables(self):
+        """The program's landmark tables of the one region built so far, as
+        (h, w) arrays with inf off the region."""
+        (region,) = self.grid._walls.regions.values()
+        (oy, ox), w = region.origin, region.width
+        h = len(region.wall) // w
+        out = []
+        for table in region.tables:
+            full = np.full(self.grid.cells.shape, np.inf)
+            full[oy:oy + h - 2, ox:ox + w - 2] = \
+                np.frombuffer(table, dtype=table.typecode).reshape(h, w)[1:-1, 1:-1]
+            out.append(full)
+        return out
+
+
+@pytest.fixture(scope="module")
+def floor_plan():
+    return _FloorPlan()
+
+
+class TestLandmarkSearch:
+    """plan_path past `_LANDMARK_MIN_CELLS`: reachability labels, landmark
+    tables and the landmark bound, each against an independent oracle."""
+
+    def test_paths_are_optimal_and_repeat(self, floor_plan):
+        g, inflation = floor_plan.grid, floor_plan.INFLATION
+        dist = floor_plan.distances([start for start, _ in floor_plan.requests])
+        paths, unreachable = [], 0
+        for k, (start, goal) in enumerate(floor_plan.requests):
+            best = dist[k, goal[1], goal[0]]
+            if not np.isfinite(best):
+                with pytest.raises(NoPath, match=re.escape(f"goal {goal} unreachable")):
+                    plan_path(g, start, goal, inflation=inflation)
+                unreachable += 1
+                paths.append(None)
+                continue
+            path = plan_path(g, start, goal, inflation=inflation)
+            assert path[0] == start and path[-1] == goal
+            for (x0, y0), (x1, y1) in zip(path, path[1:]):
+                assert max(abs(x1 - x0), abs(y1 - y0)) == 1
+                assert not floor_plan.blocked[y1, x1]
+            assert path_cost(path) == pytest.approx(best, rel=1e-9, abs=1e-9)
+            paths.append(path)
+        assert g._walls.regions  # the landmark branch ran
+        assert 0 < unreachable < len(paths) - 8
+        again = [plan_path(g, s, t, inflation=inflation) if p else None
+                 for (s, t), p in zip(floor_plan.requests, paths)]
+        assert again == paths
+
+    def test_tables_are_path_order_distances_from_farthest_points(self, floor_plan):
+        g = floor_plan.grid
+        plan_path(g, *floor_plan.requests[0], inflation=floor_plan.INFLATION)
+        tables = floor_plan.region_tables()
+        # the oracle places the landmarks by the documented rule on its own
+        # distances: the region's first cell, then each farthest cell
+        inside = np.isfinite(tables[0])
+        far = np.where(inside, np.inf, -1.0)
+        cell = int(np.argmax(inside))
+        for table in tables:
+            expected = floor_plan.distances([(cell % g.width, cell // g.width)])[0]
+            expected[~inside] = np.inf
+            assert table.dtype == np.float64
+            assert np.array_equal(table, expected)  # bit for bit
+            far = np.minimum(far, expected)
+            cell = int(np.argmax(far))
+
+    def test_landmark_bound_is_consistent(self, floor_plan):
+        g = floor_plan.grid
+        plan_path(g, *floor_plan.requests[0], inflation=floor_plan.INFLATION)
+        tables = floor_plan.region_tables()
+        inside = np.isfinite(tables[0])
+        ys, xs = np.nonzero(inside)
+        h, w = inside.shape
+        for k in (0, len(ys) // 3, len(ys) - 1):
+            gx, gy = int(xs[k]), int(ys[k])
+            exact = floor_plan.distances([(gx, gy)])[0]
+            dx, dy = np.abs(np.arange(w)[None, :] - gx), np.abs(np.arange(h)[:, None] - gy)
+            octile = (dx + dy) + (SQRT2 - 2.0) * np.minimum(dx, dy)
+            # each term is consistent on its own, so any max of them is
+            for bound in [octile] + [np.abs(t[gy, gx] - t) for t in tables]:
+                assert bound[gy, gx] == 0.0
+                assert (bound[inside] <= exact[inside] + 1e-12).all()
+                for mx, my, cost in [(1, 0, 1.0), (0, 1, 1.0), (1, 1, SQRT2), (-1, 1, SQRT2)]:
+                    a = (slice(0, h - my), slice(max(-mx, 0), w - max(mx, 0)))
+                    b = (slice(my, h), slice(max(mx, 0), w + min(mx, 0) or None))
+                    both = inside[a] & inside[b]
+                    assert (bound[a][both] <= cost + bound[b][both] + 1e-12).all()
+                    assert (bound[b][both] <= cost + bound[a][both] + 1e-12).all()
+
+    def test_paths_follow_the_documented_bound(self, floor_plan, monkeypatch):
+        # the reference runs the documented search on the oracle's tables.
+        # The landmark search pops far fewer cells than the octile one, and
+        # never more on a request: where both bounds are exact it keeps the
+        # octile one and its ties
+        g, inflation = floor_plan.grid, floor_plan.INFLATION
+        plan_path(g, *floor_plan.requests[0], inflation=inflation)
+        tables = floor_plan.region_tables()
+        heappop, pw, total = heapq.heappop, g.width + 2, {"landmark": 0, "octile": 0}
+        for k, (start, goal) in enumerate(floor_plan.requests):
+            src, dst = ((y + 1) * pw + x + 1 for x, y in (start, goal))
+            pops = {}
+            for search, run in (("landmark", lambda: plan_path(g, start, goal, inflation)),
+                                ("octile", lambda: navgrid._astar(g._walls.padded, src, dst))):
+                def counting_pop(heap, search=search):
+                    pops[search] = pops.get(search, 0) + 1
+                    return heappop(heap)
+
+                monkeypatch.setattr(heapq, "heappop", counting_pop)
+                try:
+                    path = run()
+                except NoPath:
+                    break
+                finally:
+                    monkeypatch.undo()
+                if search == "landmark" and k < 3:
+                    assert path == _plan_path_dict(g, start, goal, inflation, landmarks=tables)
+            else:
+                assert pops["landmark"] <= pops["octile"], (start, goal)
+                for search in total:
+                    total[search] += pops[search]
+        assert 3 * total["landmark"] < total["octile"]
+
+    def test_sealed_goal_fails_before_any_search(self, floor_plan, monkeypatch):
+        g = floor_plan.grid
+        start, goal = (6, 6), (302, 100)  # the pocket inside the solid block
+        assert not floor_plan.blocked[goal[1], goal[0]]
+        monkeypatch.setattr(navgrid, "_astar", None)  # any search would raise TypeError
+        with pytest.raises(NoPath, match=re.escape(f"goal {goal} unreachable from {start}")):
+            plan_path(g, start, goal, inflation=floor_plan.INFLATION)
+
+
+def test_small_and_rewritten_grids_build_no_tables(monkeypatch):
+    # every TestPlanPathOracle grid, and a scanned grid grown to 256x128
+    # cells and rewritten before every plan, stays on the octile search
+    built = []
+    region = navgrid._landmark_region
+    monkeypatch.setattr(navgrid, "_landmark_region",
+                        lambda walls, label: built.append(label) or region(walls, label))
+    oracle = TestPlanPathOracle()
+    for inflation in (0.0, 0.12, 0.3):
+        oracle.test_random_grids(inflation)
+    for shape in ((1, 12), (12, 1), (2, 6)):
+        oracle.test_thin_grids(shape)
+    for change in ("occupy_path_cell", "grow", "inflation", "resolution"):
+        oracle.test_reused_walls_follow_grid_changes(change, monkeypatch)
+    oracle.test_open_grid_ties()
+    oracle.test_border_rows_and_columns()
+    oracle.test_inflation_disk_larger_than_grid()
+    oracle.test_no_path_texts()
+    oracle.test_walled_mid_size_grid()
+    g = OccupancyGrid(resolution=0.1, width=64, height=64, origin_xy=(-3.2, 0.0))
+    along = np.arange(-5.0, 5.0, 0.1)
+    walls = np.array([(dx, side, 0.3) for side in (-3.0, 3.0) for dx in along])
+    for x in np.arange(3.0, 17.0, 2.5):  # down a corridor, mapping its walls
+        g.integrate_scan(Scan(Pose.from_xy_yaw(x, 6.0, 0.0), walls))
+        start, goal = g.world_to_cell(x, 6.0), g.world_to_cell(x + 3.0, 6.5)
+        assert _assert_same_plan(g, start, goal, 0.3) is not None
+    assert g.cells.size == 256 * 128
+    assert built == []
 
 
 class TestGoalSearch:

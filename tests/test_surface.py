@@ -147,8 +147,8 @@ INNER_PRODUCTS = ("dot", "vecdot", "einsum", "inner", "matmul")
 def small_vector_calls():
     """`module:line: call` for every `np.linalg.norm`, `np.clip` or inner
     product call (`dot`, `vecdot`, `einsum`, `inner` or `matmul`, as a
-    function or a method) in `src/locoman/` outside `geometry.py`, and every
-    import of those names from numpy."""
+    function or a method) or `@` / `@=` operator in `src/locoman/` outside
+    `geometry.py`, and every import of those names from numpy."""
     out = []
     for path in SRC:
         if path.name == "geometry.py":
@@ -159,6 +159,8 @@ def small_vector_calls():
                 if (n.func.attr in INNER_PRODUCTS or call in ("np.clip", "numpy.clip")
                         or call.endswith("linalg.norm")):
                     out.append(f"{path.name}:{n.lineno}: {call}")
+            elif isinstance(n, (ast.BinOp, ast.AugAssign)) and isinstance(n.op, ast.MatMult):
+                out.append(f"{path.name}:{n.lineno}: {ast.unparse(n)}")
             elif isinstance(n, ast.ImportFrom) and (n.module or "").startswith("numpy"):
                 out += [f"{path.name}:{n.lineno}: from {n.module} import {a.name}"
                         for a in n.names if a.name in ("clip", "norm", *INNER_PRODUCTS)]
@@ -166,7 +168,8 @@ def small_vector_calls():
 
 
 def test_small_vector_arithmetic_lives_in_geometry():
-    """`geometry.norm`, `dot`, `row_dot` and `unit` and `min(max(v, lo), hi)`
-    are the one implementation of each small-vector operation: a second one
-    elsewhere is a second place to edit when the float path changes."""
+    """`geometry.norm`, `dot`, `row_dot`, `mat_vec` and `unit` and
+    `min(max(v, lo), hi)` are the one implementation of each small-vector
+    operation: a second one elsewhere is a second place to edit when the
+    float path changes."""
     assert small_vector_calls() == []
