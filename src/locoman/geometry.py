@@ -21,8 +21,9 @@ def vec3(x, y, z) -> np.ndarray:
 
 def dot(a, b) -> float:
     """Inner product of two 1-D vectors as a float: every small-vector
-    product and norm in the package goes through it."""
-    return float(np.dot(a, b))
+    product and norm in the package goes through it. An array's own `dot`
+    is np.dot's C entry (the same BLAS call) without np.dot's dispatch."""
+    return float(a.dot(b) if type(a) is np.ndarray else np.dot(a, b))
 
 
 def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -81,30 +82,53 @@ def quat_conjugate(q: np.ndarray) -> np.ndarray:
     return np.array([q[0], -q[1], -q[2], -q[3]])
 
 
+def rotate(q, v) -> tuple:
+    """The vector part of q * (0, v) * conj(q) for a unit quaternion q and
+    the three components of v, as `_hamilton` takes them (floats, or one
+    array per component). The `0.0` scalar part is multiplied like any other,
+    so signed zeros match the 4-vector product."""
+    w, x, y, z = q
+    t = _hamilton(w, x, y, z, 0.0, *v)
+    return _hamilton(*t, w, -x, -y, -z)[1:]
+
+
 def quat_rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Rotate a 3-vector, or each row of an (N, 3) array, by unit quaternion
-    q: the vector part of q * (0, v) * conj(q). The `0.0` scalar part is
-    multiplied like any other, so signed zeros match the 4-vector product."""
-    w, x, y, z = np.asarray(q, dtype=float).tolist()
+    """Rotate a 3-vector, or each row of an (N, 3) array, by unit quaternion q."""
     v = np.asarray(v, dtype=float)
     one = v.ndim == 1
-    t = _hamilton(w, x, y, z, 0.0, *(v.tolist() if one else v.T))
-    r = _hamilton(*t, w, -x, -y, -z)[1:]
+    r = rotate(np.asarray(q, dtype=float).tolist(), v.tolist() if one else v.T)
     return np.array(r) if one else np.stack(r, axis=-1)
 
 
 def quat_from_axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:
-    axis = unit(np.asarray(axis, dtype=float))
+    x, y, z = unit(np.asarray(axis, dtype=float)).tolist()
     half = 0.5 * angle
-    return np.concatenate(([np.cos(half)], np.sin(half) * axis))
+    s = math.sin(half)
+    return np.array([math.cos(half), s * x, s * y, s * z])
+
+
+def yaw_quat(yaw: float) -> tuple[float, float, float, float]:
+    """quat_from_axis_angle about +z as four floats, bit for bit: `math`'s sin
+    and cos are numpy's, `0.0 * s` keeps the signed zeros, and the constant
+    axis is not normalised."""
+    half = 0.5 * yaw
+    s = math.sin(half)
+    return (math.cos(half), 0.0 * s, 0.0 * s, s)
 
 
 def quat_from_yaw(yaw: float) -> np.ndarray:
-    """quat_from_axis_angle about +z, bit for bit (`0.0 * s` keeps its signed
-    zeros), without normalising the constant axis."""
-    half = 0.5 * yaw
-    s = np.sin(half)
-    return np.array([np.cos(half), 0.0 * s, 0.0 * s, s])
+    return np.array(yaw_quat(yaw))
+
+
+def quat_yaw(w: float, x: float, y: float, z: float) -> float:
+    """Yaw of the extrinsic X-Y-Z Euler angles (training.quat_from_euler's) of
+    the unit quaternion (w, x, y, z), with roll pinned to 0 at gimbal lock. It
+    reads only the three entries of quat_to_matrix that the yaw needs, by the
+    same expressions, and matches the tests' full-matrix oracle bit for bit."""
+    # |sin(pitch)| clamped to 1 lies below 1 - 1e-9 exactly when unclamped it does
+    if abs(2 * (x * z - w * y)) < 1.0 - 1e-9:
+        return float(np.arctan2(2 * (x * y + w * z), 1 - 2 * (y * y + z * z)))
+    return float(np.arctan2(-(2 * (x * y - w * z)), 1 - 2 * (x * x + z * z)))
 
 
 def quat_geodesic_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -155,9 +179,11 @@ def quat_slerp(a: np.ndarray, b: np.ndarray, t: float) -> np.ndarray:
         d = -d
     if d > 1.0 - 1e-12:
         return quat_normalize(a + t * (b - a))
-    theta = np.arccos(min(d, 1.0))
-    s = np.sin(theta)
-    return (np.sin((1.0 - t) * theta) * a + np.sin(t * theta) * b) / s
+    # numpy's arccos (math.acos differs in the last bit), math's sin (the
+    # same bits as numpy's), then numpy's elementwise `(sa * a + sb * b) / s`
+    theta = float(np.arccos(min(d, 1.0)))
+    sa, sb, s = math.sin((1.0 - t) * theta), math.sin(t * theta), math.sin(theta)
+    return np.array([(sa * ai + sb * bi) / s for ai, bi in zip(a.tolist(), b.tolist())])
 
 
 # ---------------------------------------------------------------------------
@@ -202,12 +228,4 @@ class Pose:
         return Pose(quat_rotate(qi, -self.position), qi)
 
     def yaw(self) -> float:
-        """Yaw of the extrinsic X-Y-Z Euler angles (training.quat_from_euler's), with
-        roll pinned to 0 at gimbal lock. It reads only the three entries of
-        quat_to_matrix(orientation) that the yaw needs, by the same
-        expressions, and matches the tests' full-matrix oracle bit for bit."""
-        w, x, y, z = self.orientation.tolist()
-        sp = min(max(-(2 * (x * z - w * y)), -1.0), 1.0)
-        if abs(sp) < 1.0 - 1e-9:
-            return float(np.arctan2(2 * (x * y + w * z), 1 - 2 * (y * y + z * z)))
-        return float(np.arctan2(-(2 * (x * y - w * z)), 1 - 2 * (x * x + z * z)))
+        return quat_yaw(*self.orientation.tolist())

@@ -23,8 +23,8 @@ from .config import Config, TrackingConfig, to_dict
 from .errors import ActionFailed, LocomanError, OracleFailure, UsageError, ValidationError
 from .fusion import Detection, InstanceGraph
 from .geometry import (Pose, mat_vec, norm, quat_from_axis_angle, quat_geodesic_distance,
-                       quat_mul, quat_normalize, quat_slerp, matrix_to_quat,
-                       quat_to_matrix, unit, vec3)
+                       quat_mul, quat_normalize, quat_slerp, quat_yaw, matrix_to_quat,
+                       quat_to_matrix, rotate, unit, vec3, yaw_quat)
 from .grounding import (CameraModel, DepthImage, GroundingResult, ground_action,
                         solve_orientation)
 from .navgrid import (GoalSearchConfig, OccupancyGrid, OCCUPIED, find_goal_pose,
@@ -67,35 +67,59 @@ class LocomotionCommand:
     w: float
 
 
+STOP = LocomotionCommand(0, 0, 0)
+
+
 # ---------------------------------------------------------------------------
 # world state
 # ---------------------------------------------------------------------------
 
 @dataclass
 class WorldState:
-    t: float
-    base_pose: Pose
-    base_xy: tuple[float, float]      # base_pose.position[:2], as floats
-    base_yaw: float                   # base_pose.yaw()
-    base_vel: tuple[float, float, float]  # (vx, vy) base frame + (omega,)
-    ee_pose: Pose
+    """The world one tick at a time. The base is held as floats, its one
+    source of truth; `base_pose` is built from them on its first read after
+    the base moves."""
+
+    t: float = 0.0
+    base_xy: tuple[float, float] = (0.0, 0.0)
+    base_z: float = 0.0
+    base_quat: tuple[float, float, float, float] = (1.0, 0.0, 0.0, 0.0)  # yaw_quat(yaw)
+    base_yaw: float = 0.0             # quat_yaw(*base_quat), the yaw read back
+    base_vel: tuple[float, float, float] = (0.0, 0.0, 0.0)  # (vx, vy) base frame + (omega,)
+    ee_pose: Pose = field(default_factory=Pose)
     attachments: dict = field(default_factory=dict)  # obj id -> (carrier, point in its frame)
     object_positions: dict[str, np.ndarray] = field(default_factory=dict)
     contents: dict = field(default_factory=dict)  # obj id -> (container id, offset)
     joint_values: dict = field(default_factory=dict)
+    _pose: Optional[Pose] = field(default=None, init=False, repr=False, compare=False)
+    # obj id -> (ee_pose, rel, position) of the last placement of a gripper rider
+    _ee_riders: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @property
+    def base_pose(self) -> Pose:
+        if self._pose is None:
+            self._pose = Pose(vec3(*self.base_xy, self.base_z), np.array(self.base_quat))
+        return self._pose
+
+    def move_base(self, x: float, y: float, yaw: float, z: float) -> None:
+        """Put the base at (x, y, z), turned by `yaw` about +z. The yaw is
+        read back from the quaternion: the round trip does not always return
+        the yaw it was built from."""
+        q = yaw_quat(yaw)
+        self.base_xy, self.base_z, self.base_quat, self.base_yaw = (x, y), z, q, quat_yaw(*q)
+        self._pose = None
 
 
 def make_world(scenario: Scenario) -> WorldState:
-    x, y = scenario.robot_start.position[:2]
-    base = Pose.from_xy_yaw(x, y, scenario.robot_start.yaw,
-                            z=scenario.terrain_height + BASE_STAND_HEIGHT)
-    ee = Pose(base.transform(vec3(0.3, 0.0, 0.2)), base.orientation)
-    object_positions = {obj.id: obj.position.copy() for obj in scenario.objects}
-    joint_values = {obj.id: obj.joint.value
-                    for obj in scenario.objects if obj.joint is not None}
-    return WorldState(t=0.0, base_pose=base, base_xy=(float(x), float(y)),
-                      base_yaw=base.yaw(), base_vel=(0.0, 0.0, 0.0), ee_pose=ee,
-                      object_positions=object_positions, joint_values=joint_values)
+    world = WorldState(object_positions={obj.id: obj.position.copy()
+                                         for obj in scenario.objects},
+                       joint_values={obj.id: obj.joint.value for obj in scenario.objects
+                                     if obj.joint is not None})
+    x, y = scenario.robot_start.position[:2].tolist()
+    world.move_base(x, y, scenario.robot_start.yaw, scenario.terrain_height + BASE_STAND_HEIGHT)
+    base = world.base_pose
+    world.ee_pose = Pose(base.transform(vec3(0.3, 0.0, 0.2)), base.orientation)
+    return world
 
 
 def _wrap(a: float) -> float:
@@ -136,11 +160,8 @@ def step(world: WorldState, base_cmd: LocomotionCommand,
         # terrain contact halts base motion for this tick
         world.base_vel = (0.0, 0.0, 0.0)
     else:
-        # the yaw is read back from the new pose: the quaternion round trip
-        # does not always return the yaw it was built from
-        pose = Pose.from_xy_yaw(nx, ny, _wrap(yaw + w * dt),
-                                z=scenario.terrain_height + BASE_STAND_HEIGHT)
-        world.base_pose, world.base_xy, world.base_yaw = pose, (nx, ny), pose.yaw()
+        world.move_base(nx, ny, _wrap(yaw + w * dt),
+                        scenario.terrain_height + BASE_STAND_HEIGHT)
 
     if ee_cmd is not None:
         decay = _exp(-tracking.ee_rate * dt)
@@ -154,9 +175,21 @@ def step(world: WorldState, base_cmd: LocomotionCommand,
             ori = quat_normalize(quat_mul(quat_from_axis_angle(axis, angle), ori))
         world.ee_pose = Pose(pos, ori)
 
+    # a rider's point is its carrier's Pose.transform, bit for bit: a gripper
+    # rider's is computed again only when the gripper pose or the point (held
+    # by the cache, so compared by identity) changed, a base rider's from the
+    # base floats
     for oid, (carrier, rel) in world.attachments.items():
-        anchor = world.ee_pose if carrier == "ee" else world.base_pose
-        world.object_positions[oid] = anchor.transform(rel)
+        if carrier == "ee":
+            placed = world._ee_riders.get(oid)
+            if placed is None or placed[0] is not world.ee_pose or placed[1] is not rel:
+                placed = world._ee_riders[oid] = (world.ee_pose, rel,
+                                                  world.ee_pose.transform(rel))
+            world.object_positions[oid] = placed[2]
+        else:
+            (bx, by), bz = world.base_xy, world.base_z
+            rx, ry, rz = rotate(world.base_quat, rel.tolist())
+            world.object_positions[oid] = np.array((bx + rx, by + ry, bz + rz))
     for oid, (container, offset) in world.contents.items():
         world.object_positions[oid] = world.object_positions[container] + offset
 
@@ -290,6 +323,7 @@ TRACE_COLUMNS = [
     "ee_err_pos", "ee_err_ori",
     "r_track_xy", "r_track_yaw", "r_gait", "r_freq", "total_stage1",
 ]
+EE_ERR = TRACE_COLUMNS.index("ee_err_pos")  # then ee_err_ori
 
 
 class EpisodeRunner:
@@ -355,18 +389,19 @@ class EpisodeRunner:
     def _follow_path(self, path_points: list[np.ndarray], goal_xy: np.ndarray,
                      deadline: float) -> None:
         """Pure-pursuit style follower, until within goal tolerance."""
-        idx = 0
+        # each difference on floats, as numpy's elementwise `-` gives it
+        (gx, gy), targets = goal_xy.tolist(), [p.tolist() for p in path_points]
+        idx, last = 0, len(targets) - 1
         while self.world.t < deadline:
-            pos = self.world.base_pose.position[:2]
-            dist = norm(pos - goal_xy)
-            if dist <= NAV_GOAL_TOL:
-                self.tick(LocomotionCommand(0, 0, 0), None)
-                return
-            while (idx < len(path_points) - 1
-                   and norm(path_points[idx] - pos) < 0.3):
-                idx += 1
-            tx, ty = path_points[idx].tolist()
             x, y = self.world.base_xy
+            dist = norm(np.array((x - gx, y - gy)))
+            if dist <= NAV_GOAL_TOL:
+                self.tick(STOP, None)
+                return
+            tx, ty = targets[idx]
+            while idx < last and norm(np.array((tx - x, ty - y))) < 0.3:
+                idx += 1
+                tx, ty = targets[idx]
             err = _wrap(float(np.arctan2(ty - y, tx - x)) - self.world.base_yaw)
             w_cmd = min(max(2.0 * err, -1.0), 1.0)
             # capped so that one tick does not carry the base past the goal
@@ -399,11 +434,10 @@ class EpisodeRunner:
         """Track `target` until within tolerance; `failure` is the message
         raised at the deadline."""
         while self.world.t < deadline:
-            self.tick(LocomotionCommand(0, 0, 0), target)
-            close = (norm(self.world.ee_pose.position - target.position) <= pos_tol
-                     and quat_geodesic_distance(self.world.ee_pose.orientation,
-                                                target.orientation) <= 0.02)
-            if close:
+            self.tick(STOP, target)
+            # the errors `_record` has just computed against `target`
+            pos_err, ori_err = self.ticks[-1][EE_ERR:EE_ERR + 2]
+            if pos_err <= pos_tol and ori_err <= 0.02:
                 return
         raise ActionFailed(failure)
 
@@ -466,7 +500,7 @@ class EpisodeRunner:
         rel = self.world.ee_pose.inverse().transform(self.world.object_positions[obj.id])
         self.world.attachments[obj.id] = ("ee", rel)
         self.world.contents.pop(obj.id, None)
-        self.tick(LocomotionCommand(0, 0, 0), self.world.ee_pose)
+        self.tick(STOP, self.world.ee_pose)
 
     def _do_place(self, action: AtomicAction) -> None:
         deadline = min(self.world.t + MANIP_TIMEOUT, self.scenario.horizon)
@@ -483,7 +517,7 @@ class EpisodeRunner:
         for oid in carried:  # the next tick drops each at `drop_point`, then it rides along
             del self.world.attachments[oid]
             self.world.contents[oid] = (container.id, offset)
-        self.tick(LocomotionCommand(0, 0, 0), None)
+        self.tick(STOP, None)
 
     def _do_push_pull(self, action: AtomicAction) -> None:
         deadline = min(self.world.t + MANIP_TIMEOUT, self.scenario.horizon)
@@ -497,7 +531,7 @@ class EpisodeRunner:
             value = self.world.joint_values[obj.id]
             delta = min(max(goal - value, -rate * self.dt), rate * self.dt)
             self.world.joint_values[obj.id] = float(min(max(value + delta, lo), hi))
-            self.tick(LocomotionCommand(0, 0, 0), grasp)
+            self.tick(STOP, grasp)
             if abs(self.world.joint_values[obj.id] - goal) < 1e-9:
                 return
         raise ActionFailed("articulation timeout")

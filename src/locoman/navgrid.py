@@ -84,9 +84,8 @@ class OccupancyGrid:
 
     def world_to_cell(self, x: float, y: float) -> tuple[int, int]:
         """Floor convention: boundary coordinates fall in the lower cell."""
-        cx = math.floor((x - self.origin[0]) / self.resolution)
-        cy = math.floor((y - self.origin[1]) / self.resolution)
-        return cx, cy
+        ox, oy = self.origin.tolist()  # floats: numpy scalar arithmetic is slower, same bits
+        return math.floor((x - ox) / self.resolution), math.floor((y - oy) / self.resolution)
 
     def cell_center(self, cx: int, cy: int) -> np.ndarray:
         return self.origin + (np.array([cx, cy], dtype=float) + 0.5) * self.resolution
@@ -300,10 +299,11 @@ def footprint_clear(grid: OccupancyGrid, x: float, y: float, radius: float) -> b
     """
     cx, cy = grid.world_to_cell(x, y)
     r_cells = math.ceil(radius / grid.resolution) + 1
-    # clip to the grid; a negative stop would wrap around in a slice
-    x0, y0 = max(cx - r_cells, 0), max(cy - r_cells, 0)
-    x1, y1 = max(cx + r_cells + 1, 0), max(cy + r_cells + 1, 0)
-    window = grid.cells[y0:y1, x0:x1]
+    # clip to the grid, as a negative stop would wrap around in a slice
+    # (conditionals, not four max() calls: this runs every tick)
+    x0, y0, x1, y1 = cx - r_cells, cy - r_cells, cx + r_cells + 1, cy + r_cells + 1
+    x0, y0 = x0 if x0 > 0 else 0, y0 if y0 > 0 else 0
+    window = grid.cells[y0:y1 if y1 > 0 else 0, x0:x1 if x1 > 0 else 0]
     if OCCUPIED not in window.tobytes():  # one byte per cell; empty off the grid
         return True
     iy, ix = np.nonzero(window == OCCUPIED)

@@ -20,8 +20,8 @@ import numpy as np
 from .config import from_dict, read_file
 from .errors import ParseError, ValidationError
 from .geometry import norm
-from .planning import (STEP_READS, ActionKind, ConditionKind, SubtaskMonitor, bound_fault,
-                       reads_fault)
+from .planning import (SCENE_BOUND, STEP_READS, ActionKind, ConditionKind, SubtaskMonitor,
+                       bound_fault, reads_fault)
 
 
 @dataclass(frozen=True)
@@ -171,7 +171,8 @@ class Scenario:
 
 def scenario_from_dict(data, where: str = "scenario") -> Scenario:
     """`from_dict`, then the checks that span records and the SCENE_BOUND on
-    every scene point, drop point and waypoint; raises at the first fault."""
+    every scene point, drop point and waypoint and on `terrain_height`;
+    raises at the first fault."""
     scenario = from_dict(Scenario, data, where)
     plan = list(enumerate(scenario.plan))
     monitors = [(f"plan[{i}].monitors[{j}]", m)
@@ -203,6 +204,11 @@ def scenario_from_dict(data, where: str = "scenario") -> Scenario:
     points += [(f"plan[{i}].waypoint", step.waypoint) for i, step in plan
                if step.waypoint is not None]
     faults += [(loc, fault) for loc, p in points if (fault := bound_fault(p))]
+    # the base stands on the terrain: far past the bound (about 1e154 m) the
+    # grasp camera's distance to the base overflows, and `run` cannot finish
+    if not abs(scenario.terrain_height) <= SCENE_BOUND:
+        faults.append(("terrain_height", f"|terrain_height| must be <= {SCENE_BOUND:g} m, "
+                                         f"got {scenario.terrain_height!r}"))
     # `place` drops onto a container at its position plus `container_offset`
     faults += [(f"objects[{i}].container_offset", f"position + container_offset: {fault}")
                for i, obj in enumerate(scenario.objects) if obj.container_offset is not None

@@ -11,9 +11,12 @@ import numpy as np
 
 from locoman.errors import UsageError
 from locoman.fusion import semantic_similarity, should_merge
-from locoman.geometry import dot, quat_to_matrix
+from locoman.geometry import (Pose, dot, quat_mul, quat_normalize, quat_to_matrix, unit,
+                              vec3)
+from locoman.harness import BASE_FOOTPRINT_RADIUS, BASE_STAND_HEIGHT
+from locoman.navgrid import footprint_clear
 from locoman.rewards import ASYNC_PAIRS, GAIT_CLIP, LEGS, SYNC_PAIRS
-from locoman.training import SphericalTarget
+from locoman.training import SphericalTarget, wrap_angle
 from locoman.navgrid import SQRT2
 
 _UNIT_TOL = 1e-9
@@ -185,3 +188,106 @@ def stage1_rows(cfg, cmd, act, contacts, dts, ts) -> list[tuple[float, ...]]:
             total += cfg.reward_weights.weight(name, 1) * value
         rows.append((*terms.values(), total))
     return rows
+
+
+# ---------------------------------------------------------------------------
+# the world step with the base held as a Pose and every quaternion built and
+# read on numpy, the form `harness.step` computes on floats
+# ---------------------------------------------------------------------------
+
+Z_AXIS = np.array([0.0, 0.0, 1.0])
+
+
+def quat_from_axis_angle_array(axis, angle: float) -> np.ndarray:
+    half = 0.5 * angle
+    return np.concatenate(([np.cos(half)], np.sin(half) * unit(np.asarray(axis, dtype=float))))
+
+
+def quat_slerp_array(a: np.ndarray, b: np.ndarray, t: float) -> np.ndarray:
+    d = dot(a, b)
+    if d < 0.0:
+        b = -b
+        d = -d
+    if d > 1.0 - 1e-12:
+        return quat_normalize(a + t * (b - a))
+    theta = np.arccos(min(d, 1.0))
+    return (np.sin((1.0 - t) * theta) * a + np.sin(t * theta) * b) / np.sin(theta)
+
+
+@dataclass
+class PoseWorld:
+    """`harness.WorldState` with the base held as a Pose: `base_xy` and
+    `base_yaw` are read from it."""
+
+    t: float
+    base_pose: Pose
+    base_xy: tuple
+    base_yaw: float
+    base_vel: tuple
+    ee_pose: Pose
+    attachments: dict
+    object_positions: dict
+    contents: dict
+    joint_values: dict
+
+
+def _base_at(x, y, yaw, z) -> tuple[Pose, float]:
+    """The base pose at (x, y, z) turned by `yaw` about +z, and the yaw read
+    back from it through the full rotation matrix."""
+    pose = Pose(vec3(x, y, z), quat_from_axis_angle_array(Z_AXIS, yaw))
+    return pose, euler_from_quat(pose.orientation)[2]
+
+
+def pose_make_world(scenario) -> PoseWorld:
+    x, y = scenario.robot_start.position[:2]
+    base, yaw = _base_at(x, y, scenario.robot_start.yaw,
+                         scenario.terrain_height + BASE_STAND_HEIGHT)
+    ee = Pose(base.transform(vec3(0.3, 0.0, 0.2)), base.orientation)
+    return PoseWorld(0.0, base, (float(x), float(y)), yaw, (0.0, 0.0, 0.0), ee, {},
+                     {obj.id: obj.position.copy() for obj in scenario.objects}, {},
+                     {obj.id: obj.joint.value for obj in scenario.objects
+                      if obj.joint is not None})
+
+
+def pose_step(world: PoseWorld, base_cmd, ee_cmd, dt, tracking, rng, scenario,
+              grid=None) -> None:
+    """`harness.step` on a PoseWorld: a new base Pose every tick that moves
+    the base, and each rider placed by its carrier's `Pose.transform`."""
+    cx, cy, cw = float(base_cmd.x), float(base_cmd.y), float(base_cmd.w)
+    if tracking.tau_base <= 0.0:
+        vx, vy, w = cx, cy, cw
+    else:
+        alpha = 1.0 - float(np.exp(-dt / tracking.tau_base))
+        vx, vy, w = world.base_vel
+        vx, vy, w = vx + alpha * (cx - vx), vy + alpha * (cy - vy), w + alpha * (cw - w)
+    world.base_vel = (vx, vy, w)
+
+    (x, y), yaw = world.base_xy, world.base_yaw
+    c, s = np.cos(yaw), np.sin(yaw)
+    nx = x + float(vx * c - vy * s) * dt
+    ny = y + float(vx * s + vy * c) * dt
+    if grid is not None and not footprint_clear(grid, nx, ny, BASE_FOOTPRINT_RADIUS):
+        world.base_vel = (0.0, 0.0, 0.0)
+    else:
+        world.base_pose, world.base_yaw = _base_at(
+            nx, ny, float(wrap_angle(yaw + w * dt)), scenario.terrain_height + BASE_STAND_HEIGHT)
+        world.base_xy = (nx, ny)
+
+    if ee_cmd is not None:
+        decay = float(np.exp(-tracking.ee_rate * dt))
+        pos = ee_cmd.position + (world.ee_pose.position - ee_cmd.position) * decay
+        ori = quat_slerp_array(world.ee_pose.orientation, ee_cmd.orientation, 1.0 - decay)
+        if tracking.noise_pos > 0.0:
+            pos = pos + rng.normal(0.0, tracking.noise_pos, size=3)
+        if tracking.noise_ori > 0.0:
+            axis = unit(rng.normal(size=3))
+            angle = float(rng.normal(0.0, tracking.noise_ori))
+            ori = quat_normalize(quat_mul(quat_from_axis_angle_array(axis, angle), ori))
+        world.ee_pose = Pose(pos, ori)
+
+    for oid, (carrier, rel) in world.attachments.items():
+        anchor = world.ee_pose if carrier == "ee" else world.base_pose
+        world.object_positions[oid] = anchor.transform(rel)
+    for oid, (container, offset) in world.contents.items():
+        world.object_positions[oid] = world.object_positions[container] + offset
+    world.t += dt

@@ -383,6 +383,11 @@ MALFORMED_SCENARIOS = [
                  "plan[0].waypoint", id="waypoint_past_bound"),
     pytest.param(lambda d: d["plan"][4].update(waypoint=[-1.5, -100.5, 0.0]),
                  "plan[4].waypoint", id="drag_waypoint_past_bound"),
+    # the base stands on the terrain: |terrain_height| stops at 100 m too
+    pytest.param(lambda d: d.update(terrain_height=1.0e300), "terrain_height",
+                 id="terrain_height_past_bound"),
+    pytest.param(lambda d: d.update(terrain_height=-1.0e300), "terrain_height",
+                 id="terrain_height_below_bound"),
     # the cart sits at x = 2.0, so its drop point lands at x = 100.5
     pytest.param(lambda d: d["objects"][1].update(container_offset=[98.5, 0.0, 0.3]),
                  "objects[1].container_offset", id="container_offset_past_bound"),
@@ -401,6 +406,14 @@ class TestValidate:
         res = invoke("validate", SCENARIO)
         assert res.exit_code == 0
         assert "ok" in res.output
+
+    @pytest.mark.parametrize("height", [100.0, -100.0])
+    def test_terrain_height_at_bound_runs(self, tmp_path, height):
+        scenario = scenario_with(tmp_path, lambda d: d.update(terrain_height=height))
+        assert invoke("validate", scenario).exit_code == 0
+        res = invoke("run", scenario, "--out", tmp_path / "o")
+        assert res.exit_code == 0, res.output
+        assert (tmp_path / "o" / "cart_delivery" / "episode_0" / "trace.csv").exists()
 
     def test_invalid(self, tmp_path):
         bad = tmp_path / "bad.yaml"

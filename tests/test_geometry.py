@@ -7,7 +7,8 @@ from locoman.geometry import (Pose, dot, matrix_to_quat, norm,
                               quat_rotate, quat_slerp, quat_to_matrix, unit)
 from locoman.training import (SphericalTarget, quat_from_euler,
                               spherical_to_cartesian, wrap_angle)
-from oracles import cartesian_to_spherical, euler_from_quat, is_rotation_matrix
+from oracles import (cartesian_to_spherical, euler_from_quat, is_rotation_matrix,
+                     quat_from_axis_angle_array, quat_slerp_array)
 
 
 def random_quat(rng):
@@ -92,6 +93,25 @@ class TestQuaternions:
         assert np.allclose(quat_slerp(a, b, 0.0), a, atol=1e-12)
         end = quat_slerp(a, b, 1.0)
         assert min(np.linalg.norm(end - b), np.linalg.norm(end + b)) < 1e-12
+
+    def test_axis_angle_bitwise_equals_numpy_form(self):
+        # math's sin and cos on floats, against numpy's on the arrays
+        rng = np.random.Generator(np.random.PCG64(14))
+        axes = rng.normal(size=(20_000, 3)) * 10.0 ** rng.uniform(-3, 3, (20_000, 1))
+        axes[::7, 0] = -0.0
+        angles = rng.uniform(-4 * np.pi, 4 * np.pi, 20_000)
+        angles[:4] = [0.0, -0.0, np.pi, -5e-324]
+        for axis, angle in zip(axes, angles):
+            assert quat_from_axis_angle(axis, angle).tobytes() == \
+                quat_from_axis_angle_array(axis, angle).tobytes(), (axis, angle)
+
+    def test_slerp_bitwise_equals_numpy_form(self):
+        rng = np.random.Generator(np.random.PCG64(15))
+        for _ in range(10_000):
+            a, b = random_quat(rng), random_quat(rng)
+            b = b if rng.random() < 0.8 else quat_normalize(a + 1e-7 * b)  # near-equal
+            t = float(rng.choice([0.0, 1.0, rng.random()]))
+            assert quat_slerp(a, b, t).tobytes() == quat_slerp_array(a, b, t).tobytes(), (a, b, t)
 
     def test_from_yaw_bitwise_equals_axis_angle(self):
         rng = np.random.Generator(np.random.PCG64(13))

@@ -1,7 +1,9 @@
 import ast
+import copy
 import csv
 import hashlib
 import re
+import struct
 import tempfile
 from pathlib import Path
 
@@ -24,6 +26,8 @@ from locoman.navgrid import FREE, OCCUPIED, OccupancyGrid, footprint_clear, plan
 from locoman.rewards import ContactTimeline
 from locoman.scenario import load_scenario, scenario_from_dict
 from locoman.training import wrap_angle
+
+import oracles
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -350,6 +354,113 @@ class TestWorldStep:
         a, b, c = run(1), run(1), run(2)
         assert np.array_equal(a.position, b.position)
         assert not np.array_equal(a.position, c.position)
+
+
+def _bits(v):
+    """A value's exact bits, type by type: a float's IEEE bytes (so -0.0 and
+    0.0 differ), an array's dtype, shape and bytes, a Pose's two arrays."""
+    if isinstance(v, Pose):
+        return _bits(v.position), _bits(v.orientation)
+    if isinstance(v, np.ndarray):
+        return v.dtype.str, v.shape, v.tobytes()
+    if isinstance(v, tuple):
+        return tuple(_bits(x) for x in v)
+    return type(v).__name__, struct.pack("<d", v)
+
+
+class Lockstep:
+    """Steps `oracles.pose_step` on an `oracles.PoseWorld` beside every
+    `harness.step` of one world, with a copy of the same stream, and checks
+    after each tick that every world field matches bit for bit. Both worlds
+    share the attachment, contents and joint dicts that actions edit."""
+
+    step = staticmethod(step)
+
+    def __init__(self, world, scenario):
+        self.world, self.twin = world, oracles.pose_make_world(scenario)
+        for name in ("attachments", "contents", "joint_values"):
+            setattr(self.twin, name, getattr(world, name))
+        self.ticks = 0
+        self.check()
+
+    def __call__(self, world, base_cmd, ee_cmd, dt, tracking, rng, scenario, grid=None):
+        assert world is self.world
+        twin_rng = copy.deepcopy(rng)
+        self.step(world, base_cmd, ee_cmd, dt, tracking, rng, scenario, grid)
+        oracles.pose_step(self.twin, base_cmd, ee_cmd, dt, tracking, twin_rng, scenario, grid)
+        assert rng.bit_generator.state == twin_rng.bit_generator.state
+        self.ticks += 1
+        self.check()
+
+    def check(self):
+        w, twin = self.world, self.twin
+        for name in ("t", "base_pose", "base_xy", "base_yaw", "base_vel", "ee_pose"):
+            assert _bits(getattr(w, name)) == _bits(getattr(twin, name)), (self.ticks, name)
+        assert w.object_positions.keys() == twin.object_positions.keys()
+        for oid, p in w.object_positions.items():
+            assert _bits(p) == _bits(twin.object_positions[oid]), (self.ticks, oid)
+
+
+class TestStepOracle:
+    """`step` holds the base as floats and builds its Pose only when read;
+    `oracles.pose_step` builds a Pose every tick and reads the yaw back
+    through the full rotation matrix. Every field agrees on every tick."""
+
+    @pytest.mark.parametrize("dt", [0.02, 0.05])
+    @pytest.mark.parametrize("tracking", [
+        TrackingConfig(), TrackingConfig(tau_base=0.1, noise_pos=0.002, noise_ori=0.01)],
+        ids=["noise_free", "noisy"])
+    @pytest.mark.parametrize("name", [p.stem for p in sorted(SCENARIO_DIR.glob("*.yaml"))])
+    def test_bundled_episode(self, monkeypatch, name, tracking, dt):
+        runner = EpisodeRunner(load_scenario(SCENARIO_DIR / f"{name}.yaml"), dt=dt,
+                               master_seed=0, config=Config(tracking=tracking))
+        lockstep = Lockstep(runner.world, runner.scenario)
+        monkeypatch.setattr(harness, "step", lockstep)
+        trace = runner.run().trace
+        assert lockstep.ticks == len(trace) > 0
+
+    def test_collision_halt(self):
+        s = scenario_from_dict(minimal_scenario_dict(
+            static_obstacles=[{"min": [0.4, -0.5, 0.0], "max": [1.0, 0.5, 0.5]}]))
+        grid, lockstep = build_occupancy_grid(s), Lockstep(make_world(s), s)
+        rng = make_rng(0)
+        for _ in range(100):
+            lockstep(lockstep.world, LocomotionCommand(1.0, 0, 0.2), None, 0.02,
+                     TrackingConfig(), rng, s, grid=grid)
+        assert lockstep.world.base_vel == (0.0, 0.0, 0.0)  # halted
+
+    def test_drag_with_base_rider(self):
+        s = scenario_from_dict(minimal_scenario_dict(objects=[
+            {"id": "marker", "label": "marker", "type": "rigid",
+             "position": [1.5, 0.0, 0.05], "size": [0.05, 0.05, 0.05]},
+            {"id": "crate", "label": "crate", "type": "draggable",
+             "position": [0.6, 0.0, 0.2], "size": [0.4, 0.4, 0.4]}]))
+        lockstep = Lockstep(make_world(s), s)
+        w, rng = lockstep.world, make_rng(3)
+        w.attachments["crate"] = ("base", w.base_pose.inverse().transform(vec3(0.6, 0.0, 0.2)))
+        w.contents["marker"] = ("crate", vec3(0.0, 0.0, 0.25))
+        tracking = TrackingConfig(tau_base=0.1, noise_pos=0.002, noise_ori=0.01)
+        # turn both ways, so the yaw and the quaternion's z change sign
+        for w_cmd in [0.8] * 120 + [-1.0] * 240:
+            lockstep(w, LocomotionCommand(0.5, 0.1, w_cmd), None, 0.02, tracking, rng, s)
+        assert lockstep.world.base_yaw < 0.0
+
+    def test_navigate_builds_no_pose_per_tick(self, monkeypatch):
+        # cart_delivery's first navigate: the goal search and the path build
+        # a few Poses, the ticks none, so halving dt leaves the count alone
+        built, post_init = [], Pose.__post_init__
+        monkeypatch.setattr(Pose, "__post_init__", lambda p: (built.append(p), post_init(p)))
+        scenario = load_scenario(SCENARIO_DIR / "cart_delivery.yaml")
+        noisy = Config(tracking=TrackingConfig(tau_base=0.1, noise_pos=0.002, noise_ori=0.01))
+        counts = []
+        for dt in (0.02, 0.01):
+            runner = EpisodeRunner(scenario, dt=dt, master_seed=0, config=noisy)
+            navigate = runner.build_plan()[0]
+            built.clear()
+            assert runner.execute_action(0, navigate).success
+            counts.append((len(runner.ticks), len(built)))
+        assert counts[0][0] == 153 and counts[1][0] > 290
+        assert counts[0][1] == counts[1][1] <= 2
 
 
 class TestSceneBuilders:

@@ -29,6 +29,10 @@ class FakeWorld:
         self.attachments = {}
         self.joint_values = {}
 
+    @property
+    def base_xy(self):
+        return tuple(self.base_pose.position[:2].tolist())
+
 
 class TestValidatePlan:
     def test_valid_plan_passes(self):
