@@ -9,7 +9,6 @@ from __future__ import annotations
 import functools
 import heapq
 import math
-from array import array
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -424,144 +423,101 @@ def blocked_mask(grid: OccupancyGrid, inflation: float) -> np.ndarray:
     return mask
 
 
-# Landmark (ALT) bounds for `plan_path`. A grid of at least this many cells
-# gets 8-connected labels of its walkable cells, and each labelled region a
-# search starts in gets landmark tables. The tables cost about one flood of
-# the region per landmark, so they pay back only where many long searches
-# share one wall content, as on a static floor plan. Grids grow by doubling;
-# this is one doubling past 256x128, the largest grid of a bundled scenario
-# and of a scanned 24 m x 12 m arena whose content changes between plans.
-# So those grids never import scipy, never build tables, and keep the
-# octile search's paths.
-_LANDMARK_MIN_CELLS = 2 * 256 * 128
-_LANDMARKS = 6         # per region, placed farthest point first
-_ACTIVE_LANDMARKS = 3  # per search, those with the largest bound at the start;
-                       # `_astar` unrolls its loop over them
-# The landmark bound replaces the octile one only when larger by more than
-# this. Where both are exact they differ by rounding (up to 1.4e-12 on the
-# `nav_queries` plan), and mixing them there breaks the octile search's
-# f-ties: a 59-cell same-room path took 550 pops instead of 59. A bound at
-# most this far under max(octile, landmark) is consistent to within the
-# margin, so a path may cost about the margin per step over the optimum: a
-# relative 1e-10 at most, below the 1e-9 a path cost is checked to.
-_LANDMARK_MARGIN = 1e-10
+# `plan_path` on a grid of at least this many cells labels its walkable
+# cells and runs `_jump_search`; a smaller grid runs the octile `_astar`,
+# whose paths the golden digests pin. Grids grow by doubling; this is one
+# doubling past 256x128, the largest grid of a bundled scenario and of a
+# scanned 24 m x 12 m arena whose content changes between plans. So those
+# grids never import scipy, never build jump tables, and keep the octile
+# search's paths.
+_JUMP_MIN_CELLS = 2 * 256 * 128
 
 
-class _Region(NamedTuple):
-    """Where one search runs: wall bytes `width` cells a row, whose cell
-    (0, 0) is cell `origin` (y, x) of the padded grid, and one float64
-    distance table per landmark, indexed like the wall bytes."""
+class _Jumps(NamedTuple):
+    """Jump tables of one padded wall content: the wall bytes in column
+    order (`height` cells a column), and one forced-neighbour byte mask per
+    straight move, +x and -x in row order, +y and -y in column order. A
+    cell's byte is 1 when a straight move into it has a forced neighbour:
+    a blocked cell beside it whose next cell in the move's direction is
+    walkable."""
 
-    origin: tuple[int, int]
-    width: int
-    wall: bytes
-    tables: tuple[array, ...]
+    height: int
+    wall_t: bytes
+    forced: tuple[bytes, bytes, bytes, bytes]
 
 
 class _Walls(NamedTuple):
-    """`plan_path`'s entry for one wall content: the padded grid as a
-    region without landmarks and, on a grid of at least _LANDMARK_MIN_CELLS
-    cells, the labels of its walkable cells (0 on a wall) and the regions
-    built so far, by label."""
+    """`plan_path`'s entry for one wall content: the padded walls, one byte
+    per cell in row order, `width` cells a row, and on a grid of at least
+    _JUMP_MIN_CELLS cells the labels of its walkable cells (0 on a wall)
+    and its jump tables."""
 
     key: tuple
-    padded: _Region
+    width: int
+    wall: bytes
     labels: np.ndarray | None
-    regions: dict
-
-
-def _moves(width: int) -> tuple[tuple[int, float], ...]:
-    """(flat step, cost) of the 8 moves in a row-major grid of that width."""
-    return ((1, 1.0), (-1, 1.0), (width, 1.0), (-width, 1.0),
-            (width + 1, SQRT2), (1 - width, SQRT2), (width - 1, SQRT2), (-width - 1, SQRT2))
+    jumps: _Jumps | None
 
 
 def _wall_entry(grid: OccupancyGrid, inflation: float) -> _Walls:
     """The grid's `_Walls`, reused from its last call while nothing it
     depends on has changed. The walls are the blocked mask with a one-cell
-    blocked border, one byte per cell in row order."""
+    blocked border."""
     cells = grid.cells
     key = (cells.shape, cells.dtype.str, grid.resolution, inflation, cells.tobytes())
     if grid._walls is None or grid._walls.key != key:
         h, w = cells.shape
         padded = np.ones((h + 2, w + 2), dtype=bool)
         padded[1:-1, 1:-1] = blocked_mask(grid, inflation)
-        labels = None
-        if cells.size >= _LANDMARK_MIN_CELLS:
+        labels = jumps = None
+        if cells.size >= _JUMP_MIN_CELLS:
             from scipy import ndimage  # here: grids below the bound never load it
             labels = ndimage.label(~padded, structure=np.ones((3, 3), dtype=bool))[0].ravel()
-        grid._walls = _Walls(key, _Region((0, 0), w + 2, padded.tobytes(), ()), labels, {})
+            jumps = _jump_tables(padded)
+        grid._walls = _Walls(key, w + 2, padded.tobytes(), labels, jumps)
     return grid._walls
 
 
-def _landmark_region(walls: _Walls, label: int) -> _Region:
-    """The labelled region cropped to its bounding box plus a one-cell
-    border, which holds only walls and other regions' cells, with its
-    landmark tables. The first landmark is the region's first cell in flat
-    order; each next one is the cell farthest from those placed, the first
-    in flat order on a tie."""
-    pw = walls.padded.width
-    inside = (walls.labels == label).reshape(-1, pw)
-    rows = np.flatnonzero(inside.any(axis=1))
-    cols = np.flatnonzero(inside.any(axis=0))
-    y0, y1, x0, x1 = int(rows[0]) - 1, int(rows[-1]) + 2, int(cols[0]) - 1, int(cols[-1]) + 2
-    padded = np.frombuffer(walls.padded.wall, dtype=bool).reshape(-1, pw)
-    wall = padded[y0:y1, x0:x1].tobytes()
-    inside = inside[y0:y1, x0:x1].ravel()
-    moves = _moves(x1 - x0)
-    tables, far = [], np.where(inside, np.inf, -1.0)  # -1: never a landmark
-    cell = int(np.argmax(inside))
-    for _ in range(_LANDMARKS):
-        tables.append(_distances(wall, moves, cell, inside.size))
-        np.minimum(far, np.frombuffer(tables[-1]), out=far)
-        cell = int(np.argmax(far))
-    return _Region((y0, x0), x1 - x0, wall, tuple(tables))
+_ALL_DIRECTIONS = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
-def _distances(wall: bytes, moves, src: int, n: int) -> array:
-    """Dijkstra from `src` over the walls: each reachable cell's distance as
-    a float64 sum of the move costs in path order, as the search adds its
-    `g`, and inf elsewhere. A cell takes the least such sum over every path,
-    whatever order ties are settled in."""
-    inf = float("inf")
-    dist = array("d", [inf]) * n
-    dist[src] = 0.0
-    heap = [(0.0, src)]
-    pop, push = heapq.heappop, heapq.heappush
-    while heap:
-        d, cur = pop(heap)
-        if d > dist[cur]:
-            continue
-        for step, cost in moves:
-            nb = cur + step
-            if wall[nb]:
-                continue
-            t = d + cost
-            if t < dist[nb]:
-                dist[nb] = t
-                push(heap, (t, nb))
-    return dist
+def _pruned(dx: int, dy: int):
+    """The 2011 pruning rules for a move in (dx, dy) into a cell, which let
+    a diagonal move cut a blocked corner: the cell's natural neighbours,
+    and (side, forced) pairs, whose forced neighbour is a successor too
+    when the side cell is blocked and the forced one walkable. Each is a
+    (dx, dy) offset from the cell."""
+    if dx and dy:
+        return ((dx, 0), (0, dy), (dx, dy)), (((-dx, 0), (-dx, dy)), ((0, -dy), (dx, -dy)))
+    return ((dx, dy),), (((dy, dx), (dx + dy, dy + dx)), ((-dy, -dx), (dx - dy, dy - dx)))
+
+
+def _jump_tables(padded: np.ndarray) -> _Jumps:
+    """The `_Jumps` of a padded wall mask. Border cells get forced bytes 0:
+    they are walls, and every scan stops at the first wall."""
+    ph, pw = padded.shape
+
+    def near(dx, dy):  # each inner cell's neighbour (dx, dy) away
+        return padded[1 + dy:ph - 1 + dy, 1 + dx:pw - 1 + dx]
+
+    forced = []
+    for dx, dy in _ALL_DIRECTIONS[:4]:  # +x, -x, +y, -y, the order of `forced`
+        mask = np.zeros_like(padded)
+        for side, cell in _pruned(dx, dy)[1]:
+            mask[1:-1, 1:-1] |= near(*side) & ~near(*cell)
+        forced.append((mask if dy == 0 else mask.T).tobytes())
+    return _Jumps(ph, padded.T.tobytes(), tuple(forced))
 
 
 def plan_path(grid: OccupancyGrid, start: tuple[int, int], goal: tuple[int, int],
               inflation: float = 0.0) -> list[tuple[int, int]]:
-    """Cost-optimal 8-connected A* over Free|Unknown cells, diagonal cost sqrt(2).
-
-    Tie-breaking is deterministic: (f, h, flat cell index).
+    """Cost-optimal 8-connected path over Free|Unknown cells, diagonal cost
+    sqrt(2): every cell from start to goal, each 8-adjacent to the last.
 
     The search runs on the blocked mask padded with a one-cell blocked
     border, so each neighbour is its cell's flat index plus a fixed offset
     and needs no bounds check. A cell's padded index (y+1)*(w+2)+x+1 sorts
-    exactly as its unpadded y*w+x does, so the heap pops cells in the same
-    order and every path is the one the unpadded search finds.
-
-    A closed neighbour is not skipped. When a later path reaches it more
-    cheaply, its `g` is lowered and its `came` re-pointed (it is pushed
-    again, but never expanded twice). The float octile heuristic is
-    consistent only to about one ulp, so this happens: 5,513 times in 60 of
-    the 80 requests of the `nav_queries` seed-1 benchmark. Skipping closed
-    neighbours changes 20 of those 80 paths, so a faster search must keep
-    the update or the pinned paths and digests move.
+    exactly as its unpadded y*w+x does.
 
     The padded wall bytes are kept on the grid and reused while its cells
     are byte for byte the same and the shape, dtype, resolution and
@@ -571,85 +527,69 @@ def plan_path(grid: OccupancyGrid, start: tuple[int, int], goal: tuple[int, int]
     grid (2-core Xeon) the copy and comparison of the cells take about
     12 us, a new mask about 1.2 ms.
 
-    On a grid of at least _LANDMARK_MIN_CELLS cells the entry also holds:
-    - 8-connected labels of the walkable cells (`scipy.ndimage.label`,
-      under 1 ms on 512x256). A goal in another region than the start's
-      raises the `NoPath` the search would, without a search: 0.02 ms
-      against about 250 ms for a start inside a floor plan's building and a
-      goal in the Unknown ring around it.
-    - Landmark (ALT) tables of each region a search starts in, built by its
-      first search (Goldberg & Harrelson, SODA 2005). The search then runs
-      in the region's bounding box with the larger of the octile bound and
-      |d(L, goal) - d(L, n)| over the _ACTIVE_LANDMARKS landmarks L with
-      the largest bound at the start, the latter only when it is larger by
-      more than _LANDMARK_MARGIN. By the triangle inequality each term is a
-      lower bound on d(n, goal) and consistent, so every path stays
-      cost-optimal to within that margin. It may be another optimal path than
-      the octile search finds, but the same one on every call, because the
-      branch taken and the tables depend only on the wall content.
-      A table holds what `g` would: float64 sums of the move costs in path
-      order, from `_distances`. So where a bound is exact, `g + h` mostly
-      repeats one float along a shortest path, and the (f, h) tie-break
-      follows that path instead of fanning out. Tables of exact
-      `a + b*sqrt(2)` values break those ties, and float32 tables are not
-      consistent to the 1e-9 a path cost is checked to.
-    The build is one pure-Python Dijkstra per landmark: on the `nav_queries`
-    floor plan (a 62k-cell region in a 514x258 padded grid, 2-core Xeon)
-    about 0.5 s, and 3.5 MB of tables plus 0.5 MB of labels. A round of
-    that benchmark's 80 seed-1 requests then pops 106,775 cells instead of
-    459,689, and none pops more than the octile search does. A grid past
-    the bound that is rewritten before every plan pays the build each time.
+    A grid below _JUMP_MIN_CELLS cells runs `_astar`, an octile A* over
+    every cell with the deterministic tie-break (f, h, flat cell index). A
+    closed neighbour is not skipped there. When a later path reaches it
+    more cheaply, its `g` is lowered and its `came` re-pointed (it is
+    pushed again, but never expanded twice). The float octile heuristic is
+    consistent only to about one ulp, so this happens, and skipping closed
+    neighbours moves pinned paths and digests.
+
+    On a grid of at least _JUMP_MIN_CELLS cells the entry also holds
+    8-connected labels of the walkable cells (`scipy.ndimage.label`, under
+    1 ms on 512x256) and the `_Jumps` tables, built in numpy in about 1 ms
+    (0.66 MB on the `nav_queries` 512x256 floor plan, 2-core Xeon). A goal
+    in another region than the start's raises the `NoPath` a search would,
+    without a search: 0.02 ms against about 250 ms for a start inside a
+    floor plan's building and a goal in the Unknown ring around it. The
+    path comes from `_jump_search`, jump point search (Harabor & Grastien,
+    AAAI 2011) with the same (f, h, flat index) heap order over jump points
+    only. It is cost-optimal, but may be another optimal path than
+    `_astar` finds; the same one on every call, as it depends only on the
+    wall content. On that floor plan a cross-building request takes a
+    median 0.62 ms against 8.1 ms for the A* with landmark (ALT) bounds it
+    replaced, which also built 3.5 MB of tables in about 0.5 s. It is
+    slower on grids of scattered single-cell obstacles, where nearly every
+    cell is a jump point: corner to corner on 256x256 with no inflation
+    and 10%, 25% and 35% of cells blocked at random, 7.8, 20 and 32 ms a
+    request against 5.7, 7.3 and 7.4 ms for the landmark A* once its
+    tables were built. No caller plans on such a grid; each inflates by
+    0.30 m, which merges scattered cells into blocks.
     """
     sx, sy = start
     gx, gy = goal
     if not (grid.in_bounds(sx, sy) and grid.in_bounds(gx, gy)):
         raise NoPath("start or goal out of bounds")
     walls = _wall_entry(grid, inflation)
-    region = walls.padded
-    pw = region.width
+    pw = walls.width
     # Python ints throughout: a numpy scalar index would slow every step
     src = (int(sy) + 1) * pw + int(sx) + 1
     dst = (int(gy) + 1) * pw + int(gx) + 1
-    if region.wall[src] or region.wall[dst]:
+    if walls.wall[src] or walls.wall[dst]:
         raise NoPath("start or goal cell blocked")
     unreachable = f"goal {goal} unreachable from {start}"
-    if walls.labels is not None:
-        label = int(walls.labels[src])
-        if walls.labels[dst] != label:
-            raise NoPath(unreachable)
-        region = walls.regions.get(label)
-        if region is None:
-            region = walls.regions[label] = _landmark_region(walls, label)
-    (oy, ox), w = region.origin, region.width  # (0, 0) and pw for the padded grid
-    path = _astar(region, (src // pw - oy) * w + src % pw - ox,
-                  (dst // pw - oy) * w + dst % pw - ox)
+    if walls.labels is not None and walls.labels[src] != walls.labels[dst]:
+        raise NoPath(unreachable)
+    path = (_astar if walls.jumps is None else _jump_search)(walls, src, dst)
     if path is None:
         raise NoPath(unreachable)
-    return [(p % w + ox - 1, p // w + oy - 1) for p in path]
+    return [(p % pw - 1, p // pw - 1) for p in path]
 
 
-def _astar(region: _Region, src: int, dst: int) -> list[int] | None:
-    """`plan_path`'s search within one region, in its flat indices: the
-    path from src to dst, or None when dst is unreachable."""
-    wall, width = region.wall, region.width
+def _astar(walls: _Walls, src: int, dst: int) -> list[int] | None:
+    """`plan_path`'s octile A* in the padded flat indices: the path from
+    src to dst, or None when dst is unreachable."""
+    wall, width = walls.wall, walls.width
     ty, tx = divmod(dst, width)
     sy, sx = divmod(src, width)
     diag = SQRT2 - 2.0
-    moves = _moves(width)
-    inf, margin = float("inf"), _LANDMARK_MARGIN
+    moves = ((1, 1.0), (-1, 1.0), (width, 1.0), (-width, 1.0),
+             (width + 1, SQRT2), (1 - width, SQRT2), (width - 1, SQRT2), (-width - 1, SQRT2))
+    inf = float("inf")
     pop, push = heapq.heappop, heapq.heappush
 
     dx, dy = abs(sx - tx), abs(sy - ty)
     h0 = (dx + dy) + diag * min(dx, dy)
-    alt = bool(region.tables)
-    if alt:
-        # stable sort: a tie keeps the landmarks' placement order
-        la, lb, lc = sorted(region.tables, key=lambda t: -abs(t[dst] - t[src]))[
-            :_ACTIVE_LANDMARKS]
-        ta, tb, tc = la[dst], lb[dst], lc[dst]
-        e = max(abs(ta - la[src]), abs(tb - lb[src]), abs(tc - lc[src]))
-        if e > h0 + margin:
-            h0 = e
     g_score = {src: 0.0}
     came = {}
     open_heap = [(h0, h0, src)]
@@ -677,15 +617,126 @@ def _astar(region: _Region, src: int, dst: int) -> list[int] | None:
                 y, x = divmod(nb, width)
                 dx, dy = abs(x - tx), abs(y - ty)
                 hn = (dx + dy) + diag * (dx if dx < dy else dy)
-                if alt:
-                    e = abs(ta - la[nb])
-                    e2 = abs(tb - lb[nb])
-                    if e2 > e:
-                        e = e2
-                    e2 = abs(tc - lc[nb])
-                    if e2 > e:
-                        e = e2
-                    if e > hn + margin:
-                        hn = e
+                push(open_heap, (tentative + hn, hn, nb))
+    return None
+
+
+def _jump_search(walls: _Walls, src: int, dst: int) -> list[int] | None:
+    """`plan_path`'s jump point search in the padded flat indices: every
+    cell of the path from src to dst, or None when dst is unreachable.
+
+    It prunes by `_pruned`, whose diagonal moves cut corners as `_astar`'s
+    do: a diagonal move needs only its target cell walkable. A straight
+    jump is one `find`/`rfind` of the first wall and of the first forced
+    cell before it, along a row of the walls or a column of `wall_t`; it
+    stops at the goal when the goal comes first. A diagonal jump steps cell
+    by cell and stops at the goal, at a cell with a forced neighbour, or at
+    a cell from which either straight jump along its two components finds a
+    jump point. The cells between consecutive jump points, which lie on one
+    straight or diagonal line, are filled in.
+    """
+    wall, pw = walls.wall, walls.width
+    ph, wall_t, (fpx, fmx, fpy, fmy) = walls.jumps
+    ty, tx = divmod(dst, pw)
+    dst_t = tx * ph + ty  # the goal's index in column order
+    diag = SQRT2 - 2.0
+    inf = float("inf")
+    pop, push = heapq.heappop, heapq.heappush
+    # by heading: the natural successors, and (side, forced successor,
+    # forced cell) with the side and the forced cell as flat offsets
+    rules = {(0, 0): (_ALL_DIRECTIONS, ())}  # the start's
+    for move in _ALL_DIRECTIONS:
+        natural, forced = _pruned(*move)
+        rules[move] = natural, tuple((sx + sy * pw, (fx, fy), fx + fy * pw)
+                                        for (sx, sy), (fx, fy) in forced)
+
+    def jump_x(cur, dx):
+        """The jump point from cur along its row in dx, or -1."""
+        if dx > 0:
+            end = wall.find(1, cur + 1)
+            hit = fpx.find(1, cur + 1, end)
+            return dst if cur < dst < end and (hit < 0 or dst < hit) else hit
+        end = wall.rfind(1, 0, cur)
+        hit = fmx.rfind(1, end + 1, cur)
+        return dst if end < dst < cur and dst > hit else hit
+
+    def jump_y(x, y, dy):
+        """The jump point from (x, y) along its column in dy, or -1."""
+        col = x * ph
+        t = col + y
+        if dy > 0:
+            end = wall_t.find(1, t + 1)
+            hit = fpy.find(1, t + 1, end)
+            if t < dst_t < end and (hit < 0 or dst_t < hit):
+                return dst
+        else:
+            end = wall_t.rfind(1, 0, t)
+            hit = fmy.rfind(1, end + 1, t)
+            if end < dst_t < t and dst_t > hit:
+                return dst
+        return -1 if hit < 0 else (hit - col) * pw + x
+
+    def jump_diagonal(cur, x, y, dx, dy):
+        """The jump point from (x, y), flat index cur, on its diagonal in
+        (dx, dy), or -1."""
+        step = dy * pw + dx
+        (side_a, _, cell_a), (side_b, _, cell_b) = rules[dx, dy][1]
+        while True:
+            cur += step
+            x += dx
+            y += dy
+            if wall[cur]:
+                return -1
+            if cur == dst or (wall[cur + side_a] and not wall[cur + cell_a]) \
+                    or (wall[cur + side_b] and not wall[cur + cell_b]) \
+                    or jump_x(cur, dx) >= 0 or jump_y(x, y, dy) >= 0:
+                return cur
+
+    dx, dy = abs(src % pw - tx), abs(src // pw - ty)
+    h0 = (dx + dy) + diag * min(dx, dy)
+    g_score = {src: 0.0}
+    came = {}
+    heading = {src: (0, 0)}  # the direction of the jump into each jump point
+    open_heap = [(h0, h0, src)]
+    closed = set()
+    while open_heap:
+        cur = pop(open_heap)[2]
+        if cur in closed:
+            continue
+        if cur == dst:
+            points = [cur]
+            while points[-1] in came:
+                points.append(came[points[-1]])
+            points.reverse()
+            path = [src]
+            for a, b in zip(points, points[1:]):
+                (ay, ax), (by, bx) = divmod(a, pw), divmod(b, pw)
+                step = ((by > ay) - (by < ay)) * pw + (bx > ax) - (bx < ax)
+                path.extend(range(a + step, b + step, step))
+            return path
+        closed.add(cur)
+        g_cur = g_score[cur]
+        cy, cx = divmod(cur, pw)
+        natural, forced = rules[heading[cur]]
+        dirs = natural + tuple(d for side, d, cell in forced
+                               if wall[cur + side] and not wall[cur + cell])
+        for ddx, ddy in dirs:
+            if ddx and ddy:
+                nb = jump_diagonal(cur, cx, cy, ddx, ddy)
+            elif ddx:
+                nb = jump_x(cur, ddx)
+            else:
+                nb = jump_y(cx, cy, ddy)
+            if nb < 0:
+                continue
+            y, x = divmod(nb, pw)
+            steps = abs(x - cx) or abs(y - cy)
+            tentative = g_cur + (steps * SQRT2 if ddx and ddy else steps)
+            if tentative < g_score.get(nb, inf):
+                g_score[nb] = tentative
+                came[nb] = cur
+                heading[nb] = (ddx, ddy)
+                dx, dy = abs(x - tx), abs(y - ty)
+                hn = (dx + dy) + diag * (dx if dx < dy else dy)
                 push(open_heap, (tentative + hn, hn, nb))
     return None

@@ -84,16 +84,19 @@ def reads_fault(kind: Enum, needs: tuple, may: tuple, values: dict) -> Optional[
     return None
 
 
-# metres on |x| and |y| of every scene point and waypoint: the occupancy grid
-# grows to cover each one, so an unbounded coordinate is an unbounded grid
+# metres on |x|, |y| and |z| of every scene point and waypoint: the occupancy
+# grid grows to cover each x and y, so an unbounded one is an unbounded grid,
+# and fusion voxelises object points, whose voxel index a huge z overflows
 SCENE_BOUND = 100.0
 
 
 def bound_fault(p: np.ndarray) -> Optional[str]:
     """Why a world point lies past SCENE_BOUND, else None."""
-    if abs(p[0]) <= SCENE_BOUND and abs(p[1]) <= SCENE_BOUND:
-        return None
-    return f"|x| and |y| must be <= {SCENE_BOUND:g} m, got {p.tolist()}"
+    if not (abs(p[0]) <= SCENE_BOUND and abs(p[1]) <= SCENE_BOUND):
+        return f"|x| and |y| must be <= {SCENE_BOUND:g} m, got {p.tolist()}"
+    if len(p) > 2 and not abs(p[2]) <= SCENE_BOUND:
+        return f"|z| must be <= {SCENE_BOUND:g} m, got {p.tolist()}"
+    return None
 
 
 def _action_fault(a: AtomicAction, graph: InstanceGraph) -> Optional[str]:

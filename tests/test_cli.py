@@ -375,6 +375,10 @@ MALFORMED_SCENARIOS = [
                  "robot_start.position", id="robot_start_past_bound"),
     pytest.param(lambda d: d["objects"][1].update(position=[2.0, -100.5, 0.25]),
                  "objects[1].position", id="object_past_bound"),
+    # and |z|: fusion voxelises object points, whose voxel index a huge z
+    # overflows
+    pytest.param(lambda d: d["objects"][0].update(position=[2.0, 0.0, 1.0e300]),
+                 "objects[0].position", id="object_z_past_bound"),
     pytest.param(lambda d: d["static_obstacles"][0].update(min=[-100.5, -1.6, 0.0]),
                  "static_obstacles[0].min", id="box_min_past_bound"),
     pytest.param(lambda d: d["static_obstacles"][0].update(max=[1.3, 100.5, 0.5]),

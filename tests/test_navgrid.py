@@ -570,14 +570,9 @@ def _blocked_mask_scatter(grid, inflation):
     return mask
 
 
-def _plan_path_dict(grid, start, goal, inflation=0.0, landmarks=()):
+def _plan_path_dict(grid, start, goal, inflation=0.0):
     """A* as it was, tuple-keyed with a bounds check per neighbour: the
-    reference the flat-index search must match cell for cell. With
-    landmarks, (h, w) distance tables, the heuristic is `plan_path`'s
-    landmark bound: the largest |d(L, goal) - d(L, cell)| over the three
-    landmarks with the largest bound at the start (an earlier one first on
-    a tie) where it passes the octile bound by more than 1e-10, else the
-    octile bound."""
+    reference the flat-index search must match cell for cell."""
     h, w = grid.cells.shape
     sx, sy = start
     gx, gy = goal
@@ -587,15 +582,9 @@ def _plan_path_dict(grid, start, goal, inflation=0.0, landmarks=()):
     if blocked[sy, sx] or blocked[gy, gx]:
         raise NoPath("start or goal cell blocked")
 
-    active = sorted(landmarks, key=lambda t: -abs(t[gy, gx] - t[sy, sx]))[:3]
-
     def heuristic(x, y):
         dx, dy = abs(x - gx), abs(y - gy)
-        h = (dx + dy) + (SQRT2 - 2.0) * min(dx, dy)
-        if active:
-            e = max(abs(float(t[gy, gx]) - float(t[y, x])) for t in active)
-            h = e if e > h + 1e-10 else h
-        return h
+        return (dx + dy) + (SQRT2 - 2.0) * min(dx, dy)
 
     g_score = {start: 0.0}
     came = {}
@@ -795,10 +784,10 @@ class TestPlanPathOracle:
 
 
 def _floor_plan_grid():
-    """A grid of exactly `_LANDMARK_MIN_CELLS` cells: two rows of eight
-    rooms off a corridor, each room with a doorway to the corridor and one
-    to the next room in its row, seeded furniture, and a pocket sealed
-    inside a solid block."""
+    """A grid of exactly `_JUMP_MIN_CELLS` cells: two rows of eight rooms
+    off a corridor, each room with a doorway to the corridor and one to the
+    next room in its row, seeded furniture, and a pocket sealed inside a
+    solid block."""
     rng = np.random.Generator(np.random.PCG64(3601))
     g = OccupancyGrid(resolution=0.1, width=512, height=128, origin_xy=(-0.7, 2.3))
     g.cells[:] = FREE
@@ -819,7 +808,7 @@ def _floor_plan_grid():
         g.cells[y:y + int(rng.integers(3, 9)), x:x + int(rng.integers(3, 9))] = OCCUPIED
     g.cells[88:112, 290:314] = OCCUPIED
     g.cells[96:104, 298:306] = FREE
-    assert g.cells.size == navgrid._LANDMARK_MIN_CELLS
+    assert g.cells.size == navgrid._JUMP_MIN_CELLS
     return g
 
 
@@ -841,42 +830,55 @@ def _grid_graph(free):
                       shape=(h * w, h * w))
 
 
+def _check_plans(grid, inflation, requests):
+    """plan_path on each (start, goal) of walkable cells against scipy's
+    Dijkstra on the reference blocked mask: 8-adjacent walkable cells from
+    start to goal at the least cost to 1e-9, or the unreachable `NoPath`
+    text. Returns the paths, None for each unreachable goal."""
+    from scipy.sparse.csgraph import dijkstra
+    blocked = _blocked_mask_scatter(grid, inflation)
+    w = blocked.shape[1]
+    starts = sorted({start for start, _ in requests})
+    dist = dijkstra(_grid_graph(~blocked), indices=[y * w + x for x, y in starts])
+    paths = []
+    for start, goal in requests:
+        best = dist[starts.index(start), goal[1] * w + goal[0]]
+        if not np.isfinite(best):
+            with pytest.raises(NoPath) as err:
+                plan_path(grid, start, goal, inflation=inflation)
+            assert str(err.value) == f"goal {goal} unreachable from {start}"
+            paths.append(None)
+            continue
+        path = plan_path(grid, start, goal, inflation=inflation)
+        assert path[0] == start and path[-1] == goal
+        for (x0, y0), (x1, y1) in zip(path, path[1:]):
+            assert max(abs(x1 - x0), abs(y1 - y0)) == 1
+            assert not blocked[y1, x1]
+        assert path_cost(path) == pytest.approx(best, rel=1e-9, abs=1e-9), (start, goal)
+        paths.append(path)
+    return paths
+
+
+def _random_requests(rng, grid, inflation, count):
+    """Seeded (start, goal) pairs of walkable cells."""
+    free = np.argwhere(~_blocked_mask_scatter(grid, inflation))
+    return [tuple(tuple(int(v) for v in free[rng.integers(len(free))][::-1])
+                  for _ in range(2)) for _ in range(count)]
+
+
 class _FloorPlan:
-    """The floor-plan grid, its blocked mask at INFLATION, the oracle's
-    graph, and seeded requests between free cells."""
+    """The floor-plan grid, its blocked mask at INFLATION, and seeded
+    requests between free cells."""
 
     INFLATION = 0.3
 
     def __init__(self):
         self.grid = _floor_plan_grid()
         self.blocked = _blocked_mask_scatter(self.grid, self.INFLATION)
-        self.graph = _grid_graph(~self.blocked)
-        rng = np.random.Generator(np.random.PCG64(3602))
-        free = np.argwhere(~self.blocked)
         self.requests = [((6, 6), (505, 121)), ((505, 6), (6, 121)), ((40, 64), (470, 64)),
                          ((6, 6), (302, 100))]  # the last goal is sealed in the block
-        self.requests += [tuple(tuple(int(v) for v in free[rng.integers(len(free))][::-1])
-                                for _ in range(2)) for _ in range(9)]
-
-    def distances(self, cells):
-        """The oracle's distances, one (h, w) array per source cell."""
-        from scipy.sparse.csgraph import dijkstra
-        out = dijkstra(self.graph, indices=[y * self.grid.width + x for x, y in cells])
-        return out.reshape(len(cells), self.grid.height, self.grid.width)
-
-    def region_tables(self):
-        """The program's landmark tables of the one region built so far, as
-        (h, w) arrays with inf off the region."""
-        (region,) = self.grid._walls.regions.values()
-        (oy, ox), w = region.origin, region.width
-        h = len(region.wall) // w
-        out = []
-        for table in region.tables:
-            full = np.full(self.grid.cells.shape, np.inf)
-            full[oy:oy + h - 2, ox:ox + w - 2] = \
-                np.frombuffer(table, dtype=table.typecode).reshape(h, w)[1:-1, 1:-1]
-            out.append(full)
-        return out
+        self.requests += _random_requests(np.random.Generator(np.random.PCG64(3602)),
+                                          self.grid, self.INFLATION, 9)
 
 
 @pytest.fixture(scope="module")
@@ -884,113 +886,137 @@ def floor_plan():
     return _FloorPlan()
 
 
-class TestLandmarkSearch:
-    """plan_path past `_LANDMARK_MIN_CELLS`: reachability labels, landmark
-    tables and the landmark bound, each against an independent oracle."""
+def _open_grid(width=256, height=256):
+    """A Free grid of `_JUMP_MIN_CELLS` cells or more."""
+    g = OccupancyGrid(resolution=0.1, width=width, height=height, origin_xy=(0.0, 0.0))
+    g.cells[:] = FREE
+    assert g.cells.size >= navgrid._JUMP_MIN_CELLS
+    return g
+
+
+def _count_jump_tables(monkeypatch):
+    """A list that gets one entry per `_jump_tables` build from now on."""
+    built = []
+    jump_tables = navgrid._jump_tables
+    monkeypatch.setattr(navgrid, "_jump_tables",
+                        lambda padded: built.append(padded.shape) or jump_tables(padded))
+    return built
+
+
+class TestJumpSearch:
+    """plan_path past `_JUMP_MIN_CELLS`: reachability labels and jump point
+    search, each against an independent oracle."""
 
     def test_paths_are_optimal_and_repeat(self, floor_plan):
         g, inflation = floor_plan.grid, floor_plan.INFLATION
-        dist = floor_plan.distances([start for start, _ in floor_plan.requests])
-        paths, unreachable = [], 0
-        for k, (start, goal) in enumerate(floor_plan.requests):
-            best = dist[k, goal[1], goal[0]]
-            if not np.isfinite(best):
-                with pytest.raises(NoPath, match=re.escape(f"goal {goal} unreachable")):
-                    plan_path(g, start, goal, inflation=inflation)
-                unreachable += 1
-                paths.append(None)
-                continue
-            path = plan_path(g, start, goal, inflation=inflation)
-            assert path[0] == start and path[-1] == goal
-            for (x0, y0), (x1, y1) in zip(path, path[1:]):
-                assert max(abs(x1 - x0), abs(y1 - y0)) == 1
-                assert not floor_plan.blocked[y1, x1]
-            assert path_cost(path) == pytest.approx(best, rel=1e-9, abs=1e-9)
-            paths.append(path)
-        assert g._walls.regions  # the landmark branch ran
-        assert 0 < unreachable < len(paths) - 8
+        paths = _check_plans(g, inflation, floor_plan.requests)
+        assert g._walls.jumps is not None  # the jump search ran
+        assert 0 < paths.count(None) < len(paths) - 8
         again = [plan_path(g, s, t, inflation=inflation) if p else None
                  for (s, t), p in zip(floor_plan.requests, paths)]
         assert again == paths
 
-    def test_tables_are_path_order_distances_from_farthest_points(self, floor_plan):
-        g = floor_plan.grid
-        plan_path(g, *floor_plan.requests[0], inflation=floor_plan.INFLATION)
-        tables = floor_plan.region_tables()
-        # the oracle places the landmarks by the documented rule on its own
-        # distances: the region's first cell, then each farthest cell
-        inside = np.isfinite(tables[0])
-        far = np.where(inside, np.inf, -1.0)
-        cell = int(np.argmax(inside))
-        for table in tables:
-            expected = floor_plan.distances([(cell % g.width, cell // g.width)])[0]
-            expected[~inside] = np.inf
-            assert table.dtype == np.float64
-            assert np.array_equal(table, expected)  # bit for bit
-            far = np.minimum(far, expected)
-            cell = int(np.argmax(far))
-
-    def test_landmark_bound_is_consistent(self, floor_plan):
-        g = floor_plan.grid
-        plan_path(g, *floor_plan.requests[0], inflation=floor_plan.INFLATION)
-        tables = floor_plan.region_tables()
-        inside = np.isfinite(tables[0])
-        ys, xs = np.nonzero(inside)
-        h, w = inside.shape
-        for k in (0, len(ys) // 3, len(ys) - 1):
-            gx, gy = int(xs[k]), int(ys[k])
-            exact = floor_plan.distances([(gx, gy)])[0]
-            dx, dy = np.abs(np.arange(w)[None, :] - gx), np.abs(np.arange(h)[:, None] - gy)
-            octile = (dx + dy) + (SQRT2 - 2.0) * np.minimum(dx, dy)
-            # each term is consistent on its own, so any max of them is
-            for bound in [octile] + [np.abs(t[gy, gx] - t) for t in tables]:
-                assert bound[gy, gx] == 0.0
-                assert (bound[inside] <= exact[inside] + 1e-12).all()
-                for mx, my, cost in [(1, 0, 1.0), (0, 1, 1.0), (1, 1, SQRT2), (-1, 1, SQRT2)]:
-                    a = (slice(0, h - my), slice(max(-mx, 0), w - max(mx, 0)))
-                    b = (slice(my, h), slice(max(mx, 0), w + min(mx, 0) or None))
-                    both = inside[a] & inside[b]
-                    assert (bound[a][both] <= cost + bound[b][both] + 1e-12).all()
-                    assert (bound[b][both] <= cost + bound[a][both] + 1e-12).all()
-
-    def test_paths_follow_the_documented_bound(self, floor_plan, monkeypatch):
-        # the reference runs the documented search on the oracle's tables.
-        # The landmark search pops far fewer cells than the octile one, and
-        # never more on a request: where both bounds are exact it keeps the
-        # octile one and its ties
-        g, inflation = floor_plan.grid, floor_plan.INFLATION
-        plan_path(g, *floor_plan.requests[0], inflation=inflation)
-        tables = floor_plan.region_tables()
-        heappop, pw, total = heapq.heappop, g.width + 2, {"landmark": 0, "octile": 0}
-        for k, (start, goal) in enumerate(floor_plan.requests):
-            src, dst = ((y + 1) * pw + x + 1 for x, y in (start, goal))
-            pops = {}
-            for search, run in (("landmark", lambda: plan_path(g, start, goal, inflation)),
-                                ("octile", lambda: navgrid._astar(g._walls.padded, src, dst))):
-                def counting_pop(heap, search=search):
-                    pops[search] = pops.get(search, 0) + 1
-                    return heappop(heap)
-
-                monkeypatch.setattr(heapq, "heappop", counting_pop)
-                try:
-                    path = run()
-                except NoPath:
-                    break
-                finally:
-                    monkeypatch.undo()
-                if search == "landmark" and k < 3:
-                    assert path == _plan_path_dict(g, start, goal, inflation, landmarks=tables)
+    @pytest.mark.parametrize("kind", ["rooms", "noise"])
+    def test_random_grids_match_dijkstra(self, kind):
+        # rooms: walls with doorways, random blocks and Unknown cells at the
+        # robot's 0.3 m inflation; noise: single blocked cells at none, where
+        # nearly every cell can be a jump point
+        rng = np.random.Generator(np.random.PCG64(3801 if kind == "rooms" else 3802))
+        unreachable = solved = 0
+        for trial in range(3):
+            g = _open_grid()
+            if kind == "rooms":
+                inflation = 0.3
+                g.cells[rng.random(g.cells.shape) < 0.2] = UNKNOWN
+                for k in (64, 128, 192):
+                    g.cells[k, :] = g.cells[:, k] = OCCUPIED
+                    for d in rng.integers(4, 240, 6):
+                        g.cells[k, d:d + 10] = g.cells[d:d + 10, k] = FREE
+                for _ in range(40):
+                    x, y, sx, sy = (int(v) for v in rng.integers((0, 0, 2, 2), (250, 250, 24, 24)))
+                    g.cells[y:y + sy, x:x + sx] = OCCUPIED
             else:
-                assert pops["landmark"] <= pops["octile"], (start, goal)
-                for search in total:
-                    total[search] += pops[search]
-        assert 3 * total["landmark"] < total["octile"]
+                inflation = 0.0
+                g.cells[rng.random(g.cells.shape) < (0.05, 0.25, 0.4)[trial]] = OCCUPIED
+            g.cells[90:110, 90:110] = OCCUPIED
+            g.cells[96:104, 96:104] = FREE  # a pocket sealed inside a solid block
+            requests = _random_requests(rng, g, inflation, 8)
+            paths = _check_plans(g, inflation, requests + [(requests[0][0], (100, 100))])
+            unreachable += paths.count(None)
+            solved += len(paths) - paths.count(None)
+        assert solved >= 16 and unreachable >= 1
+
+    def test_diagonal_gap_between_blocked_cells(self):
+        # the only way up is the diagonal step (101, 60) -> (100, 61), whose
+        # two orthogonal cells (100, 60) and (101, 61) are both blocked
+        g = _open_grid()
+        g.cells[60, :101] = OCCUPIED
+        g.cells[61, 101:] = OCCUPIED
+        for start, goal in [((20, 10), (30, 200)), ((240, 50), (250, 62)),
+                            ((101, 60), (100, 61)), ((5, 250), (200, 3))]:
+            (path,) = _check_plans(g, 0.0, [(start, goal)])
+            steps = set(zip(path, path[1:]))
+            assert ((101, 60), (100, 61)) in steps or ((100, 61), (101, 60)) in steps
+
+    @pytest.mark.parametrize("goal", [(200, 40), (3, 40), (40, 250), (40, 0)])
+    def test_goal_on_a_straight_jump(self, goal):
+        # no cell of an open grid has a forced neighbour, so only the goal
+        # check of a straight jump stops it
+        g = _open_grid()
+        path = plan_path(g, (40, 40), goal)
+        assert path == bresenham(40, 40, *goal)
+
+    @pytest.mark.parametrize("goal", [(140, 140), (10, 70), (150, 200), (0, 100)])
+    def test_goal_met_inside_a_diagonal_scan(self, goal):
+        # on the diagonal itself, or on a row or column the diagonal crosses
+        g = _open_grid()
+        (path,) = _check_plans(g, 0.0, [((40, 40), goal)])
+        assert path_cost(path) == pytest.approx(
+            SQRT2 * min(abs(goal[0] - 40), abs(goal[1] - 40))
+            + abs(abs(goal[0] - 40) - abs(goal[1] - 40)))
+
+    def test_goal_at_or_next_to_the_start(self):
+        g = _open_grid()
+        start = (100, 101)
+        for dx in (-1, 0, 1):
+            for dy in (-1, 0, 1):
+                goal = (start[0] + dx, start[1] + dy)
+                assert plan_path(g, start, goal) == [start, goal][:2 if dx or dy else 1]
+
+    @pytest.mark.parametrize("change", ["occupy_path_cell", "grow", "inflation",
+                                        "resolution"])
+    def test_reused_walls_follow_grid_changes(self, change, monkeypatch):
+        # TestPlanPathOracle's grid changes on a grid past the bound: each
+        # must build the walls, labels and jump tables again
+        built = _count_jump_tables(monkeypatch)
+        g = _open_grid(512, 128)
+        g.origin = np.array([-1.3, 0.7])
+        g.cells[:100, 256] = OCCUPIED  # a wall the path goes round
+        start, goal, inflation = (20, 30), (490, 50), 0.12
+        (first,) = _check_plans(g, inflation, [(start, goal)])
+        assert plan_path(g, start, goal, inflation=inflation) == first
+        assert len(built) == 1
+        if change == "occupy_path_cell":
+            cx, cy = first[len(first) // 2]
+            g.cells[cy, cx] = OCCUPIED
+        elif change == "grow":
+            ends = [g.cell_center(*cell) for cell in (start, goal)]
+            g.ensure_contains(g.origin[0] - 0.5, g.origin[1] - 0.5)
+            start, goal = (g.world_to_cell(*p) for p in ends)
+        elif change == "inflation":
+            inflation = 0.3
+        else:
+            g.resolution = 0.05
+        assert _check_plans(g, inflation, [(start, goal)]) != [first]
+        assert len(built) == 2 and built[1] == (g.height + 2, g.width + 2)
 
     def test_sealed_goal_fails_before_any_search(self, floor_plan, monkeypatch):
         g = floor_plan.grid
         start, goal = (6, 6), (302, 100)  # the pocket inside the solid block
         assert not floor_plan.blocked[goal[1], goal[0]]
-        monkeypatch.setattr(navgrid, "_astar", None)  # any search would raise TypeError
+        # any search would raise TypeError
+        monkeypatch.setattr(navgrid, "_astar", None)
+        monkeypatch.setattr(navgrid, "_jump_search", None)
         with pytest.raises(NoPath, match=re.escape(f"goal {goal} unreachable from {start}")):
             plan_path(g, start, goal, inflation=floor_plan.INFLATION)
 
@@ -998,10 +1024,7 @@ class TestLandmarkSearch:
 def test_small_and_rewritten_grids_build_no_tables(monkeypatch):
     # every TestPlanPathOracle grid, and a scanned grid grown to 256x128
     # cells and rewritten before every plan, stays on the octile search
-    built = []
-    region = navgrid._landmark_region
-    monkeypatch.setattr(navgrid, "_landmark_region",
-                        lambda walls, label: built.append(label) or region(walls, label))
+    built = _count_jump_tables(monkeypatch)
     oracle = TestPlanPathOracle()
     for inflation in (0.0, 0.12, 0.3):
         oracle.test_random_grids(inflation)
@@ -1023,6 +1046,23 @@ def test_small_and_rewritten_grids_build_no_tables(monkeypatch):
         assert _assert_same_plan(g, start, goal, 0.3) is not None
     assert g.cells.size == 256 * 128
     assert built == []
+
+
+def test_rewritten_large_grid_builds_tables_once_per_content(monkeypatch):
+    # a grid past the bound, rewritten before every plan: a new content
+    # builds the jump tables, a rewrite with the same bytes reuses them
+    built = _count_jump_tables(monkeypatch)
+    g = _open_grid(512, 128)
+    contents = set()
+    for k in range(6):
+        if k % 2 == 0:
+            g.cells[10 + 10 * k:20 + 10 * k, 100 + 40 * k] = OCCUPIED
+        else:
+            g.cells[:] = g.cells.copy()  # same bytes, written again
+        contents.add(g.cells.tobytes())
+        for _ in range(2):
+            assert plan_path(g, (5, 64), (500, 64), inflation=0.3)[-1] == (500, 64)
+    assert len(built) == len(contents) == 3
 
 
 class TestGoalSearch:
