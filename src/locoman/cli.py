@@ -59,14 +59,15 @@ def _writing(out: Path):
         raise OSError(f"cannot write {out}: {exc}") from exc
 
 
-def _load_runnable(path: Path) -> Scenario:
-    """load_scenario, also rejecting what no episode can start: an empty plan
-    (a scene, enough for a grid) or two objects fused into one node."""
+def _load_runnable(path: Path) -> tuple[Scenario, tuple]:
+    """load_scenario and the scenario's `build_instance_graph` pair, which
+    every episode of the scenario reads; rejects what no episode can start:
+    an empty plan (a scene, enough for a grid) or two objects fused into one
+    node."""
     scenario = load_scenario(path)
     if not scenario.plan:
         raise ValidationError(f"{path}.plan: plan is empty")
-    build_instance_graph(scenario, where=str(path))
-    return scenario
+    return scenario, build_instance_graph(scenario, where=str(path))
 
 
 def _sha256(path: Path) -> str:
@@ -76,10 +77,12 @@ def _sha256(path: Path) -> str:
 def _run_one(task) -> MetricsReport:
     """Run one episode, in the calling process or a worker, and write its
     trace and report; return only the metrics, so a worker sends back a
-    report and never a trace."""
-    scenario, k, ep_dir, dt, seed, cfg = task
+    report and never a trace. The task carries its scenario's instance graph,
+    built once by `_load_runnable`: a forked worker inherits it and a spawned
+    one unpickles it."""
+    scenario, k, ep_dir, dt, seed, cfg, instances = task
     result = run_episode(scenario, dt=dt, master_seed=seed, episode_index=k,
-                         config=cfg)
+                         config=cfg, instances=instances)
     ep_dir.mkdir(parents=True, exist_ok=True)
     write_trace_csv(result.trace, ep_dir / "trace.csv")
     write_report(result.metrics, ep_dir / "report.json",
@@ -226,18 +229,18 @@ def run(scenarios, episodes, seed, dt, jobs, out, config_path,
             paths.append(s)
     if not paths:
         raise click.UsageError("no scenario files given")
-    loaded = [(p, _load_runnable(p)) for p in paths]
+    loaded = [(p, *_load_runnable(p)) for p in paths]
     first = {}
-    for p, scenario in loaded:  # each scenario's episodes write under its name
+    for p, scenario, _ in loaded:  # each scenario's episodes write under its name
         if scenario.name in first:
             raise ValidationError(f"{p}.name: {scenario.name!r} is also the name "
                                   f"of {first[scenario.name]}")
         first[scenario.name] = p
 
-    tasks = [(scenario, k, out / scenario.name / f"episode_{k}", dt, seed, cfg)
-             for _, scenario in loaded for k in range(episodes)]
+    tasks = [(scenario, k, out / scenario.name / f"episode_{k}", dt, seed, cfg, instances)
+             for _, scenario, instances in loaded for k in range(episodes)]
     manifest = {
-        "scenarios": [{"path": str(p), "sha256": _sha256(p)} for p, _ in loaded],
+        "scenarios": [{"path": str(p), "sha256": _sha256(p)} for p, _, _ in loaded],
         "episodes": episodes, "seed": seed, "dt": dt,
         "tracking": to_dict(cfg.tracking),
         "config_hash": cfg.digest(),

@@ -45,6 +45,33 @@ def norm(v: np.ndarray) -> float:
     return math.sqrt(dot(v, v))
 
 
+NORM_BAND = 1e-12  # relative half-width of the band in which norm_within asks norm
+
+
+def norm_within(dx: float, dy: float, bound: float, strict: bool = False) -> bool:
+    """`norm(np.array((dx, dy))) <= bound` (`<` when `strict`) for floats,
+    bit for bit, without the array where the floats already decide it.
+
+    `dx * dx + dy * dy` rounds the exact sum of squares at most twice, and so
+    does BLAS's dot of the 2-vector, in whatever order and with whatever
+    fused multiply-add it uses: each lies within about 4.4e-16 of the exact
+    sum, relatively, and `bound * bound` within 1.1e-16 of the exact square.
+    So when the float sum lies outside a relative band of NORM_BAND around
+    `bound * bound`, the dot lies on the same side of bound**2 by thousands
+    of ulps, its correctly rounded `sqrt` on the same side of `bound`, and
+    `<=` and `<` both have the float sum's answer. Inside the band, for NaN,
+    or for a bound outside (1e-150, 1e150), whose square leaves the range
+    where products round relatively, `norm` decides."""
+    if 1e-150 < bound < 1e150:
+        s, b2 = dx * dx + dy * dy, bound * bound
+        if s < b2 * (1.0 - NORM_BAND):
+            return True
+        if s > b2 * (1.0 + NORM_BAND):
+            return False
+    d = norm(np.array((dx, dy)))
+    return d < bound if strict else d <= bound
+
+
 def unit(v: np.ndarray) -> np.ndarray:
     n = norm(v)
     if n == 0.0:

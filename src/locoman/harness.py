@@ -15,16 +15,16 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .config import Config, TrackingConfig, to_dict
 from .errors import ActionFailed, LocomanError, OracleFailure, UsageError, ValidationError
 from .fusion import Detection, InstanceGraph
-from .geometry import (Pose, mat_vec, norm, quat_from_axis_angle, quat_geodesic_distance,
-                       quat_mul, quat_normalize, quat_slerp, quat_yaw, matrix_to_quat,
-                       quat_to_matrix, rotate, unit, vec3, yaw_quat)
+from .geometry import (Pose, mat_vec, norm, norm_within, quat_from_axis_angle,
+                       quat_geodesic_distance, quat_mul, quat_normalize, quat_slerp, quat_yaw,
+                       matrix_to_quat, quat_to_matrix, rotate, unit, vec3, yaw_quat)
 from .grounding import (CameraModel, DepthImage, GroundingResult, ground_action,
                         solve_orientation)
 from .navgrid import (GoalSearchConfig, OccupancyGrid, OCCUPIED, find_goal_pose,
@@ -60,8 +60,7 @@ def episode_rng(master_seed: int, episode_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seq))
 
 
-@dataclass(frozen=True)
-class LocomotionCommand:
+class LocomotionCommand(NamedTuple):
     x: float
     y: float
     w: float
@@ -328,11 +327,14 @@ EE_ERR = TRACE_COLUMNS.index("ee_err_pos")  # then ee_err_ori
 
 class EpisodeRunner:
     """Owns one episode: world, grid, graph, monitor latches, trace, metrics.
-    The scenario is read only, so every episode of a run may share it."""
+    The scenario is read only, and so is `instances`, the scenario's
+    `build_instance_graph` pair (built here when not given), so every episode
+    of a scenario may share both."""
 
     def __init__(self, scenario: Scenario, dt: float = 0.02,
                  master_seed: Optional[int] = None, episode_index: int = 0,
-                 config: Config | None = None):
+                 config: Config | None = None,
+                 instances: Optional[tuple[InstanceGraph, dict[str, int]]] = None):
         if not (math.isfinite(dt) and dt > 0.0):
             raise UsageError(f"dt must be finite and > 0, got {dt!r}")
         self.scenario = scenario
@@ -342,7 +344,7 @@ class EpisodeRunner:
         self.rng = episode_rng(seed, episode_index)
         self.world = make_world(scenario)
         self.grid = build_occupancy_grid(scenario)
-        self.graph, self.node_of = build_instance_graph(scenario)
+        self.graph, self.node_of = instances or build_instance_graph(scenario)
         self.target_of = {self.node_of[obj.id]: obj for obj in scenario.objects}
         self.latched: dict[tuple[int, int], float] = {}  # (step, monitor) -> latch time
         self.ticks: list[tuple] = []  # per tick, TRACE_COLUMNS up to ee_err_ori
@@ -388,24 +390,33 @@ class EpisodeRunner:
 
     def _follow_path(self, path_points: list[np.ndarray], goal_xy: np.ndarray,
                      deadline: float) -> None:
-        """Pure-pursuit style follower, until within goal tolerance."""
+        """Pure-pursuit style follower, until within goal tolerance. Each
+        distance test is `norm_within`'s; the speed cap reads the distance
+        only on a tick where it can bind."""
         # each difference on floats, as numpy's elementwise `-` gives it
         (gx, gy), targets = goal_xy.tolist(), [p.tolist() for p in path_points]
         idx, last = 0, len(targets) - 1
+        # past this squared goal distance, dist / dt > 0.8 whatever the dot's
+        # last bits, so the speed cap commands 0.8 without reading `norm`
+        reach = 0.8 * self.dt
+        cap = reach * reach * (1.0 + 1e-9)
         while self.world.t < deadline:
             x, y = self.world.base_xy
-            dist = norm(np.array((x - gx, y - gy)))
-            if dist <= NAV_GOAL_TOL:
+            dx, dy = x - gx, y - gy
+            if norm_within(dx, dy, NAV_GOAL_TOL):
                 self.tick(STOP, None)
                 return
             tx, ty = targets[idx]
-            while idx < last and norm(np.array((tx - x, ty - y))) < 0.3:
+            while idx < last and norm_within(tx - x, ty - y, 0.3, strict=True):
                 idx += 1
                 tx, ty = targets[idx]
             err = _wrap(float(np.arctan2(ty - y, tx - x)) - self.world.base_yaw)
             w_cmd = min(max(2.0 * err, -1.0), 1.0)
-            # capped so that one tick does not carry the base past the goal
-            vx = min(0.8, dist / self.dt) if abs(err) < 0.5 else 0.0
+            vx = 0.0
+            if abs(err) < 0.5:
+                # capped so that one tick does not carry the base past the goal
+                vx = (0.8 if dx * dx + dy * dy > cap
+                      else min(0.8, norm(np.array((dx, dy))) / self.dt))
             self.tick(LocomotionCommand(vx, 0.0, w_cmd), None)
         raise ActionFailed("navigation timeout")
 
@@ -609,12 +620,12 @@ class EpisodeRunner:
             per_action=dict(sorted(per_action.items())), overall=overall, episodes=1)
 
 
-def run_episode(scenario: Scenario, dt: float = 0.02,
-                master_seed: Optional[int] = None,
-                episode_index: int = 0,
-                config: Config | None = None) -> EpisodeResult:
+def run_episode(scenario: Scenario, dt: float = 0.02, master_seed: Optional[int] = None,
+                episode_index: int = 0, config: Config | None = None,
+                instances: Optional[tuple[InstanceGraph, dict[str, int]]] = None) -> EpisodeResult:
     return EpisodeRunner(scenario, dt=dt, master_seed=master_seed,
-                         episode_index=episode_index, config=config).run()
+                         episode_index=episode_index, config=config,
+                         instances=instances).run()
 
 
 def aggregate(reports: list[MetricsReport]) -> MetricsReport:

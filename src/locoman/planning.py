@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import OracleFailure, UnknownObject
 from .fusion import InstanceGraph
-from .geometry import norm
+from .geometry import norm, norm_within
 
 
 class ActionKind(Enum):
@@ -196,8 +196,8 @@ def condition_holds(m: SubtaskMonitor, world) -> bool:
     if k is _ROBOT_NEAR or k is _OBJECT_NEAR:
         x, y = (world.base_xy if k is _ROBOT_NEAR
                 else _object_position(world, m.object)[:2].tolist())
-        px, py = np.asarray(m.point[:2]).tolist()
-        return norm(np.array((x - px, y - py))) <= m.threshold
+        p = m.point
+        return norm_within(x - float(p[0]), y - float(p[1]), m.threshold)
     if k is ConditionKind.RELATIVE_POSE:
         pa = _object_position(world, m.object)
         pb = _object_position(world, m.other)

@@ -9,12 +9,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from locoman.errors import UsageError
+from locoman.errors import ActionFailed, UsageError
 from locoman.fusion import semantic_similarity, should_merge
-from locoman.geometry import (Pose, dot, quat_mul, quat_normalize, quat_to_matrix, unit,
-                              vec3)
-from locoman.harness import BASE_FOOTPRINT_RADIUS, BASE_STAND_HEIGHT
+from locoman.geometry import (Pose, dot, norm, quat_mul, quat_normalize, quat_to_matrix,
+                              unit, vec3)
+from locoman.harness import (BASE_FOOTPRINT_RADIUS, BASE_STAND_HEIGHT, NAV_GOAL_TOL, STOP,
+                             LocomotionCommand, _wrap)
 from locoman.navgrid import footprint_clear
+from locoman.planning import ConditionKind, _object_position
+from locoman.planning import condition_holds as library_condition_holds
 from locoman.rewards import ASYNC_PAIRS, GAIT_CLIP, LEGS, SYNC_PAIRS
 from locoman.training import SphericalTarget, wrap_angle
 from locoman.navgrid import SQRT2
@@ -291,3 +294,38 @@ def pose_step(world: PoseWorld, base_cmd, ee_cmd, dt, tracking, rng, scenario,
     for oid, (container, offset) in world.contents.items():
         world.object_positions[oid] = world.object_positions[container] + offset
     world.t += dt
+
+
+def follow_path(runner, path_points, goal_xy, deadline) -> None:
+    """`harness.EpisodeRunner._follow_path` with every distance taken as
+    `norm` of a 2-element array: the goal distance once a tick, compared with
+    the tolerance and fed to the speed cap, and each lookahead distance."""
+    (gx, gy), targets = goal_xy.tolist(), [p.tolist() for p in path_points]
+    idx, last = 0, len(targets) - 1
+    while runner.world.t < deadline:
+        x, y = runner.world.base_xy
+        dist = norm(np.array((x - gx, y - gy)))
+        if dist <= NAV_GOAL_TOL:
+            runner.tick(STOP, None)
+            return
+        tx, ty = targets[idx]
+        while idx < last and norm(np.array((tx - x, ty - y))) < 0.3:
+            idx += 1
+            tx, ty = targets[idx]
+        err = _wrap(float(np.arctan2(ty - y, tx - x)) - runner.world.base_yaw)
+        w_cmd = min(max(2.0 * err, -1.0), 1.0)
+        vx = min(0.8, dist / runner.dt) if abs(err) < 0.5 else 0.0
+        runner.tick(LocomotionCommand(vx, 0.0, w_cmd), None)
+    raise ActionFailed("navigation timeout")
+
+
+def condition_holds(m, world) -> bool:
+    """`planning.condition_holds` with a near kind's distance taken as `norm`
+    of a 2-element array; every other kind is the library's (bound at import,
+    so a test may patch this function in)."""
+    if m.kind not in (ConditionKind.ROBOT_NEAR, ConditionKind.OBJECT_NEAR):
+        return library_condition_holds(m, world)
+    x, y = (world.base_xy if m.kind is ConditionKind.ROBOT_NEAR
+            else _object_position(world, m.object)[:2].tolist())
+    px, py = np.asarray(m.point[:2]).tolist()
+    return norm(np.array((x - px, y - py))) <= m.threshold

@@ -12,7 +12,7 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from locoman import cli
+from locoman import cli, harness
 from locoman.cli import main
 from locoman.config import Config, TrackingConfig, to_dict
 from locoman.training import COMMAND_RANGES
@@ -795,8 +795,8 @@ def test_runners_claim_each_episode_once(tmp_path, monkeypatch):
     # the shared counter would run an episode twice and another never
     assert cli._start_method() == "fork"
     claims = tmp_path / "claims"
-    report = cli._run_one((cli._load_runnable(SCENARIO), 0, tmp_path / "one", 0.02, 4,
-                           Config()))
+    scenario, instances = cli._load_runnable(SCENARIO)
+    report = cli._run_one((scenario, 0, tmp_path / "one", 0.02, 4, Config(), instances))
 
     def claim(task):
         with open(claims, "a") as fh:  # one short append: atomic across processes
@@ -808,6 +808,38 @@ def test_runners_claim_each_episode_once(tmp_path, monkeypatch):
     assert res.exit_code == 0, res.output
     assert sorted(map(int, claims.read_text().split())) == list(range(300))
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_instance_graph_built_once_per_scenario(tmp_path, monkeypatch, jobs):
+    # `run` builds each scenario's instance graph once, in this process, to
+    # validate it, and every episode reads that one; a forked worker builds
+    # none. The bytes are those of episodes that build their own graphs.
+    assert cli._start_method() == "fork"
+    builds, build = tmp_path / "builds", harness.build_instance_graph
+
+    def counted(scenario, where="scenario"):
+        with open(builds, "a") as fh:  # one short append: atomic across processes
+            fh.write(f"{os.getpid()} {scenario.name}\n")
+        return build(scenario, where)
+
+    for module in (cli, harness):
+        monkeypatch.setattr(module, "build_instance_graph", counted)
+    paths = [SCENARIO, ROOT / "scenarios" / "drawer_and_crate.yaml"]
+    args = ("run", *paths, "--seed", 4, "--episodes", 3, "--jobs", jobs, *NOISY)
+    res = invoke(*args, "--out", tmp_path / "shared")
+    assert res.exit_code == 0, res.output
+    assert builds.read_text().splitlines() == [f"{os.getpid()} cart_delivery",
+                                               f"{os.getpid()} drawer_and_crate"]
+    run_episode = cli.run_episode
+    monkeypatch.setattr(cli, "run_episode", lambda *a, instances, **kw: run_episode(*a, **kw))
+    res = invoke(*args, "--out", tmp_path / "own")
+    assert res.exit_code == 0, res.output
+    assert len(builds.read_text().splitlines()) == 2 + 2 + 2 * 3
+    a, b = tmp_path / "shared", tmp_path / "own"
+    assert files_of(a) == files_of(b)
+    for rel in files_of(a):
+        assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
 
 
 # every command, with `{}` for the input file it reads and `{out}` for its --out

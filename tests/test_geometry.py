@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from locoman.geometry import (Pose, dot, matrix_to_quat, norm,
+from locoman.geometry import (Pose, dot, matrix_to_quat, norm, norm_within,
                               quat_from_axis_angle, quat_from_yaw,
                               quat_geodesic_distance, quat_mul, quat_normalize,
                               quat_rotate, quat_slerp, quat_to_matrix, unit)
@@ -324,3 +328,68 @@ class TestMisc:
                 assert norm(v[:2]) == float(np.linalg.norm(v[:2]))
                 assert type(dot(v, w)) is float
                 assert dot(v, w) == float(np.dot(v, w)), (v, w)
+
+
+def norm_decides(dx, dy, bound, strict):
+    """The test `norm_within` stands for, through the 2-element array."""
+    d = norm(np.array((dx, dy)))
+    return d < bound if strict else d <= bound
+
+
+def ulps(x, k):
+    """x stepped k ulps up (k > 0) or down (k < 0)."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+def assert_decides_as_norm(dx, dy, bound):
+    for strict in (False, True):
+        got = norm_within(dx, dy, bound, strict)
+        assert type(got) is bool
+        assert got == norm_decides(dx, dy, bound, strict), (dx, dy, bound, strict)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+class TestNormWithin:
+    """`norm_within` decides `norm(np.array((dx, dy)))` against a bound, `<=`
+    and `<`, as the array does, for every pair of floats."""
+
+    @pytest.mark.parametrize("bound", [0.15, 0.3, 0.016, 0.4])
+    def test_ulps_around_bound(self, bound):
+        # on each axis and along rays whose points round off the circle
+        starts = [(bound, 0.0), (0.0, bound)]
+        starts += [(bound * math.cos(a), bound * math.sin(a)) for a in (0.3, 0.7, 1.1, 2.5)]
+        for x, y in starts:
+            for k in range(-64, 65):
+                for sx, sy in ((1, 1), (-1, 1), (1, -1), (-1, -1)):
+                    assert_decides_as_norm(sx * ulps(x, k), sy * y, bound)
+                    assert_decides_as_norm(sx * ulps(x, k), sy * ulps(y, -k), bound)
+
+    @pytest.mark.parametrize("dx, dy, bound", [
+        (0.18, 0.24, 0.3), (-0.18, 0.24, 0.3), (0.24, -0.18, 0.3), (0.09, 0.12, 0.15),
+        (0.3, 0.0, 0.3), (0.0, -0.3, 0.3), (0.15, 0.0, 0.15), (3.0, 4.0, 5.0),
+        (0.0096, 0.0128, 0.016), (0.24, 0.32, 0.4)])
+    def test_exact_cases(self, dx, dy, bound):
+        assert_decides_as_norm(dx, dy, bound)
+
+    @pytest.mark.parametrize("v", [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                                   1e-160, 1e154, 1e200, -1e300, 1.7976931348623157e308,
+                                   math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("bound", [0.0, 5e-324, 1e-200, 1e-150, 0.15, 1.0, 1e150,
+                                       1e200, math.inf, -0.3, math.nan])
+    def test_edge_inputs(self, v, bound):
+        for dx, dy in ((v, 0.0), (0.0, v), (v, v), (v, -0.1), (0.1, v)):
+            assert_decides_as_norm(dx, dy, bound)
+
+    @settings(max_examples=2000, derandomize=True, database=None, deadline=None)
+    @given(st.floats(), st.floats(), st.floats())
+    def test_any_floats(self, dx, dy, bound):
+        assert_decides_as_norm(dx, dy, bound)
+
+    @settings(max_examples=2000, derandomize=True, database=None, deadline=None)
+    @given(st.floats(1e-3, 10.0), st.floats(0.0, 2 * math.pi),
+           st.integers(-64, 64), st.integers(-64, 64))
+    def test_points_near_the_circle(self, bound, angle, kx, ky):
+        assert_decides_as_norm(ulps(bound * math.cos(angle), kx),
+                               ulps(bound * math.sin(angle), ky), bound)

@@ -13,11 +13,11 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from locoman import harness
+from locoman import geometry, harness, planning
 from locoman.cli import _load_runnable
 from locoman.config import Config, TrackingConfig, to_dict
 from locoman.errors import LocomanError, ParseError, UsageError, ValidationError
-from locoman.geometry import Pose, quat_geodesic_distance, vec3
+from locoman.geometry import NORM_BAND, Pose, quat_geodesic_distance, vec3
 from locoman.harness import (BASE_STAND_HEIGHT, TRACE_COLUMNS, EpisodeRunner,
                              LocomotionCommand, aggregate, build_instance_graph,
                              build_occupancy_grid, make_rng, make_world, run_episode,
@@ -193,7 +193,7 @@ class TestScenarioProperty:
             path = Path(tmp) / "s.yaml"
             path.write_text(yaml.safe_dump(data))
             try:
-                scenario = _load_runnable(path)
+                scenario, _ = _load_runnable(path)
             except ValidationError:
                 return
         try:
@@ -461,6 +461,97 @@ class TestStepOracle:
             counts.append((len(runner.ticks), len(built)))
         assert counts[0][0] == 153 and counts[1][0] > 290
         assert counts[0][1] == counts[1][1] <= 2
+
+
+class TestFollowerOracle:
+    """The follower and the near monitors decide each distance with
+    `norm_within`; `oracles.follow_path` and `oracles.condition_holds` take
+    it as `norm` of a 2-element array. From dt 0.2 on the speed cap binds
+    (0.8 * dt > NAV_GOAL_TOL) and reads the distance itself."""
+
+    @staticmethod
+    def episode(scenario, dt, tracking):
+        """Each tick's command bits, the latches, and how many ticks each
+        near monitor of the plan held as the oracle judges it, after a check
+        that the library judges it the same on that tick."""
+        runner = EpisodeRunner(scenario, dt=dt, master_seed=0, config=Config(tracking=tracking))
+        near = [m for step in scenario.plan for m in step.monitors
+                if m.kind in (planning.ConditionKind.ROBOT_NEAR,
+                              planning.ConditionKind.OBJECT_NEAR)]
+        commands, held, tick = [], [0] * len(near), runner.tick
+
+        def recorded(base_cmd, ee_cmd):
+            tick(base_cmd, ee_cmd)
+            commands.append(_bits(base_cmd))
+            for i, m in enumerate(near):
+                holds = oracles.condition_holds(m, runner.world)
+                assert planning.condition_holds(m, runner.world) is holds, (len(commands), m)
+                held[i] += holds
+
+        runner.tick = recorded
+        runner.run()
+        return commands, runner.latched, held
+
+    @pytest.mark.parametrize("dt", [0.02, 0.05, 0.2, 0.3])
+    @pytest.mark.parametrize("tracking", [
+        TrackingConfig(), TrackingConfig(tau_base=0.1, noise_pos=0.002, noise_ori=0.01)],
+        ids=["noise_free", "noisy"])
+    @pytest.mark.parametrize("name", [p.stem for p in sorted(SCENARIO_DIR.glob("*.yaml"))])
+    def test_bundled_episode(self, monkeypatch, name, tracking, dt):
+        scenario = load_scenario(SCENARIO_DIR / f"{name}.yaml")
+        ours = self.episode(scenario, dt, tracking)
+        monkeypatch.setattr(EpisodeRunner, "_follow_path", oracles.follow_path)
+        monkeypatch.setattr(planning, "condition_holds", oracles.condition_holds)
+        theirs = self.episode(scenario, dt, tracking)
+        assert len(ours[0]) > 0
+        assert ours[0] == theirs[0]
+        assert {k: _bits(t) for k, t in ours[1].items()} == \
+            {k: _bits(t) for k, t in theirs[1].items()}
+        assert ours[2] == theirs[2]
+
+    @pytest.mark.parametrize("dt", [0.2, 0.3, 0.5, 1.0])
+    def test_speed_cap_at_its_bound(self, dt):
+        # goals about 0.8 * dt ahead, a few ulps either side, where dist / dt
+        # meets the cap: the first command is 0.8 or just below it
+        scenario = scenario_from_dict(minimal_scenario_dict())
+        first = set()
+        for yaw in (0.0, 0.4, 2.0, -2.9):
+            for k in range(-6, 7):
+                d = 0.8 * dt * (1.0 + k * 2.0 ** -52)
+                goal = np.array((d * np.cos(yaw), d * np.sin(yaw)))
+                commands = []
+                for follow in (EpisodeRunner._follow_path, oracles.follow_path):
+                    runner = EpisodeRunner(scenario, dt=dt, master_seed=0)
+                    runner._action_index = 0
+                    runner.world.move_base(0.0, 0.0, yaw, BASE_STAND_HEIGHT)
+                    commands.append([])
+                    runner.tick = lambda c, e, tick=runner.tick, out=commands[-1]: (
+                        out.append(_bits(c)), tick(c, e))
+                    follow(runner, [goal], goal, 2.5 * dt)
+                    first.add(runner.ticks[0][5])
+                assert commands[0] == commands[1], (yaw, k)
+        assert max(first) == 0.8 and min(first) < 0.8
+
+    def test_navigate_calls_norm_only_in_the_band(self, monkeypatch):
+        # cart_delivery's first navigate, noise-free: each distance test
+        # whose squared distance lies within NORM_BAND of the bound's square
+        # may ask `norm`, and at dt 0.02 the speed cap never binds; every
+        # other tick decides on floats, so a per-tick array shows here
+        runner = EpisodeRunner(load_scenario(SCENARIO_DIR / "cart_delivery.yaml"), master_seed=0)
+        navigate = runner.build_plan()[0]
+        calls, in_band = [], []
+        for module in (geometry, harness, planning):
+            monkeypatch.setattr(module, "norm", lambda v, norm=module.norm:
+                                calls.append(v) or norm(v))
+        for module in (harness, planning):
+            def counted(dx, dy, bound, strict=False, within=module.norm_within):
+                s, b2 = dx * dx + dy * dy, bound * bound
+                in_band.append(not abs(s - b2) > NORM_BAND * b2)
+                return within(dx, dy, bound, strict)
+            monkeypatch.setattr(module, "norm_within", counted)
+        assert runner.execute_action(0, navigate).success
+        assert len(runner.ticks) > 100 and len(in_band) > 2 * len(runner.ticks)
+        assert len(calls) <= sum(in_band)
 
 
 class TestSceneBuilders:
