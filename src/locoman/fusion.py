@@ -6,26 +6,27 @@ points with a nearest neighbor in the node within radius EPSILON exceeds
 TAU_GEO (both strict inequalities). The thresholds are fixed: 0.8 each, a
 5 cm radius, and node points downsampled on a 2 cm voxel grid.
 
-Ingest takes its decisions in four steps, each exact against the
-one-node-at-a-time form (`tests/oracles.py`):
+Ingest takes its decisions in three steps, each exact against the
+one-node-at-a-time form in `tests/oracles.py` (its scalar
+`semantic_similarity` and its `should_merge`, which scores both criteria):
 
 1. a semantic gate scores every node at once (`semantic_similarities`,
-   bit for bit `semantic_similarity` per node, and raising where it raises),
+   bit for bit the scalar cosine per node, and raising where it raises),
    so `> TAU_SEM` and the `(cosine, -id)` tie-break choose as the scalar
-   cosine does;
-2. a voxel gate decides most nodes that passed it without a KD-tree. A
+   cosine does. A node that fails it is not looked at again;
+2. each node that passed is merged when its geometric share exceeds
+   TAU_GEO. A voxel gate decides most of them without a KD-tree: a
    detection point whose DOWNSAMPLE_VOXEL voxel, or one of its 6 face
    neighbours, holds a node point lies within sqrt(6) * DOWNSAMPLE_VOXEL
    (about 0.0490 m) of that point, so closer than EPSILON. When these sure
    hits alone make up more than TAU_GEO of the detection's points, the merge
-   is certain. The node's voxels are built from its points at each check,
-   kept nowhere, and only for a node that passed step 1; a node past
-   GATE_MAX_COORD or GATE_CELLS_PER_POINT is left to step 3;
-3. `should_merge` decides the rest. Its KD-tree query stops looking past
-   EPSILON * (1 + 1e-9): a neighbour closer than EPSILON has a squared
-   distance below EPSILON**2, so below the tree's squared bound, and is
-   still found, with the same distance;
-4. node points are downsampled by one stable sort of a packed int64 voxel
+   is certain. The node's voxels are built from its points at each check
+   and kept nowhere. `geometric_similarity` decides the rest, among them
+   every node past GATE_MAX_COORD or GATE_CELLS_PER_POINT. Its KD-tree query
+   stops looking past EPSILON * (1 + 1e-9): a neighbour closer than EPSILON
+   has a squared distance below EPSILON**2, so below the tree's squared
+   bound, and is still found, with the same distance;
+3. node points are downsampled by one stable sort of a packed int64 voxel
    key, (k0*s1 + k1)*s2 + k2 over the indices shifted to their minimum: a
    bijection that keeps their lexicographic order, so the voxel runs and
    their sums are those of a sort by (x, y, z) index. A point set whose
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError
-from .geometry import dot, norm, row_dot, unit
+from .geometry import norm, row_dot, unit
 
 
 TAU_SEM = 0.8
@@ -69,13 +70,14 @@ class Detection:
     def __post_init__(self):
         self.descriptor = np.asarray(self.descriptor, dtype=float)
         self.points = np.asarray(self.points, dtype=float).reshape(-1, 3)
-        if norm(self.descriptor) == 0.0:
+        length = norm(self.descriptor)
+        if length == 0.0:
             raise UsageError("detection descriptor must be nonzero")
         if len(self.points) == 0:
             raise UsageError("detection must carry at least one point")
         # a NaN point would reach the node's KD-tree and fail there with
         # scipy's error; a descriptor whose norm overflows fuses to zero
-        if not math.isfinite(norm(self.descriptor)):
+        if not math.isfinite(length):
             raise UsageError("detection descriptor must be finite with a finite norm")
         if not np.isfinite(self.points).all():
             raise UsageError("detection points must be finite")
@@ -92,23 +94,12 @@ class InstanceNode:
     observation_count: int = 1
 
 
-def semantic_similarity(f_i: np.ndarray, f_j: np.ndarray) -> float:
-    """Cosine similarity of two descriptors, in [-1, 1]."""
-    f_i = np.asarray(f_i, dtype=float)
-    f_j = np.asarray(f_j, dtype=float)
-    if f_i.shape != f_j.shape:
-        raise UsageError(f"descriptor dimension mismatch: {f_i.shape} vs {f_j.shape}")
-    ni, nj = norm(f_i), norm(f_j)
-    # NaN fails the comparisons too: a NaN cosine would fail the gate silently
-    if not (0.0 < ni < math.inf and 0.0 < nj < math.inf):
-        raise UsageError("descriptors must be nonzero and finite")
-    return dot(f_i, f_j) / (ni * nj)
-
-
 def semantic_similarities(descriptors: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """semantic_similarity(f, row) for each row of an (n, d) array, bit for
-    bit: `row_dot`'s rows are `dot`'s kernel, divided in the same order. It
-    raises where semantic_similarity raises for any row."""
+    """Cosine similarity, in [-1, 1], of f with each row of an (n, d) array:
+    bit for bit the scalar `semantic_similarity(f, row)` of `tests/oracles.py`,
+    as `row_dot`'s rows are `dot`'s kernel, divided in the same order. It
+    raises where that raises for any row: a zero or non-finite norm, whose
+    NaN cosine would otherwise fail the gate silently."""
     nf, rows = norm(f), np.sqrt(row_dot(descriptors, descriptors))
     if not (0.0 < nf < math.inf and ((0.0 < rows) & (rows < math.inf)).all()):
         raise UsageError("descriptors must be nonzero and finite")
@@ -132,18 +123,6 @@ def geometric_similarity(points_i: np.ndarray, points_j: np.ndarray,
     tree = cKDTree(points_j, balanced_tree=False, compact_nodes=False)
     dists, _ = tree.query(points_i, k=1, distance_upper_bound=epsilon * (1 + 1e-9))
     return float(np.count_nonzero(dists < epsilon)) / len(points_i)
-
-
-def should_merge(det, node: InstanceNode) -> bool:
-    """True iff both merge criteria strictly exceed their thresholds.
-
-    The incoming detection is the query side of the geometric criterion so a
-    partial new view of a large known object still merges.
-    """
-    sem = semantic_similarity(det.descriptor, node.descriptor)
-    if sem <= TAU_SEM:
-        return False
-    return geometric_similarity(det.points, node.points, EPSILON) > TAU_GEO
 
 
 def voxel_downsample(points: np.ndarray, voxel: float) -> np.ndarray:
@@ -182,8 +161,8 @@ def _sure_merge(points: np.ndarray, cells: np.ndarray) -> bool:
     axis) whose voxel or a face neighbour of it holds one of `points` make up
     more than TAU_GEO of them: each lies within sqrt(6) * DOWNSAMPLE_VOXEL <
     EPSILON of that point, so geometric_similarity would exceed TAU_GEO too.
-    False leaves the check to should_merge, as do no points, a coordinate
-    past GATE_MAX_COORD (or NaN), and a voxel box of more than
+    False leaves the check to geometric_similarity, as do no points, a
+    coordinate past GATE_MAX_COORD (or NaN), and a voxel box of more than
     GATE_CELLS_PER_POINT cells a point.
 
     The box covers the points' voxels widened by two voxels a side, so a
@@ -242,17 +221,18 @@ class InstanceGraph:
             raise UsageError(
                 f"descriptor dimension {det.descriptor.shape[0]} != graph dimension {self.d}")
         # gate every node on its cosine at once, then decide the few that pass
-        # from their voxels, or failing that by should_merge; the descriptor
-        # matrix is rebuilt per call, since callers may replace a node's
-        # descriptor
+        # from their voxels, or failing that by the KD-tree; the detection is
+        # the query side, so a partial new view of a large known object still
+        # merges. The descriptor matrix is rebuilt per call, since callers may
+        # replace a node's descriptor
         nodes = list(self.nodes.values())
         sem = semantic_similarities(
             np.array([n.descriptor for n in nodes]).reshape(-1, self.d), det.descriptor)
         passed = np.flatnonzero(sem > TAU_SEM)
         cells = (np.floor(np.ascontiguousarray(det.points.T) / DOWNSAMPLE_VOXEL)
                  if len(passed) else None)
-        candidates = [i for i in passed
-                      if _sure_merge(nodes[i].points, cells) or should_merge(det, nodes[i])]
+        candidates = [i for i in passed if _sure_merge(nodes[i].points, cells)
+                      or geometric_similarity(det.points, nodes[i].points, EPSILON) > TAU_GEO]
         if not candidates:
             return self._add_node(det)
         # several matches: highest semantic similarity wins, ties to lowest id

@@ -454,7 +454,8 @@ class EpisodeRunner:
 
     def _ground_target(self, obj: SceneObject) -> Pose:
         """Run the grounding pipeline against a synthetic wrist camera view."""
-        fixture = self.scenario.plan[self._action_index].grounding or GroundingFixture()
+        step = self.scenario.plan[self._action_index]
+        fixture = step.grounding or GroundingFixture()
         true_attach = obj.attach_point(self.world.object_positions[obj.id])
         detected = true_attach + fixture.offset
 
@@ -485,7 +486,7 @@ class EpisodeRunner:
             surface_normal=mat_vec(base_rot_t, normal) if normal is not None else None)
         default_approach = mat_vec(base_rot_t, np.array([0.0, 0.0, -1.0]))
         return ground_action(ScriptedGrounding(result), cam, depth, None,
-                             "grounding", default_approach=default_approach)
+                             step.description, default_approach=default_approach)
 
     # -- atomic actions --------------------------------------------------
 

@@ -359,11 +359,14 @@ def find_goal_pose(grid: OccupancyGrid, waypoint: np.ndarray, obstacles,
     The pose yaw faces face_toward.
 
     Each ring is checked in one `_first_clear` pass, which answers every
-    candidate as `footprint_clear` and the box overlap test would. It skips
-    the boxes that `_near_boxes` shows no candidate can touch.
+    candidate as `footprint_clear` and the overlap test against each
+    obstacle box grown by bbox_inflation would.
     """
     wx, wy = float(waypoint[0]), float(waypoint[1])
-    box_lo, box_hi = _near_boxes(obstacles, cfg, wx, wy)
+    d = cfg.bbox_inflation
+    boxes = np.array([(lo[0], lo[1], hi[0], hi[1]) for lo, hi in obstacles],
+                     dtype=float).reshape(-1, 4) + (-d, -d, d, d)
+    box_lo, box_hi = boxes[:, :2], boxes[:, 2:]
     n = max(1, int(np.ceil(2.0 * np.pi / cfg.angular_step)))
     thetas = np.array([k * cfg.angular_step for k in range(n)
                        if k * cfg.angular_step < 2.0 * np.pi])
@@ -384,28 +387,6 @@ def find_goal_pose(grid: OccupancyGrid, waypoint: np.ndarray, obstacles,
         f"no collision-free goal within {cfg.search_radius} m of ({wx:.2f}, {wy:.2f})")
 
 
-_NO_BOXES = np.empty((0, 2))
-
-
-def _near_boxes(obstacles, cfg: GoalSearchConfig, wx: float, wy: float):
-    """Lower and upper corners, as (B, 2) arrays, of the obstacle boxes grown
-    by bbox_inflation, less those that lie wholly past one side of the
-    search disk by more than robot_inflation plus a metre. Every candidate
-    is that far from such a box, so no candidate's disk overlaps it."""
-    corners = [(lo[0], lo[1], hi[0], hi[1]) for lo, hi in obstacles]
-    if not corners:
-        return _NO_BOXES, _NO_BOXES
-    d = cfg.bbox_inflation
-    boxes = np.array(corners, dtype=float) + (-d, -d, d, d)
-    gap = boxes - (wx, wy, wx, wy)
-    reach = cfg.search_radius + cfg.robot_inflation + 1.0
-    # both corners past one side; a NaN corner keeps its box
-    lo, hi = gap[:, :2], gap[:, 2:]
-    far = (np.minimum(lo, hi) > reach) | (np.maximum(lo, hi) < -reach)
-    near = boxes[~far.any(axis=1)]
-    return near[:, :2], near[:, 2:]
-
-
 def blocked_mask(grid: OccupancyGrid, inflation: float) -> np.ndarray:
     """Cells whose inflated footprint overlaps an Occupied cell."""
     occ = grid.cells == OCCUPIED
@@ -423,13 +404,12 @@ def blocked_mask(grid: OccupancyGrid, inflation: float) -> np.ndarray:
     return mask
 
 
-# `plan_path` on a grid of at least this many cells labels its walkable
-# cells and runs `_jump_search`; a smaller grid runs the octile `_astar`,
-# whose paths the golden digests pin. Grids grow by doubling; this is one
-# doubling past 256x128, the largest grid of a bundled scenario and of a
-# scanned 24 m x 12 m arena whose content changes between plans. So those
-# grids never import scipy, never build jump tables, and keep the octile
-# search's paths.
+# `plan_path` on a grid of at least this many cells runs `_jump_search`; a
+# smaller grid runs the octile `_astar`, whose paths the golden digests pin.
+# Grids grow by doubling; this is one doubling past 256x128, the largest
+# grid of a bundled scenario and of a scanned 24 m x 12 m arena whose
+# content changes between plans. So those grids never build jump tables,
+# and keep the octile search's paths.
 _JUMP_MIN_CELLS = 2 * 256 * 128
 
 
@@ -449,13 +429,11 @@ class _Jumps(NamedTuple):
 class _Walls(NamedTuple):
     """`plan_path`'s entry for one wall content: the padded walls, one byte
     per cell in row order, `width` cells a row, and on a grid of at least
-    _JUMP_MIN_CELLS cells the labels of its walkable cells (0 on a wall)
-    and its jump tables."""
+    _JUMP_MIN_CELLS cells its jump tables."""
 
     key: tuple
     width: int
     wall: bytes
-    labels: np.ndarray | None
     jumps: _Jumps | None
 
 
@@ -469,12 +447,8 @@ def _wall_entry(grid: OccupancyGrid, inflation: float) -> _Walls:
         h, w = cells.shape
         padded = np.ones((h + 2, w + 2), dtype=bool)
         padded[1:-1, 1:-1] = blocked_mask(grid, inflation)
-        labels = jumps = None
-        if cells.size >= _JUMP_MIN_CELLS:
-            from scipy import ndimage  # here: grids below the bound never load it
-            labels = ndimage.label(~padded, structure=np.ones((3, 3), dtype=bool))[0].ravel()
-            jumps = _jump_tables(padded)
-        grid._walls = _Walls(key, w + 2, padded.tobytes(), labels, jumps)
+        jumps = _jump_tables(padded) if cells.size >= _JUMP_MIN_CELLS else None
+        grid._walls = _Walls(key, w + 2, padded.tobytes(), jumps)
     return grid._walls
 
 
@@ -535,26 +509,21 @@ def plan_path(grid: OccupancyGrid, start: tuple[int, int], goal: tuple[int, int]
     consistent only to about one ulp, so this happens, and skipping closed
     neighbours moves pinned paths and digests.
 
-    On a grid of at least _JUMP_MIN_CELLS cells the entry also holds
-    8-connected labels of the walkable cells (`scipy.ndimage.label`, under
-    1 ms on 512x256) and the `_Jumps` tables, built in numpy in about 1 ms
-    (0.66 MB on the `nav_queries` 512x256 floor plan, 2-core Xeon). A goal
-    in another region than the start's raises the `NoPath` a search would,
-    without a search: 0.02 ms against about 250 ms for a start inside a
-    floor plan's building and a goal in the Unknown ring around it. The
-    path comes from `_jump_search`, jump point search (Harabor & Grastien,
-    AAAI 2011) with the same (f, h, flat index) heap order over jump points
-    only. It is cost-optimal, but may be another optimal path than
-    `_astar` finds; the same one on every call, as it depends only on the
-    wall content. On that floor plan a cross-building request takes a
-    median 0.62 ms against 8.1 ms for the A* with landmark (ALT) bounds it
-    replaced, which also built 3.5 MB of tables in about 0.5 s. It is
-    slower on grids of scattered single-cell obstacles, where nearly every
-    cell is a jump point: corner to corner on 256x256 with no inflation
-    and 10%, 25% and 35% of cells blocked at random, 7.8, 20 and 32 ms a
-    request against 5.7, 7.3 and 7.4 ms for the landmark A* once its
-    tables were built. No caller plans on such a grid; each inflates by
-    0.30 m, which merges scattered cells into blocks.
+    On a grid of at least _JUMP_MIN_CELLS cells the entry also holds the
+    `_Jumps` tables, built in numpy in about 1 ms (0.66 MB on the
+    `nav_queries` 512x256 floor plan, 2-core Xeon), and the path comes from
+    `_jump_search`, jump point search (Harabor & Grastien, AAAI 2011) with
+    the same (f, h, flat index) heap order over jump points only. It is
+    cost-optimal, but may be another optimal path than `_astar` finds; the
+    same one on every call, as it depends only on the wall content. On that
+    floor plan a cross-building request takes a median 0.62 ms, and a goal
+    outside the building, which the search reports unreachable once it has
+    closed every jump point the start reaches, about 3.6 ms. It is slow on
+    grids of scattered single-cell obstacles, where nearly every cell is a
+    jump point: corner to corner on 256x256 with no inflation and 10%, 25%
+    and 35% of cells blocked at random, 7.8, 20 and 32 ms a request. No
+    caller plans on such a grid; each inflates by 0.30 m, which merges
+    scattered cells into blocks.
     """
     sx, sy = start
     gx, gy = goal
@@ -567,12 +536,9 @@ def plan_path(grid: OccupancyGrid, start: tuple[int, int], goal: tuple[int, int]
     dst = (int(gy) + 1) * pw + int(gx) + 1
     if walls.wall[src] or walls.wall[dst]:
         raise NoPath("start or goal cell blocked")
-    unreachable = f"goal {goal} unreachable from {start}"
-    if walls.labels is not None and walls.labels[src] != walls.labels[dst]:
-        raise NoPath(unreachable)
     path = (_astar if walls.jumps is None else _jump_search)(walls, src, dst)
     if path is None:
-        raise NoPath(unreachable)
+        raise NoPath(f"goal {goal} unreachable from {start}")
     return [(p % pw - 1, p // pw - 1) for p in path]
 
 

@@ -5,12 +5,14 @@ another way, kept here so the library's faster form can be checked against
 it bit for bit or to a stated tolerance.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from locoman import fusion
 from locoman.errors import ActionFailed, UsageError
-from locoman.fusion import semantic_similarity, should_merge
+from locoman.fusion import EPSILON, TAU_GEO, TAU_SEM
 from locoman.geometry import (Pose, dot, norm, quat_mul, quat_normalize, quat_to_matrix,
                               unit, vec3)
 from locoman.harness import (BASE_FOOTPRINT_RADIUS, BASE_STAND_HEIGHT, NAV_GOAL_TOL, STOP,
@@ -60,6 +62,33 @@ def disk_overlaps_bbox(x: float, y: float, radius: float, bbox_min, bbox_max) ->
     nx = min(max(x, bbox_min[0]), bbox_max[0])
     ny = min(max(y, bbox_min[1]), bbox_max[1])
     return np.hypot(nx - x, ny - y) < radius
+
+
+def semantic_similarity(f_i: np.ndarray, f_j: np.ndarray) -> float:
+    """Cosine similarity of two descriptors, in [-1, 1]."""
+    f_i = np.asarray(f_i, dtype=float)
+    f_j = np.asarray(f_j, dtype=float)
+    if f_i.shape != f_j.shape:
+        raise UsageError(f"descriptor dimension mismatch: {f_i.shape} vs {f_j.shape}")
+    ni, nj = norm(f_i), norm(f_j)
+    # NaN fails the comparisons too: a NaN cosine would fail the gate silently
+    if not (0.0 < ni < math.inf and 0.0 < nj < math.inf):
+        raise UsageError("descriptors must be nonzero and finite")
+    return dot(f_i, f_j) / (ni * nj)
+
+
+def should_merge(det, node) -> bool:
+    """True iff both merge criteria strictly exceed their thresholds.
+
+    The incoming detection is the query side of the geometric criterion so a
+    partial new view of a large known object still merges. The KD-tree check
+    is looked up on `fusion` at each call, so a test that wraps
+    `fusion.geometric_similarity` sees this one's checks too.
+    """
+    sem = semantic_similarity(det.descriptor, node.descriptor)
+    if sem <= TAU_SEM:
+        return False
+    return fusion.geometric_similarity(det.points, node.points, EPSILON) > TAU_GEO
 
 
 def ingest_detection_loop(graph, det) -> int:

@@ -9,9 +9,8 @@ from locoman import fusion
 from locoman.errors import UsageError
 from locoman.fusion import (DOWNSAMPLE_VOXEL, EPSILON, GATE_CELLS_PER_POINT, GATE_MAX_COORD,
                             TAU_SEM, Detection, InstanceGraph, geometric_similarity,
-                            semantic_similarities, semantic_similarity, should_merge,
-                            voxel_downsample)
-from oracles import ingest_detection_loop
+                            semantic_similarities, voxel_downsample)
+from oracles import ingest_detection_loop, semantic_similarity, should_merge
 
 
 def brute_force_geometric(points_i, points_j, epsilon):
@@ -159,10 +158,16 @@ def _det(descriptor, points):
                      points=np.asarray(points, dtype=float))
 
 
-def _node_from(det):
-    g = InstanceGraph(descriptor_dim=len(det.descriptor))
-    nid = g.ingest_detection(det)
-    return g.nodes[nid]
+def _merges(first, det):
+    """Whether `det` joins the node that `first` made in a one-node graph:
+    `ingest_detection` lands it in that node or a new one, as the oracle's
+    `should_merge` decides."""
+    g = InstanceGraph(descriptor_dim=len(first.descriptor))
+    g.ingest_detection(first)
+    want = should_merge(det, g.nodes[0])
+    got = g.ingest_detection(det) == 0
+    assert got == want and len(g) == (1 if got else 2)
+    return got
 
 
 def _descriptor_at_cosine(base, c):
@@ -180,35 +185,35 @@ class TestMergeBoundary:
         pts = np.array([[0.0, 0.0, 0.0]])
         base = np.zeros(8)
         base[0] = 1.0
-        node = _node_from(_det(base, pts))
+        first = _det(base, pts)
 
         at = _det(_descriptor_at_cosine(base, 0.8), pts)
         above = _det(_descriptor_at_cosine(base, 0.8 + 1e-9), pts)
-        assert not should_merge(at, node)  # exactly 0.8 is not > 0.8
-        assert should_merge(above, node)
+        assert not _merges(first, at)  # exactly 0.8 is not > 0.8
+        assert _merges(first, above)
 
     def test_geometric_boundary_strict(self):
         desc = np.ones(4)
         # 5 query points, node covers k of them exactly: geo = k/5
         node_pts = np.array([[float(i), 0.0, 0.0] for i in range(4)])
-        node = _node_from(_det(desc, node_pts))
+        first = _det(desc, node_pts)
         det_at = _det(desc, [[0, 0, 0], [1, 0, 0], [2, 0, 0], [3, 0, 0],
                              [99, 0, 0]])  # geo = 4/5 = 0.8 exactly
-        assert not should_merge(det_at, node)
+        assert not _merges(first, det_at)
         det_above = _det(desc, np.vstack([node_pts, [0.001, 0, 0]]))  # geo = 1.0
-        assert should_merge(det_above, node)
+        assert _merges(first, det_above)
 
     def test_both_criteria_required(self):
         base = np.zeros(8)
         base[0] = 1.0
         pts = np.array([[0.0, 0.0, 0.0]])
-        node = _node_from(_det(base, pts))
+        first = _det(base, pts)
         sem_only = _det(base, [[5.0, 0, 0]])
         geo_only = _det(_descriptor_at_cosine(base, 0.5), pts)
-        assert not should_merge(sem_only, node)
-        assert not should_merge(geo_only, node)
+        assert not _merges(first, sem_only)
+        assert not _merges(first, geo_only)
         both = _det(base, pts)
-        assert should_merge(both, node)
+        assert _merges(first, both)
 
 
 class TestVoxelDownsample:
@@ -374,7 +379,12 @@ class TestDetectionValidation:
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.parametrize("descriptor", [[np.nan, 1.0], [np.inf, 1.0], [1e200, 1e200]])
     def test_non_finite_descriptor_rejected(self, descriptor):
-        with pytest.raises(UsageError):
+        with pytest.raises(UsageError, match="detection descriptor must be finite"):
+            _det(descriptor, [[0, 0, 0]])
+
+    @pytest.mark.parametrize("descriptor", [[0.0, 0.0], [-0.0, -0.0]])
+    def test_zero_descriptor_rejected(self, descriptor):
+        with pytest.raises(UsageError, match="detection descriptor must be nonzero"):
             _det(descriptor, [[0, 0, 0]])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -905,6 +905,21 @@ class TestGroundingFixtureOffset:
         assert pick.detail.endswith(") out of bounds")
 
 
+def test_grounding_receives_the_step_description(monkeypatch):
+    # a plan step's description is what the grounding oracle is asked to ground
+    asked = []
+    real = harness.ground_action
+
+    def recording(oracle, cam, depth, image, action_description, **kwargs):
+        asked.append(action_description)
+        return real(oracle, cam, depth, image, action_description, **kwargs)
+
+    monkeypatch.setattr(harness, "ground_action", recording)
+    result = run_episode(load_scenario(SCENARIO_DIR / "cart_delivery.yaml"), master_seed=0)
+    assert next(o for o in result.outcomes if o.kind == "pick").success
+    assert asked == ["grasp the apple from above"]
+
+
 def test_ground_target_in_steep_look_at_band():
     """A base 1.5 m from the object along x and level with it puts the wrist
     camera's optical axis within 15 degrees of world x (|x . z| > 0.95): the

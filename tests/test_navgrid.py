@@ -1,5 +1,11 @@
 import heapq
+import json
+import os
 import re
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +18,8 @@ from locoman.navgrid import (FREE, OCCUPIED, SQRT2, UNKNOWN, GoalSearchConfig,
                              _ray_cells, blocked_mask, bresenham, find_goal_pose,
                              footprint_clear, plan_path)
 from oracles import disk_overlaps_bbox, path_cost
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def dijkstra_cost(blocked, start, goal):
@@ -904,8 +912,8 @@ def _count_jump_tables(monkeypatch):
 
 
 class TestJumpSearch:
-    """plan_path past `_JUMP_MIN_CELLS`: reachability labels and jump point
-    search, each against an independent oracle."""
+    """plan_path past `_JUMP_MIN_CELLS`: jump point search against an
+    independent oracle."""
 
     def test_paths_are_optimal_and_repeat(self, floor_plan):
         g, inflation = floor_plan.grid, floor_plan.INFLATION
@@ -987,7 +995,7 @@ class TestJumpSearch:
                                         "resolution"])
     def test_reused_walls_follow_grid_changes(self, change, monkeypatch):
         # TestPlanPathOracle's grid changes on a grid past the bound: each
-        # must build the walls, labels and jump tables again
+        # must build the walls and jump tables again
         built = _count_jump_tables(monkeypatch)
         g = _open_grid(512, 128)
         g.origin = np.array([-1.3, 0.7])
@@ -1010,15 +1018,38 @@ class TestJumpSearch:
         assert _check_plans(g, inflation, [(start, goal)]) != [first]
         assert len(built) == 2 and built[1] == (g.height + 2, g.width + 2)
 
-    def test_sealed_goal_fails_before_any_search(self, floor_plan, monkeypatch):
-        g = floor_plan.grid
-        start, goal = (6, 6), (302, 100)  # the pocket inside the solid block
-        assert not floor_plan.blocked[goal[1], goal[0]]
-        # any search would raise TypeError
-        monkeypatch.setattr(navgrid, "_astar", None)
-        monkeypatch.setattr(navgrid, "_jump_search", None)
-        with pytest.raises(NoPath, match=re.escape(f"goal {goal} unreachable from {start}")):
-            plan_path(g, start, goal, inflation=floor_plan.INFLATION)
+
+def test_large_grid_plans_without_scipy():
+    """plan_path past `_JUMP_MIN_CELLS`, in a fresh process: a path round a
+    wall, and the unreachable `NoPath` for a goal in a sealed pocket, with
+    no scipy module loaded."""
+    code = textwrap.dedent("""
+        import json, sys
+        from locoman.errors import NoPath
+        from locoman.navgrid import _JUMP_MIN_CELLS, FREE, OCCUPIED, OccupancyGrid, plan_path
+        g = OccupancyGrid(resolution=0.1, width=512, height=128)
+        g.cells[:] = FREE
+        g.cells[:100, 256] = OCCUPIED  # a wall the path goes round
+        g.cells[40:60, 400:420] = OCCUPIED
+        g.cells[46:54, 406:414] = FREE  # a pocket sealed inside the block
+        path = plan_path(g, (20, 30), (490, 50), inflation=0.12)
+        try:
+            plan_path(g, (20, 30), (410, 50), inflation=0.12)
+            sealed = None
+        except NoPath as exc:
+            sealed = str(exc)
+        print(json.dumps({
+            "jump": g.cells.size >= _JUMP_MIN_CELLS and g._walls.jumps is not None,
+            "ends": [path[0], path[-1]], "round": max(y for x, y in path if x == 256),
+            "sealed": sealed, "scipy": [m for m in sys.modules if m.split(".")[0] == "scipy"]}))
+    """)
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=path), check=True)
+    got = json.loads(out.stdout)
+    assert got["jump"] and got["ends"] == [[20, 30], [490, 50]] and got["round"] >= 100
+    assert got["sealed"] == "goal (410, 50) unreachable from (20, 30)"
+    assert got["scipy"] == []
 
 
 def test_small_and_rewritten_grids_build_no_tables(monkeypatch):
