@@ -81,9 +81,10 @@ def should_merge(det, node) -> bool:
     """True iff both merge criteria strictly exceed their thresholds.
 
     The incoming detection is the query side of the geometric criterion so a
-    partial new view of a large known object still merges. The KD-tree check
-    is looked up on `fusion` at each call, so a test that wraps
-    `fusion.geometric_similarity` sees this one's checks too.
+    partial new view of a large known object still merges. The geometric
+    share is `fusion.geometric_similarity`, whose neighbour count
+    `fusion._near_count` is looked up on `fusion` at each call, so a test
+    that wraps the count sees this one's checks too.
     """
     sem = semantic_similarity(det.descriptor, node.descriptor)
     if sem <= TAU_SEM:

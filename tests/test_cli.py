@@ -885,8 +885,8 @@ def test_bad_input_exit(tmp_path, command, case):
 
 
 def test_import_leaves_scipy_unloaded():
-    # scipy.spatial is most of a cold start, and only a detection that passes
-    # fusion's semantic test needs it; the worker processes only `run --jobs N>1`,
+    # scipy is a test dependency only (scipy.spatial alone would be most of a
+    # cold start); the worker processes only `run --jobs N>1`,
     # and no part of `concurrent.futures` ever
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))

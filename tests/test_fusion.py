@@ -1,6 +1,12 @@
 import itertools
+import json
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +17,8 @@ from locoman.fusion import (DOWNSAMPLE_VOXEL, EPSILON, GATE_CELLS_PER_POINT, GAT
                             TAU_SEM, Detection, InstanceGraph, geometric_similarity,
                             semantic_similarities, voxel_downsample)
 from oracles import ingest_detection_loop, semantic_similarity, should_merge
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def brute_force_geometric(points_i, points_j, epsilon):
@@ -151,6 +159,50 @@ class TestGeometricSimilarity:
                     # the whole ring as one tree: the nearest of 26 decides
                     assert geometric_similarity(centre[None], ring, eps) == \
                         exact_geometric(centre[None], ring, eps, 0)
+
+
+class TestNearCount:
+    """The neighbour count behind geometric_similarity and ingest: where it
+    stops early, and the point sets it refuses."""
+
+    def test_early_stop_on_the_side_of_need(self):
+        rng = np.random.Generator(np.random.PCG64(362))
+        for case in range(300):
+            pi = rng.normal(scale=0.1, size=(int(rng.integers(1, 200)), 3))
+            pj = rng.normal(scale=0.1, size=(int(rng.integers(1, 200)), 3))
+            eps = rng.uniform(0.01, 0.1)
+            full = fusion._near_count(pi, pj, eps)
+            assert full / len(pi) == exact_geometric(pi, pj, eps, case)
+            for need in (full - 1, full - 0.5, full, full + 0.5, rng.uniform(0, len(pi))):
+                got = fusion._near_count(pi, pj, eps, need)
+                assert (got > need) == (full > need) and got <= full
+
+    def test_cells_numbered_exactly_or_refused(self):
+        side = 1.0625 * EPSILON
+        for x, ok in ((2.0**46 * side, True), (2.0**47 * side, False), (-2.0**47 * side, False)):
+            node = np.array([[x, 0.0, 0.0]])
+            probe = node + [[0.03, 0.0, 0.0], [0.0, 0.06, 0.0]]
+            if ok:
+                assert geometric_similarity(probe, node, EPSILON) == \
+                    brute_force_geometric(probe, node, EPSILON) == 0.5
+            else:
+                with pytest.raises(UsageError):
+                    geometric_similarity(probe, node, EPSILON)
+        # 2**53 cells or more in all: about 2.08e5 cells on each axis
+        for far, ok in ((1.0e4, True), (1.2e4, False)):
+            node = np.array([[0.0, 0.0, 0.0], [far, far, far]])
+            if ok:
+                assert geometric_similarity(node + 0.01, node, EPSILON) == 1.0
+            else:
+                with pytest.raises(UsageError):
+                    geometric_similarity(node + 0.01, node, EPSILON)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_refused(self, bad):
+        for pi, pj in (([[0.0, bad, 0.0]], [[0.0, 0.0, 0.0]]),
+                       ([[0.0, 0.0, 0.0]], [[bad, 0.0, 0.0]])):
+            with pytest.raises(UsageError):
+                geometric_similarity(np.array(pi), np.array(pj), EPSILON)
 
 
 def _det(descriptor, points):
@@ -392,6 +444,14 @@ class TestDetectionValidation:
         with pytest.raises(UsageError):
             _det([1, 0], [[0, 0, 0], [0, bad, 0]])
 
+    @pytest.mark.parametrize("points", [[[0.0, 0.0], [1.0, 1.0]], [0.0, 1.0],
+                                        [[0.0, 0.0, 0.0], [1.0, 1.0]]],
+                             ids=["pairs", "two_values", "ragged"])
+    def test_points_not_n_by_3_rejected(self, points):
+        # the first two used to raise numpy's reshape ValueError
+        with pytest.raises(UsageError, match=r"detection points must form an \(N, 3\) array"):
+            Detection(label="x", descriptor=np.array([1.0, 0.0]), points=points)
+
     def test_nan_point_never_reaches_a_node(self):
         # it used to join a node, and the next matching detection then
         # failed in scipy's KD-tree with a raw ValueError
@@ -470,11 +530,12 @@ class TestIngestOracle:
 
 
     @pytest.mark.parametrize("bad", [np.zeros(4), np.array([np.nan, 1.0, 0, 0]),
-                                     np.array([0, -np.inf, 0, 0])],
-                             ids=["zero", "nan", "inf"])
+                                     np.array([0, -np.inf, 0, 0]), np.ones(8)],
+                             ids=["zero", "nan", "inf", "long"])
     def test_bad_node_descriptor_raises_as_loop(self, bad):
         # a node descriptor a caller set to zeros used to score NaN with a
-        # RuntimeWarning, fail the vector gate and add a new node
+        # RuntimeWarning, fail the vector gate and add a new node; a longer
+        # one split into extra rows and overran the node list (IndexError)
         errors = []
         for ingest in (InstanceGraph.ingest_detection, ingest_detection_loop):
             g = InstanceGraph(descriptor_dim=4)
@@ -491,15 +552,16 @@ class TestIngestOracle:
 
 @pytest.fixture
 def geo_calls(monkeypatch):
-    """Counts the checks that reach geometric_similarity (the KD path)."""
+    """Counts the checks that reach the neighbour count (`fusion._near_count`),
+    which `geometric_similarity` and so the oracle loop call too."""
     calls = []
-    real = fusion.geometric_similarity
+    real = fusion._near_count
 
     def counted(*args):
         calls.append(len(args[1]))
         return real(*args)
 
-    monkeypatch.setattr(fusion, "geometric_similarity", counted)
+    monkeypatch.setattr(fusion, "_near_count", counted)
     return calls
 
 
@@ -526,7 +588,7 @@ def _corners(voxel):
 
 
 class TestVoxelGate:
-    """The voxel gate decides a check only when the KD-tree would merge: a
+    """The voxel gate decides a check only when the count would merge: a
     detection point in a node point's voxel or a face neighbour of it lies
     closer than EPSILON, and no other neighbour counts."""
 
@@ -554,12 +616,12 @@ class TestVoxelGate:
             far = _corners(tuple(b + s for b, s in zip(base, step)))
             for q, p in itertools.product(near, far):
                 assert np.abs(q).max() <= GATE_MAX_COORD
-                # the KD-tree reads the pair closer than EPSILON ...
+                # the count reads the pair closer than EPSILON ...
                 assert geometric_similarity(p[None], q[None], EPSILON) == 1.0
                 geo_calls.clear()
                 g = InstanceGraph(descriptor_dim=2)
                 g.ingest_detection(_det([1, 0], [q]))
-                # ... and the gate merges it without the KD-tree
+                # ... and the gate merges it without the count
                 assert g.ingest_detection(_det([1, 0], [p])) == 0
                 assert geo_calls == []
 
@@ -583,12 +645,12 @@ class TestVoxelGate:
                 geo_calls.clear()
                 got, want = self._ingest_pair(q, p)
                 assert got == want == (0 if merged else 1)
-                # the graph's check reached the KD-tree, as did the loop's
+                # the graph's check reached the count, as did the loop's
                 assert len(geo_calls) == 2
 
     def test_points_outside_the_box_never_count(self, geo_calls):
         # past the node's box each detection point is clipped onto its edge,
-        # which no node voxel's neighbour reaches: every check goes to the KD-tree
+        # which no node voxel's neighbour reaches: every check goes to the count
         node = np.array([[0.01, 0.01, 0.01], [0.05, 0.01, 0.01]])
         for step in itertools.product((-1, 0, 1), repeat=3):
             if not any(step):
@@ -666,9 +728,9 @@ class TestVoxelGateState:
         for g in (got, want):
             g.nodes[0].points[:, 0] -= 3.0
             g.nodes[0].points[0] = np.nan
-        with pytest.raises(ValueError):  # scipy refuses a NaN in the tree, in both
+        with pytest.raises(UsageError):  # the count refuses a NaN node point, in both
             got.ingest_detection(probe)
-        with pytest.raises(ValueError):
+        with pytest.raises(UsageError):
             ingest_detection_loop(want, probe)
 
     def test_cap_boundary(self, geo_calls):
@@ -696,7 +758,30 @@ class TestVoxelGateState:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
-        assert len(geo_calls) == 1  # the KD path decided
+        assert len(geo_calls) == 1  # the count decided
+
+    def test_crowded_cell_count_stays_bounded(self, geo_calls):
+        # 10**5 node points in one 2 cm voxel, so in one count cell; 36 of
+        # 40 detection points sit in its edge-neighbour voxels, under 2 cm
+        # from it (hits, but no sure hits), 4 far away. Compared all at once,
+        # the 36 points' own cell alone makes 3.6e6 pairs, hundreds of MB
+        rng = np.random.Generator(np.random.PCG64(361))
+        crowd = rng.uniform(0.001, 0.019, (10**5, 3))
+        near = np.c_[rng.uniform(0.021, 0.03, (36, 2)), rng.uniform(0.001, 0.019, 36)]
+        det = _det([1, 0], np.vstack([near, near[:4] + 1.0]))
+        got, want = self._pair(np.zeros((1, 3)))
+        for g in (got, want):
+            g.nodes[0].points = crowd.copy()
+        tracemalloc.start()
+        try:
+            nid = got.ingest_detection(det)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(geo_calls) == 1  # the gate left it to the count
+        assert nid == ingest_detection_loop(want, det) == 0  # a share of 0.9
+        assert TestIngestOracle._node_bytes(got) == TestIngestOracle._node_bytes(want)
+        assert peak < 40_000_000
 
 
 def _lattice(rng):
@@ -738,6 +823,34 @@ def _lattice_stream(seed, steps):
         yield _det(desc, pts + rng.normal(0.0, 0.003, pts.shape))
 
 
+def test_count_loads_no_scipy():
+    """A view whose sure hits fall short, in a fresh process: the count
+    merges it, with no scipy module loaded."""
+    code = textwrap.dedent("""
+        import json, sys
+        import numpy as np
+        from locoman import fusion
+        counts = []
+        real = fusion._near_count
+        fusion._near_count = lambda *args: counts.append(len(args[0])) or real(*args)
+        # a plane of points 5 cm apart at z = 0.05; the view, 1.5 cm off on
+        # each axis, leaves the voxel of each point with an odd index, so
+        # only the 16 of 49 with both x and y even are sure hits
+        plane = np.array([(0.05 * i, 0.05 * j, 0.05) for i in range(7) for j in range(7)])
+        g = fusion.InstanceGraph(descriptor_dim=2)
+        ids = [g.ingest_detection(fusion.Detection("box", np.array([1.0, 0.0]), p))
+               for p in (plane, plane + 0.015, plane + 1.0)]
+        print(json.dumps({"ids": ids, "counts": counts,
+                          "scipy": [m for m in sys.modules if m.split(".")[0] == "scipy"]}))
+    """)
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=path), check=True)
+    got = json.loads(out.stdout)
+    assert got["ids"] == [0, 0, 1] and got["counts"][0] == 33
+    assert got["scipy"] == []
+
+
 def test_lattice_views_take_both_paths(geo_calls):
     gated = fallbacks = 0
     for seed in (351, 352):
@@ -751,5 +864,5 @@ def test_lattice_views_take_both_paths(geo_calls):
             fallbacks += len(geo_calls)
             assert nid == ingest_detection_loop(want, det)
             assert TestIngestOracle._node_bytes(got) == TestIngestOracle._node_bytes(want)
-    # the two streams make 43 gate decisions and 112 KD fallbacks
+    # the two streams make 43 gate decisions and 112 counts
     assert gated >= 30 and fallbacks >= 30
