@@ -1,4 +1,4 @@
-"""2D occupancy grid: scan integration, goal search, A*.
+"""2D occupancy grid: scan integration, goal search, and A* with two move rules.
 
 Cells are Unknown until observed. Occupied wins every conflict and never
 reverts to Free. The grid grows by doubling when points land outside.
@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NoFeasibleGoal, NoPath
+from .errors import NoFeasibleGoal, NoPath, UsageError
 from .geometry import Pose, quat_from_yaw, vec3
 
 UNKNOWN = 0
@@ -277,15 +277,19 @@ def _ray_cells(starts: np.ndarray, ends: np.ndarray, shape: tuple[int, int]) -> 
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=64)
-def _disk_offsets(radius: float, resolution: float) -> tuple[tuple[int, int], ...]:
+def _disk_offsets(radius: float, resolution: float,
+                  shape: tuple[int, int] | None = None) -> tuple[tuple[int, int], ...]:
     """Cell offsets (dx, dy) whose center distance is within radius, row by
-    row from the lowest dy. Memoized per (radius, resolution), since
-    `blocked_mask` asks for the same disk on every call; the tuple is
-    immutable, so every caller can share it."""
-    r_cells = int(np.floor(radius / resolution)) + 1
+    row from the lowest dy; given a grid's (h, w) shape, only those with
+    |dx| < w and |dy| < h, which reach from one of its cells to another.
+    Memoized, since `blocked_mask` asks for the same disk on every call;
+    the tuple is immutable, so every caller can share it."""
+    rx = ry = int(np.floor(radius / resolution)) + 1
+    if shape is not None:
+        ry, rx = min(ry, shape[0] - 1), min(rx, shape[1] - 1)
     offs = []
-    for dy in range(-r_cells, r_cells + 1):
-        for dx in range(-r_cells, r_cells + 1):
+    for dy in range(-ry, ry + 1):
+        for dx in range(-rx, rx + 1):
             if np.hypot(dx, dy) * resolution <= radius:
                 offs.append((dx, dy))
     return tuple(offs)
@@ -294,10 +298,15 @@ def _disk_offsets(radius: float, resolution: float) -> tuple[tuple[int, int], ..
 def footprint_clear(grid: OccupancyGrid, x: float, y: float, radius: float) -> bool:
     """True when no Occupied cell center lies within radius of (x, y).
 
-    Cells outside the grid count as Unknown, never Occupied.
+    Cells outside the grid count as Unknown, never Occupied. A point or
+    radius with no finite cell index raises UsageError.
     """
-    cx, cy = grid.world_to_cell(x, y)
-    r_cells = math.ceil(radius / grid.resolution) + 1
+    try:  # costs nothing until it raises, and this runs every tick
+        cx, cy = grid.world_to_cell(x, y)
+        r_cells = math.ceil(radius / grid.resolution) + 1
+    except (ValueError, OverflowError):
+        raise UsageError(f"footprint at ({x}, {y}) radius {radius} "
+                         "has no finite cell index") from None
     # clip to the grid, as a negative stop would wrap around in a slice
     # (conditionals, not four max() calls: this runs every tick)
     x0, y0, x1, y1 = cx - r_cells, cy - r_cells, cx + r_cells + 1, cy + r_cells + 1
@@ -360,7 +369,8 @@ def find_goal_pose(grid: OccupancyGrid, waypoint: np.ndarray, obstacles,
 
     Each ring is checked in one `_first_clear` pass, which answers every
     candidate as `footprint_clear` and the overlap test against each
-    obstacle box grown by bbox_inflation would.
+    obstacle box grown by bbox_inflation would. A waypoint whose candidates
+    have no finite cell index raises UsageError.
     """
     wx, wy = float(waypoint[0]), float(waypoint[1])
     d = cfg.bbox_inflation
@@ -376,7 +386,10 @@ def find_goal_pose(grid: OccupancyGrid, waypoint: np.ndarray, obstacles,
         # ring 0 is one candidate at angle 0 (a -0.0 waypoint gives 0.0)
         m = 1 if radius == 0.0 else cos.size
         xs, ys = wx + radius * cos[:m], wy + radius * sin[:m]
-        k = _first_clear(grid, xs, ys, cfg.robot_inflation, box_lo, box_hi)
+        try:  # math.floor of a NaN or too large cell index
+            k = _first_clear(grid, xs, ys, cfg.robot_inflation, box_lo, box_hi)
+        except (ValueError, OverflowError):
+            raise UsageError(f"waypoint ({wx}, {wy}) has no finite cell index") from None
         if k is not None:
             x, y = xs[k], ys[k]
             yaw = float(np.arctan2(face_toward[1] - y, face_toward[0] - x))
@@ -388,28 +401,31 @@ def find_goal_pose(grid: OccupancyGrid, waypoint: np.ndarray, obstacles,
 
 
 def blocked_mask(grid: OccupancyGrid, inflation: float) -> np.ndarray:
-    """Cells whose inflated footprint overlaps an Occupied cell."""
+    """Cells whose inflated footprint overlaps an Occupied cell. A NaN or
+    infinite inflation raises UsageError."""
+    if not math.isfinite(inflation):
+        raise UsageError(f"inflation must be finite, got {inflation}")
     occ = grid.cells == OCCUPIED
     if inflation <= 0.0:
         return occ
     mask = np.zeros_like(occ)
     h, w = occ.shape
-    for dx, dy in _disk_offsets(inflation, grid.resolution):
-        # an offset as long as the grid reaches no cell; past that a
-        # negative slice stop would wrap around
-        if abs(dx) >= w or abs(dy) >= h:
-            continue
+    # offsets shorter than the grid: a longer one would wrap a slice stop
+    for dx, dy in _disk_offsets(inflation, grid.resolution, occ.shape):
         mask[max(dy, 0):h + min(dy, 0), max(dx, 0):w + min(dx, 0)] |= \
             occ[max(-dy, 0):h - max(dy, 0), max(-dx, 0):w - max(dx, 0)]
     return mask
 
 
-# `plan_path` on a grid of at least this many cells runs `_jump_search`; a
-# smaller grid runs the octile `_astar`, whose paths the golden digests pin.
-# Grids grow by doubling; this is one doubling past 256x128, the largest
-# grid of a bundled scenario and of a scanned 24 m x 12 m arena whose
-# content changes between plans. So those grids never build jump tables,
-# and keep the octile search's paths.
+# `plan_path` takes its moves from `_jump_moves` on a grid of at least this
+# many cells, else from `_octile_moves`, which are faster on the grids below:
+# with the bound at 0, a noisy `cart_delivery` episode spent 2.04 ms in the
+# jump search plus 0.27 ms building tables against 0.63 ms in the octile one,
+# and `cart_suite` fell 18.64 -> 17.48 and 18.36 -> 17.62 episodes/s (2-core
+# Xeon); `mapping_replan`, with new tables every plan, stayed within noise.
+# Grids grow by doubling; this is one doubling past 256x128, the largest grid
+# of a bundled scenario and of the `mapping_replan` arena. Those grids keep
+# the octile paths that the golden digests pin.
 _JUMP_MIN_CELLS = 2 * 256 * 128
 
 
@@ -501,29 +517,29 @@ def plan_path(grid: OccupancyGrid, start: tuple[int, int], goal: tuple[int, int]
     grid (2-core Xeon) the copy and comparison of the cells take about
     12 us, a new mask about 1.2 ms.
 
-    A grid below _JUMP_MIN_CELLS cells runs `_astar`, an octile A* over
-    every cell with the deterministic tie-break (f, h, flat cell index). A
-    closed neighbour is not skipped there. When a later path reaches it
-    more cheaply, its `g` is lowered and its `came` re-pointed (it is
-    pushed again, but never expanded twice). The float octile heuristic is
+    `_search` is one A* over the padded flat indices, with the octile
+    heuristic and the deterministic tie-break (f, h, flat cell index). A
+    closed successor is not skipped. When a later path reaches it more
+    cheaply, its `g` is lowered and its `came` re-pointed (it is pushed
+    again, but never expanded twice). The float octile heuristic is
     consistent only to about one ulp, so this happens, and skipping closed
-    neighbours moves pinned paths and digests.
+    successors moves pinned paths and digests.
 
-    On a grid of at least _JUMP_MIN_CELLS cells the entry also holds the
-    `_Jumps` tables, built in numpy in about 1 ms (0.66 MB on the
-    `nav_queries` 512x256 floor plan, 2-core Xeon), and the path comes from
-    `_jump_search`, jump point search (Harabor & Grastien, AAAI 2011) with
-    the same (f, h, flat index) heap order over jump points only. It is
-    cost-optimal, but may be another optimal path than `_astar` finds; the
-    same one on every call, as it depends only on the wall content. On that
-    floor plan a cross-building request takes a median 0.62 ms, and a goal
-    outside the building, which the search reports unreachable once it has
-    closed every jump point the start reaches, about 3.6 ms. It is slow on
-    grids of scattered single-cell obstacles, where nearly every cell is a
-    jump point: corner to corner on 256x256 with no inflation and 10%, 25%
-    and 35% of cells blocked at random, 7.8, 20 and 32 ms a request. No
-    caller plans on such a grid; each inflates by 0.30 m, which merges
-    scattered cells into blocks.
+    Below _JUMP_MIN_CELLS cells the moves are the 8 neighbours. From there
+    up they are the jumps of jump point search (Harabor & Grastien, AAAI
+    2011), from the `_Jumps` tables the entry then also holds, built in
+    numpy in about 1 ms (0.66 MB on the `nav_queries` 512x256 floor plan,
+    2-core Xeon). Its path is cost-optimal, but may be another optimal path
+    than the neighbour moves give; the same one on every call, as it
+    depends only on the wall content. On that floor plan a cross-building
+    request takes a median 0.62 ms, and a goal outside the building, which
+    the search reports unreachable once it has closed every jump point the
+    start reaches, about 3.6 ms. It is slow on grids of scattered
+    single-cell obstacles, where nearly every cell is a jump point: corner
+    to corner on 256x256 with no inflation and 10%, 25% and 35% of cells
+    blocked at random, 7.8, 20 and 32 ms a request. No caller plans on such
+    a grid; each inflates by 0.30 m, which merges scattered cells into
+    blocks.
     """
     sx, sy = start
     gx, gy = goal
@@ -536,29 +552,27 @@ def plan_path(grid: OccupancyGrid, start: tuple[int, int], goal: tuple[int, int]
     dst = (int(gy) + 1) * pw + int(gx) + 1
     if walls.wall[src] or walls.wall[dst]:
         raise NoPath("start or goal cell blocked")
-    path = (_astar if walls.jumps is None else _jump_search)(walls, src, dst)
+    moves = _octile_moves(pw) if walls.jumps is None else _jump_moves(walls, dst)
+    path = _search(walls, src, dst, moves)
     if path is None:
         raise NoPath(f"goal {goal} unreachable from {start}")
     return [(p % pw - 1, p // pw - 1) for p in path]
 
 
-def _astar(walls: _Walls, src: int, dst: int) -> list[int] | None:
-    """`plan_path`'s octile A* in the padded flat indices: the path from
-    src to dst, or None when dst is unreachable."""
+def _search(walls: _Walls, src: int, dst: int, moves) -> list[int] | None:
+    """`plan_path`'s A* in the padded flat indices: every cell of the path
+    from src to dst, or None when dst is unreachable. `moves(cur, came)`
+    gives cur's moves as (flat offset, cost) pairs along straight or
+    diagonal lines, `came` mapping each reached cell to its predecessor. A
+    move into a wall is skipped, and the walk back fills in each line."""
     wall, width = walls.wall, walls.width
     ty, tx = divmod(dst, width)
-    sy, sx = divmod(src, width)
     diag = SQRT2 - 2.0
-    moves = ((1, 1.0), (-1, 1.0), (width, 1.0), (-width, 1.0),
-             (width + 1, SQRT2), (1 - width, SQRT2), (width - 1, SQRT2), (-width - 1, SQRT2))
     inf = float("inf")
     pop, push = heapq.heappop, heapq.heappush
-
-    dx, dy = abs(sx - tx), abs(sy - ty)
-    h0 = (dx + dy) + diag * min(dx, dy)
     g_score = {src: 0.0}
     came = {}
-    open_heap = [(h0, h0, src)]
+    open_heap = [(0.0, 0.0, src)]  # alone in the heap, so its f and h never sort
     closed = set()
     while open_heap:
         cur = pop(open_heap)[2]
@@ -566,13 +580,15 @@ def _astar(walls: _Walls, src: int, dst: int) -> list[int] | None:
             continue
         if cur == dst:
             path = [cur]
-            while path[-1] in came:
-                path.append(came[path[-1]])
-            path.reverse()
-            return path
+            while cur in came:
+                prev = came[cur]
+                step = _step(cur, prev, width)
+                path.extend(range(cur + step, prev + step, step))
+                cur = prev
+            return path[::-1]
         closed.add(cur)
         g_cur = g_score[cur]
-        for d, cost in moves:
+        for d, cost in moves(cur, came):
             nb = cur + d
             if wall[nb]:
                 continue
@@ -587,34 +603,43 @@ def _astar(walls: _Walls, src: int, dst: int) -> list[int] | None:
     return None
 
 
-def _jump_search(walls: _Walls, src: int, dst: int) -> list[int] | None:
-    """`plan_path`'s jump point search in the padded flat indices: every
-    cell of the path from src to dst, or None when dst is unreachable.
+def _step(a: int, b: int, width: int) -> int:
+    """The flat offset of one cell's move from flat index a toward b, which
+    lie on one straight or diagonal line, in rows `width` cells long."""
+    (ay, ax), (by, bx) = divmod(a, width), divmod(b, width)
+    return ((by > ay) - (by < ay)) * width + (bx > ax) - (bx < ax)
 
-    It prunes by `_pruned`, whose diagonal moves cut corners as `_astar`'s
-    do: a diagonal move needs only its target cell walkable. A straight
-    jump is one `find`/`rfind` of the first wall and of the first forced
-    cell before it, along a row of the walls or a column of `wall_t`; it
-    stops at the goal when the goal comes first. A diagonal jump steps cell
-    by cell and stops at the goal, at a cell with a forced neighbour, or at
-    a cell from which either straight jump along its two components finds a
-    jump point. The cells between consecutive jump points, which lie on one
-    straight or diagonal line, are filled in.
-    """
+
+def _octile_moves(width: int):
+    """`_search`'s moves below _JUMP_MIN_CELLS cells, in rows `width` cells
+    long: the 8 neighbours, at cost 1 or sqrt(2), the same from every cell."""
+    steps = ((1, 1.0), (-1, 1.0), (width, 1.0), (-width, 1.0),
+             (width + 1, SQRT2), (1 - width, SQRT2), (width - 1, SQRT2), (-width - 1, SQRT2))
+    return lambda cur, came: steps
+
+
+def _jump_moves(walls: _Walls, dst: int):
+    """`_search`'s moves from _JUMP_MIN_CELLS cells up: the jumps of jump
+    point search toward dst, each at the cost of its line. A cell's heading
+    is the direction from the cell it was reached from, and `_pruned` gives
+    its successors; a diagonal move cuts corners as the octile moves do,
+    needing only its target cell walkable. A straight jump is one
+    `find`/`rfind` of the first wall and of the first forced cell before it,
+    along a row of the walls or a column of `wall_t`; it stops at the goal
+    when the goal comes first. A diagonal jump steps cell by cell and stops
+    at the goal, at a cell with a forced neighbour, or at a cell from which
+    either straight jump along its two components finds a jump point."""
     wall, pw = walls.wall, walls.width
     ph, wall_t, (fpx, fmx, fpy, fmy) = walls.jumps
     ty, tx = divmod(dst, pw)
     dst_t = tx * ph + ty  # the goal's index in column order
-    diag = SQRT2 - 2.0
-    inf = float("inf")
-    pop, push = heapq.heappop, heapq.heappush
-    # by heading: the natural successors, and (side, forced successor,
-    # forced cell) with the side and the forced cell as flat offsets
-    rules = {(0, 0): (_ALL_DIRECTIONS, ())}  # the start's
-    for move in _ALL_DIRECTIONS:
-        natural, forced = _pruned(*move)
-        rules[move] = natural, tuple((sx + sy * pw, (fx, fy), fx + fy * pw)
-                                        for (sx, sy), (fx, fy) in forced)
+    # by the flat step of a cell's heading, 0 at the start: the natural successors,
+    # and (side, forced successor, forced cell), side and cell as flat offsets
+    rules = {0: (_ALL_DIRECTIONS, ())}
+    for dx, dy in _ALL_DIRECTIONS:
+        natural, forced = _pruned(dx, dy)
+        rules[dy * pw + dx] = natural, tuple((sx + sy * pw, (fx, fy), fx + fy * pw)
+                                             for (sx, sy), (fx, fy) in forced)
 
     def jump_x(cur, dx):
         """The jump point from cur along its row in dx, or -1."""
@@ -646,7 +671,7 @@ def _jump_search(walls: _Walls, src: int, dst: int) -> list[int] | None:
         """The jump point from (x, y), flat index cur, on its diagonal in
         (dx, dy), or -1."""
         step = dy * pw + dx
-        (side_a, _, cell_a), (side_b, _, cell_b) = rules[dx, dy][1]
+        (side_a, _, cell_a), (side_b, _, cell_b) = rules[step][1]
         while True:
             cur += step
             x += dx
@@ -658,51 +683,21 @@ def _jump_search(walls: _Walls, src: int, dst: int) -> list[int] | None:
                     or jump_x(cur, dx) >= 0 or jump_y(x, y, dy) >= 0:
                 return cur
 
-    dx, dy = abs(src % pw - tx), abs(src // pw - ty)
-    h0 = (dx + dy) + diag * min(dx, dy)
-    g_score = {src: 0.0}
-    came = {}
-    heading = {src: (0, 0)}  # the direction of the jump into each jump point
-    open_heap = [(h0, h0, src)]
-    closed = set()
-    while open_heap:
-        cur = pop(open_heap)[2]
-        if cur in closed:
-            continue
-        if cur == dst:
-            points = [cur]
-            while points[-1] in came:
-                points.append(came[points[-1]])
-            points.reverse()
-            path = [src]
-            for a, b in zip(points, points[1:]):
-                (ay, ax), (by, bx) = divmod(a, pw), divmod(b, pw)
-                step = ((by > ay) - (by < ay)) * pw + (bx > ax) - (bx < ax)
-                path.extend(range(a + step, b + step, step))
-            return path
-        closed.add(cur)
-        g_cur = g_score[cur]
+    def moves(cur, came):
+        parent = came.get(cur)
+        natural, forced = rules[0 if parent is None else _step(parent, cur, pw)]
         cy, cx = divmod(cur, pw)
-        natural, forced = rules[heading[cur]]
         dirs = natural + tuple(d for side, d, cell in forced
                                if wall[cur + side] and not wall[cur + cell])
-        for ddx, ddy in dirs:
-            if ddx and ddy:
-                nb = jump_diagonal(cur, cx, cy, ddx, ddy)
-            elif ddx:
-                nb = jump_x(cur, ddx)
+        for dx, dy in dirs:
+            if dx and dy:
+                nb = jump_diagonal(cur, cx, cy, dx, dy)
+            elif dx:
+                nb = jump_x(cur, dx)
             else:
-                nb = jump_y(cx, cy, ddy)
-            if nb < 0:
-                continue
-            y, x = divmod(nb, pw)
-            steps = abs(x - cx) or abs(y - cy)
-            tentative = g_cur + (steps * SQRT2 if ddx and ddy else steps)
-            if tentative < g_score.get(nb, inf):
-                g_score[nb] = tentative
-                came[nb] = cur
-                heading[nb] = (ddx, ddy)
-                dx, dy = abs(x - tx), abs(y - ty)
-                hn = (dx + dy) + diag * (dx if dx < dy else dy)
-                push(open_heap, (tentative + hn, hn, nb))
-    return None
+                nb = jump_y(cx, cy, dy)
+            if nb >= 0:
+                d = nb - cur
+                steps = d // (dy * pw + dx)
+                yield d, steps * SQRT2 if dx and dy else steps
+    return moves

@@ -179,6 +179,8 @@ class RewardWeights:
     def weight(self, term: str, stage: int) -> float:
         if stage not in (1, 2):
             raise UsageError(f"stage must be 1 or 2, got {stage}")
+        if term not in self.__dataclass_fields__:
+            raise UsageError(f"unknown reward term {term!r}")
         return getattr(self, term)[stage - 1]
 
 

@@ -1,7 +1,10 @@
+import contextlib
+import hashlib
 import heapq
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import textwrap
@@ -11,7 +14,7 @@ import numpy as np
 import pytest
 
 from locoman import navgrid
-from locoman.errors import NoFeasibleGoal, NoPath
+from locoman.errors import NoFeasibleGoal, NoPath, UsageError
 from locoman.geometry import Pose, quat_from_yaw, vec3
 from locoman.navgrid import (FREE, OCCUPIED, SQRT2, UNKNOWN, GoalSearchConfig,
                              OccupancyGrid, Scan, _disk_offsets, _first_clear,
@@ -567,7 +570,8 @@ def _blocked_mask_scatter(grid, inflation):
     if inflation <= 0.0:
         return occ
     mask = np.zeros_like(occ)
-    offs = _disk_offsets(inflation, grid.resolution)
+    # offsets as long as the grid reach no cell, and `keep` drops them
+    offs = _disk_offsets(inflation, grid.resolution, occ.shape)
     ys, xs = np.nonzero(occ)
     h, w = occ.shape
     for dx, dy in offs:
@@ -924,6 +928,22 @@ class TestJumpSearch:
                  for (s, t), p in zip(floor_plan.requests, paths)]
         assert again == paths
 
+    def test_floor_plan_paths_pinned(self, floor_plan):
+        # every cell of every path, and each NoPath text, that the jump
+        # search returns for the seeded requests, one sealed and one blocked
+        g, inflation = floor_plan.grid, floor_plan.INFLATION
+        out = []
+        for start, goal in floor_plan.requests + [((6, 6), (0, 0))]:
+            try:
+                out.append(plan_path(g, start, goal, inflation=inflation))
+            except NoPath as exc:
+                out.append(str(exc))
+        assert g._walls.jumps is not None
+        assert out[3] == "goal (302, 100) unreachable from (6, 6)"
+        assert out[-1] == "start or goal cell blocked"
+        assert hashlib.sha256(json.dumps(out).encode()).hexdigest() == \
+            "c3dc4edd9f2c6da55d819c146cabcbe4829638fe43d610ba3f1b1630f96b45ba"
+
     @pytest.mark.parametrize("kind", ["rooms", "noise"])
     def test_random_grids_match_dijkstra(self, kind):
         # rooms: walls with doorways, random blocks and Unknown cells at the
@@ -1144,6 +1164,22 @@ class TestGoalSearch:
             find_goal_pose(g, np.array([0.0, 0.0, 0.0]), [], GoalSearchConfig(),
                            np.array([0.0, 0.0]))
 
+    @pytest.mark.parametrize("waypoint, text", [([np.nan, 0.5, 0.0], "(nan, 0.5)"),
+                                                ([1e308, 0.5, 0.0], "(1e+308, 0.5)")])
+    def test_waypoint_without_cell_named(self, waypoint, text):
+        # a NaN cell index used to raise math.floor's ValueError, an
+        # infinite one its OverflowError
+        g = OccupancyGrid(resolution=0.1, width=40, height=40, origin_xy=(-2, -2))
+        g.cells[:] = FREE
+        with pytest.raises(UsageError, match=f"^waypoint {re.escape(text)} has no finite"):
+            find_goal_pose(g, np.array(waypoint), [], GoalSearchConfig(), np.zeros(2))
+
+    def test_footprint_without_cell_named(self):
+        g = OccupancyGrid(resolution=0.1, width=40, height=40, origin_xy=(-2, -2))
+        text = "footprint at (nan, 0) radius 0.3 has no finite cell index"
+        with pytest.raises(UsageError, match=f"^{re.escape(text)}$"):
+            footprint_clear(g, np.nan, 0, 0.3)
+
 
 GOAL_FIELDS = ("search_radius", "ring_step", "angular_step",
                "robot_inflation", "bbox_inflation")
@@ -1305,6 +1341,59 @@ class TestGoalSearchOracle:
                     (0 if expected[k] else None), (trial, k)
             first = expected.index(True) if any(expected) else None
             assert _first_clear(g, xs, ys, r, lo, hi) == first, trial
+
+
+@contextlib.contextmanager
+def _time_limit(seconds):
+    """Raise TimeoutError inside the block once `seconds` of wall time pass."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestInflationBounds:
+    @pytest.mark.parametrize("inflation", [1e6, 1e300])
+    def test_huge_inflation_bounded_by_grid(self, inflation):
+        # the disk used to be enumerated in full, about (2*inflation/res)**2
+        # offsets, though every offset as long as the grid reaches no cell
+        g = OccupancyGrid(resolution=0.1, width=32, height=32, origin_xy=(0, 0))
+        g.cells[:] = FREE
+        with _time_limit(1.0):
+            path = plan_path(g, (0, 0), (5, 5), inflation=inflation)
+        assert path == [(k, k) for k in range(6)]
+        g.cells[3, 30] = g.cells[20, 7] = OCCUPIED
+        with _time_limit(1.0):
+            mask = blocked_mask(g, inflation)
+        assert mask.all() and np.array_equal(mask, _blocked_mask_scatter(g, inflation))
+        assert _disk_offsets(inflation, 0.1, (32, 32)) == tuple(
+            (dx, dy) for dy in range(-31, 32) for dx in range(-31, 32))
+
+    def test_disk_wider_than_one_axis(self):
+        # clipped on the short axis only: the mask is the unclipped disk's
+        rng = np.random.Generator(np.random.PCG64(4201))
+        for width, height, inflation in [(40, 3, 1.2), (3, 40, 1.2), (9, 2, 0.45)]:
+            g = random_grid(rng, 0.05, width=width, height=height)
+            expected = np.zeros_like(g.cells, dtype=bool)
+            for dx, dy in _disk_offsets(inflation, g.resolution):
+                for y, x in np.argwhere(g.cells == OCCUPIED):
+                    if 0 <= x + dx < width and 0 <= y + dy < height:
+                        expected[y + dy, x + dx] = True
+            assert np.array_equal(blocked_mask(g, inflation), expected)
+
+    @pytest.mark.parametrize("inflation", [np.nan, np.inf, -np.inf])
+    def test_non_finite_inflation_rejected(self, inflation):
+        g = OccupancyGrid(resolution=0.1, width=8, height=8, origin_xy=(0, 0))
+        g.cells[:] = FREE
+        with pytest.raises(UsageError, match=f"^inflation must be finite, got {inflation}$"):
+            blocked_mask(g, inflation)
+        with pytest.raises(UsageError, match="^inflation must be finite"):
+            plan_path(g, (0, 0), (5, 5), inflation=inflation)
 
 
 class TestHelpers:

@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -287,6 +288,12 @@ class TestWeights:
     def test_invalid_stage(self):
         with pytest.raises(UsageError):
             RewardWeights().weight("gait", 3)
+
+    @pytest.mark.parametrize("term", ["bogus", "weight", "__class__"])
+    def test_unknown_term_named(self, term):
+        # a method or attribute of the table is no term either
+        with pytest.raises(UsageError, match=f"^unknown reward term {re.escape(repr(term))}$"):
+            total_reward(1, {"gait": 1.0, term: 1.0})
 
 
 class TestPolicyIO:
